@@ -35,6 +35,7 @@ from .circuit import (
 from .circuit.profiles import ISCAS89_PROFILES
 from .core import CheckpointError, GaTestGenerator, TestGenConfig
 from .faults import FaultSimulator
+from .sim.codegen import KERNEL_NAMES
 
 
 def _load_circuit(spec: str, scale: float, seed: int):
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eval-cache", action="store_true",
                      help="force the chromosome evaluation cache on even "
                           "with --eval-jobs 1 (auto-on when N > 1)")
-    run.add_argument("--kernel", choices=["interp", "codegen", "numpy", "c"],
+    run.add_argument("--kernel", choices=KERNEL_NAMES,
                      default=None,
                      help="simulation kernel backend (default: codegen, or "
                           "$REPRO_SIM_KERNEL; results are bit-identical — "
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsim.add_argument("--seed", type=int, default=0)
     fsim.add_argument("--scale", type=float, default=1.0)
     fsim.add_argument("-v", "--verbose", action="store_true")
-    fsim.add_argument("--kernel", choices=["interp", "codegen", "numpy", "c"],
+    fsim.add_argument("--kernel", choices=KERNEL_NAMES,
                       default=None,
                       help="simulation kernel backend (default: codegen; "
                            "see docs/KERNELS.md)")

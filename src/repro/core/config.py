@@ -13,6 +13,8 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
+from ..sim.codegen import KERNEL_NAMES
+
 
 @dataclass(frozen=True)
 class GaSchedule:
@@ -121,12 +123,12 @@ class TestGenConfig:
     #: either way (docs/PERFORMANCE.md).
     eval_cache: Optional[bool] = None
 
-    #: Simulation kernel backend: "interp" (reference interpreter),
-    #: "codegen" (generated straight-line Python, the default),
-    #: "numpy" (vectorized plane kernel, falls back to the interpreter
-    #: when numpy is unavailable) or ``None`` (auto: ``REPRO_SIM_KERNEL``
-    #: env, else codegen).  Results are bit-identical either way
-    #: (docs/KERNELS.md).
+    #: Simulation kernel backend, one of ``repro.sim.codegen.KERNEL_NAMES``:
+    #: "interp" (reference interpreter), "codegen" (generated
+    #: straight-line Python, the default), "c" (compiled C, falls back
+    #: to the interpreter when no C compiler or cached artifact is
+    #: available) or ``None`` (auto: ``REPRO_SIM_KERNEL`` env, else
+    #: codegen).  Results are bit-identical either way (docs/KERNELS.md).
     sim_kernel: Optional[str] = None
 
     #: Self-healing pool policy for sharded evaluation: per-shard-pass
@@ -150,10 +152,10 @@ class TestGenConfig:
             raise ValueError("eval_jobs must be >= 1")
         if self.n_islands < 1:
             raise ValueError("n_islands must be >= 1")
-        if self.sim_kernel not in (None, "interp", "codegen", "numpy", "c"):
+        if self.sim_kernel is not None and self.sim_kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown simulation kernel {self.sim_kernel!r}; "
-                "choose 'interp', 'codegen', 'numpy' or 'c'"
+                f"choose one of {KERNEL_NAMES}"
             )
         if self.fault_model not in ("stuck-at", "transition"):
             raise ValueError(

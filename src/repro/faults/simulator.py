@@ -231,14 +231,6 @@ class FaultSimulator:
     #: model) set this False and keep only the evaluation cache.
     _shardable = True
 
-    #: Whether a kernel's fused ``run_batch`` may replace
-    #: :meth:`_evaluate_batch_serial`: the fused pass replays exactly
-    #: this class's static injection and capture semantics, so any
-    #: subclass that changes either must set this False (the transition
-    #: model does, although it also overrides :meth:`evaluate_batch`
-    #: outright and never reaches the hook).
-    _batch_fusable = True
-
     def __init__(
         self,
         circuit: Union[Circuit, CompiledCircuit],
@@ -257,8 +249,8 @@ class FaultSimulator:
             self.compiled = compile_circuit(circuit)
         self.collector = collector if collector is not None else get_collector()
         self._kernel = kernel_for(self.compiled, kernel, collector=self.collector)
-        #: Backend actually evaluating the compiled program (``"interp"``
-        #: or ``"codegen"``, after any fallback); workers must match it.
+        #: Backend actually evaluating the compiled program (one of
+        #: ``KERNEL_NAMES``, after any fallback); workers must match it.
         self.kernel_name = self._kernel.name
         if self.collector.enabled:
             self.collector.inc(f"sim.kernel.{self.kernel_name}")
@@ -451,7 +443,7 @@ class FaultSimulator:
         often be skipped frame-to-frame; packing divergent faults
         together maximizes how many groups stay quiescent.
 
-        Kernels with a fused vectorized group runner advertise a
+        Kernels with a fused wide-group runner advertise a
         ``group_width`` (see docs/KERNELS.md); for them groups are
         widened up to that cap — but never below ``eval_jobs`` groups,
         so fault sharding still fans out, and only at the default word
@@ -681,8 +673,8 @@ class FaultSimulator:
             inj = self._group_injection(group)
         runner = self._kernel.run_group
         if runner is not None and n_slots > DEFAULT_WORD_WIDTH:
-            # Fused vectorized path (numpy backend): bit-identical by
-            # the kernel contract; narrow groups stay on bigints where
+            # Fused native path (C backend): bit-identical by the
+            # kernel contract; narrow groups stay on bigints where
             # arbitrary-precision words are already faster.
             return runner(self, group, trace, count_faulty_events, inj)
         pi_forces, ff_out_forces, ff_pin_forces, injection = inj
@@ -935,16 +927,6 @@ class FaultSimulator:
                 )
                 for c in candidates
             ]
-
-        runner = self._kernel.run_batch
-        if (runner is not None and self._batch_fusable
-                and n_cand * len(sample) > DEFAULT_WORD_WIDTH):
-            # Fused vectorized population pass (numpy backend):
-            # bit-identical by the kernel contract; populations narrower
-            # than one machine word stay on the bigint mega-word below,
-            # where array marshaling overhead loses to arbitrary-
-            # precision integers (see docs/KERNELS.md).
-            return runner(self, candidates, sample, count_faulty_events)
 
         compiled = self.compiled
         n = compiled.num_nodes

@@ -79,10 +79,6 @@ class TransitionFaultSimulator(FaultSimulator):
     #: but scoring stays in-process).
     _shardable = False
 
-    #: Fused kernel batch passes replay the stuck-at static-injection
-    #: semantics, which are wrong here for the same reason.
-    _batch_fusable = False
-
     def __init__(
         self,
         circuit: Union[Circuit, CompiledCircuit],

@@ -683,7 +683,9 @@ class JobManager:
         checkpoint survived, in which case the finished run is
         bit-identical to an uninterrupted one (PR 4 contract), and from
         scratch otherwise, which the deterministic seed makes
-        equivalent.
+        equivalent.  An accepted job whose payload no longer validates
+        is dropped, counted as ``service.jobs.unrecoverable`` and named
+        on stderr.
         """
         finished: Dict[str, dict] = {}
         accepted: List[dict] = []
@@ -698,7 +700,17 @@ class JobManager:
             try:
                 spec = parse_job(record.get("payload"))
                 seq = int(record.get("seq", 0))
-            except (JobValidationError, TypeError, ValueError):
+            except (JobValidationError, TypeError, ValueError) as exc:
+                # A payload an older build accepted but this one rejects
+                # (a removed kernel, say) cannot be re-queued; name it
+                # rather than let the job vanish without a trace.
+                if self.collector.enabled:
+                    self.collector.inc("service.jobs.unrecoverable")
+                print(
+                    f"service: ledger job {job_id!r} cannot be recovered "
+                    f"and is dropped: {exc}",
+                    file=sys.stderr,
+                )
                 continue
             final = finished.get(job_id)
             with self._cond:

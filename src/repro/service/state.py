@@ -14,7 +14,7 @@ reuse: a keyed, LRU-evicting registry of
   object.  Kernels are cached per compiled-circuit *object* inside
   :mod:`repro.sim.codegen`, so keeping the object resident is what
   makes repeat requests skip kernel compilation (the
-  ``codegen.kernels.built`` / ``numpy.plan.built`` counters stay flat).
+  ``codegen.kernels.built`` / ``c.kernels.built`` counters stay flat).
 * **fault simulators**, keyed by the circuit key plus every
   config field that shapes the simulator (fault model, word width,
   kernel, eval parallelism/cache/resilience — the same fields

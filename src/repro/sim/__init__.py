@@ -1,10 +1,9 @@
 """Simulation substrate: compiled word-parallel and event-driven simulators.
 
-Word-parallel simulation bottoms out in one of four bit-identical kernel
-backends behind :func:`kernel_for` — ``interp`` (reference interpreter),
-``codegen`` (generated straight-line Python, the default), ``numpy``
-(vectorized plane kernel) and ``c`` (compiled C via cffi/ctypes) — see
-docs/KERNELS.md.
+Word-parallel simulation bottoms out in one of three bit-identical
+kernel backends behind :func:`kernel_for` — ``interp`` (reference
+interpreter), ``codegen`` (generated straight-line Python, the default)
+and ``c`` (compiled C via cffi/ctypes) — see docs/KERNELS.md.
 """
 
 from .codegen import (

@@ -1,8 +1,8 @@
 """Compiled C simulation kernel: per-circuit native code via cffi/ctypes.
 
-The ``numpy`` backend removed the per-gate Python work but still pays
-one ufunc dispatch per levelized rank per frame plus gather traffic.
-This backend removes the per-*frame* Python work too: the whole
+The ``codegen`` backend removed per-gate dispatch but still runs one
+Python bitwise expression per gate per frame.  This backend removes
+the per-gate and per-*frame* Python work: the whole
 :meth:`~repro.faults.simulator.FaultSimulator._run_group` frame loop —
 primary-input loads, present-state loads, the levelized straight-line
 gate evaluation over ``uint64`` planes (``invert`` folded at
@@ -63,8 +63,8 @@ from .compile import OP_AND, OP_COPY, OP_OR, OP_XOR, CompiledCircuit
 CKERNEL_VERSION = 1
 
 #: Widest fused fault group the simulator should build for this kernel
-#: (same cap as the numpy backend: one group per candidate evaluation
-#: on full-size circuits, subject to the eval_jobs floor).
+#: (one group per candidate evaluation on full-size circuits, subject
+#: to the eval_jobs floor).
 WIDE_GROUP_CAP = 4096
 
 #: Environment overrides.

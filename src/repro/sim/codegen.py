@@ -38,17 +38,14 @@ interpreter automatically (``codegen.fallbacks``), so ``codegen`` is a
 safe default everywhere.
 
 Backend selection: :func:`resolve_kernel_name` resolves an explicit
-``"interp"``/``"codegen"``/``"numpy"``/``"c"`` request, else the
+``"interp"``/``"codegen"``/``"c"`` request, else the
 ``REPRO_SIM_KERNEL`` environment variable, else :data:`DEFAULT_KERNEL`
-(``"codegen"``).  The ``numpy`` backend (:mod:`repro.sim.npkernel`)
-layers a vectorized wide-group runner on top of the generated kernels
-and falls back to the interpreter when numpy is unusable; the ``c``
-backend (:mod:`repro.sim.ckernel`) compiles the same straight-line
-evaluation to native code at runtime and falls back to the interpreter
-when no C compiler or cached artifact is available.  See
-docs/KERNELS.md for the kernel-author contract, and
-docs/ARCHITECTURE.md ("Simulation kernels") / docs/PERFORMANCE.md for
-the measured speedups.
+(``"codegen"``).  The ``c`` backend (:mod:`repro.sim.ckernel`)
+compiles the same straight-line evaluation to native code at runtime
+and falls back to the interpreter when no C compiler or cached
+artifact is available.  See docs/KERNELS.md for the kernel-author
+contract, and docs/ARCHITECTURE.md ("Simulation kernels") /
+docs/PERFORMANCE.md for the measured speedups.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ from .compile import (
 DEFAULT_KERNEL = "codegen"
 
 #: Recognized backend names.
-KERNEL_NAMES = ("interp", "codegen", "numpy", "c")
+KERNEL_NAMES = ("interp", "codegen", "c")
 
 #: Environment variable consulted when no explicit backend is requested.
 KERNEL_ENV = "REPRO_SIM_KERNEL"
@@ -117,17 +114,13 @@ class SimKernel:
       same contract as :func:`~repro.sim.compile.eval_program_injected`
       with the program bound and the force dicts pre-digested.
 
-    Backends with vectorized wide-group runners (``numpy``) additionally
-    bind the optional hooks (``None`` on the bigint-only backends):
+    Backends with a native wide-group runner (``c``) additionally bind
+    the optional hooks (``None`` on the bigint-only backends):
 
     * ``run_group(sim, group, trace, count_faulty_events, inj)`` — a
       drop-in fused replacement for one
       :meth:`~repro.faults.simulator.FaultSimulator._run_group` call,
       bit-identical by contract (docs/KERNELS.md);
-    * ``run_batch(sim, candidates, sample, count_faulty_events)`` — a
-      drop-in fused replacement for one
-      :meth:`~repro.faults.simulator.FaultSimulator._evaluate_batch_serial`
-      call, equal to it field for field;
     * ``group_width`` — the widest fault group the backend wants the
       simulator to build (the simulator still keeps at least
       ``eval_jobs`` groups so fault sharding fans out).
@@ -138,7 +131,7 @@ class SimKernel:
 
     __slots__ = (
         "name", "requested", "eval", "make_injection", "eval_injection",
-        "run_group", "run_batch", "group_width",
+        "run_group", "group_width",
     )
 
     def __init__(
@@ -149,7 +142,6 @@ class SimKernel:
         make_injection: Callable[[Dict, Dict], object],
         eval_injection: Callable[[List[int], List[int], int, object], None],
         run_group: Optional[Callable] = None,
-        run_batch: Optional[Callable] = None,
         group_width: Optional[int] = None,
     ) -> None:
         self.name = name
@@ -158,7 +150,6 @@ class SimKernel:
         self.make_injection = make_injection
         self.eval_injection = eval_injection
         self.run_group = run_group
-        self.run_batch = run_batch
         self.group_width = group_width
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -327,13 +318,12 @@ _CACHE: Dict[int, Tuple["weakref.ref", Dict[str, Callable]]] = {}
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached generated kernel and backend plan (tests /
-    memory pressure).  On-disk C artifacts survive — they are keyed by
-    circuit digest, not identity."""
+    """Drop every cached generated kernel and C plan (tests / memory
+    pressure).  On-disk C artifacts survive — they are keyed by circuit
+    digest, not identity."""
     _CACHE.clear()
-    from . import ckernel, npkernel
+    from . import ckernel
 
-    npkernel.clear_plan_cache()
     ckernel.clear_plan_cache()
 
 
@@ -414,12 +404,11 @@ def kernel_for(
 ) -> SimKernel:
     """Resolve and build the simulation kernel for one circuit.
 
-    ``name`` follows :func:`resolve_kernel_name`.  A ``codegen``,
-    ``numpy`` or ``c`` request that fails to build (pathological
-    circuit, interpreter limit, numpy absent or too old, no C compiler
-    and no cached artifact, …) falls back to the interpreter with a
-    warning naming the requested backend and the
-    ``<requested>.fallbacks`` counter — never an exception.
+    ``name`` follows :func:`resolve_kernel_name`.  A ``codegen`` or
+    ``c`` request that fails to build (pathological circuit,
+    interpreter limit, no C compiler and no cached artifact, …) falls
+    back to the interpreter with a warning naming the requested backend
+    and the ``<requested>.fallbacks`` counter — never an exception.
     """
     if collector is None:
         from ..telemetry.collector import get_collector
@@ -434,13 +423,6 @@ def kernel_for(
         injected = fns["injected"]
     except Exception as exc:  # automatic interpreter fallback
         return _fallback_kernel(compiled, requested, exc, collector)
-    if requested == "numpy":
-        from . import npkernel
-
-        try:
-            return npkernel.build(compiled, requested, fns, collector)
-        except Exception as exc:  # numpy absent/too old/build failure
-            return _fallback_kernel(compiled, requested, exc, collector)
     if requested == "c":
         from . import ckernel
 

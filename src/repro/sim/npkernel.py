@@ -1,1124 +1,9 @@
-"""Vectorized numpy simulation kernel: whole levelized ranks per ufunc call.
+"""Placeholder left by the removed vectorized numpy kernel backend.
 
-The ``codegen`` backend removed per-gate *dispatch* but still executes
-one Python bytecode expression per gate per frame.  This backend removes
-the per-gate Python work too: node bit planes are packed into one
-contiguous ``uint64`` array and every levelized rank of the circuit is
-evaluated with three vectorized ufunc calls, so the per-frame cost
-scales with the number of *ranks* (circuit depth), not the number of
-gates.  See docs/KERNELS.md for the full kernel-author contract this
-module implements.
-
-Data layout
------------
-
-All faulty-machine state for one fused fault group lives in one
-``uint64`` array ``V`` of shape ``(rows, w)`` where ``w = ceil(slots /
-64)`` words cover the group's bit slots and each node owns two rows
-(its 1-plane ``v1`` and 0-plane ``v0``).  Rows are *permuted* so that
-every class of row the per-frame driver touches is contiguous:
-
-    [PI v1][PI v0][FF v1][FF v0][floating v1/v0][MASK][ZERO]
-    [rank 1: AND-side results | OR-side results | XOR results]
-    [rank 2: ...] ...
-
-``plan.row1[node]`` / ``plan.row0[node]`` map a node id to its two
-rows.  Primary-input and present-state loads are then single slice
-assignments, and — the point of the permutation — each rank's results
-are written *in place* into contiguous ``V`` views: no scatter pass
-and no result buffer.
-
-Each rank's AND/OR/COPY gates merge into one gather via plane-swap
-duality (an OR over ``(v1, v0)`` is an AND over ``(v0, v1)``; the
-``invert`` flag just swaps which result row is registered as the
-node's ``v1``).  Gates are padded to the rank's widest arity ``k``
-with identity operands so the gathered block reshapes to ``(k, g,
-w)`` columns and the whole rank reduces with ``k - 1`` plain in-place
-ufunc folds per side; ranks wider than :data:`FOLD_MAX_ARITY` fall
-back to ``ufunc.reduceat`` over an unpadded gather.  XOR gates use a
-four-product gather layout (``[a1|a0]`` accumulator seed plus one
-``[c0|c1|c1|c0]`` block per fold step, pads appended *after* the real
-operands so the interpreter's left-to-right pairwise fold is
-reproduced exactly): each step is one stacked AND against the
-broadcast accumulator and one paired OR, regardless of gate count.
-
-Injection: read-time force folding
-----------------------------------
-
-The bigint paths apply a fault's output force when the faulty node is
-*written*.  Doing that here would cost extra passes per rank, so ``V``
-instead always holds **unforced** values and forces are folded into
-every place a node is *read*:
-
-* gate operands — per-rank dense force pairs applied to the gathered
-  operand block with two in-place ufunc calls (``(G | A) & ~B``); the
-  per-pin force of the reading gate and the output force of the read
-  node merge into a single pair because the fault grouper gives every
-  fault its own bit slot (force words of different faults are disjoint);
-* primary-output detection reads — per-PO patched reads;
-* flip-flop capture — a dense ``(num_ffs, w)`` fixup merging the D-pin
-  force with the D-source node's output force;
-* the phase-3 faulty-event count — a lazy dense ``(N, w)`` fixup.
-
-This reproduces the interpreter bit for bit (asserted by the tier-1
-equivalence suite) while keeping unforced ranks at three ufunc calls.
-
-Caching and fallback
---------------------
-
-Plans are built once per circuit per process (``numpy.plan.*``
-counters) and cached like the codegen kernels; packed per-group force
-arrays are cached on the injection object, which the simulator already
-memoizes per committed-state epoch.  :func:`build` raises when numpy
-is missing or too old (``bitwise_count`` requires numpy >= 2.0) and
-``kernel_for`` then falls back to the interpreter with a
-``numpy.fallbacks`` counter — requesting ``numpy`` is always safe.
-The probe imports numpy freshly on every call (no negative caching),
-so environments that appear mid-process are picked up.
+The numpy backend was deleted because it was slower end to end than the
+``codegen`` default on every benchmark workload (docs/KERNELS.md records
+the numbers).  This module stays importable only because
+``benchmarks/e2e/workloads.py`` runs ``import repro.sim.npkernel`` at
+load time; nothing in the package imports it.  Delete it together with
+that import.
 """
-
-from __future__ import annotations
-
-import time
-import weakref
-from typing import Dict, List, Tuple
-
-from .compile import OP_OR, OP_XOR, CompiledCircuit
-
-#: Widest fused fault group :class:`~repro.faults.FaultSimulator` will
-#: build when this kernel is active (slots; multiple groups above it).
-WIDE_GROUP_CAP = 4096
-
-
-def _numpy():
-    """Import numpy and gate on the APIs this kernel needs.
-
-    Raises ``ImportError`` when numpy is absent or lacks
-    ``bitwise_count`` (added in numpy 2.0).  Deliberately re-imports on
-    every call instead of caching a failure, so tests can shadow the
-    module and freshly-installed environments are picked up.
-    """
-    import numpy as np
-
-    if not hasattr(np, "bitwise_count"):
-        raise ImportError("numpy >= 2.0 (with bitwise_count) is required")
-    return np
-
-
-def available() -> bool:
-    """Whether the numpy backend can run in this process."""
-    try:
-        _numpy()
-    except Exception:
-        return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Plan: per-circuit rank schedule over permuted rows
-# ----------------------------------------------------------------------
-
-
-#: AO ranks whose widest gate has at most this many fanins use the
-#: padded column-fold evaluation; wider ranks fall back to ``reduceat``
-#: (far more per-segment overhead, but call count independent of arity).
-FOLD_MAX_ARITY = 8
-
-
-class _AOGroup:
-    """One rank's merged AND/OR/COPY gates.
-
-    Every gate is padded to the rank's widest arity ``k`` with identity
-    operands (MASK on the AND-reduced side, ZERO on the OR side), so
-    ``gather`` holds ``2*g*k`` source rows — ``g*k`` AND-side operands
-    (gate-major), then their OR-side mirrors — and the reduction is
-    ``k - 1`` plain ufunc folds per side over the gathered columns.
-    ``starts`` serves the ``reduceat`` fallback for ranks wider than
-    :data:`FOLD_MAX_ARITY` (there the gather is unpadded and ``P`` is
-    the real operand count).  ``base``/``g`` locate the rank's
-    contiguous result rows in ``V``; ``ops`` keeps ``(out, fanins, sel,
-    swap, pos)`` per gate for the injection packer.
-    """
-
-    __slots__ = ("gather", "starts", "base", "P", "g", "k", "ops")
-
-
-class _XorGroup:
-    """One rank's XOR gates, padded to a common arity ``k`` with
-    identity operands (``v1=0, v0=mask``, appended after the real
-    operands so the interpreter's left-to-right pairwise fold is
-    reproduced exactly).  The gather uses a 4-product layout: a
-    ``[a1 | a0]`` accumulator seed, then per fold step a
-    ``[c0 | c1 | c1 | c0]`` block (gate-major within each), so each
-    step is ONE stacked AND against the broadcast accumulator plus ONE
-    paired OR — ``P`` is the full gather length ``2g + 4g(k-1)``.
-    """
-
-    __slots__ = ("gather", "base", "P", "k", "g", "ops")
-
-
-class _Plan:
-    """Everything derived from one compiled circuit (width-independent)."""
-
-    __slots__ = (
-        "num_nodes", "rows", "mask_row", "zero_row", "ranks",
-        "written", "pi_set", "pi_ids", "po_ids", "ff_ids", "ffd_ids",
-        "row1", "row0", "node_rows1", "node_rows0",
-        "pi1", "pi0", "ff1", "ff0", "float_lo", "float_hi",
-        "po_read_rows", "ffd_rows_all",
-        "_scratch",
-    )
-
-
-def _build_plan(np, compiled: CompiledCircuit, collector) -> _Plan:
-    t0 = time.perf_counter()
-    intp = np.intp
-    n = compiled.num_nodes
-    rank_of = [0] * n
-    by_rank: Dict[int, list] = {}
-    for out, opcode, invert, fanins in compiled.program:
-        r = 1 + max(rank_of[f] for f in fanins)
-        rank_of[out] = r
-        by_rank.setdefault(r, []).append((out, opcode, invert, fanins))
-
-    plan = _Plan()
-    plan.num_nodes = n
-    plan.written = {instr[0] for instr in compiled.program}
-    plan.pi_set = set(compiled.pi_ids)
-    plan.pi_ids = list(compiled.pi_ids)
-    plan.po_ids = list(compiled.po_ids)
-    plan.ff_ids = list(compiled.ff_ids)
-    plan.ffd_ids = list(compiled.ff_d_ids)
-    ff_set = set(compiled.ff_ids)
-
-    # Row permutation: static blocks first, then one contiguous result
-    # block per rank so reduceat can write into V views directly.
-    row1 = [-1] * n
-    row0 = [-1] * n
-    pos = 0
-    plan.pi1 = pos
-    for node in plan.pi_ids:
-        row1[node] = pos
-        pos += 1
-    plan.pi0 = pos
-    for node in plan.pi_ids:
-        row0[node] = pos
-        pos += 1
-    plan.ff1 = pos
-    for node in plan.ff_ids:
-        row1[node] = pos
-        pos += 1
-    plan.ff0 = pos
-    for node in plan.ff_ids:
-        row0[node] = pos
-        pos += 1
-    plan.float_lo = pos
-    for node in range(n):
-        if (node not in plan.written and node not in plan.pi_set
-                and node not in ff_set):
-            row1[node] = pos
-            row0[node] = pos + 1
-            pos += 2
-    plan.float_hi = pos
-    plan.mask_row = pos
-    plan.zero_row = pos + 1
-    pos += 2
-
-    plan.ranks = []
-    for r in range(1, (max(by_rank) if by_rank else 0) + 1):
-        gates = by_rank.get(r, [])
-        ao_gates = [g for g in gates if g[1] != OP_XOR]
-        xor_gates = [g for g in gates if g[1] == OP_XOR]
-        ao = None
-        if ao_gates:
-            g = len(ao_gates)
-            k = max(len(gt[3]) for gt in ao_gates)
-            fold = k <= FOLD_MAX_ARITY
-            base = pos
-            ops = []
-            p = 0
-            starts: List[int] = []
-            for j, (out, opcode, invert, fanins) in enumerate(ao_gates):
-                # Plane-swap duality: an OR gate is an AND gate reading
-                # the 0-planes; ``invert`` swaps which result row is
-                # registered as the node's 1-plane.
-                sel = 1 if opcode == OP_OR else 0
-                swap = sel ^ (1 if invert else 0)
-                starts.append(p)
-                ops.append((out, tuple(fanins), sel, swap, j * k if fold else p))
-                p += len(fanins)
-                if swap:
-                    row0[out] = base + j
-                    row1[out] = base + g + j
-                else:
-                    row1[out] = base + j
-                    row0[out] = base + g + j
-            ao = _AOGroup()
-            ao.P = g * k if fold else p
-            ao.g = g
-            ao.k = k if fold else 0
-            ao.base = base
-            ao.starts = None if fold else np.asarray(starts, dtype=intp)
-            ao.ops = ops
-            pos += 2 * g
-        xo = None
-        if xor_gates:
-            g = len(xor_gates)
-            k = max(len(gt[3]) for gt in xor_gates)
-            base = pos
-            ops = []
-            for j, (out, opcode, invert, fanins) in enumerate(xor_gates):
-                swap = 1 if invert else 0
-                ops.append((out, tuple(fanins), 0, swap, j))
-                if swap:
-                    row0[out] = base + j
-                    row1[out] = base + g + j
-                else:
-                    row1[out] = base + j
-                    row0[out] = base + g + j
-            xo = _XorGroup()
-            xo.g = g
-            xo.k = k
-            xo.P = 2 * g + 4 * g * (k - 1)
-            xo.base = base
-            xo.ops = ops
-            pos += 2 * g
-        plan.ranks.append((ao, xo))
-    plan.rows = pos
-
-    # Gather indices (need the complete row map, so second pass).
-    for ao, xo in plan.ranks:
-        if ao is not None:
-            gather1: List[int] = []
-            gather0: List[int] = []
-            for _out, fanins, sel, _swap, _pos in ao.ops:
-                for f in fanins:
-                    a, b = (row1[f], row0[f]) if sel == 0 else (row0[f], row1[f])
-                    gather1.append(a)
-                    gather0.append(b)
-                if ao.k:
-                    # Identity pads: all-ones on the AND-reduced side,
-                    # all-zeros on the OR side.
-                    npad = ao.k - len(fanins)
-                    gather1.extend([plan.mask_row] * npad)
-                    gather0.extend([plan.zero_row] * npad)
-            ao.gather = np.asarray(gather1 + gather0, dtype=intp)
-        if xo is not None:
-            # 4-product layout: first the accumulator seed [a1 | a0],
-            # then per fold step s a block [c0 | c1 | c1 | c0] so one
-            # stacked AND against the broadcast accumulator yields all
-            # four products of the 3-valued XOR and one paired OR
-            # reduces them (identity pads: v1=0, v0=mask, appended
-            # after the real operands to reproduce the interpreter's
-            # left-to-right pairwise fold).
-            idx: List[int] = [row1[fanins[0]]
-                              for _o, fanins, _s, _w, _p in xo.ops]
-            idx += [row0[fanins[0]] for _o, fanins, _s, _w, _p in xo.ops]
-            for s in range(1, xo.k):
-                r1s = []
-                r0s = []
-                for _out, fanins, _sel, _swap, _pos in xo.ops:
-                    if s < len(fanins):
-                        r1s.append(row1[fanins[s]])
-                        r0s.append(row0[fanins[s]])
-                    else:
-                        r1s.append(plan.zero_row)
-                        r0s.append(plan.mask_row)
-                idx += r0s + r1s + r1s + r0s
-            xo.gather = np.asarray(idx, dtype=intp)
-
-    plan.row1 = row1
-    plan.row0 = row0
-    plan.node_rows1 = np.asarray(row1, dtype=intp)
-    plan.node_rows0 = np.asarray(row0, dtype=intp)
-    # Detection reads the 0-plane where the good value is 1 and the
-    # 1-plane where it is 0: first half of po_read_rows is every PO's
-    # 0-plane row, second half the 1-plane row, selected per frame by a
-    # good-value multiplier.  Capture gathers every flip-flop D-source
-    # 1-plane then 0-plane in one take.
-    plan.po_read_rows = np.asarray(
-        [row0[po] for po in plan.po_ids] + [row1[po] for po in plan.po_ids],
-        dtype=intp,
-    )
-    plan.ffd_rows_all = np.asarray(
-        [row1[d] for d in plan.ffd_ids] + [row0[d] for d in plan.ffd_ids],
-        dtype=intp,
-    )
-    plan._scratch = {}
-    if collector.enabled:
-        collector.inc("numpy.plan.built")
-        collector.inc("numpy.plan.build.seconds", time.perf_counter() - t0)
-        collector.inc("numpy.plan.ranks", len(plan.ranks))
-    return plan
-
-
-#: Plan cache: ``id(compiled) -> (weakref, plan)`` — same identity +
-#: weakref-validation scheme as the codegen kernel cache.
-_PLAN_CACHE: Dict[int, Tuple["weakref.ref", _Plan]] = {}
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached numpy plan (tests / memory pressure)."""
-    _PLAN_CACHE.clear()
-
-
-def _plan_for(np, compiled: CompiledCircuit, collector) -> _Plan:
-    key = id(compiled)
-    entry = _PLAN_CACHE.get(key)
-    if entry is not None and entry[0]() is compiled:
-        return entry[1]
-    plan = _build_plan(np, compiled, collector)
-    ref = weakref.ref(compiled, lambda _r, _k=key: _PLAN_CACHE.pop(_k, None))
-    _PLAN_CACHE[key] = (ref, plan)
-    return plan
-
-
-def _compile_pass(np, plan: _Plan, V):
-    """Generate the per-frame combinational pass as straight-line code.
-
-    The rank loop is fully unrolled into an ``exec``-compiled closure
-    (the same trick the codegen backend uses for bigints): every
-    gather index array, operand buffer, pre-sliced column view and
-    result view is bound once as a closure constant, and every ufunc
-    call uses the positional ``out`` form, so per frame nothing runs
-    but the C calls themselves plus one branch per rank for the
-    injection's force pairs.  Returns ``_npass(RF)`` where ``RF`` is
-    ``_Packed.rank_forces``.
-    """
-    u64 = np.uint64
-    names: List[str] = []
-    vals: List[object] = []
-
-    def const(val, stem: str) -> str:
-        name = f"{stem}{len(names)}"
-        names.append(name)
-        vals.append(val)
-        return name
-
-    lines: List[str] = []
-    need_reduceat = False
-    for ri, (ao, xo) in enumerate(plan.ranks):
-        if ao is None and xo is None:
-            continue
-        # One gather and one force pair cover the rank's AO block and
-        # XOR block together: G = [AO ones | AO zeros | XOR ones |
-        # XOR zeros].  Offsets here must match _pack_injection.
-        Pa = 2 * ao.P if ao is not None else 0
-        Px = xo.P if xo is not None else 0
-        parts = [grp.gather for grp in (ao, xo) if grp is not None]
-        gather = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        G = np.empty((Pa + Px, V.shape[1]), dtype=u64)
-        gn = const(gather, "g")
-        Gn = const(G, "G")
-        lines.append(f"take({gn}, 0, {Gn}, 'clip')")
-        lines.append(f"rf = RF[{ri}]")
-        lines.append("if rf is not None:")
-        lines.append(f"    bor({Gn}, rf[0], {Gn})")
-        lines.append(f"    band({Gn}, rf[1], {Gn})")
-        if ao is not None:
-            g = ao.g
-            o1 = const(V[ao.base:ao.base + g], "o")
-            o0 = const(V[ao.base + g:ao.base + 2 * g], "o")
-            if ao.k:
-                C1 = G[:ao.P].reshape(g, ao.k, -1)
-                C0 = G[ao.P:Pa].reshape(g, ao.k, -1)
-                c1 = [const(C1[:, j], "c") for j in range(ao.k)]
-                c0 = [const(C0[:, j], "c") for j in range(ao.k)]
-                if ao.k == 1:
-                    # P == g, so [ones | zeros] is one contiguous copy.
-                    lines.append(f"copyto("
-                                 f"{const(V[ao.base:ao.base + 2 * g], 'o')}, "
-                                 f"{const(G[:2 * g], 'c')})")
-                else:
-                    lines.append(f"band({c1[0]}, {c1[1]}, {o1})")
-                    lines.append(f"bor({c0[0]}, {c0[1]}, {o0})")
-                    for j in range(2, ao.k):
-                        lines.append(f"band({o1}, {c1[j]}, {o1})")
-                        lines.append(f"bor({o0}, {c0[j]}, {o0})")
-            else:
-                need_reduceat = True
-                sn = const(ao.starts, "s")
-                h1 = const(G[:ao.P], "h")
-                h0 = const(G[ao.P:Pa], "h")
-                lines.append(f"band_reduceat({h1}, {sn}, 0, None, {o1})")
-                lines.append(f"bor_reduceat({h0}, {sn}, 0, None, {o0})")
-        if xo is not None:
-            g = xo.g
-            k = xo.k
-            w_ = V.shape[1]
-            out2 = const(V[xo.base:xo.base + 2 * g], "o")
-            if k == 1:
-                lines.append(f"copyto({out2}, "
-                             f"{const(G[Pa:Pa + 2 * g], 'x')})")
-            else:
-                # 4-product pairwise fold, two calls per step: AND the
-                # broadcast accumulator [x1, x0] against the gathered
-                # step block [c0, c1 | c1, c0], then one paired OR:
-                #   r1 = (x1&c0)|(x0&c1),  r0 = (x1&c1)|(x0&c0)
-                OUT = const(
-                    V[xo.base:xo.base + 2 * g].reshape(2, g, w_), "o")
-                A2 = G[Pa:Pa + 2 * g].reshape(2, g, w_)
-                a4 = const(np.broadcast_to(A2, (2, 2, g, w_)), "x")
-                U = np.empty((2, 2, g, w_), dtype=u64)
-                un = const(U, "u")
-                u0 = const(U[:, 0], "u")
-                u1 = const(U[:, 1], "u")
-                R = np.empty((2, g, w_), dtype=u64)
-                rn = const(R, "t")
-                r4 = const(np.broadcast_to(R, (2, 2, g, w_)), "t")
-                state = a4
-                for s in range(1, k):
-                    b = Pa + 2 * g + (s - 1) * 4 * g
-                    c4 = const(G[b:b + 4 * g].reshape(2, 2, g, w_), "x")
-                    lines.append(f"band({state}, {c4}, {un})")
-                    lines.append(f"bor({u0}, {u1}, "
-                                 f"{OUT if s == k - 1 else rn})")
-                    state = r4
-
-    body = "\n".join("        " + ln for ln in lines) or "        pass"
-    pre = ""
-    if need_reduceat:
-        pre = ("    band_reduceat = band.reduceat\n"
-               "    bor_reduceat = bor.reduceat\n")
-    src = (
-        "def _make(C, band, bor, copyto, take):\n"
-        + pre
-        + "    (" + ", ".join(names) + ("," if names else "") + ") = C\n"
-        "    def _npass(RF):\n"
-        + body + "\n"
-        "    return _npass\n"
-    )
-    ns: dict = {}
-    exec(compile(src, "<npkernel-pass>", "exec"), ns)
-    return ns["_make"](tuple(vals), np.bitwise_and, np.bitwise_or,
-                       np.copyto, V.take)
-
-
-def _scratch_for(np, plan: _Plan, w: int) -> dict:
-    """Reusable per-(plan, word-count) state: the ``V`` plane array,
-    static block views, detection buffers and the compiled per-frame
-    pass (see :func:`_compile_pass`)."""
-    sc = plan._scratch.get(w)
-    if sc is None:
-        u64 = np.uint64
-        V = np.zeros((plan.rows, w), dtype=u64)
-        npi = len(plan.pi_ids)
-        nff = len(plan.ff_ids)
-        npo = len(plan.po_ids)
-        sc = {
-            "V": V,
-            "npass": _compile_pass(np, plan, V),
-            "det": np.zeros(w, dtype=u64),
-            # The PI 1/0-plane blocks are adjacent by construction, as
-            # are the FF blocks, so loads are single slice writes.
-            "pi_all": V[plan.pi1:plan.pi1 + 2 * npi],
-            "ff_all": V[plan.ff1:plan.ff1 + 2 * nff],
-            # Combined detection+capture read: one gather serves both.
-            "rc_rows": np.concatenate([plan.po_read_rows,
-                                       plan.ffd_rows_all]),
-            "RC": np.empty((2 * npo + 2 * nff, w), dtype=u64),
-            "RCP": np.empty((2 * npo + 2 * nff, w), dtype=u64),
-        }
-        if len(plan._scratch) >= 4:
-            plan._scratch.clear()
-        plan._scratch[w] = sc
-    return sc
-
-
-# ----------------------------------------------------------------------
-# Bigint <-> uint64-word packing
-# ----------------------------------------------------------------------
-
-
-def _pack_word(np, x: int, w: int):
-    """One bigint as a writable little-endian ``(w,)`` uint64 row."""
-    return np.frombuffer(int(x).to_bytes(w * 8, "little"),
-                         dtype="<u8").astype(np.uint64)
-
-
-def _pack_rows(np, values, w: int):
-    """A list of bigints as a ``(len(values), w)`` uint64 array."""
-    if not values:
-        return np.zeros((0, w), dtype=np.uint64)
-    buf = b"".join(int(x).to_bytes(w * 8, "little") for x in values)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(values), w).astype(
-        np.uint64
-    )
-
-
-def _unpack_word(arr) -> int:
-    """One ``(w,)`` uint64 row back to a bigint."""
-    return int.from_bytes(arr.astype("<u8", copy=False).tobytes(), "little")
-
-
-def _unpack_rows(arr) -> List[int]:
-    """A ``(rows, w)`` uint64 array back to a list of bigints."""
-    data = arr.astype("<u8", copy=False).tobytes()
-    nb = arr.shape[-1] * 8
-    return [int.from_bytes(data[i * nb:(i + 1) * nb], "little")
-            for i in range(arr.shape[0])]
-
-
-# ----------------------------------------------------------------------
-# Injection packing (read-time force folding)
-# ----------------------------------------------------------------------
-
-
-class _Injection:
-    """This kernel's ``make_injection`` product.
-
-    ``tables`` is the dense per-node force table the generated codegen
-    kernel consumes (so ``eval_injection`` and every bigint path keep
-    codegen speed); the packed per-rank force arrays for the fused
-    runner are built lazily per word count and cached here — the
-    simulator memoizes injections per committed-state epoch, so the
-    packing cost is paid once per epoch, not per evaluate.
-    """
-
-    __slots__ = ("tables", "_packed")
-
-    def __init__(self, tables) -> None:
-        self.tables = tables
-        self._packed: Dict[Tuple[int, int], "_Packed"] = {}
-
-    def packed(self, np, plan: _Plan, ff_out_forces, ff_pin_forces, w: int):
-        key = (id(plan), w)
-        p = self._packed.get(key)
-        if p is None:
-            p = _pack_injection(np, plan, self.tables,
-                                ff_out_forces, ff_pin_forces, w)
-            if len(self._packed) >= 8:
-                self._packed.clear()
-            self._packed[key] = p
-        return p
-
-
-class _Packed:
-    """Packed read-site force arrays for one (injection, word count).
-
-    ``rc_fix`` is one ``(A, N)`` pair shaped to the driver's combined
-    detection+capture read buffer, applied as ``(raw | A) & N`` in two
-    in-place calls (``None`` when the injection forces no PO or
-    flip-flop D path).
-    """
-
-    __slots__ = ("rank_forces", "rc_fix", "eff", "w", "_event")
-
-    def __init__(self, rank_forces, rc_fix, eff, w) -> None:
-        self.rank_forces = rank_forces  # aligned with plan.ranks
-        self.rc_fix = rc_fix
-        self.eff = eff
-        self.w = w
-        self._event = None
-
-    def event_fix(self, np, n: int):
-        """Dense ``(N, w)`` node-value fixup for faulty-event counting."""
-        if not self.eff:
-            return None
-        if self._event is None:
-            u64 = np.uint64
-            E1 = np.zeros((n, self.w), dtype=u64)
-            E0 = np.zeros((n, self.w), dtype=u64)
-            for node, (f1, f0) in self.eff.items():
-                if f1:
-                    E1[node] = _pack_word(np, f1, self.w)
-                if f0:
-                    E0[node] = _pack_word(np, f0, self.w)
-            self._event = (E1, E0, ~E1, ~E0)
-        return self._event
-
-
-def _pack_injection(np, plan: _Plan, tables, ff_out_forces, ff_pin_forces,
-                    w: int) -> _Packed:
-    u64 = np.uint64
-
-    def pw(x):
-        return _pack_word(np, x, w)
-
-    # Effective *output* forces as seen by readers: program-written
-    # gates and primary inputs from the dense table, flip-flop Q stems
-    # from their own dict.  Output forces on nodes the program never
-    # writes and never loads (isolated nodes) are dropped, exactly as
-    # the interpreter drops them.
-    eff: Dict[int, Tuple[int, int]] = {}
-    for node, entry in enumerate(tables):
-        if entry is None:
-            continue
-        _pins, f1, f0 = entry
-        if (f1 or f0) and (node in plan.written or node in plan.pi_set):
-            eff[node] = (f1, f0)
-    for k, (f1, f0) in ff_out_forces.items():
-        node = plan.ff_ids[k]
-        p1, p0 = eff.get(node, (0, 0))
-        eff[node] = (p1 | f1, p0 | f0)
-
-    # Per-rank operand forces: the reading gate's pin force merged with
-    # the read node's output force (disjoint slots, so OR merges them),
-    # laid out to match the group's gathered operand block so they are
-    # applied with two in-place calls (``(G | A) & ~B``).
-    rank_forces = []
-    for ao, xo in plan.ranks:
-        # Combined layout must mirror _compile_pass:
-        # [AO ones | AO zeros | XOR 4-product blocks].
-        Pa = 2 * ao.P if ao is not None else 0
-        total = Pa + (xo.P if xo is not None else 0)
-        A = B = None
-        for grp, off in ((ao, 0), (xo, Pa)):
-            if grp is None:
-                continue
-            xg = grp.g if grp is xo else 0
-            for out, fanins, sel, _swap, pos in grp.ops:
-                entry = tables[out]
-                pins = entry[0] if entry is not None else None
-                for pin, f in enumerate(fanins):
-                    of = eff.get(f)
-                    pf = pins[pin] if pins is not None else None
-                    if of is None and pf is None:
-                        continue
-                    m1 = (of[0] if of else 0) | (pf[0] if pf else 0)
-                    m0 = (of[1] if of else 0) | (pf[1] if pf else 0)
-                    if A is None:
-                        A = np.zeros((total, w), dtype=u64)
-                        B = np.zeros((total, w), dtype=u64)
-                    # A 1-plane read under force (m1, m0) becomes
-                    # (v | m1) & ~m0; a 0-plane read swaps the pair.
-                    # AO gathers plane ``sel`` in its first half;
-                    # XOR positions follow the 4-product layout (the
-                    # step blocks duplicate each operand read).
-                    if grp is ao:
-                        a1, b1 = (m1, m0) if sel == 0 else (m0, m1)
-                        ps = [off + pos + pin]
-                        qs = [off + grp.P + pos + pin]
-                    elif pin == 0:
-                        ps = [off + pos]
-                        qs = [off + xg + pos]
-                    else:
-                        b = off + 2 * xg + (pin - 1) * 4 * xg
-                        ps = [b + xg + pos, b + 2 * xg + pos]
-                        qs = [b + pos, b + 3 * xg + pos]
-                    if grp is xo:
-                        a1, b1 = m1, m0
-                    for p in ps:
-                        A[p] = pw(a1)
-                        B[p] = pw(b1)
-                    for q in qs:
-                        A[q] = pw(b1)
-                        B[q] = pw(a1)
-        rank_forces.append(None if A is None else (A, ~B))
-
-    # Patched detection + capture reads, shaped like the driver's one
-    # combined read buffer [PO 0-plane | PO 1-plane | FF-D 1-plane |
-    # FF-D 0-plane]: a 0-plane read under force (f1, f0) becomes
-    # (v0 | f0) & ~f1, and the D-pin force merges with the D-source
-    # node's output force (disjoint fault slots, so plain OR).
-    npo = len(plan.po_ids)
-    n_ffs = len(plan.ffd_ids)
-    rc_fix = None
-    if (ff_pin_forces or any(po in eff for po in plan.po_ids)
-            or any(d in eff for d in plan.ffd_ids)):
-        nread = 2 * npo + 2 * n_ffs
-        A = np.zeros((nread, w), dtype=u64)
-        N = ~np.zeros((nread, w), dtype=u64)
-        for i, po in enumerate(plan.po_ids):
-            fo = eff.get(po)
-            if fo is None:
-                continue
-            F1 = pw(fo[0])
-            F0 = pw(fo[1])
-            A[i] = F0
-            N[i] = ~F1
-            A[npo + i] = F1
-            N[npo + i] = ~F0
-        base = 2 * npo
-        for k, d in enumerate(plan.ffd_ids):
-            m1, m0 = eff.get(d, (0, 0))
-            pf = ff_pin_forces.get(k)
-            if pf is not None:
-                m1 |= pf[0]
-                m0 |= pf[1]
-            if m1:
-                A[base + k] = pw(m1)
-                N[base + n_ffs + k] = ~A[base + k]
-            if m0:
-                A[base + n_ffs + k] = pw(m0)
-                N[base + k] = ~A[base + n_ffs + k]
-        rc_fix = (A, N)
-
-    return _Packed(rank_forces, rc_fix, eff, w)
-
-
-# ----------------------------------------------------------------------
-# Fused group runner
-# ----------------------------------------------------------------------
-
-
-def _run_group_fused(np, plan: _Plan, collector, sim, group, trace,
-                     count_faulty_events: bool, inj):
-    """Drop-in replacement for ``FaultSimulator._run_group`` on one wide
-    group: same arguments past ``sim``, bit-identical 7-tuple result."""
-    n = plan.num_nodes
-    n_ffs = len(plan.ff_ids)
-    n_slots = len(group)
-    w = (n_slots + 63) >> 6
-    mask = (1 << n_slots) - 1
-    _pi_forces, ff_out_forces, ff_pin_forces, injection = inj
-    packed = injection.packed(np, plan, ff_out_forces, ff_pin_forces, w)
-    rank_forces = packed.rank_forces
-    sc = _scratch_for(np, plan, w)
-    V = sc["V"]
-    npass = sc["npass"]
-    maskwords = _pack_word(np, mask, w)
-    V[plan.mask_row] = maskwords
-    V[plan.zero_row] = 0
-    if plan.float_hi > plan.float_lo:
-        V[plan.float_lo:plan.float_hi] = 0
-
-    # Faulty present-state planes: committed good state broadcast to
-    # every slot, then per-fault divergences (bigint init, bulk-packed).
-    # Divergences only change on commit, so the packed planes are
-    # cached per (simulator, state epoch, group).
-    cached = sc.get("ff_base")
-    if (cached is not None and cached[0] is sim
-            and cached[1] == sim.state_epoch and cached[2] is group):
-        Fall = cached[3]
-    else:
-        ff1 = [0] * n_ffs
-        ff0 = [0] * n_ffs
-        for k in range(n_ffs):
-            value = sim.good_state.ff_values[k]
-            ff1[k] = mask if value == 1 else 0
-            ff0[k] = mask if value == 0 else 0
-        for slot, fault_id in enumerate(group):
-            div = sim.divergence.get(fault_id)
-            if not div:
-                continue
-            bit = 1 << slot
-            nbit = ~bit
-            for k, value in div.items():
-                ff1[k] &= nbit
-                ff0[k] &= nbit
-                if value == 1:
-                    ff1[k] |= bit
-                elif value == 0:
-                    ff0[k] |= bit
-        Fall = _pack_rows(np, ff1 + ff0, w)
-        sc["ff_base"] = (sim, sim.state_epoch, group, Fall)
-
-    u64 = np.uint64
-    det_frame: Dict[int, int] = {}
-    faulty_events = 0
-    pi_ids = plan.pi_ids
-    po_ids = plan.po_ids
-    npo = len(po_ids)
-    vpi_all = sc["pi_all"]
-    vff_all = sc["ff_all"]
-    rc_rows = sc["rc_rows"]
-    RC = sc["RC"]
-    RCP = sc["RCP"]
-    rc_fix = packed.rc_fix
-    take = V.take
-    copyto = np.copyto
-    band = np.bitwise_and
-    bor = np.bitwise_or
-    bor_reduce = np.bitwise_or.reduce
-    mul = np.multiply
-    asarray = np.asarray
-
-    # Per-frame good-machine selects, hoisted out of the loop: PI loads
-    # ([1-plane | 0-plane] good bits) and the combined detection/
-    # propagation select rows.  A PO's 0-plane read counts where the
-    # good output is 1 and vice versa; a captured 1-plane bit is a
-    # state divergence where the good next state is 0 and vice versa.
-    frames = len(trace.node_planes)
-    PV = asarray([[g1[p] for p in pi_ids] + [g0[p] for p in pi_ids]
-                  for g1, g0 in trace.node_planes], dtype=u64)
-    SEL = asarray(
-        [[g1[po] for po in po_ids] + [g0[po] for po in po_ids]
-         + [1 if v == 0 else 0 for v in trace.ff_states[f]]
-         + [1 if v == 1 else 0 for v in trace.ff_states[f]]
-         for f, (g1, g0) in enumerate(trace.node_planes)], dtype=u64)
-    FD = np.empty((frames, w), dtype=u64)
-    PB = np.empty((frames, w), dtype=u64)
-    SRC = Fall
-
-    for frame, (g1, g0) in enumerate(trace.node_planes):
-        # Primary inputs: good bits broadcast (PI stem forces are folded
-        # into the read sites, so nothing more to apply here).
-        mul(PV[frame][:, None], maskwords, vpi_all)
-        # Present state: raw captured planes (Q stem forces folded too).
-        copyto(vff_all, SRC)
-
-        npass(rank_forces)
-
-        if count_faulty_events:
-            E = packed.event_fix(np, n)
-            EV1 = take(plan.node_rows1, 0)
-            EV0 = take(plan.node_rows0, 0)
-            if E is not None:
-                EV1 = (EV1 | E[0]) & E[3]
-                EV0 = (EV0 | E[1]) & E[2]
-            gb1 = asarray(g1, dtype=u64)[:, None] * maskwords
-            gb0 = asarray(g0, dtype=u64)[:, None] * maskwords
-            diff = (EV1 ^ gb1) | (EV0 ^ gb0)
-            faulty_events += int(np.bitwise_count(diff).sum())
-
-        # One combined gather covers detection reads and next-state
-        # capture: RC = [PO 0-plane | PO 1-plane | D 1-plane | D 0-pl].
-        take(rc_rows, 0, RC, "clip")
-        if rc_fix is not None:
-            bor(RC, rc_fix[0], RC)
-            band(RC, rc_fix[1], RC)
-        mul(RC, SEL[frame][:, None], RCP)
-        bor_reduce(RCP[:2 * npo], 0, None, FD[frame])
-        bor_reduce(RCP[2 * npo:], 0, None, PB[frame])
-        SRC = RC[2 * npo:]
-
-    # Detection bookkeeping, deferred: in the common no-new-detection
-    # case this is one reduce + one any() for the whole candidate.
-    det = sc["det"]
-    det_word = 0
-    if frames:
-        bor_reduce(FD, 0, None, det)
-        if det.any():
-            for frame in range(frames):
-                fw = _unpack_word(FD[frame])
-                x = fw & ~det_word
-                while x:
-                    low = x & -x
-                    det_frame[low.bit_length() - 1] = frame
-                    x ^= low
-                det_word |= fw
-        prop_per_frame = [int(c) for c in
-                          np.bitwise_count(PB).sum(axis=1)]
-    else:
-        prop_per_frame = []
-
-    if collector.enabled:
-        collector.inc("numpy.group.passes")
-        collector.inc("numpy.group.slot_frames", n_slots * frames)
-    prop_final = prop_per_frame[-1] if prop_per_frame else 0
-    return (det_word, det_frame, prop_final, prop_per_frame, faulty_events,
-            _unpack_rows(SRC[:n_ffs]), _unpack_rows(SRC[n_ffs:]))
-
-
-# ----------------------------------------------------------------------
-# Fused population (batch) runner
-# ----------------------------------------------------------------------
-
-
-def _run_batch_fused(np, plan: _Plan, collector, sim, candidates, sample,
-                     count_faulty_events: bool):
-    """Drop-in replacement for ``FaultSimulator._evaluate_batch_serial``:
-    the whole candidate population scored against the packed plane array
-    in one fused pass per frame, with the same results.
-
-    It uses the reference pass's slot layout (``sim._batch_layout``):
-    each candidate's block holds its ``S`` fault slots plus one
-    fault-free top slot, so the good machines ride in the same fused
-    pass.  Per frame the good values are read off the top slots of the
-    combined detection+capture gather and spread over each candidate's
-    block with one integer matmul against the block masks (the blocks
-    are disjoint, so the sum is an OR; a top slot then meets its own
-    good value and never counts as a difference).  The packed injection
-    is cached on the simulator's memoized injection object; the
-    present-state planes read ``good_state``/``divergence`` and are
-    rebuilt on every call, since pool workers overwrite both without an
-    epoch change.
-    """
-    from ..faults.simulator import CandidateEval
-
-    u64 = np.uint64
-    n = plan.num_nodes
-    n_ffs = len(plan.ff_ids)
-    n_cand = len(candidates)
-    frames = len(candidates[0])
-    layout = sim._batch_layout(sample, n_cand)
-    S = layout.S
-    w = (layout.width + 63) >> 6
-    packed = layout.injection.packed(np, plan, layout.ff_out_forces,
-                                     layout.ff_pin_forces, w)
-    ff1, ff0 = sim._batch_ff_planes(sample, layout)
-    SRC = _pack_rows(np, ff1 + ff0, w)
-    PV = _pack_rows(np, [
-        word for ones, zeros in sim._batch_pi_planes(candidates, layout)
-        for word in ones + zeros
-    ], w).reshape(frames, 2 * len(plan.pi_ids), w)
-    FBLK = _pack_rows(np, layout.blocks, w)
-
-    # Top-slot reads: (rows, w) words -> (rows, n_cand) good bits.
-    tpos = np.arange(n_cand) * (S + 1) + S
-    t_word = tpos >> 6
-    t_bit = (tpos & 63).astype(u64)
-    one = u64(1)
-
-    def top_bits(A):
-        return (A[:, t_word] >> t_bit) & one
-
-    sc = _scratch_for(np, plan, w)
-    V = sc["V"]
-    npass = sc["npass"]
-    V[plan.mask_row] = _pack_word(np, layout.mask, w)
-    V[plan.zero_row] = 0
-    if plan.float_hi > plan.float_lo:
-        V[plan.float_lo:plan.float_hi] = 0
-
-    npo = len(plan.po_ids)
-    vpi_all = sc["pi_all"]
-    vff_all = sc["ff_all"]
-    rc_rows = sc["rc_rows"]
-    RC = sc["RC"]
-    RCP = sc["RCP"]
-    rc_fix = packed.rc_fix
-    take = V.take
-    copyto = np.copyto
-    band = np.bitwise_and
-    bor = np.bitwise_or
-    bor_reduce = np.bitwise_or.reduce
-    # The gather is [PO 0-plane | PO 1-plane | D 1-plane | D 0-plane]; a
-    # PO 0-plane read counts where the good output is 1 and vice versa,
-    # a captured 1-plane bit diverges where the good next state is 0.
-    d1 = 2 * npo
-    d0 = d1 + n_ffs
-    swap = np.r_[npo:d1, 0:npo, d0:d0 + n_ffs, d1:d0]
-
-    prop_sum = np.zeros(n_cand, dtype=np.int64)
-    prop_final = ffs_set = ffs_changed = prop_sum
-    good_events = np.zeros(n_cand, dtype=np.int64)
-    faulty_events = np.zeros(n_cand, dtype=np.int64)
-    P1 = P0 = np.zeros((n, n_cand), dtype=u64)
-    DET = np.zeros(w, dtype=u64)
-    FD = np.empty(w, dtype=u64)
-    PB = np.empty(w, dtype=u64)
-
-    for frame in range(frames):
-        copyto(vpi_all, PV[frame])
-        copyto(vff_all, SRC)
-
-        npass(packed.rank_forces)
-
-        if count_faulty_events:
-            EV1 = take(plan.node_rows1, 0)
-            EV0 = take(plan.node_rows0, 0)
-            T1 = top_bits(EV1)
-            T0 = top_bits(EV0)
-            good_events += ((T1 ^ P1) | (T0 ^ P0)).sum(axis=0,
-                                                     dtype=np.int64)
-            P1, P0 = T1, T0
-            E = packed.event_fix(np, n)
-            if E is not None:
-                EV1 = (EV1 | E[0]) & E[3]
-                EV0 = (EV0 | E[1]) & E[2]
-            diff = (EV1 ^ (T1 @ FBLK)) | (EV0 ^ (T0 @ FBLK))
-            faulty_events += np.bitwise_count(
-                diff[None, :, :] & FBLK[:, None, :]).sum(axis=(1, 2),
-                                                         dtype=np.int64)
-
-        take(rc_rows, 0, RC, "clip")
-        if rc_fix is not None:
-            bor(RC, rc_fix[0], RC)
-            band(RC, rc_fix[1], RC)
-        good = top_bits(RC)
-        band(RC, good[swap] @ FBLK, RCP)
-        bor_reduce(RCP[:d1], 0, None, FD)
-        bor(DET, FD, DET)
-        bor_reduce(RCP[d1:], 0, None, PB)
-        prop_final = np.bitwise_count(PB[None, :] & FBLK).sum(
-            axis=1, dtype=np.int64)
-        prop_sum = prop_sum + prop_final
-        if frame == frames - 1:
-            # Good flip-flop observables: present state (still loaded)
-            # against the captured next state.
-            present = top_bits(vff_all)
-            next1 = good[d1:d0]
-            next0 = good[d0:]
-            ffs_set = (next1 | next0).sum(axis=0, dtype=np.int64)
-            ffs_changed = ((present[:n_ffs] & next0)
-                           | (present[n_ffs:] & next1)).sum(axis=0,
-                                                           dtype=np.int64)
-        SRC = RC[d1:]
-
-    detected = np.bitwise_count(DET[None, :] & FBLK).sum(axis=1)
-    if not count_faulty_events:
-        good_events = faulty_events = np.zeros(n_cand, dtype=np.int64)
-
-    slot_frames = n_cand * S * frames
-    sim_collector = sim.collector
-    if sim_collector.enabled:
-        sim_collector.inc("sim.batch.calls")
-        sim_collector.inc("sim.batch.candidates", n_cand)
-        sim_collector.inc("sim.batch.frames", frames)
-        sim_collector.inc("sim.batch.faults", S)
-        sim_collector.inc("sim.batch.slot_frames", slot_frames)
-        if count_faulty_events:
-            sim_collector.inc("sim.good_events", int(good_events.sum()))
-            sim_collector.inc("sim.faulty_events", int(faulty_events.sum()))
-    if collector.enabled:
-        collector.inc("numpy.batch.passes")
-        collector.inc("numpy.batch.slot_frames", slot_frames)
-
-    return [
-        CandidateEval(
-            frames=frames,
-            detected=int(detected[c]),
-            prop_final=int(prop_final[c]),
-            prop_sum=int(prop_sum[c]),
-            faulty_events=int(faulty_events[c]),
-            good_events=int(good_events[c]),
-            ffs_set=int(ffs_set[c]),
-            ffs_changed=int(ffs_changed[c]),
-            num_faults_simulated=S,
-            num_ffs=n_ffs,
-        )
-        for c in range(n_cand)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Kernel assembly (called by repro.sim.codegen.kernel_for)
-# ----------------------------------------------------------------------
-
-
-def build(compiled: CompiledCircuit, requested: str, fns, collector):
-    """Assemble the numpy :class:`~repro.sim.codegen.SimKernel`.
-
-    ``fns`` are the already-built codegen functions: the good-machine
-    and bigint injected passes delegate to them (bit-identical by the
-    codegen contract, and faster than numpy for narrow words), while
-    wide fault groups take the fused vectorized runner.  Raises when
-    numpy is unusable — the caller falls back to the interpreter.
-    """
-    np = _numpy()
-    from .codegen import SimKernel, make_force_tables
-
-    plan = _plan_for(np, compiled, collector)
-    num_nodes = compiled.num_nodes
-    arity = {instr[0]: len(instr[3]) for instr in compiled.program}
-    good = fns["good"]
-    injected = fns["injected"]
-
-    def make_injection(out_force: Dict, pin_force: Dict) -> _Injection:
-        return _Injection(
-            make_force_tables(num_nodes, out_force, pin_force, arity)
-        )
-
-    def eval_injection(v1, v0, mask, injection: _Injection) -> None:
-        injected(v1, v0, mask, injection.tables)
-
-    def run_group(sim, group, trace, count_faulty_events, inj):
-        return _run_group_fused(np, plan, collector, sim, group, trace,
-                                count_faulty_events, inj)
-
-    def run_batch(sim, candidates, sample, count_faulty_events):
-        return _run_batch_fused(np, plan, collector, sim, candidates,
-                                sample, count_faulty_events)
-
-    return SimKernel(
-        name="numpy",
-        requested=requested,
-        eval_fn=good,
-        make_injection=make_injection,
-        eval_injection=eval_injection,
-        run_group=run_group,
-        run_batch=run_batch,
-        group_width=WIDE_GROUP_CAP,
-    )

@@ -1,7 +1,7 @@
 """C kernel backend: compile cache, artifact shipping, fallback, telemetry.
 
-Bit-identity of the C backend against the other three lives in
-tests/test_codegen.py (the four-way equivalence suite); this module
+Bit-identity of the C backend against the other two lives in
+tests/test_codegen.py (the cross-backend equivalence suite); this module
 covers everything *around* the compiled function — the on-disk artifact
 cache and its version stamping, parent-to-worker artifact shipping with
 the recompile-in-worker fallback, the compiler-less degradation to the

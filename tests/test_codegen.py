@@ -1,10 +1,9 @@
 """Kernel backend suite: compiled backends vs the reference interpreter.
 
 The contract under test (docs/KERNELS.md): every backend behind the
-kernel seam — the generated straight-line Python ("codegen"), the
-vectorized plane kernel ("numpy") and the compiled C kernel ("c") —
-must be *bit-identical* to the
-reference interpreter in :mod:`repro.sim.compile` — at the plane level
+kernel seam — the generated straight-line Python ("codegen") and the
+compiled C kernel ("c") — must be *bit-identical* to the reference
+interpreter in :mod:`repro.sim.compile` — at the plane level
 for random inputs and injections, at the ``CandidateEval`` level
 through :class:`~repro.faults.simulator.FaultSimulator`, and at the
 final test-set level through full GATEST runs, serial and sharded
@@ -15,7 +14,6 @@ clock.
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -23,7 +21,7 @@ from repro.circuit import c17, s27, synthesize_named
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator
 from repro.faults.transition import TransitionFaultSimulator
-from repro.sim import ckernel, compile_circuit, kernel_for, kernel_source, npkernel
+from repro.sim import ckernel, compile_circuit, kernel_for, kernel_source
 from repro.sim.codegen import (
     DEFAULT_KERNEL,
     clear_kernel_cache,
@@ -41,8 +39,6 @@ def _compiled_kernel_params():
     """The non-interpreter backends, each skipped where unusable."""
     return [
         pytest.param("codegen"),
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            not npkernel.available(), reason="numpy >= 2.0 unavailable")),
         pytest.param("c", marks=pytest.mark.skipif(
             not ckernel.available(), reason="no C compiler on PATH")),
     ]
@@ -261,13 +257,13 @@ class TestSimulatorEquivalence:
 
 
 class TestFourWayEquivalence:
-    """interp / codegen / numpy / c × eval_jobs 1/2/4 × stuck-at/transition.
+    """interp / codegen / c × eval_jobs 1/2/4 × stuck-at/transition.
 
     The circuit is sized so the active fault list exceeds one 64-slot
-    word: that is what engages the numpy and C backends' fused
-    wide-group runners (narrow groups stay on the shared bigint path,
-    see docs/KERNELS.md), so these cases exercise the compiled code and
-    not just the delegation shim.
+    word: that is what engages the C backend's fused wide-group runner
+    (narrow groups stay on the shared bigint path, see docs/KERNELS.md),
+    so these cases exercise the compiled code and not just the
+    delegation shim.
     """
 
     CIRCUIT_SCALE = 0.3  # 123 active faults: > 64, so wide groups form
@@ -316,135 +312,6 @@ class TestFourWayEquivalence:
         assert runs[kernel].test_sequence == runs["interp"].test_sequence
         assert runs[kernel].detected == runs["interp"].detected
         assert runs[kernel].ga_evaluations == runs["interp"].ga_evaluations
-
-    def test_numpy_absent_falls_back_to_interpreter(self, s27_circuit,
-                                                    monkeypatch):
-        """Import shadowing: with numpy unimportable, ``--kernel numpy``
-        degrades to the interpreter with a warning naming the backend
-        and the exception class — never an error, never a wrong result."""
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        clear_kernel_cache()
-        compiled = compile_circuit(s27_circuit)
-        collector = TelemetryCollector()
-        with pytest.warns(RuntimeWarning, match="numpy.*falling back"):
-            sim = FaultSimulator(compiled, kernel="numpy",
-                                 collector=collector)
-        assert sim.kernel_name == "interp"
-        assert collector.counters["numpy.fallbacks"] == 1
-        assert not npkernel.available()
-        # ... and the fallback still simulates correctly end to end.
-        ref = FaultSimulator(compiled, kernel="interp")
-        vectors = random_vectors(s27_circuit, 4, seed=1)
-        assert sim.commit(vectors) == ref.commit(vectors)
-        clear_kernel_cache()
-
-    def test_numpy_selection_and_plan_telemetry(self, s27_circuit):
-        if not npkernel.available():
-            pytest.skip("numpy >= 2.0 unavailable")
-        clear_kernel_cache()
-        npkernel.clear_plan_cache()
-        collector = TelemetryCollector()
-        circuit = synthesize_named("s298", seed=3, scale=self.CIRCUIT_SCALE)
-        sim = FaultSimulator(circuit, kernel="numpy", collector=collector)
-        assert sim.kernel_name == "numpy"
-        assert collector.counters["sim.kernel.numpy"] == 1
-        sim.commit(random_vectors(circuit, 4, seed=1))
-        counters = collector.counters
-        assert counters["numpy.plan.built"] == 1
-        assert counters["numpy.plan.ranks"] > 0
-        assert counters["numpy.group.passes"] >= 1
-        assert counters["numpy.group.slot_frames"] > 0
-        # A second simulator on the same compiled circuit reuses the plan.
-        sim2 = FaultSimulator(sim.compiled, kernel="numpy",
-                              collector=collector)
-        sim2.commit(random_vectors(circuit, 4, seed=1))
-        assert collector.counters["numpy.plan.built"] == 1
-
-
-class TestFusedBatchPath:
-    """The numpy fused population pass and its width thresholds.
-
-    ``evaluate_batch`` hands a population to ``SimKernel.run_batch``
-    only when ``n_candidates * len(sample)`` exceeds one 64-slot word;
-    narrower batches stay on the shared bigint mega-word, where array
-    marshaling overhead loses to arbitrary-precision integers — the
-    same threshold rule the per-group runner applies (docs/KERNELS.md).
-    """
-
-    @pytest.fixture(autouse=True)
-    def _needs_numpy(self):
-        if not npkernel.available():
-            pytest.skip("numpy >= 2.0 unavailable")
-
-    def _pair(self, circuit, collector=None):
-        ref = FaultSimulator(circuit, kernel="interp")
-        sim = FaultSimulator(circuit, kernel="numpy", collector=collector)
-        warm = random_vectors(circuit, 4, seed=2)
-        ref.commit(warm)
-        sim.commit(warm)
-        return ref, sim
-
-    @pytest.mark.parametrize("events", [False, True])
-    def test_wide_batch_identical_and_fused(self, events):
-        circuit = synthesize_named("s298", seed=3, scale=0.3)
-        collector = TelemetryCollector()
-        ref, sim = self._pair(circuit, collector)
-        candidates = [[v] for v in random_vectors(circuit, 8, seed=3)]
-        assert (
-            sim.evaluate_batch(candidates, count_faulty_events=events)
-            == ref.evaluate_batch(candidates, count_faulty_events=events)
-        )
-        assert collector.counters["numpy.batch.passes"] >= 1
-        assert collector.counters["numpy.batch.slot_frames"] > 0
-
-    def test_multiframe_batch_identical(self):
-        circuit = synthesize_named("s298", seed=3, scale=0.3)
-        ref, sim = self._pair(circuit)
-        vectors = random_vectors(circuit, 12, seed=7)
-        candidates = [vectors[i:i + 3] for i in range(0, 12, 3)]
-        assert sim.evaluate_batch(candidates) == ref.evaluate_batch(candidates)
-
-    def test_narrow_batch_stays_on_bigints(self):
-        """One candidate over a <64-fault sample: under one word, so the
-        bigint path runs and the fused counter never moves."""
-        circuit = synthesize_named("s298", seed=3, scale=0.3)
-        collector = TelemetryCollector()
-        ref, sim = self._pair(circuit, collector)
-        sample = list(sim.active)[:33]
-        candidates = [[v] for v in random_vectors(circuit, 3, seed=4)]
-        assert (
-            sim.evaluate_batch(candidates[:1], sample=sample)
-            == ref.evaluate_batch(candidates[:1], sample=sample)
-        )
-        assert "numpy.batch.passes" not in collector.counters
-        # Three candidates cross the 64-slot line: the fused pass engages.
-        assert (
-            sim.evaluate_batch(candidates, sample=sample)
-            == ref.evaluate_batch(candidates, sample=sample)
-        )
-        assert collector.counters["numpy.batch.passes"] == 1
-
-    def test_narrow_groups_stay_on_bigints(self):
-        """A whole fault list that fits one word never engages the
-        vectorized group runner (the sub-64-slot fallback)."""
-        circuit = s27()
-        collector = TelemetryCollector()
-        sim = FaultSimulator(circuit, kernel="numpy", collector=collector)
-        sim.commit(random_vectors(circuit, 6, seed=1))
-        assert "numpy.group.passes" not in collector.counters
-        assert sim.detected_count > 0
-
-    def test_transition_model_never_fuses(self):
-        """Per-frame conditional injection cannot replay the static-mask
-        fused pass; the transition simulator pins ``_batch_fusable`` off."""
-        circuit = synthesize_named("s298", seed=3, scale=0.3)
-        collector = TelemetryCollector()
-        ref = TransitionFaultSimulator(circuit, kernel="interp")
-        sim = TransitionFaultSimulator(circuit, kernel="numpy",
-                                       collector=collector)
-        candidates = [[v] for v in random_vectors(circuit, 4, seed=3)]
-        assert sim.evaluate_batch(candidates) == ref.evaluate_batch(candidates)
-        assert "numpy.batch.passes" not in collector.counters
 
 
 class TestKernelSelection:

@@ -115,7 +115,7 @@ class TestHostChaos:
 class TestConfigWire:
     def test_round_trip_keeps_execution_knobs(self):
         config = TestGenConfig(
-            population_scale=0.5, eval_jobs=3, sim_kernel="numpy",
+            population_scale=0.5, eval_jobs=3, sim_kernel="c",
             eval_cache=False,
         )
         rebuilt = config_from_json(json.loads(json.dumps(
@@ -123,7 +123,7 @@ class TestConfigWire:
         )))
         assert rebuilt == config
         assert rebuilt.eval_jobs == 3
-        assert rebuilt.sim_kernel == "numpy"
+        assert rebuilt.sim_kernel == "c"
         assert isinstance(rebuilt.seq_length_multipliers, tuple)
 
     def test_unknown_field_refused(self):

@@ -52,7 +52,8 @@ class TestCliExampleChecking:
         result = self._check(tmp_path, (
             "# x\n\n```bash\n"
             "gatest run s27 --seed 42 -o tests.txt\n"
-            "REPRO_SIM_KERNEL=numpy gatest fsim s27 tests.txt\n"
+            "REPRO_SIM_KERNEL=c gatest fsim s27 tests.txt\n"
+            "gatest run s27 --kernel codegen --fault-model=transition\n"
             "gatest serve --port 0 --state-dir /tmp/state\n"
             "python -m repro.cli run s27 \\\n  --eval-jobs 4\n"
             "```\n"
@@ -66,6 +67,20 @@ class TestCliExampleChecking:
         assert result.returncode == 1
         assert "--turbo" in result.stdout
         assert "stale CLI example" in result.stdout
+
+    def test_invalid_choice_value_fails(self, tmp_path):
+        """A flag that exists but quotes a value outside its argparse
+        ``choices`` is stale too, in both ``--opt value`` and
+        ``--opt=value`` form."""
+        result = self._check(tmp_path, (
+            "# x\n\n```bash\n"
+            "gatest run s27 --kernel turbo\n"
+            "gatest fsim s27 tests.txt --kernel=turbo\n"
+            "```\n"
+        ))
+        assert result.returncode == 1
+        assert result.stdout.count("--kernel turbo") == 2
+        assert "value not among --kernel choices" in result.stdout
 
     def test_unknown_subcommand_fails(self, tmp_path):
         result = self._check(

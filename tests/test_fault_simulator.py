@@ -20,7 +20,7 @@ from repro.faults import (
     collapsed_fault_list,
 )
 from repro.parallel import worker as pool_worker
-from repro.sim import GoodState, ckernel, compile_circuit, npkernel
+from repro.sim import GoodState, ckernel, compile_circuit
 from repro.telemetry import TelemetryCollector
 
 from tests.conftest import random_vectors
@@ -28,12 +28,10 @@ from tests.test_sim import make_random_circuit
 
 
 def _kernel_params():
-    """Every backend, the numpy and C ones skipped where unusable."""
+    """Every backend, the C one skipped where unusable."""
     return [
         pytest.param("interp"),
         pytest.param("codegen"),
-        pytest.param("numpy", marks=pytest.mark.skipif(
-            not npkernel.available(), reason="numpy >= 2.0 unavailable")),
         pytest.param("c", marks=pytest.mark.skipif(
             not ckernel.available(), reason="no C compiler on PATH")),
     ]
@@ -41,9 +39,10 @@ def _kernel_params():
 
 @functools.lru_cache(maxsize=1)
 def _batch_circuit():
-    """A compiled s298 stand-in (> 64 faults, so the numpy backend fuses)
-    and a fault list holding every injection site kind: the collapsed
-    list plus explicit flip-flop D-pin faults, which collapsing removes."""
+    """A compiled s298 stand-in (> 64 faults, so a full sample forms wide
+    groups) and a fault list holding every injection site kind: the
+    collapsed list plus explicit flip-flop D-pin faults, which
+    collapsing removes."""
     circuit = synthesize_named("s298", seed=3, scale=0.3)
     faults = collapsed_fault_list(circuit)
     faults += [Fault(ff, 0, sa) for ff in circuit.dffs for sa in (0, 1)]
@@ -375,7 +374,6 @@ class TestEvaluateBatch:
         instance, never in a module-level table)."""
         compiled, faults = _batch_circuit()
         kernels = ["interp", "codegen"]
-        kernels += ["numpy"] if npkernel.available() else []
         kernels += ["c"] if ckernel.available() else []
         sims = [FaultSimulator(compiled, faults=faults, kernel=k)
                 for k in kernels]
@@ -390,9 +388,7 @@ class TestEvaluateBatch:
         assert len({id(layout) for layout in layouts}) == len(sims)
         assert len({id(layout.injection) for layout in layouts}) == len(sims)
 
-    @pytest.mark.parametrize("kernel", ["codegen", pytest.param(
-        "numpy", marks=pytest.mark.skipif(
-            not npkernel.available(), reason="numpy >= 2.0 unavailable"))])
+    @pytest.mark.parametrize("kernel", _kernel_params())
     def test_slot_frames_count_fault_slots_only(self, kernel):
         """``sim.batch.slot_frames`` is candidates x faults x frames; the
         fault-free top slot of each block is not a simulated fault."""

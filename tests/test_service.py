@@ -45,11 +45,22 @@ from repro.service import (
     parse_job,
     sim_key,
 )
+from repro.sim.codegen import resolve_kernel_name
 from repro.telemetry import TelemetryCollector, validate_trace
 
 from .conftest import random_vectors
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Counters that move only when a kernel is built, compiled or loaded:
+#: a warm repeat must leave every one of them where the cold request
+#: left it.
+KERNEL_BUILD_COUNTERS = ("codegen.kernels.built", "c.kernels.built",
+                         "c.cache.misses", "c.cache.hits")
+
+
+def _kernel_builds(counters):
+    return {name: counters.get(name, 0) for name in KERNEL_BUILD_COUNTERS}
 
 
 # ----------------------------------------------------------------------
@@ -227,23 +238,13 @@ class TestJobManager:
             )
             assert manager.wait_idle(timeout=300)
             assert first.status == "done", first.error
-            built_cold = {
-                name: value
-                for name, value in collector.counters.items()
-                if name in ("codegen.kernels.built", "numpy.plan.built")
-                or name.startswith("numpy.plan.")
-            }
+            built_cold = _kernel_builds(collector.counters)
             second, _ = manager.submit(
                 {"kind": "run", "circuit": "s27", "config": {"seed": 2}}
             )
             assert manager.wait_idle(timeout=300)
             assert second.status == "done", second.error
-            built_warm = {
-                name: value
-                for name, value in collector.counters.items()
-                if name in built_cold or name.startswith("numpy.plan.")
-            }
-            assert built_warm == built_cold  # no new kernel/plan builds
+            assert _kernel_builds(collector.counters) == built_cold
             assert collector.counters["service.cache.hits"] == 1
             assert collector.counters["service.cache.misses"] == 1
         finally:
@@ -337,6 +338,31 @@ class TestJobManager:
             assert recovered is not None
             assert recovered.status == "done", recovered.error
             assert collector.counters["service.jobs.resumed"] == 1
+        finally:
+            revived.close()
+
+    def test_unrecoverable_ledger_job_is_counted_and_named(self, tmp_path,
+                                                           capsys):
+        """An accepted ledger record whose payload this build no longer
+        accepts (say, a kernel that was removed) cannot be re-queued; it
+        is counted and named on stderr instead of vanishing silently."""
+        manager, _ = self._manager(tmp_path)
+        manager.ledger.append(
+            {"event": "accepted", "id": "j9998-0badc0de", "seq": 9998,
+             "payload": {"kind": "fsim", "circuit": "s27", "kernel": "turbo",
+                         "vectors": [[0, 1, 0, 1]]}}
+        )
+        manager.close()
+        capsys.readouterr()
+
+        collector = TelemetryCollector()
+        revived = JobManager(tmp_path / "state", collector=collector, workers=1)
+        try:
+            assert revived.get("j9998-0badc0de") is None
+            assert collector.counters["service.jobs.unrecoverable"] == 1
+            err = capsys.readouterr().err
+            assert "j9998-0badc0de" in err
+            assert "unknown simulation kernel 'turbo'" in err
         finally:
             revived.close()
 
@@ -438,8 +464,7 @@ class TestHttpApi:
         warm = client.healthz()["counters"]
         assert warm["service.cache.hits"] == 1
         assert warm["service.cache.misses"] == cold["service.cache.misses"] == 1
-        for name in ("codegen.kernels.built", "numpy.plan.built"):
-            assert warm.get(name, 0) == cold.get(name, 0), name
+        assert _kernel_builds(warm) == _kernel_builds(cold)
 
     def test_event_stream_is_a_valid_trace(self, live_service):
         client, _ = live_service
@@ -467,6 +492,25 @@ class TestHttpApi:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/healthz")
         assert err.value.status == 405
+
+    def test_removed_numpy_kernel_is_rejected(self, live_service):
+        """The deleted numpy backend is an unknown name everywhere: the
+        resolver, the config and both job kinds of ``POST /jobs``."""
+        remaining = r"\('interp', 'codegen', 'c'\)"
+        with pytest.raises(ValueError, match=remaining):
+            resolve_kernel_name("numpy")
+        with pytest.raises(ValueError, match=remaining):
+            TestGenConfig(sim_kernel="numpy")
+        client, _ = live_service
+        for payload in (
+            {"kind": "fsim", "circuit": "s27", "kernel": "numpy",
+             "vectors": [[0, 1, 0, 1]]},
+            {"kind": "run", "circuit": "s27",
+             "config": {"sim_kernel": "numpy"}},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.submit(payload)
+            assert err.value.status == 400
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,10 @@ block is parsed (``$ `` prompts, ``#`` comments, line continuations,
 env-var prefixes and ``--opt=value`` all handled) and verified
 against the real argparse parsers (``repro.cli.build_parser`` and
 ``repro.harness.experiments.build_parser``): the subcommand must
-exist and every ``--flag`` must be one that subcommand accepts.  A
-doc that quotes a renamed or deleted flag fails the build instead of
+exist, every ``--flag`` must be one that subcommand accepts, and the
+value of every option that declares argparse ``choices`` (``--opt
+value`` or ``--opt=value``) must be one of them.  A doc that quotes a
+renamed or deleted flag or value fails the build instead of
 misleading readers.
 
 Exit status 0 when everything resolves, 1 otherwise (one diagnostic
@@ -39,7 +41,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Documents checked: top-level markdown plus everything under docs/.
 DOC_GLOBS = ("*.md", "docs/*.md")
@@ -133,9 +135,13 @@ _FENCE_OPEN = re.compile(r"^(```|~~~)\s*([A-Za-z0-9_+-]*)")
 _ENV_ASSIGN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
 _SEPARATORS = {"|", "||", "&&", ";", "&"}
 
+#: option string -> its argparse ``choices`` as strings (None: any value).
+Options = Dict[str, Optional[List[str]]]
 
-def _cli_parsers(root: Path) -> Dict[str, Set[str]]:
-    """subcommand name -> accepted option strings, from the real parsers.
+
+def _cli_parsers(root: Path) -> Dict[str, Options]:
+    """subcommand name -> its accepted :data:`Options`, from the real
+    parsers.
 
     Imports the package from ``root/src`` directly so the check works
     without an installed package or ``PYTHONPATH`` (the CI docs job
@@ -147,14 +153,17 @@ def _cli_parsers(root: Path) -> Dict[str, Set[str]]:
     from repro.cli import build_parser as cli_parser
     from repro.harness.experiments import build_parser as experiments_parser
 
-    def options(parser: argparse.ArgumentParser) -> Set[str]:
+    def options(parser: argparse.ArgumentParser) -> Options:
         return {
-            option
+            option: (
+                None if action.choices is None
+                else [str(choice) for choice in action.choices]
+            )
             for action in parser._actions
             for option in action.option_strings
         }
 
-    commands: Dict[str, Set[str]] = {}
+    commands: Dict[str, Options] = {}
     for action in cli_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
@@ -233,9 +242,10 @@ def _gatest_invocations(tokens: List[str]) -> List[List[str]]:
 
 
 def check_cli_blocks(
-    path: Path, commands: Dict[str, Set[str]]
+    path: Path, commands: Dict[str, Options]
 ) -> List[Tuple[int, str, str]]:
-    """Phantom subcommands/flags in one file's shell blocks."""
+    """Phantom subcommands, flags and choice values in one file's shell
+    blocks."""
     problems: List[Tuple[int, str, str]] = []
     raw_lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, line in _shell_blocks(raw_lines):
@@ -257,18 +267,31 @@ def check_cli_blocks(
                 )
                 continue
             accepted = commands[subcommand]
-            for token in argv[1:]:
+            args = argv[1:]
+            for i, token in enumerate(args):
                 if token == "--":
                     break
                 if not token.startswith("-") or token == "-":
                     continue
-                flag = token.split("=", 1)[0]
+                flag, inline, value = token.partition("=")
                 if re.fullmatch(r"-\d+(\.\d+)?", flag):
                     continue  # negative number, not a flag
                 if flag not in accepted:
                     problems.append(
                         (lineno, flag,
                          f"flag not accepted by 'gatest {subcommand}'")
+                    )
+                    continue
+                choices = accepted[flag]
+                if choices is None:
+                    continue
+                if not inline:
+                    value = args[i + 1] if i + 1 < len(args) else ""
+                if value and value not in choices:
+                    problems.append(
+                        (lineno, f"{flag} {value}",
+                         f"value not among {flag} choices "
+                         f"{', '.join(choices)}")
                     )
     return problems
 
