@@ -118,7 +118,8 @@ class DistributedCoordinator:
     the seeds that still need execution.
 
     ``policy.task_timeout`` is the lease TTL (``REPRO_LEASE_TTL``,
-    default :data:`~repro.parallel.resilience.DEFAULT_LEASE_TTL`);
+    default :data:`~repro.parallel.resilience.DEFAULT_LEASE_TTL`); a
+    lease cannot go without one, so a TTL <= 0 raises ``ValueError``.
     ``policy.max_retries`` is the re-lease budget per cell
     (``REPRO_LEASE_RETRIES``) before sticky local degradation.
     """
@@ -147,6 +148,11 @@ class DistributedCoordinator:
             retries_env=LEASE_RETRIES_ENV,
             default_timeout=DEFAULT_LEASE_TTL,
         )
+        if self.policy.task_timeout is None:
+            raise ValueError(
+                f"the lease TTL must be a positive number of seconds "
+                f"({LEASE_TTL_ENV} <= 0 cannot disable it)"
+            )
         self.collector = collector if collector is not None else journal.collector
         self.degraded = False
         self._next_host = 0
@@ -157,10 +163,6 @@ class DistributedCoordinator:
         host = self.hosts[self._next_host % len(self.hosts)]
         self._next_host += 1
         return host
-
-    def _ttl(self) -> float:
-        timeout = self.policy.task_timeout
-        return timeout if timeout is not None else DEFAULT_LEASE_TTL
 
     # -- execution -------------------------------------------------------
 
@@ -210,7 +212,7 @@ class DistributedCoordinator:
                 if existing is None or existing.get("status") != "ok":
                     self.journal.grant_lease(
                         circuit_name, label, seed, scale, digest,
-                        host=self._pick_host(), ttl=self._ttl(),
+                        host=self._pick_host(), ttl=self.policy.task_timeout,
                         config=config_json, kernel_artifact=kernel_artifact,
                         collect=collect,
                     )
@@ -264,7 +266,7 @@ class DistributedCoordinator:
                     self.collector.inc("campaign.lease.stolen")
                 self.journal.grant_lease(
                     circuit_name, label, seed, scale, digest,
-                    host=host, ttl=self._ttl(), config=config_json,
+                    host=host, ttl=self.policy.task_timeout, config=config_json,
                     kernel_artifact=kernel_artifact, collect=collect,
                 )
                 progressed = True

@@ -495,6 +495,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workers_from and not args.journal:
         parser.error("--workers-from requires --journal (the journal is "
                      "the coordination substrate)")
+    if args.lease_ttl is not None and args.lease_ttl <= 0:
+        parser.error("--lease-ttl must be a positive number of seconds")
     hosts: Optional[List[str]] = None
     if args.workers_from:
         try:
@@ -547,15 +549,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 from .runner import set_distributed_backend
 
                 policy = None
-                if args.lease_ttl is not None:
-                    policy = RetryPolicy.from_env(
-                        task_timeout=args.lease_ttl,
-                        timeout_env=LEASE_TTL_ENV,
-                        retries_env=LEASE_RETRIES_ENV,
+                try:
+                    if args.lease_ttl is not None:
+                        policy = RetryPolicy.from_env(
+                            task_timeout=args.lease_ttl,
+                            timeout_env=LEASE_TTL_ENV,
+                            retries_env=LEASE_RETRIES_ENV,
+                        )
+                    coordinator = DistributedCoordinator(
+                        journal, hosts, policy=policy, collector=collector,
                     )
-                coordinator = DistributedCoordinator(
-                    journal, hosts, policy=policy, collector=collector,
-                )
+                except ValueError as exc:  # a malformed REPRO_LEASE_* value
+                    raise SystemExit(f"error: {exc}")
                 set_distributed_backend(coordinator)
                 stack.callback(set_distributed_backend, None)
                 stack.callback(coordinator.close)

@@ -8,11 +8,13 @@ speed; the full-scale numbers are produced by the same code with
 ``scale=1.0``.
 
 Seed-level parallelism (``jobs > 1``) runs each seed in its *own*
-single-worker process pool — fault isolation: one crashed or hung seed
-worker cannot take sibling seeds' futures down with it.  Failed seeds
-are retried under a :class:`~repro.parallel.resilience.RetryPolicy`
-(``REPRO_SEED_TIMEOUT`` / ``REPRO_SEED_RETRIES``) and, once the budget
-is exhausted, reported as :class:`SeedFailure` entries on
+single-worker process pool
+(:meth:`~repro.parallel.supervisor.SupervisedPool.run_each`) — fault
+isolation: one crashed or hung seed worker cannot take sibling seeds'
+futures down with it.  Failed seeds are retried under a
+:class:`~repro.parallel.resilience.RetryPolicy` (``REPRO_SEED_TIMEOUT``
+/ ``REPRO_SEED_RETRIES``) and, once the budget is exhausted, reported
+as :class:`SeedFailure` entries on
 ``AggregateResult.failed_seeds`` — surviving seeds still aggregate.
 ``REPRO_CHAOS`` injects deterministic worker crashes/hangs at this
 level too (docs/ROBUSTNESS.md).  When a campaign journal is active
@@ -22,8 +24,6 @@ journaled and completed cells are replayed instead of re-run.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -32,13 +32,8 @@ from ..circuit.synth import synthesize_named
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator
 from ..core.results import TestGenResult
-from ..parallel.resilience import (
-    SEED_RETRIES_ENV,
-    SEED_TIMEOUT_ENV,
-    ChaosConfig,
-    RetryPolicy,
-)
-from ..parallel.shutdown import reap_pool
+from ..parallel.resilience import SEED_RETRIES_ENV, SEED_TIMEOUT_ENV, RetryPolicy
+from ..parallel.supervisor import PoolGaveUp, SupervisedPool
 from ..sim.codegen import resolve_kernel_name
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..telemetry.collector import NullCollector, TelemetryCollector, get_collector
@@ -202,31 +197,19 @@ def _seed_worker(
     compiled: CompiledCircuit,
     config: TestGenConfig,
     seed: int,
-    task_seq: int,
     collect: bool,
     kernel_artifact: Optional[Tuple[str, str]] = None,
 ) -> Tuple[TestGenResult, Optional[list]]:
     """Pool worker for one seed (module-level so it pickles).
 
-    Honors ``REPRO_CHAOS`` exactly like the evaluator's shard workers:
-    the injected failure is a pure function of ``(chaos seed,
-    task_seq)``, and the parent hands every attempt a fresh monotonic
-    ``task_seq`` — so chaos runs replay deterministically and a retried
-    seed draws a fresh decision.  When ``collect`` is set the worker
-    records into its own :class:`TelemetryCollector` and ships the
-    records back with the result for the parent to merge under a
-    ``worker.<seed>`` scope.  ``kernel_artifact`` is a parent-shipped
-    compiled C kernel ``(digest, path)`` — registered before the run so
-    this process loads it instead of recompiling (same contract as
+    When ``collect`` is set the worker records into its own
+    :class:`TelemetryCollector` and ships the records back with the
+    result for the parent to merge under a ``worker.<seed>`` scope.
+    ``kernel_artifact`` is a parent-shipped compiled C kernel ``(digest,
+    path)`` — registered before the run so this process loads it instead
+    of recompiling (same contract as
     :func:`repro.parallel.worker.init_worker`).
     """
-    chaos = ChaosConfig.from_env()
-    if chaos is not None:
-        action = chaos.decide(task_seq)
-        if action == "crash":
-            os._exit(75)
-        elif action == "hang":
-            time.sleep(chaos.hang_seconds)
     if kernel_artifact is not None:
         from ..sim import ckernel
 
@@ -234,16 +217,6 @@ def _seed_worker(
     collector = TelemetryCollector(source="repro.harness.worker") if collect else None
     result = _run_one_seed(compiled, config, seed, collector)
     return result, (collector.records() if collect else None)
-
-
-def _kill_seed_pool(pool) -> None:
-    """Hard-stop one seed's pool: cancel, terminate, reap.
-
-    Shares the evaluator's teardown (:func:`reap_pool`) — a hung worker
-    never responds to a graceful shutdown, and an abandoned one would
-    orphan.
-    """
-    reap_pool(pool)
 
 
 def _run_seed_pool(
@@ -257,125 +230,41 @@ def _run_seed_pool(
 ) -> Tuple[Dict[int, Tuple[TestGenResult, Optional[list]]], Dict[int, SeedFailure]]:
     """Fault-isolated, self-healing multi-seed fan-out.
 
-    Each seed runs in its own single-worker pool, at most ``jobs``
-    concurrently — so one seed's crash (``BrokenProcessPool``) or hang
-    (per-seed ``task_timeout``) is *its* failure alone; sibling seeds'
-    futures are untouched.  A failed seed is retried up to
-    ``policy.max_retries`` times with backoff, each attempt in a fresh
-    pool (counted by ``harness.seed.retries``); exhaustion yields a
-    :class:`SeedFailure`.  If pools cannot be created at all the pool
-    path degrades stickily to in-process execution for every seed still
-    outstanding.  Returns ``(results, failures)`` keyed by seed, where
-    each result is ``(TestGenResult, shipped-back trace records or
-    None)``.
+    Each seed runs in its own single-worker pool, at most ``jobs`` at
+    once (:meth:`SupervisedPool.run_each`), so one seed's crash or hang
+    is *its* failure alone.  A seed that spends its retries (counted by
+    ``harness.seed.retries``) becomes a :class:`SeedFailure`; seeds that
+    cannot start for lack of process support run in-process.  Returns
+    ``(results, failures)`` keyed by seed, where each result is
+    ``(TestGenResult, shipped-back trace records or None)``.  A caller
+    passing ``kernel_artifact`` registers it in this process too.
     """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    # Validate the chaos spec eagerly, in the parent: a malformed
-    # REPRO_CHAOS raises one clear ValueError here instead of surfacing
-    # as a cryptic BrokenProcessPool from every worker at once.
-    ChaosConfig.from_env()
     if policy is None:
         policy = RetryPolicy.from_env(
             timeout_env=SEED_TIMEOUT_ENV,
             retries_env=SEED_RETRIES_ENV,
             default_timeout=None,
         )
-    collect = collector.enabled
+    pool = SupervisedPool(
+        jobs, collector=collector, counters={"retries": "harness.seed.retries"}
+    )
+    outcomes = pool.run_each(
+        _seed_worker,
+        [(compiled, config, seed, collector.enabled, kernel_artifact)
+         for seed in seeds],
+        policy,
+    )
     results: Dict[int, Tuple[TestGenResult, Optional[list]]] = {}
     failures: Dict[int, SeedFailure] = {}
-    errors: Dict[int, str] = {}
-    attempts: Dict[int, int] = {seed: 0 for seed in seeds}
-    #: (seed, earliest monotonic start time) — FIFO plus retry backoff.
-    pending: List[Tuple[int, float]] = [(seed, 0.0) for seed in seeds]
-    #: seed -> (pool, future, deadline or None)
-    active: Dict[int, tuple] = {}
-    task_seq = 0
-    in_process = False
-
-    def retry_or_fail(seed: int) -> None:
-        if attempts[seed] <= policy.max_retries:
-            if collector.enabled:
-                collector.inc("harness.seed.retries")
-            backoff = policy.backoff(attempts[seed] - 1)
-            pending.append((seed, time.monotonic() + backoff))
+    for seed, outcome in zip(seeds, outcomes):
+        if not isinstance(outcome, PoolGaveUp):
+            results[seed] = outcome
+        elif outcome.unsupported:
+            results[seed] = (_run_one_seed(compiled, config, seed, collector), None)
         else:
             failures[seed] = SeedFailure(
-                seed=seed, error=errors[seed], attempts=attempts[seed]
+                seed=seed, error=outcome.error, attempts=outcome.attempts
             )
-
-    try:
-        while pending or active:
-            now = time.monotonic()
-            while pending and len(active) < jobs and not in_process:
-                ready = next(
-                    (i for i, (_, t0) in enumerate(pending) if now >= t0), None
-                )
-                if ready is None:
-                    break
-                seed, _ = pending.pop(ready)
-                try:
-                    pool = ProcessPoolExecutor(max_workers=1)
-                    future = pool.submit(
-                        _seed_worker, compiled, config, seed, task_seq,
-                        collect, kernel_artifact,
-                    )
-                except OSError:
-                    # No process support here at all: degrade stickily
-                    # to in-process execution (drain active first).
-                    pending.append((seed, 0.0))
-                    in_process = True
-                    break
-                attempts[seed] += 1
-                task_seq += 1
-                deadline = (
-                    now + policy.task_timeout
-                    if policy.task_timeout is not None else None
-                )
-                active[seed] = (pool, future, deadline)
-            if not active:
-                if in_process:
-                    break
-                time.sleep(0.01)  # only retry backoffs outstanding
-                continue
-            wait(
-                [entry[1] for entry in active.values()],
-                timeout=0.1,
-                return_when=FIRST_COMPLETED,
-            )
-            now = time.monotonic()
-            for seed in list(active):
-                pool, future, deadline = active[seed]
-                if future.done():
-                    try:
-                        results[seed] = future.result()
-                    except Exception as exc:
-                        detail = str(exc).strip() or type(exc).__name__
-                        errors[seed] = f"{type(exc).__name__}: {detail}"
-                        retry_or_fail(seed)
-                    _kill_seed_pool(pool)
-                    del active[seed]
-                elif deadline is not None and now >= deadline:
-                    errors[seed] = (
-                        f"seed worker exceeded the {policy.task_timeout:.1f}s "
-                        "per-seed timeout (hung or thrashing worker)"
-                    )
-                    _kill_seed_pool(pool)
-                    del active[seed]
-                    retry_or_fail(seed)
-    finally:
-        for pool, _future, _deadline in active.values():
-            _kill_seed_pool(pool)
-
-    if in_process:
-        if kernel_artifact is not None:
-            from ..sim import ckernel
-
-            ckernel.preload_artifact(*kernel_artifact)
-        for seed, _ in pending:
-            attempts[seed] += 1
-            results[seed] = (_run_one_seed(compiled, config, seed, collector), None)
-
     return results, failures
 
 

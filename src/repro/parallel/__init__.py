@@ -17,6 +17,12 @@ two independent axes, both without changing any result bit:
   Table 7) skip fault simulation entirely; every state-changing
   simulator operation bumps the epoch, so a stale hit is impossible.
 
+Every worker pool in the stack — this package's shard pool, the
+harness's seed pool and the service's process tier — is a
+:class:`~repro.parallel.supervisor.SupervisedPool`: one module owns the
+deadline / hard-teardown / backoff / retry / give-up policy
+(docs/ROBUSTNESS.md §1).
+
 Entry points: :class:`FaultSimulator` grows ``eval_jobs`` / ``eval_cache``
 constructor knobs, :class:`~repro.core.config.TestGenConfig` carries the
 same knobs into a GATEST run, and the CLI exposes ``gatest run
@@ -29,12 +35,15 @@ from .evaluator import ParallelEvaluator
 from .resilience import ChaosConfig, RetryPolicy
 from .sharding import plan_shards
 from .shutdown import close_quietly, reap_pool
+from .supervisor import PoolGaveUp, SupervisedPool
 
 __all__ = [
     "ChaosConfig",
     "EvalCache",
     "ParallelEvaluator",
+    "PoolGaveUp",
     "RetryPolicy",
+    "SupervisedPool",
     "close_quietly",
     "eval_key",
     "plan_shards",

@@ -31,23 +31,17 @@ injection a pool worker cannot replay (``_shardable = False``), or a
 pool that fails to start, scoring falls back to an in-process pass —
 results are identical either way, only the wall clock changes.
 
-The pool path is additionally *self-healing* (docs/ROBUSTNESS.md): a
-sharded pass that loses a worker (``BrokenProcessPool``), exceeds the
-per-pass task timeout (a hung worker), or fails in any other way is
-retried after killing and respawning the pool, with exponential backoff
-between attempts (:class:`~repro.parallel.resilience.RetryPolicy`).
-When the retries are exhausted the evaluator permanently degrades to
-the in-process serial pass for the rest of the run — the serial path is
-the reference implementation, so every recovery route produces
-bit-identical results.  Telemetry counters (``parallel.*``, see
-docs/TELEMETRY.md) meter cache traffic, shard fan-out, worker wall
-time, retries, pool restarts and degradation.
+The pool is a self-healing :class:`~repro.parallel.supervisor.SupervisedPool`
+(docs/ROBUSTNESS.md §1): a failed sharded pass is retried on a fresh
+pool, and once the retries are spent the evaluator scores in-process for
+good.  Telemetry counters (``parallel.*``, see docs/TELEMETRY.md) meter
+cache traffic, shard fan-out, worker wall time, retries, pool restarts
+and degradation.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -57,7 +51,7 @@ from ..telemetry.collector import NullCollector, get_collector
 from .cache import DEFAULT_MAX_ENTRIES, EvalCache, eval_key
 from .resilience import RetryPolicy
 from .sharding import plan_shards
-from .shutdown import reap_pool
+from .supervisor import PoolGaveUp, SupervisedPool
 from .worker import init_worker, run_batch_shard, shard_payload
 
 
@@ -75,10 +69,8 @@ class ParallelEvaluator:
     ``jobs`` is the worker-process count (1 disables sharding, keeping
     only the cache); ``cache=False`` disables memoization, keeping only
     sharding.  The pool is created lazily on the first sharded score and
-    survives across calls — worker processes hold the compiled circuit
-    and fault list for the lifetime of the evaluator, so the per-call
-    cost is only the candidate payload.  Use as a context manager or
-    call :meth:`close` to release the pool.
+    survives across calls.  Use as a context manager or call
+    :meth:`close` to release the pool.
 
     On a host with a single usable CPU the fan-out cannot beat the
     in-process wide pass (the shards serialize and the task payloads
@@ -113,77 +105,39 @@ class ParallelEvaluator:
         )
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         self._cpus = _usable_cpus()
-        self._pool = None
-        self._pool_broken = False
-        #: Monotonic task sequence number — gives every submitted shard
-        #: task (including retries) a distinct, deterministic identity,
-        #: which the chaos hook keys its failure decisions on.
-        self._task_seq = 0
+        #: The worker pool (``None`` with ``jobs=1``).  Workers are
+        #: created on the first sharded score and then hold the compiled
+        #: circuit and fault list, so a task ships only its candidates.
+        self.pool: Optional[SupervisedPool] = None
+        if jobs > 1:
+            kernel_artifact = None
+            if sim.kernel_name == "c":
+                # Ship the parent's compiled C library so workers dlopen
+                # it instead of recompiling (they still fall back to
+                # their own cache/compile if it is unusable).
+                from ..sim import ckernel
+
+                kernel_artifact = ckernel.shipping_payload(sim.compiled)
+            self.pool = SupervisedPool(
+                jobs,
+                initializer=init_worker,
+                initargs=(sim.compiled, list(sim.faults), sim.word_width,
+                          sim.kernel_name, kernel_artifact),
+                collector=self.collector,
+                counters={"restarts": "parallel.pool.restarts",
+                          "retries": "parallel.retries",
+                          "degraded": "parallel.degraded"},
+            )
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _get_pool(self):
-        """The persistent worker pool (created on first use)."""
-        if self._pool is None and not self._pool_broken:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                kernel_artifact = None
-                if self.sim.kernel_name == "c":
-                    # Ship the parent's compiled C library so workers
-                    # dlopen it instead of recompiling (they still fall
-                    # back to their own cache/compile if it is unusable).
-                    from ..sim import ckernel
-
-                    kernel_artifact = ckernel.shipping_payload(
-                        self.sim.compiled
-                    )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=init_worker,
-                    initargs=(
-                        self.sim.compiled,
-                        list(self.sim.faults),
-                        self.sim.word_width,
-                        self.sim.kernel_name,
-                        kernel_artifact,
-                    ),
-                )
-            except OSError:
-                # No process support in this environment (e.g. a locked-
-                # down sandbox): score serially from here on.
-                self._pool_broken = True
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        """Tear the pool down hard: cancel queued work, terminate workers.
-
-        Used when the pool is known or suspected broken (a worker died
-        or hung); a clean ``shutdown`` would block forever on a wedged
-        worker, so :func:`~repro.parallel.shutdown.reap_pool` terminates
-        the worker processes outright.
-        """
-        pool, self._pool = self._pool, None
-        reap_pool(pool)
-
-    def _restart_pool(self) -> None:
-        """Kill the (suspect) pool; the next ``_get_pool`` respawns it."""
-        self._kill_pool()
-        if self.collector.enabled:
-            self.collector.inc("parallel.pool.restarts")
-
     def close(self) -> None:
         """Shut down the worker pool (scoring stays usable: the pool is
-        recreated on demand, and the cache is unaffected).
-
-        Queued-but-unstarted tasks are cancelled so an interrupt cannot
-        strand worker processes behind a backlog.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        recreated on demand, and the cache is unaffected)."""
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> "ParallelEvaluator":
         return self
@@ -201,7 +155,7 @@ class ParallelEvaluator:
             and n_groups > 1
             and (self.force_shard or self._cpus > 1)
             and getattr(self.sim, "_shardable", False)
-            and not self._pool_broken
+            and not self.pool.broken
         )
 
     def _shard_batch(
@@ -221,76 +175,27 @@ class ParallelEvaluator:
         shards; good-machine observables are taken from the first shard
         (they do not depend on the sample).
 
-        Self-healing: a pass that loses a worker, times out, or fails
-        for any other reason kills and respawns the pool and retries
-        (with exponential backoff) up to ``retry.max_retries`` times;
-        exhausting the retries permanently degrades this evaluator to
-        the serial path.  Returns ``None`` when the pool cannot be
-        created or the pass could not be completed — the caller's serial
-        fallback is the reference implementation, so every path yields
-        bit-identical results.
+        Returns ``None`` when the pool gives up on the pass (see
+        :meth:`SupervisedPool.run`) — the caller's serial fallback is the
+        reference implementation, so every path yields bit-identical
+        results.
         """
         sim = self.sim
-        policy = self.retry
-        collector = self.collector
         shards = [
             [fault_id for group in groups[start:stop] for fault_id in group]
             for start, stop in plan_shards(len(groups), self.jobs)
         ]
-        rows_per_shard: List[list] = []
-        worker_seconds = 0.0
-        for attempt in range(policy.max_retries + 1):
-            pool = self._get_pool()
-            if pool is None:
-                return None
-            futures = []
-            try:
-                deadline = (
-                    time.monotonic() + policy.task_timeout
-                    if policy.task_timeout is not None else None
-                )
-                for shard in shards:
-                    seq = self._task_seq
-                    self._task_seq += 1
-                    futures.append(
-                        pool.submit(
-                            run_batch_shard,
-                            shard_payload(
-                                sim, candidates, shard, count_faulty_events
-                            ),
-                            seq,
-                        )
-                    )
-                rows_per_shard = []
-                worker_seconds = 0.0
-                for future in futures:
-                    remaining = (
-                        None if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    rows, wall = future.result(timeout=remaining)
-                    rows_per_shard.append(rows)
-                    worker_seconds += wall
-            except Exception:
-                # Worker death (BrokenProcessPool), a hung worker (the
-                # deadline fired), an unpicklable payload/result, or a
-                # fault injected by chaos testing: every one is handled
-                # the same way — kill the suspect pool, respawn, retry.
-                for future in futures:
-                    future.cancel()
-                self._restart_pool()
-                if attempt < policy.max_retries:
-                    if collector.enabled:
-                        collector.inc("parallel.retries")
-                    time.sleep(policy.backoff(attempt))
-                    continue
-                # Retries exhausted: degrade to the in-process serial
-                # pass for the rest of this evaluator's life.
-                self._pool_broken = True
-                if collector.enabled:
-                    collector.inc("parallel.degraded")
-                return None
-            break
+        try:
+            outputs = self.pool.run(
+                run_batch_shard,
+                [(shard_payload(sim, candidates, shard, count_faulty_events),)
+                 for shard in shards],
+                self.retry,
+            )
+        except PoolGaveUp:
+            return None
+        rows_per_shard = [rows for rows, _ in outputs]
+        worker_seconds = sum(wall for _, wall in outputs)
         results: List[CandidateEval] = []
         for index, candidate in enumerate(candidates):
             detected = 0

@@ -1,13 +1,14 @@
-"""Failure policy and deterministic chaos injection for the worker pool.
+"""Failure policy and deterministic chaos injection for worker pools.
 
 Two small, side-effect-free value types govern the self-healing
-behaviour of :class:`~repro.parallel.evaluator.ParallelEvaluator`:
+behaviour of every :class:`~repro.parallel.supervisor.SupervisedPool`
+(and the distributed campaign's lease loop):
 
-* :class:`RetryPolicy` — how long one shard task may run, how many times
-  a failed sharded pass is retried after a pool respawn, and the
-  exponential backoff between attempts.  Defaults come from the
-  environment (``REPRO_EVAL_TIMEOUT``, ``REPRO_EVAL_RETRIES``) so CI and
-  operators can tighten them without code changes.
+* :class:`RetryPolicy` — how long one attempt may run, how many times a
+  failed attempt is retried after a pool respawn, and the exponential
+  backoff between attempts.  Each owner reads its own pair of
+  environment variables (below) so CI and operators can tighten them
+  without code changes.
 * :class:`ChaosConfig` — the deterministic fault-injection hook used by
   the robustness test suite.  ``REPRO_CHAOS=crash:<p>,hang:<p>,seed:<n>``
   makes pool workers kill themselves (``os._exit``, indistinguishable
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-#: Environment variable carrying the chaos spec (read by pool workers).
+#: Environment variable carrying the chaos spec.
 CHAOS_ENV = "REPRO_CHAOS"
 #: Per-shard-task timeout override, in seconds (<= 0 disables).
 TIMEOUT_ENV = "REPRO_EVAL_TIMEOUT"
@@ -42,8 +43,8 @@ SEED_TIMEOUT_ENV = "REPRO_SEED_TIMEOUT"
 SEED_RETRIES_ENV = "REPRO_SEED_RETRIES"
 #: Lease TTL override for the distributed campaign coordinator, in
 #: seconds (how long a host may sit on a leased cell before the
-#: coordinator reaps it; <= 0 disables, which is almost never what a
-#: multi-host campaign wants).
+#: coordinator reaps it).  Must be positive: a lease cannot go without
+#: a TTL, so the coordinator rejects a value <= 0.
 LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 #: Re-lease retry budget per cell before the coordinator degrades to
 #: local in-process execution.
@@ -70,14 +71,13 @@ DEFAULT_LEASE_TTL = 300.0
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Timeout / retry / backoff policy for sharded scoring passes.
+    """Timeout / retry / backoff policy for one supervised attempt.
 
-    ``task_timeout`` bounds the wall time of one whole sharded pass
-    (all of a pass's tasks run concurrently, so one deadline covers
-    them); ``None`` disables the bound.  ``max_retries`` is how many
-    times a failed pass is retried — each retry kills and respawns the
-    pool first — before the evaluator degrades to the in-process serial
-    path for the rest of the run.
+    ``task_timeout`` bounds the wall time of one attempt (all of an
+    attempt's tasks run concurrently, so one deadline covers them);
+    ``None`` disables the bound.  ``max_retries`` is how many times a
+    failed attempt is retried — each retry on a fresh pool — before the
+    pool owner gives up and falls back to in-process execution.
     """
 
     max_retries: int = DEFAULT_MAX_RETRIES
@@ -115,37 +115,32 @@ class RetryPolicy:
         :data:`SEED_RETRIES_ENV` instead), which beat the defaults.  A
         timeout <= 0 (argument or environment) disables the bound, as
         does a ``None`` ``default_timeout`` when nothing else sets one.
+        A malformed variable raises ``ValueError`` naming it.
         """
         if task_timeout is None:
-            raw = os.environ.get(timeout_env, "")
-            task_timeout = float(raw) if raw else default_timeout
+            task_timeout = _env_number(timeout_env, float, "a number")
+            if task_timeout is None:
+                task_timeout = default_timeout
         if task_timeout is not None and task_timeout <= 0:
             task_timeout = None
         if max_retries is None:
-            raw = os.environ.get(retries_env, "")
-            max_retries = int(raw) if raw else DEFAULT_MAX_RETRIES
+            max_retries = _env_number(retries_env, int, "an integer")
+            if max_retries is None:
+                max_retries = DEFAULT_MAX_RETRIES
+            elif max_retries < 0:
+                raise ValueError(f"{retries_env}={max_retries} must be >= 0")
         return cls(max_retries=max_retries, task_timeout=task_timeout)
 
 
-def inject_chaos(chaos: Optional["ChaosConfig"], task_seq: int) -> None:
-    """Kill or stall the *calling process* if the chaos config says so.
-
-    The shared worker-side half of the chaos hook, used by every pool
-    worker family (evaluator shards, seed runs, service tier jobs).  A
-    crash is ``os._exit`` — no exception, no cleanup, exactly what the
-    kernel's OOM killer looks like from the parent (the pool breaks and
-    every outstanding future raises ``BrokenProcessPool``).  A hang is a
-    long sleep the parent must detect via its task timeout.
-    """
-    if chaos is None:
-        return
-    action = chaos.decide(task_seq)
-    if action == "crash":
-        os._exit(75)
-    if action == "hang":
-        import time
-
-        time.sleep(chaos.hang_seconds)
+def _env_number(name: str, parse, kind: str):
+    """``parse(os.environ[name])``, or ``None`` when unset or empty."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not {kind}") from None
 
 
 #: Chaos spec keys that are probabilities, mapped to their field names.
@@ -309,11 +304,9 @@ class ChaosConfig:
     def from_env(cls) -> Optional["ChaosConfig"]:
         """The ``REPRO_CHAOS`` config, or ``None`` when unset/disabled.
 
-        A malformed spec raises ``ValueError`` with the offending token
-        — callers that fan work out (the seed pool, the evaluator, the
-        campaign worker) validate eagerly in the parent process so the
-        error surfaces once, loudly, instead of as a cryptic
-        ``BrokenProcessPool`` from every worker at once.
+        A malformed spec raises ``ValueError`` with the offending token.
+        Only parents read it (a pool when it is built, the campaign
+        worker at start), so the error surfaces before any worker starts.
         """
         spec = os.environ.get(CHAOS_ENV, "")
         if not spec:

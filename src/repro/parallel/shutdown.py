@@ -1,19 +1,12 @@
-"""Shared process-pool teardown used by every pool owner in the stack.
+"""Process-pool teardown.
 
-Three layers own worker pools — the sharded candidate evaluator
-(:mod:`repro.parallel.evaluator`), the harness's fault-isolated seed
-pools (:mod:`repro.harness.runner`) and the resident simulators of the
-job service (:mod:`repro.service`) — and all of them need the same
-teardown on the unhappy path: a worker that died or hung never answers
-a graceful ``shutdown()``, so the pool must be cancelled, its processes
-terminated outright, and the corpses reaped.  That sequence used to be
-duplicated per owner (``_kill_pool`` in the evaluator, a near-identical
-``_kill_seed_pool`` in the runner, and the CLI's ``finally`` mirroring
-the generator's); it lives here once now.
-
-:func:`reap_pool` is the hard teardown.  :func:`close_quietly` is the
-idempotent happy-path counterpart for anything exposing ``close()``
-(a :class:`~repro.faults.simulator.FaultSimulator`, a generator, an
+:func:`reap_pool` is the hard teardown of
+:class:`~repro.parallel.supervisor.SupervisedPool`, the one pool type
+in the stack: a worker that died or hung never answers a graceful
+``shutdown()``, so the pool must be cancelled, its processes terminated
+outright, and the corpses reaped.  :func:`close_quietly` is the
+idempotent counterpart for anything exposing ``close()`` (a
+:class:`~repro.faults.simulator.FaultSimulator`, a generator, an
 evaluator) where teardown must never raise over an in-flight exception.
 """
 

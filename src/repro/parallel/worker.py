@@ -13,16 +13,10 @@ bit-identical to the serial pass restricted to the same faults, and the
 parent's per-candidate summation merge is exact (the sub-samples are
 disjoint).
 
-For robustness testing, workers honor the ``REPRO_CHAOS`` environment
-variable (``crash:<p>,hang:<p>,seed:<n>``, see
-:mod:`repro.parallel.resilience`): before running a task they may kill
-themselves abruptly (like an OOM kill) or stall (like a wedged worker),
-deterministically keyed on the task's parent-assigned sequence number.
-The parent's self-healing retry loop is what turns those injected
-failures back into correct results.
-
-Everything here must stay module-level and import-safe: it is resolved
-by name inside pool worker processes.
+The pool around these functions (chaos injection, deadlines, retries)
+is a :class:`~repro.parallel.supervisor.SupervisedPool`.  Everything
+here must stay module-level and import-safe: it is resolved by name
+inside pool worker processes.
 """
 
 from __future__ import annotations
@@ -33,13 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..faults.simulator import FaultSimulator
 from ..sim.compile import CompiledCircuit
 from ..sim.logic3 import GoodState, Vector
-from .resilience import ChaosConfig, inject_chaos
 
 #: The worker-resident simulator (one per pool process).
 _SIM: Optional[FaultSimulator] = None
-
-#: Chaos injection config (parsed from ``REPRO_CHAOS`` at pool init).
-_CHAOS: Optional[ChaosConfig] = None
 
 #: One shard task: (ff_values, divergence, candidates, sub_sample,
 #: count_faulty_events).
@@ -80,7 +70,7 @@ def init_worker(
     different mount) just falls through to the worker's own disk cache
     or a local recompile — same generated source, same results.
     """
-    global _SIM, _CHAOS
+    global _SIM
     if kernel_artifact is not None:
         from ..sim import ckernel
 
@@ -88,19 +78,9 @@ def init_worker(
     _SIM = FaultSimulator(
         compiled, faults=faults, word_width=word_width, kernel=kernel
     )
-    _CHAOS = ChaosConfig.from_env()
 
 
-def _maybe_inject_chaos(task_seq: int) -> None:
-    """Kill or stall this worker if the chaos config says so.
-
-    Delegates to the shared :func:`~repro.parallel.resilience.inject_chaos`
-    (one injection semantics for every worker family).
-    """
-    inject_chaos(_CHAOS, task_seq)
-
-
-def run_batch_shard(task: ShardTask, task_seq: int = 0) -> ShardResult:
+def run_batch_shard(task: ShardTask) -> ShardResult:
     """Score every candidate against one shard of the fault sample.
 
     The resident simulator's mutable state is overwritten from the task
@@ -110,7 +90,6 @@ def run_batch_shard(task: ShardTask, task_seq: int = 0) -> ShardResult:
     """
     if _SIM is None:  # pragma: no cover - defensive; initializer always ran
         raise RuntimeError("worker used before init_worker")
-    _maybe_inject_chaos(task_seq)
     t0 = time.perf_counter()
     ff_values, divergence, candidates, sub_sample, count_events = task
     _SIM.good_state = GoodState(list(ff_values))

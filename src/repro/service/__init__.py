@@ -44,7 +44,6 @@ from .jobs import (
     run_key,
 )
 from .state import WarmRegistry, circuit_key, sim_key
-from .tier import ProcessTier, TierExhausted
 
 __all__ = [
     "Job",
@@ -52,14 +51,12 @@ __all__ = [
     "JobManager",
     "JobSpec",
     "JobValidationError",
-    "ProcessTier",
     "QueueFullError",
     "ServiceBusyError",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
     "StreamingCollector",
-    "TierExhausted",
     "WarmRegistry",
     "circuit_key",
     "parse_job",

@@ -55,14 +55,17 @@ def serve(
         scratch = None
         state_path = Path(state_dir)
         state_path.mkdir(parents=True, exist_ok=True)
-    manager = JobManager(
-        state_path,
-        collector=collector,
-        workers=workers if workers is not None else workers_from_env(),
-        cache_size=cache_size,
-        queue_max=queue_max,
-        use_tier=use_tier,
-    )
+    try:
+        manager = JobManager(
+            state_path,
+            collector=collector,
+            workers=workers if workers is not None else workers_from_env(),
+            cache_size=cache_size,
+            queue_max=queue_max,
+            use_tier=use_tier,
+        )
+    except ValueError as exc:  # e.g. a malformed REPRO_CHAOS spec
+        raise SystemExit(f"error: {exc}")
     try:
         asyncio.run(_serve_async(manager, host, port))
     except KeyboardInterrupt:

@@ -23,11 +23,10 @@ and "result JSON ready":
   :class:`~repro.core.generator.GaTestGenerator` via its ``fsim``
   parameter, so repeat requests skip parse/levelize/kernel-compile and
   reuse warm worker pools.
-* **Process tier** — run jobs execute in the supervised
-  :class:`~repro.service.tier.ProcessTier` worker pool (deadline,
-  checkpoint-resuming retries, hard teardown + respawn, chaos hooks;
-  see :mod:`repro.service.tier`), with *sticky degradation* back to
-  bit-identical in-thread execution when the tier is exhausted
+* **Process tier** — run jobs execute in the supervised worker pool
+  of :mod:`repro.service.tier` (deadline, checkpoint-resuming retries,
+  hard teardown + respawn, chaos hooks), with *sticky degradation*
+  back to bit-identical in-thread execution when the pool gives up
   (``service.jobs.degraded``).  Worker threads keep scheduling and
   fsim batching; they just stop hosting the GA runs themselves.
 * **Control plane** — an integer ``priority`` orders the queue
@@ -76,9 +75,10 @@ from ..core.generator import GaTestGenerator, RunPreempted
 from ..harness.campaign import result_to_json
 from ..harness.distributed import config_to_json
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
+from ..parallel.supervisor import PoolGaveUp
 from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
 from .state import WarmRegistry, circuit_key, sim_key
-from .tier import ProcessTier, TierExhausted
+from .tier import open_tier, run_tier_job
 
 #: Default stage events between run-job checkpoint writes.
 DEFAULT_CHECKPOINT_EVERY = 8
@@ -477,13 +477,12 @@ class JobManager:
     ) -> None:
         self.state_dir = Path(state_dir)
         self.collector = collector if collector is not None else get_collector()
+        # First: it parses REPRO_CHAOS, failing before any state is touched.
+        self.tier = open_tier(self.collector, max(1, workers)) if use_tier else None
         self.registry = WarmRegistry(collector=self.collector, max_sims=cache_size)
         self.ledger = JobLedger(self.state_dir / "ledger.jsonl")
         self.queue_max = queue_max if queue_max is not None else queue_max_from_env()
         self.use_tier = use_tier
-        self.tier = ProcessTier(
-            collector=self.collector, max_workers=max(1, workers)
-        ) if use_tier else None
         self._tier_degraded = False
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
@@ -863,10 +862,10 @@ class JobManager:
                 "checkpoint_every": spec.checkpoint_every,
             }
             try:
-                status, payload, records = self.tier.execute(
-                    task, self._job_policy(spec)
-                )
-            except TierExhausted:
+                status, payload, records = self.tier.run(
+                    run_tier_job, [(task,)], self._job_policy(spec)
+                )[0]
+            except PoolGaveUp:
                 # Sticky degradation: from here on every run job takes
                 # the bit-identical in-thread path.  *This* job resumes
                 # from whatever checkpoint its tier attempts wrote, so

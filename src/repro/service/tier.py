@@ -1,51 +1,27 @@
 """Fault-isolated process execution tier for run jobs.
 
-PR 7's :class:`~repro.service.jobs.JobManager` executed every run job on
-an in-process daemon thread: a hung GA run occupied the worker forever,
-and a native-kernel crash took the whole service down.  This module
-moves run-job execution into a supervised worker *process* pool built
-on the PR 4/5 resilience machinery:
+Run jobs execute in a supervised worker *process* pool
+(:func:`open_tier`, a :class:`~repro.parallel.supervisor.SupervisedPool`)
+rather than on the :class:`~repro.service.jobs.JobManager`'s scheduling
+threads, so a crash or hang takes down a disposable worker, never the
+service.  Each attempt is bounded by the job's ``deadline_s`` (or
+``REPRO_JOB_TIMEOUT``) and retried ``REPRO_JOB_RETRIES`` times; a retry
+*resumes from the job's own checkpoint*, because the worker arms
+``resume`` whenever the checkpoint file exists.  When the pool gives up
+the manager degrades, stickily, to bit-identical in-thread execution
+that resumes from the same checkpoint (docs/ROBUSTNESS.md §7).
 
-* **Isolation** — the GA run executes in a pool worker; a crash
-  (``os._exit``, segfault, OOM kill) breaks the pool, not the service.
-* **Deadlines** — the parent bounds each attempt with the job's
-  ``deadline_s`` (or ``REPRO_JOB_TIMEOUT``); a hung worker surfaces as
-  a timeout, exactly like an evaluator shard task.
-* **Self-healing** — on worker death or hang the pool is torn down hard
-  (:func:`~repro.parallel.shutdown.reap_pool`), respawned lazily, and
-  the attempt retried with capped exponential backoff
-  (``REPRO_JOB_RETRIES`` retries).  Retries *resume from the job's own
-  checkpoint*: the worker arms ``resume`` whenever the checkpoint file
-  exists, so a retried job continues from its last stage boundary
-  instead of restarting (``service.tier.{restarts,retries}``).
-* **Chaos** — workers honor ``REPRO_CHAOS=crash:<p>,hang:<p>,seed:<n>``
-  via the shared :func:`~repro.parallel.resilience.inject_chaos` hook,
-  keyed on the parent's monotonic task sequence — the same
-  deterministic-replay contract as evaluator shards.
-* **Warm state** — each worker process keeps its own
-  :class:`~repro.service.state.WarmRegistry` (compiled circuits,
-  resident simulators, warm kernel caches) for its whole life, so
-  repeat jobs skip recompilation exactly as in-thread execution did.
-  Worker telemetry ships back per task as a *delta* trace
-  (:meth:`~repro.telemetry.TelemetryCollector.records_since`) and is
-  folded into the job's streaming collector by the manager.
+Each worker keeps its own :class:`~repro.service.state.WarmRegistry`
+for its whole life, so repeat jobs skip recompilation, and ships its
+telemetry back per task as a *delta* trace
+(:meth:`~repro.telemetry.TelemetryCollector.records_since`).
 
-Exhausting the retry budget raises :class:`TierExhausted`; the manager
-reacts with *sticky degradation* to bit-identical in-thread execution
-(the run is a pure function of (circuit, config), so where it executes
-never changes what it produces — and the degraded attempt resumes from
-the same checkpoint the tier attempts left behind).
-
-Everything below the ``ProcessTier`` class must stay module-level and
-import-safe: it is resolved by name inside pool worker processes.
+Everything here must stay module-level and import-safe: it is resolved
+by name inside pool worker processes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -53,17 +29,9 @@ from ..core.checkpoint import CheckpointError
 from ..core.generator import GaTestGenerator, RunPreempted
 from ..harness.campaign import result_to_json
 from ..harness.distributed import config_from_json
-from ..parallel.resilience import CHAOS_ENV, ChaosConfig, RetryPolicy, inject_chaos
-from ..parallel.shutdown import reap_pool
-from ..telemetry import NullCollector, TelemetryCollector, get_collector
+from ..parallel.supervisor import SupervisedPool
+from ..telemetry import NullCollector, TelemetryCollector
 from .state import WarmRegistry, circuit_key
-
-
-class TierExhausted(Exception):
-    """The process tier could not complete a task within its retry
-    budget (or could not create a pool at all).  The manager's response
-    is sticky degradation to in-thread execution."""
-
 
 #: One tier task outcome: ``("done", result_payload)``, ``("preempted",
 #: None)`` or ``("error", message)``, plus the worker's shipped trace.
@@ -80,26 +48,15 @@ _REGISTRY: Optional[WarmRegistry] = None
 #: The worker's life-long collector; tasks ship per-task deltas.
 _COLLECTOR: Optional[TelemetryCollector] = None
 
-#: Chaos injection config (parsed from ``REPRO_CHAOS`` at pool init).
-_CHAOS: Optional[ChaosConfig] = None
 
-
-def init_tier_worker(chaos_spec: str = "") -> None:
-    """Pool initializer: build this process's registry and collector.
-
-    The chaos spec travels as an *argument*, not via ``REPRO_CHAOS``:
-    tier workers fork from the forkserver process, whose environment is
-    frozen at its first start — the parent re-reads the env at each
-    pool creation and ships the current spec explicitly.
-    """
-    global _REGISTRY, _COLLECTOR, _CHAOS
+def init_tier_worker() -> None:
+    """Pool initializer: build this process's registry and collector."""
+    global _REGISTRY, _COLLECTOR
     _COLLECTOR = TelemetryCollector(source="repro.service.tier")
     _REGISTRY = WarmRegistry(collector=_COLLECTOR)
-    chaos = ChaosConfig.parse(chaos_spec) if chaos_spec else None
-    _CHAOS = chaos if chaos is not None and chaos.enabled else None
 
 
-def run_tier_job(task: dict, task_seq: int = 0) -> TierOutcome:
+def run_tier_job(task: dict) -> TierOutcome:
     """Execute one run job in this worker process.
 
     ``task`` carries the circuit spec, the *effective* (per-circuit)
@@ -110,7 +67,6 @@ def run_tier_job(task: dict, task_seq: int = 0) -> TierOutcome:
     parent must not confuse them with infrastructure failures (which
     surface as a broken pool or a timeout and *are* retried).
     """
-    inject_chaos(_CHAOS, task_seq)
     if _REGISTRY is None or _COLLECTOR is None:  # pragma: no cover - defensive
         raise RuntimeError("tier worker used before init_tier_worker")
     collector = _COLLECTOR
@@ -183,131 +139,25 @@ def _run_generator(
 # ----------------------------------------------------------------------
 
 
-class ProcessTier:
-    """Supervised process pool executing run jobs with deadline + retry.
+def open_tier(
+    collector: Optional[NullCollector] = None, workers: int = 2
+) -> SupervisedPool:
+    """The run-job pool: run one job with
+    ``pool.run(run_tier_job, [(task,)], policy)[0]``.
 
-    The pool is created lazily on first use and torn down hard
-    (:func:`~repro.parallel.shutdown.reap_pool`) whenever an attempt
-    times out or the pool breaks — a wedged worker is terminated, never
-    joined.  ``execute`` retries up to ``policy.max_retries`` times
-    (respawning first, backing off between attempts) and raises
-    :class:`TierExhausted` when the budget is spent or no pool can be
-    created in this environment.
+    Workers fork from a **forkserver**, not from the service: forking a
+    threaded process can deadlock the child on a lock frozen
+    mid-acquire and hands it every open fd, accepted HTTP sockets
+    included.  The forkserver is exec'd fresh and preloads this module,
+    so worker forks also skip the import bill.  Task numbers start at 1.
     """
-
-    def __init__(
-        self,
-        collector: Optional[NullCollector] = None,
-        max_workers: int = 2,
-    ) -> None:
-        self.collector = collector if collector is not None else get_collector()
-        self.max_workers = max(1, max_workers)
-        self._lock = threading.Lock()
-        self._pool = None
-        self._unsupported = False  # this environment cannot fork pools
-        self._task_seq = 0
-        self.restarts = 0
-        self.retries = 0
-
-    def _get_pool(self):
-        """The worker pool (created on first use); ``None`` when the
-        environment has no process support.
-
-        Workers come from a **forkserver** context, not plain fork: the
-        service is heavily threaded (job workers, the asyncio HTTP
-        loop), and forking a threaded process can deadlock the child on
-        locks frozen mid-acquire — worse, fork children inherit every
-        open fd, including accepted HTTP sockets, so a long-lived
-        worker would hold a client's event stream open past the
-        server's close.  The forkserver process is exec'd fresh
-        (single-threaded, no inherited sockets) and workers fork from
-        *it*, so neither failure class exists.
-        """
-        with self._lock:
-            if self._pool is None and not self._unsupported:
-                try:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    ctx = multiprocessing.get_context("forkserver")
-                    # Warm the server with the tier module so per-pool
-                    # worker forks skip the import bill (best-effort;
-                    # ignored once the server is running).
-                    ctx.set_forkserver_preload(["repro.service.tier"])
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        mp_context=ctx,
-                        initializer=init_tier_worker,
-                        initargs=(os.environ.get(CHAOS_ENV, ""),),
-                    )
-                except (OSError, ValueError):
-                    self._unsupported = True
-            return self._pool
-
-    def _restart(self) -> None:
-        """Kill the (suspect) pool; the next attempt respawns it."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        reap_pool(pool)
-        self.restarts += 1
-        if self.collector.enabled:
-            self.collector.inc("service.tier.restarts")
-
-    def execute(self, task: dict, policy: RetryPolicy) -> TierOutcome:
-        """Run one tier task to an outcome, healing infrastructure
-        failures along the way.
-
-        Each attempt is bounded by ``policy.task_timeout`` (the job's
-        deadline); a timeout or a broken pool kills the pool, counts a
-        restart, backs off, and retries — and because the worker arms
-        ``resume`` off the checkpoint file, the retry continues the run
-        rather than restarting it.  Raises :class:`TierExhausted` after
-        ``policy.max_retries`` failed retries.
-        """
-        attempt = 0
-        while True:
-            pool = self._get_pool()
-            if pool is None:
-                raise TierExhausted(
-                    "process tier unavailable: this environment cannot "
-                    "create worker processes"
-                )
-            with self._lock:
-                self._task_seq += 1
-                seq = self._task_seq
-            future = None
-            try:
-                future = pool.submit(run_tier_job, task, seq)
-                return future.result(timeout=policy.task_timeout)
-            except Exception:
-                # Infrastructure failure: the worker died (broken
-                # pool), hung past the deadline, or the pool rejected
-                # the submit.  Application failures never raise — the
-                # worker returns them as ("error", …) outcomes.
-                self._restart()
-            if attempt >= policy.max_retries:
-                raise TierExhausted(
-                    f"tier task failed after {attempt + 1} attempt(s) "
-                    f"({policy.max_retries} retries)"
-                )
-            self.retries += 1
-            if self.collector.enabled:
-                self.collector.inc("service.tier.retries")
-            time.sleep(policy.backoff(attempt))
-            attempt += 1
-
-    def stats(self) -> dict:
-        """Pool counters for ``GET /healthz``."""
-        with self._lock:
-            live = self._pool is not None
-        return {
-            "workers": self.max_workers,
-            "live": live,
-            "restarts": self.restarts,
-            "retries": self.retries,
-        }
-
-    def close(self) -> None:
-        """Tear the pool down hard (idempotent)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        reap_pool(pool)
+    return SupervisedPool(
+        workers,
+        initializer=init_tier_worker,
+        context="forkserver",
+        preload=["repro.service.tier"],
+        first_task=1,
+        collector=collector,
+        counters={"restarts": "service.tier.restarts",
+                  "retries": "service.tier.retries"},
+    )

@@ -320,6 +320,23 @@ class TestDegradation:
         with pytest.raises(ValueError, match="host"):
             DistributedCoordinator(journal, [])
 
+    def test_nonpositive_lease_ttl_env_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0")
+        journal = _dist_journal(tmp_path)
+        with pytest.raises(ValueError, match="REPRO_LEASE_TTL"):
+            DistributedCoordinator(journal, ["alpha"])
+
+    def test_nonpositive_lease_ttl_flag_rejected(self, tmp_path, capsys):
+        hosts = tmp_path / "hosts"
+        hosts.write_text("alpha\n")
+        with pytest.raises(SystemExit) as info:
+            experiments_main(ARGS + ["--journal", str(tmp_path / "j.jsonl"),
+                                     "--workers-from", str(hosts),
+                                     "--lease-ttl", "0"])
+        assert info.value.code == 2
+        assert "--lease-ttl must be a positive" in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
+
 
 # ----------------------------------------------------------------------
 # End-to-end: coordinator + worker processes over one journal

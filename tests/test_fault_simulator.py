@@ -344,7 +344,6 @@ class TestEvaluateBatch:
         compiled, faults = _batch_circuit()
         circuit = compiled.circuit
         monkeypatch.setattr(pool_worker, "_SIM", None)
-        monkeypatch.setattr(pool_worker, "_CHAOS", pool_worker._CHAOS)
         parent = FaultSimulator(compiled, faults=faults, kernel=kernel)
         pool_worker.init_worker(compiled, faults, parent.word_width,
                                 kernel=parent.kernel_name)

@@ -143,7 +143,7 @@ class TestCandidateEvalDeterminism:
                         vectors, count_faulty_events=True
                     ) == expected
                 # The fan-out really ran (no silent serial fallback).
-                assert sharded._parallel._pool is not None
+                assert sharded._parallel.pool.live
             finally:
                 sharded.close()
 
@@ -310,7 +310,7 @@ class TestCpuHeuristic:
             assert adaptive.evaluate(
                 vectors, count_faulty_events=True
             ) == serial.evaluate(vectors, count_faulty_events=True)
-        assert adaptive._parallel._pool is None  # never fanned out
+        assert not adaptive._parallel.pool.live  # never fanned out
         adaptive.close()
 
 

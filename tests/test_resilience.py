@@ -112,6 +112,20 @@ class TestRetryPolicy:
         monkeypatch.setenv("REPRO_EVAL_TIMEOUT", "0")
         assert RetryPolicy.from_env().task_timeout is None
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("REPRO_SEED_RETRIES", "two", "REPRO_SEED_RETRIES='two' is not an integer"),
+        ("REPRO_SEED_RETRIES", "-1", "REPRO_SEED_RETRIES=-1 must be >= 0"),
+        ("REPRO_SEED_TIMEOUT", "soon", "REPRO_SEED_TIMEOUT='soon' is not a number"),
+    ])
+    def test_malformed_env_names_the_variable(self, monkeypatch, name,
+                                              value, message):
+        monkeypatch.delenv("REPRO_SEED_TIMEOUT", raising=False)
+        monkeypatch.delenv("REPRO_SEED_RETRIES", raising=False)
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy.from_env(timeout_env="REPRO_SEED_TIMEOUT",
+                                 retries_env="REPRO_SEED_RETRIES")
+
 
 class TestSelfHealingPool:
     """Chaos-injected worker failures must never change results."""
@@ -215,7 +229,7 @@ class TestOrphanCleanup:
             # Bring the worker pool up (s27 at the default word width has
             # a single fault group, so scoring alone would not shard; and
             # the executor only spawns processes on first submit).
-            pool = self.fsim._parallel._get_pool()
+            pool = self.fsim._parallel.pool.executor()
             assert pool is not None
             pool.submit(os.getpid).result(timeout=60)
             assert multiprocessing.active_children()
