@@ -58,6 +58,7 @@ from ..atomicio import atomic_write_text
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault, FaultStatus
 from ..faults.simulator import FaultSimulator
+from ..faults.transition import TransitionFaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..sim.logic3 import GoodState
 
@@ -94,12 +95,21 @@ def save_checkpoint(
     simulator: FaultSimulator,
     test_sequence: Optional[Sequence[Sequence[int]]] = None,
 ) -> None:
-    """Write the simulator's committed state (and the test set) as JSON."""
+    """Write the simulator's committed state (and the test set) as JSON.
+
+    Only stuck-at simulators: a transition-fault simulator raises
+    :class:`CheckpointError` (run checkpoints cover transition runs).
+    """
+    if isinstance(simulator, TransitionFaultSimulator):
+        raise CheckpointError(
+            "save_checkpoint stores stuck-at fault simulators only, not the "
+            "transition fault model; use a run checkpoint "
+            "(gatest run --checkpoint), which supports transition runs"
+        )
     payload = {
         "format": FORMAT_VERSION,
         "circuit": simulator.circuit.name,
         "fingerprint": circuit_fingerprint(simulator.circuit),
-        "word_width": simulator.word_width,
         "faults": [
             [f.node, f.pin, f.stuck_at] for f in simulator.faults
         ],
@@ -127,7 +137,8 @@ def load_checkpoint(
 ) -> Tuple[FaultSimulator, List[List[int]]]:
     """Reconstruct a simulator (and the stored test set) from JSON.
 
-    The circuit must match the checkpoint's fingerprint exactly.
+    The circuit must match the checkpoint's fingerprint exactly.  The
+    word-width key older builds wrote is ignored.
     """
     compiled = (
         circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
@@ -145,9 +156,7 @@ def load_checkpoint(
             f"this circuit fingerprints to {found[:12]}…); refusing to restore"
         )
     faults = [Fault(n, p, s) for n, p, s in payload["faults"]]
-    simulator = FaultSimulator(
-        compiled, faults=faults, word_width=payload["word_width"]
-    )
+    simulator = FaultSimulator(compiled, faults=faults)
     simulator.status = [
         FaultStatus.DETECTED if detected else FaultStatus.UNDETECTED
         for detected in payload["status"]

@@ -101,9 +101,6 @@ class TestGenConfig:
     #: suite; the paper has no such cap).
     max_vectors: Optional[int] = None
 
-    #: Bit-slots per fault-simulation word group.
-    word_width: int = 64
-
     #: Fault model: "stuck-at" (the paper's model) or "transition"
     #: (conclusion's "other fault models" extension — slow-to-rise/fall
     #: under the conditional stuck-at approximation).
@@ -125,10 +122,9 @@ class TestGenConfig:
 
     #: Simulation kernel backend, one of ``repro.sim.codegen.KERNEL_NAMES``:
     #: "interp" (reference interpreter), "codegen" (generated
-    #: straight-line Python, the default), "c" (compiled C, falls back
-    #: to the interpreter when no C compiler or cached artifact is
-    #: available) or ``None`` (auto: ``REPRO_SIM_KERNEL`` env, else
-    #: codegen).  Results are bit-identical either way (docs/KERNELS.md).
+    #: straight-line Python, the default) or ``None`` (auto:
+    #: ``REPRO_SIM_KERNEL`` env, else codegen).  Results are
+    #: bit-identical either way (docs/KERNELS.md).
     sim_kernel: Optional[str] = None
 
     #: Self-healing pool policy for sharded evaluation: per-shard-pass

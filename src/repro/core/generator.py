@@ -109,7 +109,7 @@ def make_fault_simulator(
     """Build the fault simulator one GATEST run needs under ``config``.
 
     The single place the config's simulator-shaping knobs (fault model,
-    word width, kernel, eval parallelism/cache/resilience) are turned
+    kernel, eval parallelism/cache/resilience) are turned
     into a constructor call — the generator builds through here, and so
     does the job service's warm registry, so a leased resident simulator
     is guaranteed to match what the generator would have built itself.
@@ -123,7 +123,7 @@ def make_fault_simulator(
     else:
         sim_class = FaultSimulator
     return sim_class(
-        compiled, faults=faults, word_width=config.word_width,
+        compiled, faults=faults,
         collector=collector, eval_jobs=config.eval_jobs,
         eval_cache=config.eval_cache,
         kernel=config.sim_kernel,

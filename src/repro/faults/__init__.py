@@ -1,4 +1,10 @@
-"""Fault model, collapsing, sampling and the sequential fault simulator."""
+"""Fault models, collapsing, sampling and the sequential fault simulator.
+
+Every fault simulation — scoring a population, scoring one candidate,
+committing a test, stuck-at or transition faults — runs one frame
+loop: the simulator's population pass (:mod:`repro.faults.simulator`).
+The transition model joins it through one per-frame force hook.
+"""
 
 from .collapse import CollapsedFaults, collapse_faults, collapsed_fault_list
 from .model import STEM, Fault, FaultStatus, fault_universe_size, generate_faults

@@ -24,12 +24,12 @@ universe and the injection rule change, exactly as the paper promises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..circuit.gates import X
 from ..circuit.netlist import Circuit
 from ..sim.compile import CompiledCircuit
-from .simulator import FaultSimulator, _GoodTrace
+from .simulator import FaultSimulator
 
 
 @dataclass(frozen=True, order=True)
@@ -67,10 +67,10 @@ class TransitionFaultSimulator(FaultSimulator):
     """Sequential transition-fault simulator (conditional stuck-at).
 
     Inherits all state management (good state, per-fault flip-flop
-    divergences, snapshot/rollback, fault dropping) from the stuck-at
-    simulator; only the per-frame injection differs — force masks are
-    rebuilt each frame from the good machine's value *transitions*
-    instead of being static.
+    divergences, snapshot/rollback, fault dropping) and the population
+    pass from the stuck-at simulator; only the per-frame forces differ
+    — they are rebuilt each frame from the good machine's value
+    *transitions* instead of being static.
     """
 
     #: Pool workers rebuild a plain stuck-at simulator, which cannot
@@ -83,7 +83,6 @@ class TransitionFaultSimulator(FaultSimulator):
         self,
         circuit: Union[Circuit, CompiledCircuit],
         faults: Optional[List[TransitionFault]] = None,
-        word_width: int = 64,
         collector=None,
         eval_jobs: int = 1,
         eval_cache: Optional[bool] = None,
@@ -99,7 +98,7 @@ class TransitionFaultSimulator(FaultSimulator):
             compiled = compile_circuit(circuit)
         if faults is None:
             faults = generate_transition_faults(compiled.circuit)
-        super().__init__(compiled, faults=faults, word_width=word_width,  # type: ignore[arg-type]
+        super().__init__(compiled, faults=faults,  # type: ignore[arg-type]
                          collector=collector, eval_jobs=eval_jobs,
                          eval_cache=eval_cache, kernel=kernel,
                          eval_task_timeout=eval_task_timeout,
@@ -127,13 +126,9 @@ class TransitionFaultSimulator(FaultSimulator):
         super().reset()
         self.prev_good = [X] * self.compiled.num_nodes
 
-    def _after_commit(self, trace: _GoodTrace) -> None:
-        if not trace.node_planes:
-            return
-        g1, g0 = trace.node_planes[-1]
+    def _after_commit(self, v1: List[int], v0: List[int], top: int) -> None:
         self.prev_good = [
-            1 if g1[i] else (0 if g0[i] else X)
-            for i in range(self.compiled.num_nodes)
+            1 if a1 & top else (0 if a0 & top else X) for a1, a0 in zip(v1, v0)
         ]
 
     def _checkpoint_extra(self) -> dict:
@@ -146,154 +141,77 @@ class TransitionFaultSimulator(FaultSimulator):
     # Per-frame conditional injection
     # ------------------------------------------------------------------
 
-    def _frame_forces(self, group: Sequence[int], prev, g1, g0):
-        """Force tables for one frame: only faults whose transition the
-        good machine launches this frame are injected."""
-        out_force: Dict[int, tuple] = {}
-        pi_forces = []
-        ff_forces: Dict[int, tuple] = {}
-        is_ff = {ff: k for k, ff in enumerate(self.compiled.ff_ids)}
-        is_pi = set(self.compiled.pi_ids)
-        for slot, fault_id in enumerate(group):
-            fault = self.faults[fault_id]
-            node = fault.node
-            old = prev[node]
-            new = 1 if g1[node] else (0 if g0[node] else X)
-            if old != 1 - fault.slow_to or new != fault.slow_to:
-                continue  # no launching transition this frame
-            bit = 1 << slot
-            held = fault.stuck_value
-            if node in is_ff:
-                f1, f0 = ff_forces.get(is_ff[node], (0, 0))
-                ff_forces[is_ff[node]] = (
-                    (f1 | bit, f0) if held == 1 else (f1, f0 | bit)
+    def _injection_tables(self, sample: Sequence[int]):
+        """No static forces: every force depends on a frame's transitions."""
+        return {}, {}, [], {}, {}
+
+    def _launch_table(self, sample: Sequence[int]):
+        """Per fault node of ``sample``: ``(node, flip-flop index or
+        None, is_pi, rise shifts, fall shifts)``.
+
+        A shift ``S - slot`` moves a launch bit from a block's top slot
+        down to the fault's own slot.  Memoized per sample.
+        """
+
+        def build():
+            compiled = self.compiled
+            is_ff = {ff: k for k, ff in enumerate(compiled.ff_ids)}
+            is_pi = set(compiled.pi_ids)
+            S = len(sample)
+            shifts = {}
+            for slot, fault_id in enumerate(sample):
+                fault = self.faults[fault_id]
+                shifts.setdefault(fault.node, ([], []))[fault.slow_to].append(
+                    S - slot
                 )
-            else:
-                f1, f0 = out_force.get(node, (0, 0))
-                entry = (f1 | bit, f0) if held == 1 else (f1, f0 | bit)
-                out_force[node] = entry
-                if node in is_pi:
-                    pi_forces.append((node, *entry))
-        return out_force, pi_forces, ff_forces
-
-    def _group_injection(self, group):
-        """No precomputed tables: forces depend on per-frame transitions."""
-        return None
-
-    def _run_group(self, group, trace: _GoodTrace, count_faulty_events: bool,
-                   inj=None):
-        compiled = self.compiled
-        n = compiled.num_nodes
-        n_slots = len(group)
-        mask = (1 << n_slots) - 1
-
-        ff1 = [0] * compiled.num_ffs
-        ff0 = [0] * compiled.num_ffs
-        for k in range(compiled.num_ffs):
-            value = self.good_state.ff_values[k]
-            ff1[k] = mask if value == 1 else 0
-            ff0[k] = mask if value == 0 else 0
-        for slot, fault_id in enumerate(group):
-            div = self.divergence.get(fault_id)
-            if not div:
-                continue
-            bit = 1 << slot
-            nbit = ~bit
-            for k, value in div.items():
-                ff1[k] &= nbit
-                ff0[k] &= nbit
-                if value == 1:
-                    ff1[k] |= bit
-                elif value == 0:
-                    ff0[k] |= bit
-
-        v1 = [0] * n
-        v0 = [0] * n
-        det_word = 0
-        det_frame: Dict[int, int] = {}
-        prop_per_frame: List[int] = []
-        faulty_events = 0
-        prev_scalars = list(self.prev_good)
-
-        for frame, (g1, g0) in enumerate(trace.node_planes):
-            out_force, pi_forces, ff_forces = self._frame_forces(
-                group, prev_scalars, g1, g0
-            )
-            for pi in compiled.pi_ids:
-                v1[pi] = mask * g1[pi]
-                v0[pi] = mask * g0[pi]
-            for node, f1, f0 in pi_forces:
-                if f1:
-                    v1[node] |= f1
-                    v0[node] &= ~f1
-                if f0:
-                    v0[node] |= f0
-                    v1[node] &= ~f0
-            for k, ff in enumerate(compiled.ff_ids):
-                a1, a0 = ff1[k], ff0[k]
-                if k in ff_forces:
-                    f1, f0 = ff_forces[k]
-                    if f1:
-                        a1 |= f1
-                        a0 &= ~f1
-                    if f0:
-                        a0 |= f0
-                        a1 &= ~f0
-                v1[ff], v0[ff] = a1, a0
-
-            # Forces change every frame (conditional injection), so the
-            # injection tables are rebuilt per frame — cheap next to the
-            # pass itself, and the generated kernel is reused as-is.
-            self._kernel.eval_injection(
-                v1, v0, mask, self._kernel.make_injection(out_force, {})
-            )
-
-            if count_faulty_events:
-                events = 0
-                for i in range(n):
-                    diff = (v1[i] ^ (mask * g1[i])) | (v0[i] ^ (mask * g0[i]))
-                    if diff:
-                        events += diff.bit_count()
-                faulty_events += events
-
-            frame_det = 0
-            for po in compiled.po_ids:
-                if g1[po]:
-                    frame_det |= v0[po]
-                elif g0[po]:
-                    frame_det |= v1[po]
-            new = frame_det & ~det_word
-            while new:
-                low = new & -new
-                det_frame[low.bit_length() - 1] = frame
-                new ^= low
-            det_word |= frame_det
-
-            good_next = trace.ff_states[frame]
-            prop_word = 0
-            for k, d_node in enumerate(compiled.ff_d_ids):
-                a1, a0 = v1[d_node], v0[d_node]
-                ff1[k], ff0[k] = a1, a0
-                value = good_next[k]
-                if value == 1:
-                    prop_word |= a0
-                elif value == 0:
-                    prop_word |= a1
-            prop_per_frame.append(prop_word.bit_count())
-
-            prev_scalars = [
-                1 if g1[i] else (0 if g0[i] else X) for i in range(n)
+            return [
+                (node, is_ff.get(node), node in is_pi, rises, falls)
+                for node, (falls, rises) in shifts.items()
             ]
 
-        prop_final = prop_per_frame[-1] if prop_per_frame else 0
-        return det_word, det_frame, prop_final, prop_per_frame, faulty_events, ff1, ff0
+        return self._memo(("launch", tuple(sample)), build)
 
-    # The wide-word batch path builds static injection masks, which is
-    # wrong for per-frame conditional injection; fall back to serial.
-    def evaluate_batch(self, candidates, sample=None, count_faulty_events=False):
-        """Serial fallback (per-frame conditional masks defeat the
-        static wide-word packing of the stuck-at batch path)."""
-        return [
-            self.evaluate(c, sample=sample, count_faulty_events=count_faulty_events)
-            for c in candidates
-        ]
+    def _frame_forces(self, sample, layout, v1, v0, carry):
+        """Forces of the faults whose transition launches this frame.
+
+        The loaded top slots hold each candidate's primary inputs and
+        good present state, so one good-machine pass over them (mask =
+        the top slots) gives every candidate's good values for the
+        frame.  A fault launches where its node moves to ``slow_to``
+        from the previous frame's good value (the committed
+        ``prev_good`` at frame 0); the faulty machine then holds the
+        node at the old value in that block.  The frame's good planes
+        are the next frame's ``carry``.
+        """
+        top = layout.top
+        g1 = [w & top for w in v1]
+        g0 = [w & top for w in v0]
+        self._kernel.eval(g1, g0, top)
+        if carry is None:
+            carry = ([top if value == 1 else 0 for value in self.prev_good],
+                     [top if value == 0 else 0 for value in self.prev_good])
+        p1, p0 = carry
+        out_force = {}
+        pi_forces = []
+        ff_out_rows = []
+        for node, k, is_pi, rises, falls in self._launch_table(sample):
+            rise = p0[node] & g1[node]   # slow-to-rise: held at 0
+            fall = p1[node] & g0[node]   # slow-to-fall: held at 1
+            f0 = 0
+            if rise:
+                for shift in rises:
+                    f0 |= rise >> shift
+            f1 = 0
+            if fall:
+                for shift in falls:
+                    f1 |= fall >> shift
+            if not (f1 or f0):
+                continue
+            if k is not None:
+                ff_out_rows.append((k, node, f1, f0))
+            elif is_pi:
+                pi_forces.append((node, f1, f0))
+            else:
+                out_force[node] = (f1, f0)
+        injection = self._kernel.make_injection(out_force, {})
+        return pi_forces, ff_out_rows, injection, (g1, g0)

@@ -486,7 +486,6 @@ class CampaignJournal:
         host: str,
         ttl: float,
         config: Optional[dict] = None,
-        kernel_artifact: Optional[List[str]] = None,
         collect: bool = False,
     ) -> dict:
         """Seal a TTL-stamped lease granting one cell to ``host``.
@@ -495,11 +494,10 @@ class CampaignJournal:
         :class:`~repro.core.config.TestGenConfig` rendering (including
         execution-only knobs like ``eval_jobs`` and the resolved
         ``sim_kernel``) so the worker reproduces the coordinator's
-        execution environment exactly; ``kernel_artifact`` optionally
-        ships a compiled C-kernel ``[digest, path]`` the same way seed
-        pools do.  Leases are journal-global monotonic (``seq``); a
-        re-lease of the same cell supersedes the previous lease by
-        carrying a higher ``seq``.  Counts ``campaign.lease.granted``.
+        execution environment exactly.  Leases are journal-global
+        monotonic (``seq``); a re-lease of the same cell supersedes the
+        previous lease by carrying a higher ``seq``.  Counts
+        ``campaign.lease.granted``.
         """
         if not self.append_mode:
             raise RuntimeError("leases require an append-mode journal")
@@ -516,7 +514,6 @@ class CampaignJournal:
             "ttl": float(ttl),
             "expires_at": time.time() + float(ttl),
             "config": config,
-            "kernel_artifact": kernel_artifact,
             "collect": bool(collect),
         }
         sealed = self._append(record)

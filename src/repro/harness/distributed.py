@@ -47,7 +47,7 @@ import os
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..core.checkpoint import CheckpointError
 from ..core.config import TestGenConfig
@@ -59,7 +59,7 @@ from ..parallel.resilience import (
     ChaosConfig,
     RetryPolicy,
 )
-from ..sim.codegen import kernel_for, resolve_kernel_name
+from ..sim.codegen import resolve_kernel_name
 from ..telemetry.collector import NullCollector, TelemetryCollector
 from .campaign import CampaignJournal, result_from_json, result_to_json
 from .runner import (
@@ -191,7 +191,6 @@ class DistributedCoordinator:
             from dataclasses import replace
 
             worker_config = replace(config, sim_kernel=resolved)
-        kernel_artifact = self._kernel_payload(compiled, resolved)
         config_json = config_to_json(worker_config)
 
         #: per-seed lease state: expiry count + whether we ran it locally
@@ -213,8 +212,7 @@ class DistributedCoordinator:
                     self.journal.grant_lease(
                         circuit_name, label, seed, scale, digest,
                         host=self._pick_host(), ttl=self.policy.task_timeout,
-                        config=config_json, kernel_artifact=kernel_artifact,
-                        collect=collect,
+                        config=config_json, collect=collect,
                     )
 
         while outstanding:
@@ -267,31 +265,12 @@ class DistributedCoordinator:
                 self.journal.grant_lease(
                     circuit_name, label, seed, scale, digest,
                     host=host, ttl=self.policy.task_timeout, config=config_json,
-                    kernel_artifact=kernel_artifact, collect=collect,
+                    collect=collect,
                 )
                 progressed = True
             if outstanding and not progressed:
                 time.sleep(self.poll)
         return results, failures
-
-    def _kernel_payload(self, compiled, resolved: str) -> Optional[List[str]]:
-        """Build the C kernel once here and ship its artifact path.
-
-        Mirrors the evaluator's pool shipping: workers
-        ``preload_artifact`` the path and dlopen instead of recompiling
-        per host (they still fall back to their own cache/compile when
-        the path is unusable — e.g. hosts without a shared filesystem).
-        """
-        if resolved != "c":
-            return None
-        try:
-            kernel_for(compiled, resolved, self.collector)
-            from ..sim import ckernel
-
-            payload = ckernel.shipping_payload(compiled)
-        except Exception:
-            return None
-        return [payload[0], payload[1]] if payload is not None else None
 
     def _accept(
         self,
@@ -417,25 +396,13 @@ def _execute_lease(
             # first-sealed-ok-wins arbitration.
             time.sleep(max(0.0, float(lease["expires_at"]) - time.time()) + 0.2)
     config = config_from_json(lease["config"])
-    artifact = lease.get("kernel_artifact")
-    shipped = None
-    if artifact:
-        # Register in this process (covers the pool's in-process
-        # degrade path) and ship into the seed's pool worker, which is
-        # a separate process with its own preload registry.
-        shipped = (str(artifact[0]), str(artifact[1]))
-        from ..sim import ckernel
-
-        ckernel.preload_artifact(*shipped)
     compiled = compiled_circuit_for(circuit, scale)
     collect = bool(lease.get("collect"))
     cellcol = (
         TelemetryCollector(source="repro.harness.campaign-worker")
         if collect else NullCollector()
     )
-    results, failures = _run_seed_pool(
-        compiled, config, [seed], 1, cellcol, kernel_artifact=shipped
-    )
+    results, failures = _run_seed_pool(compiled, config, [seed], 1, cellcol)
     trace = None
     if seed in results:
         result, records = results[seed]

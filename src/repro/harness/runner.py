@@ -198,22 +198,13 @@ def _seed_worker(
     config: TestGenConfig,
     seed: int,
     collect: bool,
-    kernel_artifact: Optional[Tuple[str, str]] = None,
 ) -> Tuple[TestGenResult, Optional[list]]:
     """Pool worker for one seed (module-level so it pickles).
 
     When ``collect`` is set the worker records into its own
     :class:`TelemetryCollector` and ships the records back with the
     result for the parent to merge under a ``worker.<seed>`` scope.
-    ``kernel_artifact`` is a parent-shipped compiled C kernel ``(digest,
-    path)`` — registered before the run so this process loads it instead
-    of recompiling (same contract as
-    :func:`repro.parallel.worker.init_worker`).
     """
-    if kernel_artifact is not None:
-        from ..sim import ckernel
-
-        ckernel.preload_artifact(*kernel_artifact)
     collector = TelemetryCollector(source="repro.harness.worker") if collect else None
     result = _run_one_seed(compiled, config, seed, collector)
     return result, (collector.records() if collect else None)
@@ -226,7 +217,6 @@ def _run_seed_pool(
     jobs: int,
     collector: NullCollector,
     policy: Optional[RetryPolicy] = None,
-    kernel_artifact: Optional[Tuple[str, str]] = None,
 ) -> Tuple[Dict[int, Tuple[TestGenResult, Optional[list]]], Dict[int, SeedFailure]]:
     """Fault-isolated, self-healing multi-seed fan-out.
 
@@ -236,8 +226,7 @@ def _run_seed_pool(
     ``harness.seed.retries``) becomes a :class:`SeedFailure`; seeds that
     cannot start for lack of process support run in-process.  Returns
     ``(results, failures)`` keyed by seed, where each result is
-    ``(TestGenResult, shipped-back trace records or None)``.  A caller
-    passing ``kernel_artifact`` registers it in this process too.
+    ``(TestGenResult, shipped-back trace records or None)``.
     """
     if policy is None:
         policy = RetryPolicy.from_env(
@@ -250,8 +239,7 @@ def _run_seed_pool(
     )
     outcomes = pool.run_each(
         _seed_worker,
-        [(compiled, config, seed, collector.enabled, kernel_artifact)
-         for seed in seeds],
+        [(compiled, config, seed, collector.enabled) for seed in seeds],
         policy,
     )
     results: Dict[int, Tuple[TestGenResult, Optional[list]]] = {}

@@ -5,9 +5,8 @@ tests (paper §IV; DESIGN.md §6).  This package speeds that loop up along
 two independent axes, both without changing any result bit:
 
 * :class:`~repro.parallel.evaluator.ParallelEvaluator` — splits the
-  active fault list into the same ``word_width`` groups the serial
-  simulator uses, shards contiguous runs of groups across a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`, and merges the
+  fault sample into contiguous shards across a persistent worker pool,
+  runs the simulator's population pass on each, and merges the
   per-shard :class:`~repro.faults.simulator.CandidateEval` observables
   by summation.  Shards are disjoint fault subsets, so the merge is
   exact and parallel results are bit-identical to serial ones.

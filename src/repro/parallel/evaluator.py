@@ -8,28 +8,24 @@ its ``evaluate`` / ``evaluate_batch`` calls through two layers:
    committed state) return their memoized :class:`CandidateEval`
    without touching the simulator;
 2. fault-sharded scoring — cache misses are split along the fault axis:
-   the sampled fault list's ``word_width`` groups are sharded
-   contiguously (:func:`~repro.parallel.sharding.plan_shards`) across a
-   persistent :class:`~concurrent.futures.ProcessPoolExecutor`, each
-   worker scores *every* miss against its sub-sample with the serial
-   wide-word batch pass, and the disjoint per-shard observables are
+   the sampled fault list is cut into contiguous shards
+   (:func:`~repro.parallel.sharding.plan_shards`) across a persistent
+   worker pool, each worker scores *every* miss against its sub-sample
+   with the population pass, and the disjoint per-shard observables are
    merged by summation — an *exact* merge, so parallel scores are
    bit-identical to serial ones.
 
 Sharding along the fault axis (rather than the candidate axis) keeps
-the wide-word packing of ``_evaluate_batch_serial`` intact inside every
-worker: a population of misses still rides one bit-plane word per
-worker, and the shard fan-out multiplies on top of that packing instead
-of replacing it.  For the same reason, single-candidate misses that
-cannot usefully shard are scored with a one-candidate wide pass — on
-circuits with a few hundred active faults that alone is measurably
-faster than the grouped ``evaluate`` loop, at bit-identical results.
+the population pass's packing intact inside every worker: a population
+of misses still rides one bit-plane word per worker, and the shard
+fan-out multiplies on top of that packing instead of replacing it.
 
 The evaluator degrades gracefully: with ``jobs=1``, a single usable
-CPU, a fault sample too small to shard, a simulator subclass whose
-injection a pool worker cannot replay (``_shardable = False``), or a
-pool that fails to start, scoring falls back to an in-process pass —
-results are identical either way, only the wall clock changes.
+CPU, a fault sample too small to pay for a worker round trip
+(:data:`SHARD_MIN_SAMPLE`), a simulator subclass whose injection a pool
+worker cannot replay (``_shardable = False``), or a pool that fails to
+start, scoring falls back to the in-process population pass — results
+are identical either way, only the wall clock changes.
 
 The pool is a self-healing :class:`~repro.parallel.supervisor.SupervisedPool`
 (docs/ROBUSTNESS.md §1): a failed sharded pass is retried on a fresh
@@ -54,6 +50,12 @@ from .sharding import plan_shards
 from .supervisor import PoolGaveUp, SupervisedPool
 from .worker import init_worker, run_batch_shard, shard_payload
 
+#: Smallest fault sample worth a worker round trip: smaller samples (one
+#: 64-bit machine word of faults or less) are scored in-process unless
+#: sharding is forced.  Sharding every sample of two or more faults ran
+#: about a fifth slower on the ``ga_s298_sharded`` benchmark workload.
+SHARD_MIN_SAMPLE = 65
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on (affinity-aware where available)."""
@@ -72,13 +74,13 @@ class ParallelEvaluator:
     survives across calls.  Use as a context manager or call
     :meth:`close` to release the pool.
 
-    On a host with a single usable CPU the fan-out cannot beat the
-    in-process wide pass (the shards serialize and the task payloads
-    are pure overhead), so sharding is skipped and misses are scored
-    in-process; ``force_shard=True`` — or the environment variable
-    ``REPRO_EVAL_FORCE_SHARD=1`` — overrides the heuristic, which the
-    determinism suite and benchmarks use to exercise the pool path on
-    single-core CI machines.
+    On a host with a single usable CPU, or for a sample smaller than
+    :data:`SHARD_MIN_SAMPLE`, the fan-out cannot beat the in-process
+    population pass (the task payloads are pure overhead), so misses
+    are scored in-process; ``force_shard=True`` — or the environment
+    variable ``REPRO_EVAL_FORCE_SHARD=1`` — overrides both heuristics,
+    which the determinism suite and benchmarks use to exercise the pool
+    path on small circuits and single-core CI machines.
     """
 
     def __init__(
@@ -110,19 +112,10 @@ class ParallelEvaluator:
         #: circuit and fault list, so a task ships only its candidates.
         self.pool: Optional[SupervisedPool] = None
         if jobs > 1:
-            kernel_artifact = None
-            if sim.kernel_name == "c":
-                # Ship the parent's compiled C library so workers dlopen
-                # it instead of recompiling (they still fall back to
-                # their own cache/compile if it is unusable).
-                from ..sim import ckernel
-
-                kernel_artifact = ckernel.shipping_payload(sim.compiled)
             self.pool = SupervisedPool(
                 jobs,
                 initializer=init_worker,
-                initargs=(sim.compiled, list(sim.faults), sim.word_width,
-                          sim.kernel_name, kernel_artifact),
+                initargs=(sim.compiled, list(sim.faults), sim.kernel_name),
                 collector=self.collector,
                 counters={"restarts": "parallel.pool.restarts",
                           "retries": "parallel.retries",
@@ -149,10 +142,10 @@ class ParallelEvaluator:
     # Scoring
     # ------------------------------------------------------------------
 
-    def _can_shard(self, n_groups: int) -> bool:
+    def _can_shard(self, n_faults: int) -> bool:
         return (
             self.jobs > 1
-            and n_groups > 1
+            and n_faults > 1
             and (self.force_shard or self._cpus > 1)
             and getattr(self.sim, "_shardable", False)
             and not self.pool.broken
@@ -162,18 +155,17 @@ class ParallelEvaluator:
         self,
         candidates: Sequence[Sequence[Vector]],
         sample: List[int],
-        groups: List[List[int]],
         count_faulty_events: bool,
     ) -> Optional[List[CandidateEval]]:
-        """Score candidates via sample-sharded worker wide passes.
+        """Score candidates via sample-sharded worker population passes.
 
-        The fault sample is split into contiguous runs of whole
-        ``word_width`` groups (the serial grouping order, so shard
-        boundaries never split a group); each worker scores the full
-        candidate list against its sub-sample with the wide-word batch
-        pass.  Per-fault observables are summed across the disjoint
-        shards; good-machine observables are taken from the first shard
-        (they do not depend on the sample).
+        The fault sample is split into contiguous runs; each worker
+        scores the full candidate list against its sub-sample with the
+        population pass.  Per-fault observables are summed across the
+        disjoint shards; good-machine observables are taken from the
+        first shard (they do not depend on the sample).  Candidates are
+        validated here first, so a malformed one raises in the parent
+        instead of failing (and retrying) every worker.
 
         Returns ``None`` when the pool gives up on the pass (see
         :meth:`SupervisedPool.run`) — the caller's serial fallback is the
@@ -181,9 +173,9 @@ class ParallelEvaluator:
         results.
         """
         sim = self.sim
+        sim._check_candidates(candidates)
         shards = [
-            [fault_id for group in groups[start:stop] for fault_id in group]
-            for start, stop in plan_shards(len(groups), self.jobs)
+            sample[start:stop] for start, stop in plan_shards(len(sample), self.jobs)
         ]
         try:
             outputs = self.pool.run(
@@ -227,7 +219,6 @@ class ParallelEvaluator:
         if collector.enabled:
             collector.inc("parallel.evaluate.sharded")
             collector.inc("parallel.shard.tasks", len(shards))
-            collector.inc("parallel.shard.groups", len(groups))
             collector.inc("parallel.worker.seconds", worker_seconds)
             if count_faulty_events:
                 collector.inc(
@@ -238,34 +229,23 @@ class ParallelEvaluator:
                 )
         return results
 
-    def _score(
+    def _score_batch(
         self,
-        vectors: Sequence[Vector],
+        candidates: Sequence[Sequence[Vector]],
         sample: List[int],
         count_faulty_events: bool,
-    ) -> CandidateEval:
-        """Score one candidate (no cache): sharded if worthwhile."""
-        sim = self.sim
-        if not getattr(sim, "_shardable", False):
-            # The subclass's own injection machinery (e.g. the
-            # transition model's per-frame conditional masks) is the
-            # only correct scorer; stay on its serial path.
-            return sim._evaluate_serial(
-                vectors, sample=sample, count_faulty_events=count_faulty_events
+    ) -> List[CandidateEval]:
+        """Score candidates (no cache): sharded if worthwhile, else (or
+        when the pool gives up) with the in-process population pass."""
+        scored = None
+        if (candidates[0] and self._can_shard(len(sample))
+                and (self.force_shard or len(sample) >= SHARD_MIN_SAMPLE)):
+            scored = self._shard_batch(candidates, sample, count_faulty_events)
+        if scored is None:
+            scored = self.sim._evaluate_batch_serial(
+                candidates, sample=sample, count_faulty_events=count_faulty_events
             )
-        if vectors and sample:
-            groups = sim._make_groups(sample)
-            if self._can_shard(len(groups)):
-                results = self._shard_batch(
-                    [vectors], sample, groups, count_faulty_events
-                )
-                if results is not None:
-                    return results[0]
-        # In-process fallback: the one-candidate wide pass, faster than
-        # the grouped evaluate loop and bit-identical to it.
-        return sim._evaluate_batch_serial(
-            [vectors], sample=sample, count_faulty_events=count_faulty_events
-        )[0]
+        return scored
 
     def evaluate(
         self,
@@ -279,7 +259,7 @@ class ParallelEvaluator:
         cache = self.cache
         collector = self.collector
         if cache is None:
-            return self._score(vectors, sample, count_faulty_events)
+            return self._score_batch([vectors], sample, count_faulty_events)[0]
         key = eval_key(vectors, sample, count_faulty_events)
         cached = cache.get(sim.state_epoch, key)
         if cached is not None:
@@ -288,7 +268,7 @@ class ParallelEvaluator:
             return replace(cached)
         if collector.enabled:
             collector.inc("parallel.cache.misses")
-        result = self._score(vectors, sample, count_faulty_events)
+        result = self._score_batch([vectors], sample, count_faulty_events)[0]
         cache.put(sim.state_epoch, key, result)
         return replace(result)
 
@@ -302,9 +282,9 @@ class ParallelEvaluator:
 
         Cache hits (including duplicates *within* the batch) are served
         from memory; the distinct misses are scored together — either
-        shard-parallel (every worker runs one wide-word pass over all
+        shard-parallel (every worker runs one population pass over all
         misses against its fault sub-sample) or, when sharding is off or
-        unavailable, with one serial wide-word batch pass.
+        unavailable, with one in-process population pass.
         """
         sim = self.sim
         n_cand = len(candidates)
@@ -343,19 +323,7 @@ class ParallelEvaluator:
 
         if miss_positions:
             miss_candidates = [candidates[position] for position in miss_positions]
-            scored = None
-            if miss_candidates[0] and sample and getattr(sim, "_shardable", False):
-                groups = sim._make_groups(sample)
-                if self._can_shard(len(groups)):
-                    scored = self._shard_batch(
-                        miss_candidates, sample, groups, count_faulty_events
-                    )
-            if scored is None:
-                scored = sim._evaluate_batch_serial(
-                    miss_candidates,
-                    sample=sample,
-                    count_faulty_events=count_faulty_events,
-                )
+            scored = self._score_batch(miss_candidates, sample, count_faulty_events)
             for position, result in zip(miss_positions, scored):
                 results[position] = result
 

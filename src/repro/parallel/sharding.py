@@ -1,27 +1,26 @@
-"""Contiguous sharding of fault word-groups across evaluation workers.
+"""Contiguous sharding of a fault sample across evaluation workers.
 
-The serial simulator chunks the sampled fault list into groups of
-``word_width`` slots (:meth:`FaultSimulator._make_groups`) and simulates
-one group per pass.  A *shard* is a contiguous run of those groups: the
-unit of work shipped to one pool worker.  Keeping the serial grouping
-intact — sharding only ever concatenates whole groups — is what makes
-the parallel path bit-identical to the serial one: every (fault, slot)
-packing is exactly the packing the serial pass would have used.
+A *shard* is a contiguous run of the sampled fault list: the unit of
+work shipped to one pool worker, which scores every candidate against
+it with the population pass.  Every fault's observables are computed
+in its own slot, independently of its neighbours, so the shards'
+per-candidate sums equal the serial pass over the whole sample bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
-def plan_shards(n_groups: int, jobs: int) -> List[Tuple[int, int]]:
-    """Split ``n_groups`` word-groups into at most ``jobs`` contiguous shards.
+def plan_shards(n_items: int, jobs: int) -> List[Tuple[int, int]]:
+    """Split ``n_items`` sample faults into at most ``jobs`` contiguous shards.
 
     Returns ``(start, stop)`` half-open index ranges, in order, covering
-    ``range(n_groups)`` exactly once.  Shard sizes differ by at most one
-    group (the first ``n_groups % jobs`` shards get the extra), so
-    worker loads stay balanced.  Fewer than ``jobs`` shards are returned
-    when there are fewer groups than workers.
+    ``range(n_items)`` exactly once.  Shard sizes differ by at most one
+    item (the first ``n_items % jobs`` shards get the extra), so worker
+    loads stay balanced.  Fewer than ``jobs`` shards are returned when
+    there are fewer items than workers.
 
     >>> plan_shards(5, 2)
     [(0, 3), (3, 5)]
@@ -30,12 +29,12 @@ def plan_shards(n_groups: int, jobs: int) -> List[Tuple[int, int]]:
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if n_groups < 0:
-        raise ValueError("n_groups must be >= 0")
-    if n_groups == 0:
+    if n_items < 0:
+        raise ValueError("n_items must be >= 0")
+    if n_items == 0:
         return []
-    n_shards = min(jobs, n_groups)
-    base, extra = divmod(n_groups, n_shards)
+    n_shards = min(jobs, n_items)
+    base, extra = divmod(n_items, n_shards)
     shards: List[Tuple[int, int]] = []
     start = 0
     for i in range(n_shards):
@@ -43,17 +42,3 @@ def plan_shards(n_groups: int, jobs: int) -> List[Tuple[int, int]]:
         shards.append((start, stop))
         start = stop
     return shards
-
-
-def shard_groups(
-    groups: Sequence[Sequence[int]], jobs: int
-) -> List[List[List[int]]]:
-    """Apply :func:`plan_shards` to an actual group list.
-
-    Returns one list of groups per shard; concatenating the shards in
-    order recovers ``groups`` exactly.
-    """
-    return [
-        [list(g) for g in groups[start:stop]]
-        for start, stop in plan_shards(len(groups), jobs)
-    ]

@@ -1,17 +1,16 @@
 """Process-pool worker side of the fault-sharded evaluator.
 
 Workers are initialized once per pool with the pickled
-:class:`CompiledCircuit`, fault list and ``word_width``; each builds a
+:class:`CompiledCircuit`, fault list and kernel name; each builds a
 private :class:`FaultSimulator` and keeps it for the life of the pool.
 Per-task payloads then carry only what changes per scoring pass: the
 committed flip-flop state, the divergence maps of the shard's own
 faults, the candidate vectors, and the shard's slice of the fault
-sample.  The worker replays the serial wide-word batch pass
+sample.  The worker replays the population pass
 (``_evaluate_batch_serial``) over its sub-sample — the exact code the
-serial batch path runs — so a shard's partial observables are
-bit-identical to the serial pass restricted to the same faults, and the
-parent's per-candidate summation merge is exact (the sub-samples are
-disjoint).
+serial path runs — so a shard's partial observables are bit-identical
+to the serial pass restricted to the same faults, and the parent's
+per-candidate summation merge is exact (the sub-samples are disjoint).
 
 The pool around these functions (chaos injection, deadlines, retries)
 is a :class:`~repro.parallel.supervisor.SupervisedPool`.  Everything
@@ -55,36 +54,23 @@ ShardResult = Tuple[List[CandidateRow], float]
 def init_worker(
     compiled: CompiledCircuit,
     faults,
-    word_width: int,
     kernel: Optional[str] = None,
-    kernel_artifact: Optional[Tuple[str, str]] = None,
 ) -> None:
     """Pool initializer: build this process's resident simulator.
 
     ``kernel`` is the parent simulator's *resolved* backend name, so
-    every worker compiles the same kernel and sharded results stay
-    bit-identical to the parent's serial pass.  ``kernel_artifact`` is
-    the parent's compiled C library ``(digest, path)`` when the C
-    backend is active: the worker registers it and loads it directly
-    instead of recompiling; an unusable path (deleted cache dir,
-    different mount) just falls through to the worker's own disk cache
-    or a local recompile — same generated source, same results.
+    every worker builds the same kernel and sharded results stay
+    bit-identical to the parent's serial pass.
     """
     global _SIM
-    if kernel_artifact is not None:
-        from ..sim import ckernel
-
-        ckernel.preload_artifact(*kernel_artifact)
-    _SIM = FaultSimulator(
-        compiled, faults=faults, word_width=word_width, kernel=kernel
-    )
+    _SIM = FaultSimulator(compiled, faults=faults, kernel=kernel)
 
 
 def run_batch_shard(task: ShardTask) -> ShardResult:
     """Score every candidate against one shard of the fault sample.
 
     The resident simulator's mutable state is overwritten from the task
-    payload before the wide-word pass runs, so a worker serves any shard
+    payload before the population pass runs, so a worker serves any shard
     of any population at any epoch without re-synchronization
     bookkeeping.
     """

@@ -91,7 +91,6 @@ def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:
     return (
         ckey,
         config.fault_model,
-        config.word_width,
         config.sim_kernel,
         config.eval_jobs,
         config.eval_cache,

@@ -1,9 +1,10 @@
 """Simulation substrate: compiled word-parallel and event-driven simulators.
 
-Word-parallel simulation bottoms out in one of three bit-identical
+Word-parallel simulation bottoms out in one of two bit-identical
 kernel backends behind :func:`kernel_for` — ``interp`` (reference
-interpreter), ``codegen`` (generated straight-line Python, the default)
-and ``c`` (compiled C via cffi/ctypes) — see docs/KERNELS.md.
+interpreter) and ``codegen`` (generated straight-line Python, the
+default); the fault simulator's population pass owns the frame loop
+around them — see docs/KERNELS.md.
 """
 
 from .codegen import (

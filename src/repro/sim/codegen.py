@@ -16,7 +16,7 @@ module does the same for the bit-plane programs of
   ``v1``/``v0`` lists with a single bulk list assignment per plane;
 * the **injected kernel** is *parameterized*: it reads per-run
   ``out_force``/``pin_force`` words from dense per-node tables, so one
-  compiled function serves every injection signature — fault groups
+  compiled function serves every injection signature — fault samples
   never trigger a recompile.  Unforced gates (the common case) pay one
   table load and one branch on top of the straight-line expressions;
   forced gates take a generated branch that applies the output and
@@ -30,22 +30,19 @@ liberty taken is dropping ``mask &`` where the operands are already
 subsets of ``mask``.
 
 Kernels are built once per circuit per process and held in a small
-keyed cache (good-machine, injected and wide-word batch passes all
-share the two generated functions); building is metered with the
+keyed cache (every population pass shares the two generated
+functions); building is metered with the
 ``codegen.compile.seconds`` / ``codegen.kernels.built`` counters.  Any
 failure to generate, compile or ``exec`` a kernel falls back to the
 interpreter automatically (``codegen.fallbacks``), so ``codegen`` is a
 safe default everywhere.
 
 Backend selection: :func:`resolve_kernel_name` resolves an explicit
-``"interp"``/``"codegen"``/``"c"`` request, else the
-``REPRO_SIM_KERNEL`` environment variable, else :data:`DEFAULT_KERNEL`
-(``"codegen"``).  The ``c`` backend (:mod:`repro.sim.ckernel`)
-compiles the same straight-line evaluation to native code at runtime
-and falls back to the interpreter when no C compiler or cached
-artifact is available.  See docs/KERNELS.md for the kernel-author
-contract, and docs/ARCHITECTURE.md ("Simulation kernels") /
-docs/PERFORMANCE.md for the measured speedups.
+``"interp"``/``"codegen"`` request, else the ``REPRO_SIM_KERNEL``
+environment variable, else :data:`DEFAULT_KERNEL` (``"codegen"``).
+See docs/KERNELS.md for the kernel-author contract, and
+docs/ARCHITECTURE.md ("Simulation kernels") / docs/PERFORMANCE.md for
+the measured speedups.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ from .compile import (
 DEFAULT_KERNEL = "codegen"
 
 #: Recognized backend names.
-KERNEL_NAMES = ("interp", "codegen", "c")
+KERNEL_NAMES = ("interp", "codegen")
 
 #: Environment variable consulted when no explicit backend is requested.
 KERNEL_ENV = "REPRO_SIM_KERNEL"
@@ -106,32 +103,22 @@ class SimKernel:
 
     * ``eval(v1, v0, mask)`` — the good-machine pass; same contract as
       :func:`~repro.sim.compile.eval_program` with the program bound.
-    * ``make_injection(out_force, pin_force)`` — prepare one fault
-      group's injection tables in whatever form ``eval_injection``
-      wants.  Build it once per group (or batch) pass, outside the
-      frame loop.
+    * ``make_injection(out_force, pin_force)`` — prepare one
+      injection's force tables in whatever form ``eval_injection``
+      wants.  The population pass builds it once per pass (once per
+      frame for the transition model), outside the kernel call.
     * ``eval_injection(v1, v0, mask, injection)`` — the injected pass;
       same contract as :func:`~repro.sim.compile.eval_program_injected`
       with the program bound and the force dicts pre-digested.
 
-    Backends with a native wide-group runner (``c``) additionally bind
-    the optional hooks (``None`` on the bigint-only backends):
-
-    * ``run_group(sim, group, trace, count_faulty_events, inj)`` — a
-      drop-in fused replacement for one
-      :meth:`~repro.faults.simulator.FaultSimulator._run_group` call,
-      bit-identical by contract (docs/KERNELS.md);
-    * ``group_width`` — the widest fault group the backend wants the
-      simulator to build (the simulator still keeps at least
-      ``eval_jobs`` groups so fault sharding fans out).
-
+    The frame loop itself lives in the simulator
+    (:meth:`~repro.faults.simulator.FaultSimulator._run_frames`).
     ``name`` is the backend actually running (after any fallback);
     ``requested`` is what the caller asked for.
     """
 
     __slots__ = (
         "name", "requested", "eval", "make_injection", "eval_injection",
-        "run_group", "group_width",
     )
 
     def __init__(
@@ -141,16 +128,12 @@ class SimKernel:
         eval_fn: Callable[[List[int], List[int], int], None],
         make_injection: Callable[[Dict, Dict], object],
         eval_injection: Callable[[List[int], List[int], int, object], None],
-        run_group: Optional[Callable] = None,
-        group_width: Optional[int] = None,
     ) -> None:
         self.name = name
         self.requested = requested
         self.eval = eval_fn
         self.make_injection = make_injection
         self.eval_injection = eval_injection
-        self.run_group = run_group
-        self.group_width = group_width
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimKernel(name={self.name!r}, requested={self.requested!r})"
@@ -318,13 +301,8 @@ _CACHE: Dict[int, Tuple["weakref.ref", Dict[str, Callable]]] = {}
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached generated kernel and C plan (tests / memory
-    pressure).  On-disk C artifacts survive — they are keyed by circuit
-    digest, not identity."""
+    """Drop every cached generated kernel (tests / memory pressure)."""
     _CACHE.clear()
-    from . import ckernel
-
-    ckernel.clear_plan_cache()
 
 
 def _build_kernels(compiled: CompiledCircuit, collector) -> Dict[str, Callable]:
@@ -404,11 +382,11 @@ def kernel_for(
 ) -> SimKernel:
     """Resolve and build the simulation kernel for one circuit.
 
-    ``name`` follows :func:`resolve_kernel_name`.  A ``codegen`` or
-    ``c`` request that fails to build (pathological circuit,
-    interpreter limit, no C compiler and no cached artifact, …) falls
-    back to the interpreter with a warning naming the requested backend
-    and the ``<requested>.fallbacks`` counter — never an exception.
+    ``name`` follows :func:`resolve_kernel_name`.  A ``codegen`` request
+    that fails to build (pathological circuit, interpreter limit, …)
+    falls back to the interpreter with a warning naming the requested
+    backend and the ``<requested>.fallbacks`` counter — never an
+    exception.
     """
     if collector is None:
         from ..telemetry.collector import get_collector
@@ -423,13 +401,6 @@ def kernel_for(
         injected = fns["injected"]
     except Exception as exc:  # automatic interpreter fallback
         return _fallback_kernel(compiled, requested, exc, collector)
-    if requested == "c":
-        from . import ckernel
-
-        try:
-            return ckernel.build(compiled, requested, fns, collector)
-        except Exception as exc:  # no compiler/cached artifact, cc error
-            return _fallback_kernel(compiled, requested, exc, collector)
     num_nodes = compiled.num_nodes
     arity = {instr[0]: len(instr[3]) for instr in compiled.program}
 

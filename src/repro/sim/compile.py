@@ -143,12 +143,12 @@ def eval_program_injected(
     out_force: dict,
     pin_force: dict,
 ) -> None:
-    """Evaluate with per-slot stuck-at injection (the fault-group path).
+    """Evaluate with per-slot stuck-at injection (the faulty machines).
 
     ``out_force[node] -> (force1_word, force0_word)`` forces slots of a
     node's *output*; ``pin_force[gate] -> [(pin, force1, force0), ...]``
     forces specific fanin pins of a gate.  Forcing wins over the computed
-    value; the fault grouper guarantees at most one fault per slot, so
+    value; the population pass puts at most one fault in a slot, so
     the forced-to-1 and forced-to-0 slot sets are disjoint.  Gates
     without injections take a fast path identical to
     :func:`eval_program`.

@@ -311,9 +311,7 @@ class TestWorkerTelemetryShipback:
         set_default_eval_jobs(2)
         try:
             collector = TelemetryCollector(source="test")
-            # word_width=8 splits s298's fault list into several word
-            # groups so within-run sharding has something to shard.
-            agg = run_gatest(CIRCUIT, TestGenConfig(word_width=8), [1, 2],
+            agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2],
                              scale=0.1, jobs=2, collector=collector)
         finally:
             set_default_eval_jobs(None)

@@ -1,6 +1,8 @@
 """Tests for campaign checkpointing."""
 
+import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +10,8 @@ from repro.circuit import mini_fsm, s27, synthesize_named
 from repro.core import (
     RUN_FORMAT_VERSION,
     CheckpointError,
+    GaTestGenerator,
+    TestGenConfig,
     circuit_fingerprint,
     fault_list_digest,
     load_checkpoint,
@@ -17,9 +21,21 @@ from repro.core import (
     save_run_checkpoint,
     sim_run_state,
 )
-from repro.faults import FaultSimulator
+from repro.faults import FaultSimulator, TransitionFaultSimulator
+from repro.harness import CampaignJournal
 
 from tests.conftest import random_vectors
+
+
+def _word_width_era_digest(config):
+    """The digest builds with a ``word_width`` config field (default 64)
+    gave ``config``: the same items plus that field."""
+    items = sorted(
+        [(f.name, repr(getattr(config, f.name))) for f in fields(config)
+         if f.name not in config._EXECUTION_ONLY]
+        + [("word_width", "64")]
+    )
+    return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
 class TestFingerprint:
@@ -102,6 +118,60 @@ class TestGuards:
             "format", "circuit", "fingerprint", "faults", "status",
             "good_state", "divergence", "test_sequence",
         }
+
+
+class TestSimulatorCheckpointCompatibility:
+    def test_transition_simulator_refused(self, tmp_path, s27_circuit):
+        sim = TransitionFaultSimulator(s27_circuit)
+        sim.commit(random_vectors(s27_circuit, 3, seed=1))
+        path = tmp_path / "ck.json"
+        with pytest.raises(CheckpointError, match=(
+                r"transition fault model.*gatest run --checkpoint")):
+            save_checkpoint(path, sim)
+        assert not path.exists()
+
+    def test_file_naming_word_width_loads(self, tmp_path, s27_circuit):
+        """Files from builds that stored a ``word_width`` still load."""
+        vectors = random_vectors(s27_circuit, 8, seed=4)
+        sim = FaultSimulator(s27_circuit)
+        sim.commit(vectors[:4])
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, sim, test_sequence=vectors[:4])
+        payload = json.loads(path.read_text())
+        assert "word_width" not in payload
+        payload["word_width"] = 16
+        path.write_text(json.dumps(payload))
+        restored, stored = load_checkpoint(path, s27())
+        assert stored == vectors[:4]
+        assert restored.divergence == sim.divergence
+        assert restored.detections == sim.detections
+        assert restored.commit(vectors[4:]) == sim.commit(vectors[4:])
+
+
+class TestWordWidthEraStateRefused:
+    """Dropping ``word_width`` changed every config digest, so state
+    bound to a digest by builds that had it fails closed."""
+
+    def test_run_checkpoint(self, tmp_path):
+        config = TestGenConfig(seed=3, max_vectors=2)
+        path = tmp_path / "run.ckpt"
+        GaTestGenerator(s27(), config).run(checkpoint_path=path)
+        payload = load_run_checkpoint(path)
+        assert payload["config_digest"] == config.digest()
+        payload["config_digest"] = _word_width_era_digest(config)
+        save_run_checkpoint(path, payload)
+        with pytest.raises(CheckpointError, match="configuration"):
+            GaTestGenerator(s27(), config).run(checkpoint_path=path, resume=True)
+
+    def test_campaign_journal(self, tmp_path):
+        config = TestGenConfig()
+        params = dict(table="4", scale=0.1, seeds=[1])
+        journal = CampaignJournal.create(tmp_path / "j.jsonl", **params)
+        journal.bind(["s27"], {"lbl": _word_width_era_digest(config)})
+        resumed = CampaignJournal.create(tmp_path / "j.jsonl", resume=True,
+                                         **params)
+        with pytest.raises(CheckpointError, match="digests changed"):
+            resumed.bind(["s27"], {"lbl": config.digest()})
 
 
 class TestRunCheckpoints:

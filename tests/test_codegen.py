@@ -1,9 +1,9 @@
 """Kernel backend suite: compiled backends vs the reference interpreter.
 
 The contract under test (docs/KERNELS.md): every backend behind the
-kernel seam — the generated straight-line Python ("codegen") and the
-compiled C kernel ("c") — must be *bit-identical* to the reference
-interpreter in :mod:`repro.sim.compile` — at the plane level
+kernel seam — the generated straight-line Python ("codegen") — must be
+*bit-identical* to the reference interpreter in
+:mod:`repro.sim.compile` — at the plane level
 for random inputs and injections, at the ``CandidateEval`` level
 through :class:`~repro.faults.simulator.FaultSimulator`, and at the
 final test-set level through full GATEST runs, serial and sharded
@@ -21,7 +21,7 @@ from repro.circuit import c17, s27, synthesize_named
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator
 from repro.faults.transition import TransitionFaultSimulator
-from repro.sim import ckernel, compile_circuit, kernel_for, kernel_source
+from repro.sim import compile_circuit, kernel_for, kernel_source
 from repro.sim.codegen import (
     DEFAULT_KERNEL,
     clear_kernel_cache,
@@ -36,12 +36,8 @@ from tests.conftest import random_vectors
 
 
 def _compiled_kernel_params():
-    """The non-interpreter backends, each skipped where unusable."""
-    return [
-        pytest.param("codegen"),
-        pytest.param("c", marks=pytest.mark.skipif(
-            not ckernel.available(), reason="no C compiler on PATH")),
-    ]
+    """The non-interpreter backends."""
+    return [pytest.param("codegen")]
 
 
 def _sweep_circuits():
@@ -257,16 +253,9 @@ class TestSimulatorEquivalence:
 
 
 class TestFourWayEquivalence:
-    """interp / codegen / c × eval_jobs 1/2/4 × stuck-at/transition.
+    """interp / codegen × eval_jobs 1/2/4 × stuck-at/transition."""
 
-    The circuit is sized so the active fault list exceeds one 64-slot
-    word: that is what engages the C backend's fused wide-group runner
-    (narrow groups stay on the shared bigint path, see docs/KERNELS.md),
-    so these cases exercise the compiled code and not just the
-    delegation shim.
-    """
-
-    CIRCUIT_SCALE = 0.3  # 123 active faults: > 64, so wide groups form
+    CIRCUIT_SCALE = 0.3  # 123 active faults
 
     @pytest.mark.parametrize("model", ["stuck-at", "transition"])
     @pytest.mark.parametrize("jobs", [1, 2, 4])

@@ -32,7 +32,6 @@ from repro.harness.distributed import (
 )
 from repro.harness.experiments import main as experiments_main
 from repro.parallel.resilience import ChaosConfig, RetryPolicy
-from repro.sim import ckernel
 from repro.telemetry import TelemetryCollector
 
 CIRCUIT = "s298"
@@ -115,7 +114,7 @@ class TestHostChaos:
 class TestConfigWire:
     def test_round_trip_keeps_execution_knobs(self):
         config = TestGenConfig(
-            population_scale=0.5, eval_jobs=3, sim_kernel="c",
+            population_scale=0.5, eval_jobs=3, sim_kernel="interp",
             eval_cache=False,
         )
         rebuilt = config_from_json(json.loads(json.dumps(
@@ -123,7 +122,7 @@ class TestConfigWire:
         )))
         assert rebuilt == config
         assert rebuilt.eval_jobs == 3
-        assert rebuilt.sim_kernel == "c"
+        assert rebuilt.sim_kernel == "interp"
         assert isinstance(rebuilt.seq_length_multipliers, tuple)
 
     def test_unknown_field_refused(self):
@@ -484,65 +483,3 @@ class TestDistributedEndToEnd:
         counters = _trace_counters(trace)
         assert counters.get("campaign.lease.expired", 0) >= 1
         assert counters.get("campaign.lease.degraded") == 1
-
-
-# ----------------------------------------------------------------------
-# C-kernel artifact shipping (satellite: no per-host recompiles)
-# ----------------------------------------------------------------------
-
-
-class TestKernelShipping:
-    @pytest.mark.skipif(not ckernel.available(), reason="no C compiler")
-    def test_distributed_c_cell_does_not_recompile_per_host(
-        self, tmp_path, monkeypatch
-    ):
-        """The lease ships the coordinator's compiled artifact; a worker
-        with an empty kernel cache *and a broken compiler* must still
-        run the cell on the C kernel (a recompile attempt would either
-        fail or show up as ``c.kernels.built`` from the worker)."""
-        monkeypatch.setenv("REPRO_CKERNEL_CACHE",
-                           str(tmp_path / "coord-cache"))
-        journal_path = tmp_path / "j.jsonl"
-        collector = TelemetryCollector(source="test")
-        journal = CampaignJournal.create(
-            journal_path, table="4", scale=0.1, seeds=[1],
-            append_mode=True, collector=collector,
-        )
-        coordinator = DistributedCoordinator(
-            journal, ["alpha"], poll=0.02, collector=collector,
-        )
-        from repro.harness import compiled_circuit_for
-        config = TestGenConfig(sim_kernel="c")
-        compiled = compiled_circuit_for(CIRCUIT, 0.1)
-        worker = _spawn_worker(
-            tmp_path, journal_path, "alpha",
-            extra_env={
-                "REPRO_CKERNEL_CACHE": str(tmp_path / "worker-cache"),
-                "REPRO_CKERNEL_CC": str(tmp_path / "no-such-cc"),
-            },
-        )
-        results, failures = coordinator.run_cells(
-            CIRCUIT, compiled, config, [1], scale=0.1, label="lbl",
-            digest=config.digest(),
-        )
-        coordinator.close()
-        worker_out, worker_err = worker.communicate(timeout=300)
-        assert worker.returncode == 0, worker_err.decode()
-        assert not failures and 1 in results
-
-        counters = _counters(collector)
-        # Exactly one build: the coordinator's, whose artifact was
-        # shipped.  The worker's shipped-path hit is merged back flat.
-        assert counters.get("c.kernels.built", 0) <= 1
-        assert counters.get("c.cache.hits", 0) >= 1
-        assert counters.get("c.fallbacks", 0) == 0
-        lease = journal.lease_for(CIRCUIT, "lbl", 1, 0.1)
-        assert lease["kernel_artifact"] is not None
-        assert lease["config"]["sim_kernel"] == "c"
-        record = journal.result_for(CIRCUIT, "lbl", 1, 0.1)
-        assert record["host"] == "alpha"
-
-        serial = run_gatest(CIRCUIT, TestGenConfig(), [1],
-                            scale=0.1, jobs=1).runs[0]
-        assert results[1].detected == serial.detected
-        assert results[1].test_sequence == serial.test_sequence

@@ -4,9 +4,9 @@ island-model GA (the paper's conclusion items, DESIGN.md §5)."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit import mini_fsm, resettable_counter, s27, shift_register
-from repro.circuit.gates import X, eval_gate_scalar
 from repro.core import GaTestGenerator, TestGenConfig, compact_test_set
 from repro.core.compaction import TestSetCompactor
 from repro.faults import (
@@ -17,7 +17,12 @@ from repro.faults import (
 )
 from repro.ga import BinaryCoding, GAParams, IslandGA, IslandParams
 
+from tests import oracle
 from tests.conftest import random_vectors
+from tests.test_sim import make_random_circuit
+
+#: Every kernel backend.
+KERNELS = ("interp", "codegen")
 
 
 # ---------------------------------------------------------------------------
@@ -79,85 +84,6 @@ class TestCompaction:
 # Transition faults
 # ---------------------------------------------------------------------------
 
-def reference_transition_run(circuit, fault, vectors):
-    """Scalar conditional-stuck-at reference for one transition fault."""
-
-    def machine(active):
-        ff = {f: X for f in circuit.dffs}
-        prev_values = {n: X for n in range(circuit.num_nodes)}
-        frames = []
-        for vec in vectors:
-            good = {}
-            for j, pi in enumerate(circuit.inputs):
-                good[pi] = vec[j]
-            for f in circuit.dffs:
-                good[f] = ff["good", f] if ("good", f) in ff else ff.get(f, X)
-            # First compute the fault-free frame (excitation condition).
-            good_vals = dict(good)
-            for node in circuit.topo_order:
-                good_vals[node] = eval_gate_scalar(
-                    circuit.node_types[node],
-                    (good_vals[s] for s in circuit.fanins[node]),
-                )
-            yield_frame = good_vals
-            frames.append(yield_frame)
-            for f in circuit.dffs:
-                ff[f] = good_vals[circuit.fanins[f][0]]
-        return frames
-
-    # Fault-free trace (for excitation) — full scalar resimulation.
-    good_frames = []
-    ff = {f: X for f in circuit.dffs}
-    for vec in vectors:
-        values = {}
-        for j, pi in enumerate(circuit.inputs):
-            values[pi] = vec[j]
-        for f in circuit.dffs:
-            values[f] = ff[f]
-        for node in circuit.topo_order:
-            values[node] = eval_gate_scalar(
-                circuit.node_types[node],
-                (values[s] for s in circuit.fanins[node]),
-            )
-        good_frames.append(values)
-        for f in circuit.dffs:
-            ff[f] = values[circuit.fanins[f][0]]
-
-    # Faulty machine with per-frame conditional forcing.
-    ff = {f: X for f in circuit.dffs}
-    detected = False
-    prev = {n: X for n in range(circuit.num_nodes)}
-    for t, vec in enumerate(vectors):
-        good = good_frames[t]
-        excited = (
-            prev[fault.node] == 1 - fault.slow_to
-            and good[fault.node] == fault.slow_to
-        )
-        values = {}
-        for j, pi in enumerate(circuit.inputs):
-            values[pi] = vec[j]
-        for f in circuit.dffs:
-            values[f] = ff[f]
-        if excited and fault.node in values:
-            values[fault.node] = fault.stuck_value
-        for node in circuit.topo_order:
-            v = eval_gate_scalar(
-                circuit.node_types[node],
-                (values[s] for s in circuit.fanins[node]),
-            )
-            if excited and node == fault.node:
-                v = fault.stuck_value
-            values[node] = v
-        for po in circuit.outputs:
-            g, f_ = good[po], values[po]
-            if g != X and f_ != X and g != f_:
-                detected = True
-        for f in circuit.dffs:
-            ff[f] = values[circuit.fanins[f][0]]
-        prev = good
-    return detected
-
-
 class TestTransitionFaults:
     def test_fault_list_size(self, s27_circuit):
         assert len(generate_transition_faults(s27_circuit)) == 2 * s27_circuit.num_nodes
@@ -182,16 +108,14 @@ class TestTransitionFaults:
         (s27, 3), (mini_fsm, 5), (lambda: resettable_counter(3), 7),
     ])
     def test_against_scalar_reference(self, factory, seed):
+        """Two commits (the second launching against the first's last
+        frame) change the state exactly as the oracle says."""
         circuit = factory()
         vectors = random_vectors(circuit, 20, seed=seed)
-        sim = TransitionFaultSimulator(circuit)
-        result = sim.commit(vectors)
-        parallel = {f for f, _ in result.detections}
-        reference = {
-            f for f in generate_transition_faults(circuit)
-            if reference_transition_run(circuit, f, vectors)
-        }
-        assert parallel == reference
+        for kernel in KERNELS:
+            sim = TransitionFaultSimulator(circuit, kernel=kernel)
+            oracle.assert_commit_matches(sim, vectors[:7])
+            oracle.assert_commit_matches(sim, vectors[7:])
 
     def test_incremental_commits_track_prev_values(self):
         """Excitation across a commit boundary must still fire."""
@@ -224,14 +148,72 @@ class TestTransitionFaults:
 
     def test_evaluate_batch_matches_serial(self):
         circuit = mini_fsm()
-        sim = TransitionFaultSimulator(circuit)
-        sim.commit(random_vectors(circuit, 4, seed=1))
         candidates = [
             random_vectors(circuit, 3, seed=s) for s in range(5)
         ]
-        serial = [sim.evaluate(c) for c in candidates]
-        batch = sim.evaluate_batch(candidates)
-        assert serial == batch
+        for kernel in KERNELS:
+            sim = TransitionFaultSimulator(circuit, kernel=kernel)
+            sim.commit(random_vectors(circuit, 4, seed=1))
+            expected = [oracle.evaluate_like(sim, c) for c in candidates]
+            serial = [sim.evaluate(c) for c in candidates]
+            batch = sim.evaluate_batch(candidates)
+            assert serial == batch == expected
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_batch_candidates_launch_different_transitions(self, kernel):
+        """Every input vector of s27 is one candidate, so the candidates
+        of one pass launch different transitions from the same
+        committed frame; each is scored as if it ran alone."""
+        circuit = s27()
+        sim = TransitionFaultSimulator(circuit, kernel=kernel)
+        sim.commit(random_vectors(circuit, 6, seed=4))
+        candidates = [
+            [[(v >> j) & 1 for j in range(4)], [1 - ((v >> j) & 1) for j in range(4)]]
+            for v in range(16)
+        ]
+        expected = [
+            oracle.evaluate_like(sim, c, count_faulty_events=True)
+            for c in candidates
+        ]
+        assert len({(e.detected, e.prop_sum) for e in expected}) > 1
+        assert sim.evaluate_batch(candidates, count_faulty_events=True) == expected
+        sample = sim.active[::3]
+        assert sim.evaluate_batch(candidates, sample=sample) == [
+            oracle.evaluate_like(sim, c, sample) for c in candidates
+        ]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2000),
+        n_cand=st.integers(1, 6),
+        frames=st.integers(0, 3),
+        warm=st.integers(0, 4),
+        events=st.booleans(),
+    )
+    def test_population_pass_matches_oracle(self, seed, n_cand, frames, warm,
+                                            events):
+        """Random circuits, warm states, shuffled samples of every size
+        (the empty one included) and zero-frame candidates."""
+        circuit = make_random_circuit(seed, n_pi=3, n_ff=2, n_gates=10)
+        rng = random.Random(seed)
+        candidates = [
+            random_vectors(circuit, frames, seed=rng.randrange(10**6))
+            for _ in range(n_cand)
+        ]
+        for kernel in KERNELS:
+            sim = TransitionFaultSimulator(circuit, kernel=kernel)
+            sim.commit(random_vectors(circuit, warm, seed=seed))
+            sample = list(sim.active)
+            rng.shuffle(sample)
+            sample = sample[:rng.randint(0, len(sample))]
+            expected = [
+                oracle.evaluate_like(sim, c, sample, count_faulty_events=events)
+                for c in candidates
+            ]
+            assert sim.evaluate_batch(
+                candidates, sample=sample, count_faulty_events=events
+            ) == expected
+            oracle.assert_commit_matches(sim, candidates[0])
 
     def test_gatest_on_transition_model(self):
         result = GaTestGenerator(

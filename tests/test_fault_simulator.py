@@ -1,7 +1,8 @@
 """Tests for the PROOFS-style parallel-fault sequential fault simulator.
 
-The key guarantee: the word-parallel machinery agrees exactly with a
-naive scalar fault-at-a-time reference on every circuit and sequence.
+The key guarantee: the word-parallel population pass agrees exactly
+with the scalar fault-at-a-time oracle (tests/oracle.py) on every
+circuit, sequence, committed state and kernel.
 """
 
 import functools
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import mini_fsm, resettable_counter, s27, synthesize_named
-from repro.circuit.gates import X, eval_gate_scalar
+from repro.circuit.gates import X
 from repro.faults import (
     STEM,
     Fault,
@@ -20,21 +21,15 @@ from repro.faults import (
     collapsed_fault_list,
 )
 from repro.parallel import worker as pool_worker
-from repro.sim import GoodState, ckernel, compile_circuit
+from repro.sim import compile_circuit
 from repro.telemetry import TelemetryCollector
 
+from tests import oracle
 from tests.conftest import random_vectors
 from tests.test_sim import make_random_circuit
 
-
-def _kernel_params():
-    """Every backend, the C one skipped where unusable."""
-    return [
-        pytest.param("interp"),
-        pytest.param("codegen"),
-        pytest.param("c", marks=pytest.mark.skipif(
-            not ckernel.available(), reason="no C compiler on PATH")),
-    ]
+#: Every kernel backend.
+KERNELS = ("interp", "codegen")
 
 
 @functools.lru_cache(maxsize=1)
@@ -65,65 +60,7 @@ def _site_faults(sim):
 
 
 # ---------------------------------------------------------------------------
-# Scalar fault-at-a-time reference
-# ---------------------------------------------------------------------------
-
-def reference_run(circuit, fault, vectors):
-    """Simulate good and faulty machines scalar-wise; return detection."""
-
-    def machine(active_fault):
-        ff = {f: X for f in circuit.dffs}
-        frames = []
-        for vec in vectors:
-            values = {}
-            for j, pi in enumerate(circuit.inputs):
-                values[pi] = vec[j]
-            for f in circuit.dffs:
-                values[f] = ff[f]
-            if active_fault and active_fault.pin == STEM and active_fault.node in values:
-                values[active_fault.node] = active_fault.stuck_at
-            for node in circuit.topo_order:
-                ins = []
-                for pin, src in enumerate(circuit.fanins[node]):
-                    v = values[src]
-                    if (
-                        active_fault
-                        and active_fault.node == node
-                        and active_fault.pin == pin
-                    ):
-                        v = active_fault.stuck_at
-                    ins.append(v)
-                v = eval_gate_scalar(circuit.node_types[node], ins)
-                if active_fault and active_fault.pin == STEM and active_fault.node == node:
-                    v = active_fault.stuck_at
-                values[node] = v
-            for f in circuit.dffs:
-                v = values[circuit.fanins[f][0]]
-                if active_fault and active_fault.node == f and active_fault.pin == 0:
-                    v = active_fault.stuck_at
-                ff[f] = v
-            frames.append([values[po] for po in circuit.outputs])
-        return frames
-
-    good = machine(None)
-    faulty = machine(fault)
-    return any(
-        g != X and f != X and g != f
-        for gf, ff_ in zip(good, faulty)
-        for g, f in zip(gf, ff_)
-    )
-
-
-def reference_detected_set(circuit, vectors):
-    return {
-        fault
-        for fault in collapsed_fault_list(circuit)
-        if reference_run(circuit, fault, vectors)
-    }
-
-
-# ---------------------------------------------------------------------------
-# Agreement with the reference
+# Agreement with the scalar oracle (tests/oracle.py)
 # ---------------------------------------------------------------------------
 
 class TestAgainstReference:
@@ -133,32 +70,25 @@ class TestAgainstReference:
         (lambda: resettable_counter(3), 5, 25),
     ])
     def test_known_circuits(self, factory, seed, n):
+        """Two commits (the second from a warm state) change the state
+        exactly as the oracle says, on every kernel."""
         circuit = factory()
         vectors = random_vectors(circuit, n, seed=seed)
-        sim = FaultSimulator(circuit)
-        result = sim.commit(vectors)
-        parallel = {f for f, _ in result.detections}
-        assert parallel == reference_detected_set(circuit, vectors)
+        for kernel in KERNELS:
+            sim = FaultSimulator(circuit, kernel=kernel)
+            oracle.assert_commit_matches(sim, vectors[:n // 2])
+            oracle.assert_commit_matches(sim, vectors[n // 2:])
 
     @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 3000), vec_seed=st.integers(0, 100))
-    def test_random_circuits(self, seed, vec_seed):
+    @given(seed=st.integers(0, 3000), vec_seed=st.integers(0, 100),
+           split=st.integers(0, 10))
+    def test_random_circuits(self, seed, vec_seed, split):
         circuit = make_random_circuit(seed, n_pi=3, n_ff=2, n_gates=10)
         vectors = random_vectors(circuit, 10, seed=vec_seed)
-        sim = FaultSimulator(circuit)
-        result = sim.commit(vectors)
-        parallel = {f for f, _ in result.detections}
-        assert parallel == reference_detected_set(circuit, vectors)
-
-    @pytest.mark.parametrize("width", [1, 3, 17, 64, 200])
-    def test_word_width_invariance(self, width, s27_circuit):
-        vectors = random_vectors(s27_circuit, 20, seed=11)
-        sim = FaultSimulator(s27_circuit, word_width=width)
-        sim.commit(vectors)
-        base = FaultSimulator(s27_circuit, word_width=64)
-        base.commit(vectors)
-        assert sim.detected_count == base.detected_count
-        assert sim.undetected_faults() == base.undetected_faults()
+        for kernel in KERNELS:
+            sim = FaultSimulator(circuit, kernel=kernel)
+            oracle.assert_commit_matches(sim, vectors[:split])
+            oracle.assert_commit_matches(sim, vectors[split:])
 
     def test_incremental_commits_match_single_commit(self, minifsm_circuit):
         """State (good + faulty divergences) must carry across commits."""
@@ -230,7 +160,7 @@ class TestEvaluate:
 
 
 class TestEvaluateBatch:
-    """The wide-word batch evaluator must equal the serial path exactly."""
+    """The population pass must equal the scalar oracle exactly."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -241,8 +171,6 @@ class TestEvaluateBatch:
     )
     def test_batch_equals_serial(self, seed, n_cand, frames, events):
         circuit = make_random_circuit(seed, n_pi=3, n_ff=2, n_gates=10)
-        sim = FaultSimulator(circuit)
-        sim.commit(random_vectors(circuit, 4, seed=seed))  # create divergences
         rng = random.Random(seed)
         candidates = [
             [
@@ -251,19 +179,59 @@ class TestEvaluateBatch:
             ]
             for _ in range(n_cand)
         ]
-        serial = [
-            sim.evaluate(c, count_faulty_events=events) for c in candidates
-        ]
-        batch = sim.evaluate_batch(candidates, count_faulty_events=events)
-        assert serial == batch
+        for kernel in KERNELS:
+            sim = FaultSimulator(circuit, kernel=kernel)
+            sim.commit(random_vectors(circuit, 4, seed=seed))  # create divergences
+            expected = [
+                oracle.evaluate_like(sim, c, count_faulty_events=events)
+                for c in candidates
+            ]
+            serial = [
+                sim.evaluate(c, count_faulty_events=events) for c in candidates
+            ]
+            batch = sim.evaluate_batch(candidates, count_faulty_events=events)
+            assert serial == batch == expected
 
     def test_batch_with_sample(self, s27_circuit):
-        sim = FaultSimulator(s27_circuit)
-        sample = sim.active[:7]
         candidates = [[v] for v in random_vectors(s27_circuit, 8, seed=3)]
-        serial = [sim.evaluate(c, sample=sample) for c in candidates]
-        batch = sim.evaluate_batch(candidates, sample=sample)
-        assert serial == batch
+        for kernel in KERNELS:
+            sim = FaultSimulator(s27_circuit, kernel=kernel)
+            sample = sim.active[:7]
+            expected = [oracle.evaluate_like(sim, c, sample) for c in candidates]
+            serial = [sim.evaluate(c, sample=sample) for c in candidates]
+            batch = sim.evaluate_batch(candidates, sample=sample)
+            assert serial == batch == expected
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("warm", [0, 5])
+    def test_empty_sample(self, kernel, warm, s27_circuit):
+        """With no sampled fault every block is a lone top slot: the
+        good-machine observables still come out right."""
+        sim = FaultSimulator(s27_circuit, kernel=kernel)
+        sim.commit(random_vectors(s27_circuit, warm, seed=8))
+        candidates = [random_vectors(s27_circuit, 3, seed=s) for s in range(4)]
+        expected = [oracle.evaluate_like(sim, c, [], count_faulty_events=True)
+                    for c in candidates]
+        assert sim.evaluate_batch(
+            candidates, sample=[], count_faulty_events=True) == expected
+        assert [sim.evaluate(c, sample=[], count_faulty_events=True)
+                for c in candidates] == expected
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_frames(self, kernel, s27_circuit):
+        """Zero-frame candidates score the committed state, and a
+        zero-frame commit leaves every piece of state as it was."""
+        sim = FaultSimulator(s27_circuit, kernel=kernel)
+        sim.commit(random_vectors(s27_circuit, 4, seed=9))
+        expected = oracle.evaluate_like(sim, [], count_faulty_events=True)
+        assert expected.ffs_set > 0
+        assert sim.evaluate_batch([[], []], count_faulty_events=True) == [
+            expected, expected]
+        assert sim.evaluate([], count_faulty_events=True) == expected
+        before = sim.snapshot()
+        oracle.assert_commit_matches(sim, [])
+        assert sim.divergence == before.divergence
+        assert sim.active == before.active
 
     def test_batch_empty_cases(self, s27_circuit):
         sim = FaultSimulator(s27_circuit)
@@ -290,7 +258,7 @@ class TestEvaluateBatch:
         assert before.good_state.ff_values == after.good_state.ff_values
         assert before.divergence == after.divergence
 
-    @pytest.mark.parametrize("kernel", _kernel_params())
+    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -304,8 +272,10 @@ class TestEvaluateBatch:
         self, kernel, seed, n_cand, frames, size, warm, events
     ):
         """Every CandidateEval field of the population pass (S fault
-        slots plus one fault-free top slot per candidate) equals
-        per-candidate ``evaluate``, for shuffled samples of every size."""
+        slots plus one fault-free top slot per candidate) equals the
+        scalar oracle, for shuffled samples of every size and every
+        injection-site kind; then a commit from the same warm state
+        changes the state exactly as the oracle says."""
         compiled, faults = _batch_circuit()
         circuit = compiled.circuit
         sim = FaultSimulator(compiled, faults=faults, kernel=kernel)
@@ -328,14 +298,18 @@ class TestEvaluateBatch:
             for _ in range(n_cand)
         ]
         expected = [
-            sim.evaluate(c, sample=sample, count_faulty_events=events)
+            oracle.evaluate_like(sim, c, sample, count_faulty_events=events)
             for c in candidates
         ]
         assert sim.evaluate_batch(
             candidates, sample=sample, count_faulty_events=events
         ) == expected
+        assert sim.evaluate(
+            candidates[0], sample=sample, count_faulty_events=events
+        ) == expected[0]
+        oracle.assert_commit_matches(sim, candidates[0])
 
-    @pytest.mark.parametrize("kernel", _kernel_params())
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_worker_state_overwrite_without_epoch_bump(self, kernel,
                                                        monkeypatch):
         """Pool workers overwrite ``good_state``/``divergence`` per task
@@ -345,8 +319,7 @@ class TestEvaluateBatch:
         circuit = compiled.circuit
         monkeypatch.setattr(pool_worker, "_SIM", None)
         parent = FaultSimulator(compiled, faults=faults, kernel=kernel)
-        pool_worker.init_worker(compiled, faults, parent.word_width,
-                                kernel=parent.kernel_name)
+        pool_worker.init_worker(compiled, faults, kernel=parent.kernel_name)
         sample = _site_faults(parent) + list(parent.active)[:40]
         candidates = [random_vectors(circuit, 2, seed=s) for s in range(4)]
         scores = []
@@ -355,7 +328,7 @@ class TestEvaluateBatch:
             task = pool_worker.shard_payload(parent, candidates, sample, True)
             rows, _seconds = pool_worker.run_batch_shard(task)
             expected = [
-                parent.evaluate(c, sample=sample, count_faulty_events=True)
+                oracle.evaluate_like(parent, c, sample, count_faulty_events=True)
                 for c in candidates
             ]
             assert rows == [
@@ -372,14 +345,12 @@ class TestEvaluateBatch:
         one sample each keep their own injection (the memo lives on the
         instance, never in a module-level table)."""
         compiled, faults = _batch_circuit()
-        kernels = ["interp", "codegen"]
-        kernels += ["c"] if ckernel.available() else []
         sims = [FaultSimulator(compiled, faults=faults, kernel=k)
-                for k in kernels]
+                for k in KERNELS]
         sample = list(sims[0].active)[:50]
         candidates = [random_vectors(compiled.circuit, 2, seed=s)
                       for s in range(3)]
-        expected = [sims[0].evaluate(c, sample=sample) for c in candidates]
+        expected = [oracle.evaluate_like(sims[0], c, sample) for c in candidates]
         for _round in range(2):
             for sim in sims:
                 assert sim.evaluate_batch(candidates, sample=sample) == expected
@@ -387,7 +358,7 @@ class TestEvaluateBatch:
         assert len({id(layout) for layout in layouts}) == len(sims)
         assert len({id(layout.injection) for layout in layouts}) == len(sims)
 
-    @pytest.mark.parametrize("kernel", _kernel_params())
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_slot_frames_count_fault_slots_only(self, kernel):
         """``sim.batch.slot_frames`` is candidates x faults x frames; the
         fault-free top slot of each block is not a simulated fault."""
@@ -435,6 +406,25 @@ class TestStateManagement:
         assert sim.divergence == {}
         assert sim.vectors_applied == 0
 
+    def test_restore_rolls_back_detections(self, s27_circuit):
+        """Detections of rolled-back commits leave with them, so a
+        checkpoint or result never names a fault that is active again."""
+        sim = FaultSimulator(s27_circuit)
+        vectors = random_vectors(s27_circuit, 13, seed=13)
+        sim.commit(vectors[:3])
+        first = sim.detected_count
+        assert len(sim.detections) == first
+        snap = sim.snapshot()
+        sim.commit(vectors[3:])
+        assert len(sim.detections) == sim.detected_count > first
+        sim.restore(snap)
+        assert sim.detected_count == len(sim.detections) == first
+        detected = {sim.faults.index(fault) for fault, _ in sim.detections}
+        assert detected.isdisjoint(sim.active)
+        sim.commit(vectors[3:])  # the snapshot's list is not aliased
+        sim.restore(snap)
+        assert len(sim.detections) == first
+
     def test_detected_faults_dropped(self, s27_circuit):
         sim = FaultSimulator(s27_circuit)
         result = sim.commit(random_vectors(s27_circuit, 15, seed=13))
@@ -463,12 +453,45 @@ class TestConstruction:
         sim = FaultSimulator(s27_circuit, faults=faults)
         assert sim.num_faults == 4
 
-    def test_bad_word_width(self, s27_circuit):
-        with pytest.raises(ValueError):
-            FaultSimulator(s27_circuit, word_width=0)
-
     def test_synthetic_circuit_smoke(self):
         circuit = synthesize_named("s386", scale=0.2)
         sim = FaultSimulator(circuit)
         sim.commit(random_vectors(circuit, 50, seed=15))
         assert sim.detected_count > 0
+
+
+class TestVectorWidth:
+    """A vector must carry exactly one value per primary input."""
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_evaluate_batch_rejects(self, width, s27_circuit):
+        sim = FaultSimulator(s27_circuit)
+        bad = [[0] * width]
+        with pytest.raises(ValueError, match=(
+                rf"candidate 1, frame 0: {width} values .* 4 primary inputs")):
+            sim.evaluate_batch([[[0, 1, 0, 1]], bad])
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_evaluate_rejects(self, width, s27_circuit):
+        sim = FaultSimulator(s27_circuit)
+        with pytest.raises(ValueError, match=(
+                rf"candidate 0, frame 1: {width} values .* 4 primary inputs")):
+            sim.evaluate([[0, 1, 0, 1], [1] * width])
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_commit_rejects_before_changing_state(self, width, s27_circuit):
+        sim = FaultSimulator(s27_circuit)
+        sim.commit(random_vectors(s27_circuit, 3, seed=2))
+        before = sim.snapshot()
+        epoch = sim.state_epoch
+        detections = list(sim.detections)
+        with pytest.raises(ValueError, match=(
+                rf"candidate 0, frame 2: {width} values .* 4 primary inputs")):
+            sim.commit([[0, 1, 0, 1], [1, 1, 0, 0], [0] * width])
+        after = sim.snapshot()
+        assert after.good_state.ff_values == before.good_state.ff_values
+        assert after.divergence == before.divergence
+        assert after.active == before.active
+        assert sim.vectors_applied == before.vectors_applied
+        assert sim.detections == detections
+        assert sim.state_epoch == epoch

@@ -15,7 +15,7 @@ from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator, collapse_faults, collapsed_fault_list
 
 from tests.conftest import random_vectors
-from tests.test_fault_simulator import reference_run
+from tests import oracle
 from tests.test_sim import make_random_circuit
 
 
@@ -62,14 +62,6 @@ class TestFaultSimInvariants:
         detected = [f for f, _ in sim.detections]
         assert len(detected) == len(set(detected))
 
-    def test_word_width_one_equals_reference_grouping(self, minifsm_circuit):
-        vectors = random_vectors(minifsm_circuit, 15, seed=4)
-        wide = FaultSimulator(minifsm_circuit, word_width=128)
-        narrow = FaultSimulator(minifsm_circuit, word_width=1)
-        wide.commit(vectors)
-        narrow.commit(vectors)
-        assert wide.undetected_faults() == narrow.undetected_faults()
-
 
 class TestGeneratorInvariants:
     def test_reported_state_is_replayable_midway(self):
@@ -115,7 +107,7 @@ class TestCollapseInvariant:
             if len(members) < 2:
                 continue
             outcomes = {
-                reference_run(circuit, member, vectors) for member in members
+                oracle.detects(circuit, member, vectors) for member in members
             }
             assert len(outcomes) == 1, (
                 f"class of {representative} split: "

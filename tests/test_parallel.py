@@ -22,7 +22,6 @@ from repro.ga.chromosome import make_coding
 from repro.ga.engine import GAParams, GeneticAlgorithm
 from repro.harness import run_gatest
 from repro.parallel import EvalCache, ParallelEvaluator, eval_key, plan_shards
-from repro.parallel.sharding import shard_groups
 
 from tests.conftest import random_vectors
 
@@ -57,11 +56,6 @@ class TestShardPlanning:
                 sizes = [stop - start for start, stop in plan_shards(n_groups, jobs)]
                 assert max(sizes) - min(sizes) <= 1
                 assert len(sizes) == min(jobs, n_groups)
-
-    def test_shard_groups_concatenates_back(self):
-        groups = [[1, 2], [3], [4, 5, 6], [7], [8]]
-        shards = shard_groups(groups, 3)
-        assert [g for shard in shards for g in shard] == groups
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -124,10 +118,10 @@ class TestCandidateEvalDeterminism:
 
     def test_evaluate_matches_serial(self, jobs):
         for circuit in _circuits():
-            # A small word width forces several fault groups so the
-            # shard fan-out genuinely crosses the process pool.
-            serial = FaultSimulator(circuit, word_width=8)
-            sharded = FaultSimulator(circuit, word_width=8, eval_jobs=jobs)
+            # Shards split the sample, so even s27's fault list fans
+            # out across the process pool.
+            serial = FaultSimulator(circuit)
+            sharded = FaultSimulator(circuit, eval_jobs=jobs)
             warmup = random_vectors(circuit, 4, seed=11)
             serial.commit(warmup)
             sharded.commit(warmup)
@@ -149,8 +143,8 @@ class TestCandidateEvalDeterminism:
 
     def test_evaluate_batch_matches_serial(self, jobs):
         circuit = _circuits()[1]
-        serial = FaultSimulator(circuit, word_width=8)
-        sharded = FaultSimulator(circuit, word_width=8, eval_jobs=jobs)
+        serial = FaultSimulator(circuit)
+        sharded = FaultSimulator(circuit, eval_jobs=jobs)
         candidates = [[v] for v in random_vectors(circuit, 12, seed=2)]
         candidates += candidates[:4]  # in-batch duplicates
         try:
@@ -162,8 +156,8 @@ class TestCandidateEvalDeterminism:
 
     def test_sampled_evaluate_matches_serial(self, jobs):
         circuit = _circuits()[2]
-        serial = FaultSimulator(circuit, word_width=8)
-        sharded = FaultSimulator(circuit, word_width=8, eval_jobs=jobs)
+        serial = FaultSimulator(circuit)
+        sharded = FaultSimulator(circuit, eval_jobs=jobs)
         rng = random.Random(9)
         sample = sorted(rng.sample(serial.active, len(serial.active) // 2))
         vectors = random_vectors(circuit, 2, seed=3)
@@ -289,7 +283,7 @@ class TestCpuHeuristic:
         """With one usable CPU the fan-out is pure overhead, so the
         evaluator keeps misses in-process unless explicitly forced."""
         monkeypatch.delenv("REPRO_EVAL_FORCE_SHARD", raising=False)
-        sim = FaultSimulator(_circuits()[1], word_width=8)
+        sim = FaultSimulator(_circuits()[1])
         evaluator = ParallelEvaluator(sim, jobs=4)
         evaluator._cpus = 1
         assert not evaluator._can_shard(8)
@@ -302,8 +296,8 @@ class TestCpuHeuristic:
         host runs) is bit-identical to the plain serial evaluate."""
         monkeypatch.delenv("REPRO_EVAL_FORCE_SHARD", raising=False)
         circuit = _circuits()[1]
-        serial = FaultSimulator(circuit, word_width=8)
-        adaptive = FaultSimulator(circuit, word_width=8, eval_jobs=4)
+        serial = FaultSimulator(circuit)
+        adaptive = FaultSimulator(circuit, eval_jobs=4)
         adaptive._parallel._cpus = 1
         for seed in range(3):
             vectors = random_vectors(circuit, 3, seed=seed)
@@ -317,7 +311,7 @@ class TestCpuHeuristic:
 class TestPoolReuse:
     def test_evaluator_usable_after_close(self):
         circuit = _circuits()[1]
-        sim = FaultSimulator(circuit, word_width=8)
+        sim = FaultSimulator(circuit)
         evaluator = ParallelEvaluator(sim, jobs=2)
         vectors = random_vectors(circuit, 2, seed=1)
         first = evaluator.evaluate(vectors)

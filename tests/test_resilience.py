@@ -23,11 +23,6 @@ from repro.core.checkpoint import load_run_checkpoint
 from repro.parallel import ChaosConfig, RetryPolicy
 from repro.telemetry import TelemetryCollector, use
 
-#: Shared small-run configuration: word_width=8 splits s27's 26 faults
-#: into 4 groups so two workers genuinely shard the fault list.
-WW = 8
-
-
 def _drain_children(timeout=10.0):
     """Wait for worker processes to exit; returns the stragglers."""
     deadline = time.monotonic() + timeout
@@ -137,7 +132,7 @@ class TestSelfHealingPool:
         monkeypatch.delenv("REPRO_EVAL_RETRIES", raising=False)
 
     def _serial_reference(self):
-        return GaTestGenerator(s27(), TestGenConfig(seed=5, word_width=WW)).run()
+        return GaTestGenerator(s27(), TestGenConfig(seed=5)).run()
 
     def test_crash_chaos_is_bit_identical_to_serial(self, monkeypatch):
         """Workers die mid-run (p=0.15); retries recover; the final test
@@ -147,7 +142,7 @@ class TestSelfHealingPool:
         collector = TelemetryCollector(source="test")
         with use(collector):
             result = GaTestGenerator(
-                s27(), TestGenConfig(seed=5, word_width=WW, eval_jobs=2),
+                s27(), TestGenConfig(seed=5, eval_jobs=2),
                 collector=collector,
             ).run()
         assert result.test_sequence == reference.test_sequence
@@ -165,7 +160,7 @@ class TestSelfHealingPool:
         collector = TelemetryCollector(source="test")
         with use(collector):
             result = GaTestGenerator(
-                s27(), TestGenConfig(seed=5, word_width=WW, eval_jobs=2),
+                s27(), TestGenConfig(seed=5, eval_jobs=2),
                 collector=collector,
             ).run()
         assert result.test_sequence == reference.test_sequence
@@ -185,7 +180,7 @@ class TestSelfHealingPool:
         with use(collector):
             result = GaTestGenerator(
                 s27(),
-                TestGenConfig(seed=5, word_width=WW, eval_jobs=2, max_vectors=3),
+                TestGenConfig(seed=5, eval_jobs=2, max_vectors=3),
                 collector=collector,
             ).run()
         # Bounded: one timed-out pass + one retry, then serial.
@@ -202,7 +197,7 @@ class TestOrphanCleanup:
         monkeypatch.setenv("REPRO_EVAL_FORCE_SHARD", "1")
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
         generator = GaTestGenerator(
-            s27(), TestGenConfig(seed=1, word_width=WW, eval_jobs=2)
+            s27(), TestGenConfig(seed=1, eval_jobs=2)
         )
         # Force the pool into existence, then interrupt the run.
         generator.fsim.evaluate_batch(
@@ -226,9 +221,8 @@ class TestOrphanCleanup:
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
 
         def run_then_die(self, **kwargs):
-            # Bring the worker pool up (s27 at the default word width has
-            # a single fault group, so scoring alone would not shard; and
-            # the executor only spawns processes on first submit).
+            # Bring the worker pool up (the executor only spawns
+            # processes on first submit).
             pool = self.fsim._parallel.pool.executor()
             assert pool is not None
             pool.submit(os.getpid).result(timeout=60)

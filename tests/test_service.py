@@ -71,11 +71,12 @@ def _kernel_builds(counters):
 class TestParseJob:
     def test_run_spec_roundtrips_config(self):
         spec = parse_job(
-            {"kind": "run", "circuit": "s27", "config": {"seed": 7, "word_width": 16}}
+            {"kind": "run", "circuit": "s27",
+             "config": {"seed": 7, "fault_model": "transition"}}
         )
         assert spec.kind == "run"
         assert spec.config.seed == 7
-        assert spec.config.word_width == 16
+        assert spec.config.fault_model == "transition"
         assert spec.checkpoint_every >= 1
 
     def test_fsim_spec(self):
@@ -146,7 +147,7 @@ class TestWarmRegistry:
     def test_config_change_is_a_different_key(self):
         key = circuit_key("s27", 1.0, 0)
         assert sim_key(key, self.CONFIG) != sim_key(
-            key, TestGenConfig(seed=1, word_width=16)
+            key, TestGenConfig(seed=1, sim_kernel="interp")
         )
         # seed alone shapes the RNG, not the simulator: same key.
         assert sim_key(key, self.CONFIG) == sim_key(key, TestGenConfig(seed=9))
@@ -159,7 +160,7 @@ class TestWarmRegistry:
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=1)
         key = circuit_key("s27", 1.0, 0)
-        other = TestGenConfig(seed=1, word_width=16)
+        other = TestGenConfig(seed=1, sim_kernel="interp")
         sim_a = registry.lease(key, self.CONFIG)
         sim_b = registry.lease(key, other)
         registry.release(key, self.CONFIG, sim_a)
@@ -366,6 +367,33 @@ class TestJobManager:
         finally:
             revived.close()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": 1, "word_width": 16}, "word_width"),
+        ({"seed": 1, "sim_kernel": "c"}, "unknown simulation kernel 'c'"),
+    ])
+    def test_ledger_job_of_removed_knobs_is_unrecoverable(
+            self, tmp_path, capsys, config, message):
+        """Run jobs accepted by builds that had ``word_width`` or the
+        ``c`` kernel are counted and named, never run with a guess."""
+        manager, _ = self._manager(tmp_path)
+        manager.ledger.append(
+            {"event": "accepted", "id": "j9997-0ldc0f16", "seq": 9997,
+             "payload": {"kind": "run", "circuit": "s27", "config": config}}
+        )
+        manager.close()
+        capsys.readouterr()
+
+        collector = TelemetryCollector()
+        revived = JobManager(tmp_path / "state", collector=collector, workers=1)
+        try:
+            assert revived.get("j9997-0ldc0f16") is None
+            assert collector.counters["service.jobs.unrecoverable"] == 1
+            err = capsys.readouterr().err
+            assert "j9997-0ldc0f16" in err
+            assert message in err
+        finally:
+            revived.close()
+
 
 # ----------------------------------------------------------------------
 # HTTP over a real localhost socket
@@ -494,23 +522,24 @@ class TestHttpApi:
         assert err.value.status == 405
 
     def test_removed_numpy_kernel_is_rejected(self, live_service):
-        """The deleted numpy backend is an unknown name everywhere: the
-        resolver, the config and both job kinds of ``POST /jobs``."""
-        remaining = r"\('interp', 'codegen', 'c'\)"
-        with pytest.raises(ValueError, match=remaining):
-            resolve_kernel_name("numpy")
-        with pytest.raises(ValueError, match=remaining):
-            TestGenConfig(sim_kernel="numpy")
+        """The deleted numpy and c backends are unknown names everywhere:
+        the resolver, the config and both job kinds of ``POST /jobs``."""
+        remaining = r"\('interp', 'codegen'\)"
         client, _ = live_service
-        for payload in (
-            {"kind": "fsim", "circuit": "s27", "kernel": "numpy",
-             "vectors": [[0, 1, 0, 1]]},
-            {"kind": "run", "circuit": "s27",
-             "config": {"sim_kernel": "numpy"}},
-        ):
-            with pytest.raises(ServiceError) as err:
-                client.submit(payload)
-            assert err.value.status == 400
+        for name in ("numpy", "c"):
+            with pytest.raises(ValueError, match=remaining):
+                resolve_kernel_name(name)
+            with pytest.raises(ValueError, match=remaining):
+                TestGenConfig(sim_kernel=name)
+            for payload in (
+                {"kind": "fsim", "circuit": "s27", "kernel": name,
+                 "vectors": [[0, 1, 0, 1]]},
+                {"kind": "run", "circuit": "s27",
+                 "config": {"sim_kernel": name}},
+            ):
+                with pytest.raises(ServiceError) as err:
+                    client.submit(payload)
+                assert err.value.status == 400
 
 
 # ----------------------------------------------------------------------

@@ -250,7 +250,7 @@ class TestChaosSpecIsParsedInTheParent:
         collector = TelemetryCollector(source="test")
         with pytest.raises(ValueError, match="'crash:2'"):
             GaTestGenerator(
-                s27(), TestGenConfig(seed=1, word_width=8, eval_jobs=2),
+                s27(), TestGenConfig(seed=1, eval_jobs=2),
                 collector=collector,
             ).run()
         assert not multiprocessing.active_children()
