@@ -1,7 +1,8 @@
 """Micro-benchmarks of the simulation substrate.
 
 These track the throughput of the hot paths (DESIGN.md §6): good-machine
-pattern-parallel simulation, commits, batch and one-candidate
+simulation (a population pass with an empty fault sample), commits,
+batch and one-candidate
 evaluation, the kernel comparison — interp vs codegen on the
 one-candidate population pass (docs/KERNELS.md), written to
 ``BENCH_SIMULATOR.json`` at the repo root — fault-sharded + cached
@@ -18,7 +19,6 @@ import pytest
 from repro.baselines import Podem, unroll
 from repro.faults import FaultSimulator, collapsed_fault_list
 from repro.harness.runner import compiled_circuit_for
-from repro.sim import PatternSimulator
 
 from conftest import SCALE, circuit, record_bench
 
@@ -33,19 +33,13 @@ def _vectors(compiled, count, seed=0):
 
 @pytest.mark.benchmark(group="simulator")
 def bench_pattern_parallel_good(benchmark):
-    """32-slot good-machine simulation, 16 frames."""
+    """32 candidates' good machines, 16 frames: one population pass
+    with an empty fault sample (phase 1's evaluation)."""
     compiled = circuit("s298")
     sequences = [_vectors(compiled, 16, seed=s) for s in range(32)]
+    sim = FaultSimulator(compiled)
 
-    def run():
-        sim = PatternSimulator(compiled, n_slots=32)
-        sim.begin(None)
-        for frame in range(16):
-            sim.step([sequences[s][frame] for s in range(32)],
-                     count_events=False)
-        return sim
-
-    benchmark(run)
+    benchmark(sim.evaluate_batch, sequences, sample=[])
 
 
 @pytest.mark.benchmark(group="simulator")

@@ -30,7 +30,6 @@ from ..faults.simulator import FaultSimulator
 from ..ga.chromosome import make_coding
 from ..ga.engine import GAParams, GeneticAlgorithm
 from ..sim.compile import CompiledCircuit, compile_circuit
-from ..sim.logic3 import PatternSimulator
 
 
 @dataclass
@@ -83,28 +82,19 @@ class CrisLikeGenerator:
         self.ga_evaluations = 0
 
     def _activity_evaluator(self, coding):
-        """Fitness = FFs set + average node toggles per frame (good machine)."""
+        """Fitness = FFs set + average node toggles per frame (good machine).
+
+        One population pass with an empty fault sample: only the good
+        machines are simulated, never a fault.
+        """
+        num_nodes = max(1, self.compiled.num_nodes)
 
         def evaluate(chromosomes):
-            n = len(chromosomes)
-            sim = PatternSimulator(self.compiled, n_slots=n)
-            sim.begin(self.fsim.good_state)
             phenotypes = [coding.decode(c) for c in chromosomes]
-            activity = [0.0] * n
-            for frame in range(self.sequence_length):
-                stats = sim.step(
-                    [phenotypes[s][frame] for s in range(n)], count_events=True
-                )
-                for s in range(n):
-                    activity[s] += stats.events[s]
-            num_nodes = self.compiled.num_nodes
-            fitnesses = []
-            for s in range(n):
-                ffs_set = sum(
-                    1 for v in sim.extract_state(s).ff_values if v != 2
-                )
-                fitnesses.append(ffs_set + activity[s] / max(1, num_nodes))
-            return fitnesses
+            evaluations = self.fsim.evaluate_batch(
+                phenotypes, sample=[], count_faulty_events=True
+            )
+            return [e.ffs_set + e.good_events / num_nodes for e in evaluations]
 
         return evaluate
 

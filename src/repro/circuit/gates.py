@@ -165,9 +165,9 @@ def v3_fold(gate_type: GateType, inputs: Iterable[Val3], mask: Word) -> Val3:
 
 
 # ---------------------------------------------------------------------------
-# Scalar three-valued helpers (used by tests, the event-driven simulator,
-# and anywhere readability beats throughput).  Scalar values are encoded as
-# 0, 1, or the module-level constant X.
+# Scalar three-valued helpers (used by tests, the VCD writer, PODEM and
+# anywhere readability beats throughput).  Scalar values are encoded as 0,
+# 1, or the module-level constant X.
 # ---------------------------------------------------------------------------
 
 X = 2  #: scalar encoding of the unknown value

@@ -12,9 +12,9 @@ The generator alternates two stages (Figure 1):
    the test set only if it improves fault coverage, and a length is
    abandoned after ``seq_fail_limit`` consecutive fruitless attempts.
 
-Fitness evaluation is delegated to the PROOFS-style fault simulator; the
-phase-1 good-machine fitness uses the pattern-parallel simulator to
-score a whole population in one pass.
+Every phase's fitness comes from one population pass of the
+PROOFS-style fault simulator per generation; phase 1 runs it with an
+empty fault sample, so only the good machines are simulated.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from ..faults.simulator import FaultSimulator
 from ..ga.chromosome import make_coding
 from ..ga.engine import GAParams, GeneticAlgorithm
 from ..sim.compile import CompiledCircuit, compile_circuit
-from ..sim.logic3 import PatternSimulator
 from ..telemetry.collector import NullCollector, get_collector
 from .checkpoint import (
     CheckpointError,
@@ -42,7 +41,7 @@ from .checkpoint import (
     sim_run_state,
 )
 from .config import TestGenConfig
-from .fitness import FitnessContext, Phase, fitness_for_phase, phase1_fitness
+from .fitness import FitnessContext, Phase, fitness_for_phase
 from .phases import PhaseTracker
 from .results import StageEvent, TestGenResult
 
@@ -194,34 +193,12 @@ class GaTestGenerator:
     # Evaluators
     # ------------------------------------------------------------------
 
-    def _phase1_evaluator(self, coding):
-        """Population-parallel good-machine fitness (phase 1)."""
-
-        def evaluate(chromosomes):
-            n = len(chromosomes)
-            sim = PatternSimulator(
-                self.compiled, n_slots=n, collector=self.collector,
-                kernel=self.config.sim_kernel,
-            )
-            sim.begin(self.fsim.good_state)
-            vectors = [coding.decode(c)[0] for c in chromosomes]
-            stats = sim.step(vectors, count_events=False)
-            fitnesses = []
-            for s in range(n):
-                # Build a minimal CandidateEval-alike via the fitness fn's
-                # fields; phase 1 needs only ffs_set / ffs_changed.
-                fitnesses.append(
-                    stats.ffs_set[s] + (
-                        stats.ffs_changed[s] / self.ctx.num_ffs
-                        if self.ctx.num_ffs else 0.0
-                    )
-                )
-            return fitnesses
-
-        return evaluate
-
     def _fault_evaluator(self, coding, phase: Phase, sample: Sequence[int]):
-        """Per-candidate fault-simulation fitness (phases 2, 3, 4)."""
+        """Population-pass fitness of every phase.
+
+        Phase 1 passes an empty ``sample``: its fitness reads only the
+        good-machine observables, which every block's top slot carries.
+        """
         count_events = (
             phase is Phase.ACTIVITY and self.config.use_activity_fitness
         )
@@ -288,10 +265,11 @@ class GaTestGenerator:
         coding = make_coding("binary", self.compiled.num_pis, 1)
         schedule = self.config.vector_ga_schedule(self.compiled.num_pis)
         if phase is Phase.INITIALIZATION:
-            evaluator = self._phase1_evaluator(coding)
+            # No fault sample, so no sampler draw from the RNG either.
+            sample = []
         else:
             sample = self.sampler.sample(self.fsim.active, self.rng)
-            evaluator = self._fault_evaluator(coding, phase, sample)
+        evaluator = self._fault_evaluator(coding, phase, sample)
         with self.collector.bind(stage="vector", phase=phase.name):
             best = self._run_ga(coding, evaluator, schedule)
         return coding.decode(best)[0]

@@ -4,8 +4,8 @@ overlapping-generation variant).
 The engine is application-agnostic: it evolves chromosomes under a
 coding, a selection scheme, a crossover operator and a mutation rate,
 calling a user-supplied *batch* evaluator for fitness.  Batching is what
-lets GATEST score a whole population with one pattern-parallel simulator
-pass (see :mod:`repro.sim.logic3`).
+lets GATEST score a whole population with one population pass of the
+fault simulator (see :mod:`repro.faults.simulator`).
 
 GATEST specifics — fitness functions, parameter schedules, phase logic —
 live in :mod:`repro.core`; nothing here knows about circuits.
@@ -132,8 +132,8 @@ class GeneticAlgorithm:
 
         Exact whenever the evaluator is pure per candidate (a
         candidate's fitness does not depend on its batch-mates), which
-        holds for every GATEST evaluator: the pattern-parallel and
-        wide-word batch passes keep each candidate in its own bit slots.
+        holds for every GATEST evaluator: the population pass keeps each
+        candidate in its own block of bit slots.
         """
         index_of: Dict[tuple, int] = {}
         unique: List[Chromosome] = []

@@ -1,10 +1,11 @@
-"""Simulation substrate: compiled word-parallel and event-driven simulators.
+"""Simulation substrate: the compiled program and its kernels.
 
 Word-parallel simulation bottoms out in one of two bit-identical
 kernel backends behind :func:`kernel_for` — ``interp`` (reference
 interpreter) and ``codegen`` (generated straight-line Python, the
-default); the fault simulator's population pass owns the frame loop
-around them — see docs/KERNELS.md.
+default).  The fault simulator's population pass owns the one frame
+loop around them and simulates good and faulty machines alike — see
+docs/KERNELS.md.  :func:`dump_vcd` writes a test's fault-free waveforms.
 """
 
 from .codegen import (
@@ -16,20 +17,14 @@ from .codegen import (
     resolve_kernel_name,
 )
 from .compile import CompiledCircuit, compile_circuit, eval_program, eval_program_injected
-from .events import EventFrameResult, EventSimulator
-from .logic3 import FrameStats, GoodState, PatternSimulator, SerialSimulator, Vector
+from .logic3 import GoodState, Vector
 from .vcd import dump_vcd
 
 __all__ = [
     "CompiledCircuit",
     "DEFAULT_KERNEL",
-    "EventFrameResult",
-    "EventSimulator",
-    "FrameStats",
     "GoodState",
     "KERNEL_NAMES",
-    "PatternSimulator",
-    "SerialSimulator",
     "SimKernel",
     "Vector",
     "dump_vcd",

@@ -4,9 +4,9 @@ Simulation is the hot path of the whole reproduction (DESIGN.md §6), so
 instead of dispatching on :class:`~repro.circuit.gates.GateType` per gate
 per frame, a circuit is compiled once into a list of small tuples
 ``(out_id, opcode, invert, fanin_ids)`` in levelized order.  The
-evaluators in :mod:`repro.sim.logic3` and
-:mod:`repro.faults.simulator` then run a tight loop over that program
-using two bit-plane lists ``v1``/``v0`` (see :mod:`repro.circuit.gates`
+kernels of :mod:`repro.sim.codegen` then evaluate that program, once
+per frame of the population pass in :mod:`repro.faults.simulator`,
+over two bit-plane lists ``v1``/``v0`` (see :mod:`repro.circuit.gates`
 for the encoding).
 """
 

@@ -1,26 +1,19 @@
-"""Three-valued (0/1/X) good-machine simulation, pattern-parallel.
+"""Three-valued (0/1/X) circuit state and vector types.
 
-:class:`PatternSimulator` simulates the fault-free circuit for many
-candidate tests at once: slot *i* of every bit-plane word carries
-candidate *i*.  All slots start from one broadcast flip-flop state (the
-circuit state the test generator has reached) and diverge as their own
-vectors are applied.  This evaluates a whole GA population's phase-1
-fitness data in a single pass over the compiled program per time frame.
-
-Flip-flop state *between* simulator invocations lives in
-:class:`GoodState` — plain scalars (0/1/X per flip-flop) so it can be
-stored, copied and restored cheaply (the paper's §IV modification).
+Flip-flop state between simulations lives in :class:`GoodState`: plain
+scalars (0/1/X per flip-flop), so it can be stored, copied and restored
+cheaply (the paper's §IV modification).  Every simulation of the good
+machine runs in the fault simulator's population pass
+(:mod:`repro.faults.simulator`), in the fault-free top slot of each
+candidate's block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from ..circuit.gates import X
-from ..circuit.netlist import Circuit
-from .codegen import kernel_for
-from .compile import CompiledCircuit, compile_circuit
 
 Vector = Sequence[int]  # one scalar 0/1/X per primary input
 
@@ -49,221 +42,3 @@ class GoodState:
     def all_set(self) -> bool:
         """True when every flip-flop is initialized."""
         return self.num_set == len(self.ff_values)
-
-
-@dataclass
-class FrameStats:
-    """Per-slot observations from one simulated time frame."""
-
-    ffs_set: List[int]        # flip-flops definite in the *next* state
-    ffs_changed: List[int]    # definite-to-definite toggles this frame
-    events: List[int]         # node values changed vs the previous frame
-
-
-def _broadcast(value: int, mask: int) -> tuple:
-    """Scalar 0/1/X -> (v1, v0) word pair across all slots."""
-    if value == 1:
-        return (mask, 0)
-    if value == 0:
-        return (0, mask)
-    return (0, 0)
-
-
-class PatternSimulator:
-    """Pattern-parallel three-valued simulator for the fault-free machine.
-
-    Typical use::
-
-        sim = PatternSimulator(compiled, n_slots=len(population))
-        sim.begin(state)
-        stats = sim.step([candidate.vector_for_slot(s) for s in range(...)])
-        best_state = sim.extract_state(best_slot)
-    """
-
-    def __init__(
-        self,
-        compiled: Union[CompiledCircuit, Circuit],
-        n_slots: int = 1,
-        collector=None,
-        kernel: Optional[str] = None,
-    ) -> None:
-        if not isinstance(compiled, CompiledCircuit):
-            compiled = compile_circuit(compiled)
-        if n_slots < 1:
-            raise ValueError("need at least one slot")
-        from ..telemetry.collector import get_collector
-
-        self.collector = collector if collector is not None else get_collector()
-        self._kernel = kernel_for(compiled, kernel, collector=self.collector)
-        self.kernel_name = self._kernel.name
-        self.compiled = compiled
-        self.n_slots = n_slots
-        self.mask = (1 << n_slots) - 1
-        n = compiled.num_nodes
-        self.v1: List[int] = [0] * n
-        self.v0: List[int] = [0] * n
-        # Packed present-state planes, one word pair per flip-flop.
-        self.ff1: List[int] = [0] * compiled.num_ffs
-        self.ff0: List[int] = [0] * compiled.num_ffs
-        self._began = False
-
-    # ------------------------------------------------------------------
-
-    def begin(self, state: Optional[GoodState] = None) -> None:
-        """Broadcast one flip-flop state into every slot and reset nodes."""
-        compiled = self.compiled
-        if state is None:
-            state = GoodState.unknown(compiled.num_ffs)
-        if len(state.ff_values) != compiled.num_ffs:
-            raise ValueError(
-                f"state has {len(state.ff_values)} flip-flops, "
-                f"circuit has {compiled.num_ffs}"
-            )
-        for k, value in enumerate(state.ff_values):
-            self.ff1[k], self.ff0[k] = _broadcast(value, self.mask)
-        n = compiled.num_nodes
-        self.v1 = [0] * n
-        self.v0 = [0] * n
-        self._began = True
-
-    def step(self, vectors: Sequence[Vector], count_events: bool = True) -> FrameStats:
-        """Clock the circuit one time frame.
-
-        ``vectors[s]`` is the primary-input vector for slot *s* (scalars
-        0/1/X, one per PI).  Returns per-slot statistics; flip-flop state
-        advances to the next state.
-        """
-        if not self._began:
-            raise RuntimeError("call begin() before step()")
-        compiled = self.compiled
-        n_slots = self.n_slots
-        if len(vectors) != n_slots:
-            raise ValueError(f"expected {n_slots} vectors, got {len(vectors)}")
-        v1, v0 = self.v1, self.v0
-        old_v1 = list(v1) if count_events else None
-        old_v0 = list(v0) if count_events else None
-
-        # Load primary inputs (transpose slot-major vectors to bit planes).
-        for j, pi in enumerate(compiled.pi_ids):
-            w1 = 0
-            w0 = 0
-            bit = 1
-            for s in range(n_slots):
-                value = vectors[s][j]
-                if value == 1:
-                    w1 |= bit
-                elif value == 0:
-                    w0 |= bit
-                bit <<= 1
-            v1[pi], v0[pi] = w1, w0
-
-        # Load flip-flop present state.
-        prev_ff1 = list(self.ff1)
-        prev_ff0 = list(self.ff0)
-        for k, ff in enumerate(compiled.ff_ids):
-            v1[ff], v0[ff] = self.ff1[k], self.ff0[k]
-
-        self._kernel.eval(v1, v0, self.mask)
-
-        # Capture next state from the D-input nodes.
-        set_counts = [0] * n_slots
-        changed_counts = [0] * n_slots
-        for k, d_node in enumerate(compiled.ff_d_ids):
-            n1, n0 = v1[d_node], v0[d_node]
-            self.ff1[k], self.ff0[k] = n1, n0
-            known = n1 | n0
-            toggled = (n1 & prev_ff0[k]) | (n0 & prev_ff1[k])
-            if known:
-                for s in range(n_slots):
-                    if (known >> s) & 1:
-                        set_counts[s] += 1
-            if toggled:
-                for s in range(n_slots):
-                    if (toggled >> s) & 1:
-                        changed_counts[s] += 1
-
-        events = [0] * n_slots
-        if count_events:
-            for node in range(compiled.num_nodes):
-                diff = (v1[node] ^ old_v1[node]) | (v0[node] ^ old_v0[node])
-                if diff:
-                    for s in range(n_slots):
-                        if (diff >> s) & 1:
-                            events[s] += 1
-        collector = self.collector
-        if collector.enabled:
-            collector.inc("sim.pattern.steps")
-            collector.inc("sim.pattern.slot_frames", n_slots)
-            if count_events:
-                collector.inc("sim.pattern.events", sum(events))
-        return FrameStats(ffs_set=set_counts, ffs_changed=changed_counts, events=events)
-
-    # ------------------------------------------------------------------
-
-    def extract_state(self, slot: int) -> GoodState:
-        """Extract the present flip-flop state of one slot as scalars."""
-        bit = 1 << slot
-        values = []
-        for k in range(self.compiled.num_ffs):
-            if self.ff1[k] & bit:
-                values.append(1)
-            elif self.ff0[k] & bit:
-                values.append(0)
-            else:
-                values.append(X)
-        return GoodState(values)
-
-    def po_values(self, slot: int) -> List[int]:
-        """Primary-output scalars of one slot after the latest step."""
-        bit = 1 << slot
-        out = []
-        for po in self.compiled.po_ids:
-            if self.v1[po] & bit:
-                out.append(1)
-            elif self.v0[po] & bit:
-                out.append(0)
-            else:
-                out.append(X)
-        return out
-
-    def node_value(self, slot: int, node_id: int) -> int:
-        """Scalar value of an arbitrary node in one slot."""
-        bit = 1 << slot
-        if self.v1[node_id] & bit:
-            return 1
-        if self.v0[node_id] & bit:
-            return 0
-        return X
-
-
-class SerialSimulator(PatternSimulator):
-    """Single-slot convenience wrapper with a scalar API.
-
-    Used wherever clarity matters more than throughput: applying the
-    chosen test to advance the committed circuit state, reference checks
-    in tests, and the examples.
-    """
-
-    def __init__(self, compiled: Union[CompiledCircuit, Circuit]) -> None:
-        super().__init__(compiled, n_slots=1)
-
-    def apply(self, vector: Vector, state: Optional[GoodState] = None) -> List[int]:
-        """Apply one vector (optionally from a fresh state); return POs."""
-        if state is not None or not self._began:
-            self.begin(state)
-        self.step([vector])
-        return self.po_values(0)
-
-    def run_sequence(self, vectors: Sequence[Vector], state: Optional[GoodState] = None) -> List[List[int]]:
-        """Apply a sequence from ``state`` (default power-up); return PO trace."""
-        self.begin(state)
-        trace = []
-        for vector in vectors:
-            self.step([vector])
-            trace.append(self.po_values(0))
-        return trace
-
-    @property
-    def state(self) -> GoodState:
-        """Current flip-flop state of the single slot."""
-        return self.extract_state(0)

@@ -9,11 +9,11 @@ escapes.  One VCD time unit corresponds to one clock cycle (time frame).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO, Union
+from typing import Iterator, List, Optional, Sequence, TextIO, Union
 
-from ..circuit.gates import X
+from ..circuit.gates import X, eval_gate_scalar
 from ..circuit.netlist import Circuit
-from .logic3 import GoodState, SerialSimulator, Vector
+from .logic3 import GoodState, Vector
 
 _VALUE_CHAR = {0: "0", 1: "1", X: "x"}
 
@@ -29,6 +29,34 @@ def _identifier(index: int) -> str:
         index, rem = divmod(index - 1, len(_ID_CHARS))
         chars.append(_ID_CHARS[rem])
     return "".join(chars)
+
+
+def _good_frames(
+    circuit: Circuit, vectors: Sequence[Vector], state: Optional[GoodState]
+) -> Iterator[List[int]]:
+    """Every node's fault-free value, one list per frame (scalar walk)."""
+    ffs = state.ff_values if state is not None else [X] * circuit.num_dffs
+    if len(ffs) != circuit.num_dffs:
+        raise ValueError(
+            f"state has {len(ffs)} flip-flops, circuit has {circuit.num_dffs}"
+        )
+    for t, vector in enumerate(vectors):
+        if len(vector) != circuit.num_inputs:
+            raise ValueError(
+                f"vector {t} has {len(vector)} values for "
+                f"{circuit.num_inputs} primary inputs"
+            )
+        values = [X] * circuit.num_nodes
+        for pi, value in zip(circuit.inputs, vector):
+            values[pi] = value if value in (0, 1) else X
+        for ff, value in zip(circuit.dffs, ffs):
+            values[ff] = value if value in (0, 1) else X
+        for node in circuit.topo_order:
+            values[node] = eval_gate_scalar(
+                circuit.node_types[node], [values[f] for f in circuit.fanins[node]]
+            )
+        ffs = [values[circuit.fanins[ff][0]] for ff in circuit.dffs]
+        yield values
 
 
 def dump_vcd(
@@ -62,18 +90,15 @@ def dump_vcd(
             )
         handle.write("$upscope $end\n$enddefinitions $end\n")
 
-        sim = SerialSimulator(circuit)
-        sim.begin(state)
         previous = {node: None for node in node_ids}
         handle.write("$dumpvars\n")
         for node in node_ids:
             handle.write(f"x{idents[node]}\n")
         handle.write("$end\n")
-        for t, vector in enumerate(vectors):
-            sim.step([vector])
+        for t, values in enumerate(_good_frames(circuit, vectors, state)):
             handle.write(f"#{t}\n")
             for node in node_ids:
-                value = sim.node_value(0, node)
+                value = values[node]
                 if value != previous[node]:
                     handle.write(f"{_VALUE_CHAR[value]}{idents[node]}\n")
                     previous[node] = value

@@ -92,8 +92,11 @@ def _frame(circuit, vector, ffs, stem, pins, d_pins):
 
 
 def good_run(circuit, vectors: Sequence[Sequence[int]],
-             good_ffs: Sequence[int]) -> GoodRun:
-    """Simulate the fault-free machine from ``good_ffs``."""
+             good_ffs: Optional[Sequence[int]] = None) -> GoodRun:
+    """Simulate the fault-free machine from ``good_ffs`` (default:
+    power-up, every flip-flop X)."""
+    if good_ffs is None:
+        good_ffs = [X] * circuit.num_dffs
     ffs = list(good_ffs)
     values_per_frame = []
     states = []
@@ -102,6 +105,13 @@ def good_run(circuit, vectors: Sequence[Sequence[int]],
         values_per_frame.append(values)
         states.append(ffs)
     return GoodRun(values_per_frame, states, list(good_ffs))
+
+
+def po_trace(circuit, vectors: Sequence[Sequence[int]],
+             good_ffs: Optional[Sequence[int]] = None) -> List[List[int]]:
+    """The fault-free machine's primary-output values, one list per frame."""
+    return [[values[po] for po in circuit.outputs]
+            for values in good_run(circuit, vectors, good_ffs).values]
 
 
 def _static_forces(circuit, fault):
@@ -275,7 +285,7 @@ def assert_commit_matches(sim, vectors) -> None:
 
 def detects(circuit, fault, vectors) -> bool:
     """Whether ``vectors`` from power-up detect ``fault``."""
-    good = good_run(circuit, vectors, [X] * circuit.num_dffs)
+    good = good_run(circuit, vectors)
     prev = [X] * circuit.num_nodes if isinstance(fault, TransitionFault) else None
     run = fault_run(circuit, fault, vectors, good, None, prev)
     return run.first_detection is not None

@@ -81,15 +81,14 @@ class TestUnroll:
     def test_unrolled_behaviour_matches_sequential(self, minifsm_circuit):
         """Simulating the unrolled circuit with a vector sequence on its
         frame PIs must reproduce the sequential PO trace."""
-        from repro.sim import SerialSimulator
+        from tests import oracle
         from tests.conftest import random_vectors
 
         frames = 5
         unrolled = unroll(minifsm_circuit, frames)
         vectors = random_vectors(minifsm_circuit, frames, seed=8)
-        seq_trace = SerialSimulator(minifsm_circuit).run_sequence(vectors)
+        seq_trace = oracle.po_trace(minifsm_circuit, vectors)
 
-        comb = SerialSimulator(unrolled.circuit)
         flat = []
         for frame_vec in vectors:
             flat.extend(frame_vec)
@@ -104,9 +103,7 @@ class TestUnroll:
                 value_of[pid] = bit
         for node in unrolled.circuit.inputs:
             vector.append(value_of.get(node, X))
-        comb.begin(None)
-        comb.step([vector])
-        pos = comb.po_values(0)
+        pos = oracle.po_trace(unrolled.circuit, [vector])[0]
         n_po = minifsm_circuit.num_outputs
         unrolled_trace = [
             pos[f * n_po:(f + 1) * n_po] for f in range(frames)

@@ -40,12 +40,15 @@ class TestDocLinks:
 class TestCliExampleChecking:
     """The checker must catch docs quoting flags the CLI no longer has."""
 
-    def _check(self, tmp_path, markdown):
+    def _check(self, tmp_path, markdown, others=()):
+        """Check a repo holding ``markdown`` as README.md plus each
+        ``(name, text)`` of ``others``."""
         root = tmp_path / "repo"
         root.mkdir()
         # The checker introspects the real parsers from <root>/src.
         shutil.copytree(REPO_ROOT / "src", root / "src")
-        (root / "README.md").write_text(markdown, encoding="utf-8")
+        for name, text in [("README.md", markdown), *others]:
+            (root / name).write_text(text, encoding="utf-8")
         return run_checker(root)
 
     def test_valid_examples_pass(self, tmp_path):
@@ -88,6 +91,30 @@ class TestCliExampleChecking:
         )
         assert result.returncode == 1
         assert "unknown gatest subcommand" in result.stdout
+
+    def test_inline_code_spans_checked(self, tmp_path):
+        """Inline `gatest …` spans in prose are checked too, also when
+        they wrap onto the next line; valid spans pass."""
+        result = self._check(tmp_path, (
+            "# x\n\nRun `gatest run s27 --seed 1 --trace out.jsonl` and\n"
+            "then `gatest trace\nout.jsonl --breakdown` to read it, or\n"
+            "`python -m repro.cli run s27 --turbo`.\n"
+        ))
+        assert result.returncode == 1
+        assert "README.md:4: stale CLI example (unknown gatest " \
+               "subcommand): trace" in result.stdout
+        assert "README.md:6: stale CLI example (flag not accepted by " \
+               "'gatest run'): --turbo" in result.stdout
+        assert "2 problem(s)" in result.stdout
+
+    def test_plans_and_history_skip_inline_check(self, tmp_path):
+        """ROADMAP.md and CHANGES.md may name in prose commands that do
+        not exist yet or any more."""
+        plan = "# y\n\nAdd `gatest trace OUT.jsonl`.\n"
+        result = self._check(tmp_path, "# x\n", others=[
+            ("ROADMAP.md", plan), ("CHANGES.md", plan),
+        ])
+        assert result.returncode == 0, result.stdout
 
     def test_console_output_lines_are_not_commands(self, tmp_path):
         """In console fences only `$ `-prompted lines are commands."""

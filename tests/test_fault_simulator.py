@@ -217,6 +217,27 @@ class TestEvaluateBatch:
         assert [sim.evaluate(c, sample=[], count_faulty_events=True)
                 for c in candidates] == expected
 
+    def test_x_inputs_supported(self, s27_circuit):
+        """X-valued primary inputs score (with and without a fault
+        sample) and commit exactly as the oracle says, on every kernel."""
+        rng = random.Random(11)
+        candidates = [
+            [[rng.choice((0, 1, X)) for _ in range(s27_circuit.num_inputs)]
+             for _ in range(3)]
+            for _ in range(4)
+        ]
+        candidates[0][0] = [X] * s27_circuit.num_inputs
+        for kernel in KERNELS:
+            sim = FaultSimulator(s27_circuit, kernel=kernel)
+            for sample in (None, []):
+                expected = [oracle.evaluate_like(sim, c, sample,
+                                                 count_faulty_events=True)
+                            for c in candidates]
+                assert sim.evaluate_batch(
+                    candidates, sample=sample, count_faulty_events=True
+                ) == expected
+            oracle.assert_commit_matches(sim, candidates[0])
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_zero_frames(self, kernel, s27_circuit):
         """Zero-frame candidates score the committed state, and a

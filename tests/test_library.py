@@ -12,7 +12,8 @@ from repro.circuit import (
     uninitializable_loop,
 )
 from repro.circuit.gates import X
-from repro.sim import GoodState, SerialSimulator
+
+from tests import oracle
 
 
 class TestShiftRegister:
@@ -22,10 +23,9 @@ class TestShiftRegister:
 
     def test_shifts_data(self):
         c = shift_register(3)
-        sim = SerialSimulator(c)
         # Push 1,0,1,0... and observe it emerge 3 cycles later.
         stream = [1, 0, 1, 1, 0, 0, 1]
-        trace = sim.run_sequence([[b] for b in stream])
+        trace = oracle.po_trace(c, [[b] for b in stream])
         # Output at time t is input at time t-3 (X before that).
         for t, po in enumerate(trace):
             expect = stream[t - 3] if t >= 3 else X
@@ -39,30 +39,21 @@ class TestShiftRegister:
 class TestCounter:
     def test_reset_initializes(self):
         c = resettable_counter(3)
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        sim.step([[1, 0]])  # rst=1, en=0
-        assert sim.state.ff_values == [0, 0, 0]
+        run = oracle.good_run(c, [[1, 0]])  # rst=1, en=0
+        assert run.ff_states[-1] == [0, 0, 0]
 
     def test_counts_up(self):
         c = resettable_counter(3)
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        sim.step([[1, 0]])  # reset
-        for expected in [1, 2, 3, 4, 5, 6, 7, 0, 1]:
-            sim.step([[0, 1]])  # count
-            bits = sim.state.ff_values
+        counts = [1, 2, 3, 4, 5, 6, 7, 0, 1]
+        # Reset, then count.
+        run = oracle.good_run(c, [[1, 0]] + [[0, 1]] * len(counts))
+        for expected, bits in zip(counts, run.ff_states[1:]):
             assert sum(b << i for i, b in enumerate(bits)) == expected
 
     def test_hold_when_disabled(self):
         c = resettable_counter(2)
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        sim.step([[1, 0]])
-        sim.step([[0, 1]])
-        state = sim.state.ff_values
-        sim.step([[0, 0]])  # enable off: hold
-        assert sim.state.ff_values == state
+        run = oracle.good_run(c, [[1, 0], [0, 1], [0, 0]])  # enable off: hold
+        assert run.ff_states[2] == run.ff_states[1]
 
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
@@ -72,52 +63,39 @@ class TestCounter:
 class TestParityTracker:
     def test_stays_unknown_without_clear(self):
         c = parity_tracker()
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        for _ in range(10):
-            sim.step([[1, 0]])  # din=1, clr=0
-        assert sim.state.ff_values == [X]
+        run = oracle.good_run(c, [[1, 0]] * 10)  # din=1, clr=0
+        assert run.ff_states[-1] == [X]
 
     def test_clear_then_tracks_parity(self):
         c = parity_tracker()
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        sim.step([[0, 1]])  # clear
-        assert sim.state.ff_values == [0]
+        bits = [1, 1, 0, 1, 0, 0, 1]
+        run = oracle.good_run(c, [[0, 1]] + [[bit, 0] for bit in bits])  # clear
+        assert run.ff_states[0] == [0]
         parity = 0
-        for bit in [1, 1, 0, 1, 0, 0, 1]:
-            sim.step([[bit, 0]])
+        for bit, state in zip(bits, run.ff_states[1:]):
             parity ^= bit
-            assert sim.state.ff_values == [parity]
+            assert state == [parity]
 
 
 class TestUninitializableLoop:
     def test_never_initializes(self):
         c = uninitializable_loop()
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        for bit in [0, 1, 1, 0, 1, 0, 0, 1, 1, 1]:
-            sim.step([[bit]])
-        assert sim.state.ff_values == [X]
+        run = oracle.good_run(c, [[bit] for bit in [0, 1, 1, 0, 1, 0, 0, 1, 1, 1]])
+        assert run.ff_states[-1] == [X]
 
 
 class TestMiniFsm:
     def test_walks_states(self):
         c = mini_fsm()
-        sim = SerialSimulator(c)
-        sim.begin(None)
-        sim.step([[1, 0]])  # reset
-        assert sim.state.ff_values == [0, 0]
+        # Reset, walk three states, then idle.
+        vectors = [[1, 0], [0, 1], [0, 1], [0, 1], [0, 0]]
+        run = oracle.good_run(c, vectors)
+        assert run.ff_states[0] == [0, 0]
         # Walk: 1, 2, 3 (s0 is bit 0, s1 is bit 1).
-        seen = []
-        for _ in range(3):
-            sim.step([[0, 1]])
-            s = sim.state.ff_values
-            seen.append(s[0] + 2 * s[1])
+        seen = [s[0] + 2 * s[1] for s in run.ff_states[1:4]]
         assert seen == [1, 2, 3]
         # In state 3, output asserts.
-        sim.step([[0, 0]])
-        assert sim.po_values(0) == [1]
+        assert oracle.po_trace(c, vectors)[-1] == [1]
 
 
 class TestRegistry:

@@ -1,27 +1,15 @@
-"""Tests for the simulation layer: compiled, pattern-parallel, event-driven.
+"""Tests for the simulation layer: the compiled program and circuit state.
 
-The central property: the three simulators (compiled word-parallel,
-pattern-parallel slots, and the event-driven reference) must agree on
-every circuit, every state, every input sequence.
+Simulation itself is checked against the scalar oracle (tests/oracle.py)
+in tests/test_fault_simulator.py; :func:`make_random_circuit` builds the
+random netlists those property tests use.
 """
 
 import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.circuit import Circuit, GateType, c17, mini_fsm, s27, synthesize_named
+from repro.circuit import Circuit, GateType
 from repro.circuit.gates import X
-from repro.sim import (
-    CompiledCircuit,
-    EventSimulator,
-    GoodState,
-    PatternSimulator,
-    SerialSimulator,
-    compile_circuit,
-)
-
-from tests.conftest import random_vectors
+from repro.sim import GoodState, compile_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -57,107 +45,6 @@ def make_random_circuit(seed: int, n_pi: int = 4, n_ff: int = 3, n_gates: int = 
     return c.finalize()
 
 
-circuit_seeds = st.integers(min_value=0, max_value=10_000)
-
-
-class TestCrossSimulatorAgreement:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, vec_seed=st.integers(0, 1000))
-    def test_serial_matches_event_driven(self, seed, vec_seed):
-        circuit = make_random_circuit(seed)
-        vectors = random_vectors(circuit, 8, seed=vec_seed)
-        serial = SerialSimulator(circuit).run_sequence(vectors)
-        event = EventSimulator(circuit).run_sequence(vectors)
-        assert serial == event
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=circuit_seeds)
-    def test_pattern_slots_match_serial(self, seed):
-        """Each slot of a pattern-parallel run must equal its own serial run."""
-        circuit = make_random_circuit(seed)
-        n_slots = 5
-        sequences = [random_vectors(circuit, 4, seed=s) for s in range(n_slots)]
-        psim = PatternSimulator(circuit, n_slots=n_slots)
-        psim.begin(None)
-        for frame in range(4):
-            psim.step([sequences[s][frame] for s in range(n_slots)])
-        for s in range(n_slots):
-            serial = SerialSimulator(circuit)
-            serial.run_sequence(sequences[s])
-            assert psim.extract_state(s).ff_values == serial.state.ff_values
-            assert psim.po_values(s) == serial.po_values(0)
-
-    @pytest.mark.parametrize("circuit_factory", [s27, c17, mini_fsm])
-    def test_known_circuits_agree(self, circuit_factory):
-        circuit = circuit_factory()
-        vectors = random_vectors(circuit, 25, seed=9)
-        assert (
-            SerialSimulator(circuit).run_sequence(vectors)
-            == EventSimulator(circuit).run_sequence(vectors)
-        )
-
-
-class TestPatternSimulator:
-    def test_begin_broadcasts_state(self, s27_circuit):
-        sim = PatternSimulator(s27_circuit, n_slots=3)
-        sim.begin(GoodState([1, 0, X]))
-        for slot in range(3):
-            assert sim.extract_state(slot).ff_values == [1, 0, X]
-
-    def test_step_requires_begin(self, s27_circuit):
-        sim = PatternSimulator(s27_circuit, n_slots=1)
-        with pytest.raises(RuntimeError, match="begin"):
-            sim.step([[0, 0, 0, 0]])
-
-    def test_step_checks_vector_count(self, s27_circuit):
-        sim = PatternSimulator(s27_circuit, n_slots=2)
-        sim.begin(None)
-        with pytest.raises(ValueError, match="expected 2"):
-            sim.step([[0, 0, 0, 0]])
-
-    def test_state_size_checked(self, s27_circuit):
-        sim = PatternSimulator(s27_circuit, n_slots=1)
-        with pytest.raises(ValueError, match="flip-flops"):
-            sim.begin(GoodState([0]))
-
-    def test_zero_slots_rejected(self, s27_circuit):
-        with pytest.raises(ValueError):
-            PatternSimulator(s27_circuit, n_slots=0)
-
-    def test_accepts_precompiled(self, s27_circuit):
-        compiled = compile_circuit(s27_circuit)
-        sim = PatternSimulator(compiled, n_slots=1)
-        assert isinstance(sim.compiled, CompiledCircuit)
-
-    def test_ffs_set_counts(self, counter3_circuit):
-        sim = PatternSimulator(counter3_circuit, n_slots=2)
-        sim.begin(None)
-        # Slot 0 resets (all FFs set), slot 1 idles (all X).
-        stats = sim.step([[1, 0], [0, 0]])
-        assert stats.ffs_set[0] == 3
-        assert stats.ffs_set[1] == 0
-
-    def test_ffs_changed_counts_definite_toggles(self, counter3_circuit):
-        sim = PatternSimulator(counter3_circuit, n_slots=1)
-        sim.begin(GoodState([0, 0, 0]))
-        stats = sim.step([[0, 1]])  # count: bit0 toggles 0->1
-        assert stats.ffs_changed[0] == 1
-
-    def test_events_counted_per_slot(self, s27_circuit):
-        sim = PatternSimulator(s27_circuit, n_slots=2)
-        sim.begin(None)
-        sim.step([[0, 0, 0, 0], [0, 0, 0, 0]])
-        # Identical vectors twice: slot events must match.
-        stats = sim.step([[1, 1, 1, 1], [0, 0, 0, 0]])
-        assert stats.events[0] > stats.events[1] == 0 or stats.events[0] >= stats.events[1]
-
-    def test_x_inputs_supported(self, s27_circuit):
-        sim = SerialSimulator(s27_circuit)
-        sim.begin(None)
-        sim.step([[X, X, X, X]])
-        assert sim.po_values(0)[0] in (0, 1, X)
-
-
 class TestGoodState:
     def test_unknown(self):
         state = GoodState.unknown(4)
@@ -176,37 +63,6 @@ class TestGoodState:
         assert state.num_set == 3
         assert not state.all_set
         assert GoodState([0, 1]).all_set
-
-
-class TestEventSimulator:
-    def test_event_counts_zero_on_repeat_vector(self, s27_circuit):
-        sim = EventSimulator(s27_circuit)
-        sim.reset()
-        vector = [1, 0, 1, 0]
-        sim.step(vector)
-        sim.step(vector)
-        third = sim.step(vector)
-        # Same vector, settled state: no events.
-        assert third.events == 0
-
-    def test_total_events_accumulates(self, s27_circuit):
-        sim = EventSimulator(s27_circuit)
-        sim.run_sequence(random_vectors(s27_circuit, 10, seed=2))
-        assert sim.total_events > 0
-
-    def test_vector_length_checked(self, s27_circuit):
-        sim = EventSimulator(s27_circuit)
-        sim.reset()
-        with pytest.raises(ValueError, match="bits"):
-            sim.step([0, 1])
-
-    def test_state_matches_serial_semantics(self, minifsm_circuit):
-        vectors = random_vectors(minifsm_circuit, 6, seed=4)
-        event = EventSimulator(minifsm_circuit)
-        event.run_sequence(vectors)
-        serial = SerialSimulator(minifsm_circuit)
-        serial.run_sequence(vectors)
-        assert event.state.ff_values == serial.state.ff_values
 
 
 class TestCompile:

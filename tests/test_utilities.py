@@ -151,7 +151,7 @@ class TestVcd:
         assert "G17" in text and "G10" in text
 
     def test_values_match_simulation(self, s27_circuit):
-        from repro.sim import SerialSimulator
+        from tests import oracle
 
         buffer = io.StringIO()
         vectors = random_vectors(s27_circuit, 5, seed=3)
@@ -167,13 +167,11 @@ class TestVcd:
                 current_time = int(line[1:])
             elif ident and line.endswith(ident) and current_time is not None:
                 changes[current_time] = line[: -len(ident)]
-        sim = SerialSimulator(s27_circuit)
+        run = oracle.good_run(s27_circuit, vectors)
         value = "x"
         trace = []
-        sim.begin(None)
-        for t, vector in enumerate(vectors):
-            sim.step([vector])
-            po = sim.node_value(0, s27_circuit.id_of("G17"))
+        for t, values in enumerate(run.values):
+            po = values[s27_circuit.id_of("G17")]
             expected = {0: "0", 1: "1", 2: "x"}[po]
             if t in changes:
                 value = changes[t]
@@ -184,6 +182,15 @@ class TestVcd:
         path = tmp_path / "trace.vcd"
         dump_vcd(s27_circuit, random_vectors(s27_circuit, 2, seed=1), path)
         assert path.read_text().startswith("$date")
+
+    def test_malformed_inputs_rejected(self, s27_circuit):
+        from repro.sim import GoodState
+
+        with pytest.raises(ValueError, match="1 flip-flops, circuit has 3"):
+            dump_vcd(s27_circuit, [[0, 0, 0, 0]], io.StringIO(),
+                     state=GoodState([0]))
+        with pytest.raises(ValueError, match="3 values for 4 primary inputs"):
+            dump_vcd(s27_circuit, [[0, 0, 0, 0], [0, 0, 0]], io.StringIO())
 
 
 class TestCoverageReport:

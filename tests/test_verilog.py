@@ -14,8 +14,7 @@ from repro.circuit import (
     synthesize_named,
     write_verilog,
 )
-from repro.sim import SerialSimulator
-
+from tests import oracle
 from tests.conftest import random_vectors
 
 
@@ -58,10 +57,7 @@ class TestRoundTrip:
         circuit = synthesize_named("s386", scale=0.25)
         back = parse_verilog(write_verilog(circuit), name=circuit.name)
         vectors = random_vectors(circuit, 12, seed=5)
-        assert (
-            SerialSimulator(circuit).run_sequence(vectors)
-            == SerialSimulator(back).run_sequence(vectors)
-        )
+        assert oracle.po_trace(circuit, vectors) == oracle.po_trace(back, vectors)
 
     def test_file_io(self, tmp_path, s27_circuit):
         path = tmp_path / "s27.v"

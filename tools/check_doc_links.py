@@ -2,7 +2,8 @@
 """Fail on dead links and phantom CLI flags in the markdown docs.
 
 Two independent checks over README.md, the other top-level markdown
-documents, and docs/*.md:
+documents, and docs/*.md (CLI mentions in prose only in
+:data:`INLINE_DOCS`):
 
 **Links** — every ``[text](target)``:
 
@@ -25,7 +26,12 @@ exist, every ``--flag`` must be one that subcommand accepts, and the
 value of every option that declares argparse ``choices`` (``--opt
 value`` or ``--opt=value``) must be one of them.  A doc that quotes a
 renamed or deleted flag or value fails the build instead of
-misleading readers.
+misleading readers.  Inline code spans that quote an invocation
+(`` `gatest run s27 --seed 1` ``), including spans that wrap onto the
+next line, get the same check in README.md, DESIGN.md, EXPERIMENTS.md
+and docs/*.md; ROADMAP.md and CHANGES.md are skipped, because they
+hold plans and history, which may name commands that do not exist
+(yet, or any more).
 
 Exit status 0 when everything resolves, 1 otherwise (one diagnostic
 line per problem) — CI runs this, and tests/test_docs.py keeps it in
@@ -46,6 +52,9 @@ from typing import Dict, List, Optional, Tuple
 #: Documents checked: top-level markdown plus everything under docs/.
 DOC_GLOBS = ("*.md", "docs/*.md")
 
+#: Documents whose inline code spans are checked as CLI invocations.
+INLINE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE = re.compile(r"^(```|~~~)")
 _CODE_SPAN = re.compile(r"`[^`]*`")
@@ -61,8 +70,8 @@ def _slug(heading: str) -> str:
     return text.replace(" ", "-")
 
 
-def _strip_code(lines: List[str]) -> List[str]:
-    """Blank out fenced code blocks and inline code spans."""
+def _strip_fences(lines: List[str]) -> List[str]:
+    """Blank out fenced code blocks, fence lines included."""
     out: List[str] = []
     in_fence = False
     for line in lines:
@@ -70,8 +79,13 @@ def _strip_code(lines: List[str]) -> List[str]:
             in_fence = not in_fence
             out.append("")
             continue
-        out.append("" if in_fence else _CODE_SPAN.sub("", line))
+        out.append("" if in_fence else line)
     return out
+
+
+def _strip_code(lines: List[str]) -> List[str]:
+    """Blank out fenced code blocks and inline code spans."""
+    return [_CODE_SPAN.sub("", line) for line in _strip_fences(lines)]
 
 
 def _anchors(path: Path) -> set:
@@ -83,15 +97,7 @@ def _anchors(path: Path) -> set:
     """
     slugs: set = set()
     counts: dict = {}
-    in_fence = False
-    lines = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if _FENCE.match(line.strip()):
-            in_fence = not in_fence
-            continue
-        if not in_fence:
-            lines.append(line)
-    for line in lines:
+    for line in _strip_fences(path.read_text(encoding="utf-8").splitlines()):
         match = _HEADING.match(line)
         if not match:
             continue
@@ -241,14 +247,42 @@ def _gatest_invocations(tokens: List[str]) -> List[List[str]]:
     return invocations
 
 
+def _inline_spans(raw_lines: List[str]) -> List[Tuple[int, str]]:
+    """(lineno, text) of every inline code span outside fenced blocks.
+
+    Spans are matched per paragraph, so a span that wraps onto the
+    next line is found whole (its line break read as a space); the
+    line number is the one the span starts on.
+    """
+    spans: List[Tuple[int, str]] = []
+    kept = _strip_fences(raw_lines)
+    block: List[str] = []
+    start = 0
+    for lineno, line in enumerate(kept + [""], start=1):
+        if line.strip():
+            if not block:
+                start = lineno
+            block.append(line)
+            continue
+        text = "\n".join(block)
+        for match in _CODE_SPAN.finditer(text):
+            spans.append((start + text.count("\n", 0, match.start()),
+                          match.group(0).strip("`").replace("\n", " ")))
+        block = []
+    return spans
+
+
 def check_cli_blocks(
-    path: Path, commands: Dict[str, Options]
+    path: Path, commands: Dict[str, Options], inline_code: bool = False
 ) -> List[Tuple[int, str, str]]:
     """Phantom subcommands, flags and choice values in one file's shell
-    blocks."""
+    blocks and, with ``inline_code``, its inline code spans."""
     problems: List[Tuple[int, str, str]] = []
     raw_lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in _shell_blocks(raw_lines):
+    lines = _shell_blocks(raw_lines)
+    if inline_code:
+        lines += _inline_spans(raw_lines)
+    for lineno, line in lines:
         # Drop env-var prefixes so `VAR=x gatest run` parses.
         try:
             tokens = shlex.split(line)
@@ -301,6 +335,7 @@ def main(argv: List[str]) -> int:
     failures = 0
     checked = 0
     commands = _cli_parsers(root)
+    inline_docs = {path for pattern in INLINE_DOCS for path in root.glob(pattern)}
     for pattern in DOC_GLOBS:
         for path in sorted(root.glob(pattern)):
             checked += 1
@@ -308,7 +343,9 @@ def main(argv: List[str]) -> int:
                 failures += 1
                 print(f"{path.relative_to(root)}:{lineno}: dead link "
                       f"({reason}): {target}")
-            for lineno, target, reason in check_cli_blocks(path, commands):
+            for lineno, target, reason in check_cli_blocks(
+                path, commands, inline_code=path in inline_docs
+            ):
                 failures += 1
                 print(f"{path.relative_to(root)}:{lineno}: stale CLI "
                       f"example ({reason}): {target}")
