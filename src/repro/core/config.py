@@ -115,10 +115,6 @@ class TestGenConfig:
     #: Worker processes for fault-sharded candidate evaluation
     #: (``gatest run --eval-jobs``); 1 keeps the serial path exactly.
     eval_jobs: int = 1
-    #: Chromosome evaluation cache: ``None`` enables it exactly when
-    #: ``eval_jobs > 1``; force with True/False.  Results are identical
-    #: either way (docs/PERFORMANCE.md).
-    eval_cache: Optional[bool] = None
 
     #: Simulation kernel backend, one of ``repro.sim.codegen.KERNEL_NAMES``:
     #: "interp" (reference interpreter), "codegen" (generated
@@ -127,21 +123,11 @@ class TestGenConfig:
     #: bit-identical either way (docs/KERNELS.md).
     sim_kernel: Optional[str] = None
 
-    #: Self-healing pool policy for sharded evaluation: per-shard-pass
-    #: timeout in seconds and pool-respawn retry count before degrading
-    #: to the serial path (``None`` = environment/defaults; see
-    #: docs/ROBUSTNESS.md).  Never affects results, only availability.
-    eval_task_timeout: Optional[float] = None
-    eval_retries: Optional[int] = None
-
     #: Execution-only knobs: settings that change how a run executes but
     #: provably not what it produces — excluded from :meth:`digest`, so
     #: a checkpointed run may be resumed with, say, a different
     #: ``eval_jobs`` and still finish bit-identically.
-    _EXECUTION_ONLY = (
-        "eval_jobs", "eval_cache", "sim_kernel",
-        "eval_task_timeout", "eval_retries",
-    )
+    _EXECUTION_ONLY = ("eval_jobs", "sim_kernel")
 
     def __post_init__(self) -> None:
         if self.eval_jobs < 1:
@@ -166,17 +152,13 @@ class TestGenConfig:
             raise ValueError("generation gap must be in (0, 1]")
         if self.population_scale <= 0:
             raise ValueError("population_scale must be positive")
-        if self.eval_task_timeout is not None and self.eval_task_timeout <= 0:
-            raise ValueError("eval_task_timeout must be positive (or None)")
-        if self.eval_retries is not None and self.eval_retries < 0:
-            raise ValueError("eval_retries must be >= 0 (or None)")
 
     def digest(self) -> str:
         """Hash of every result-affecting knob (run-checkpoint guard).
 
         Execution-only knobs (``_EXECUTION_ONLY``) are excluded: they
         are contractually bit-identical in outcome, so a run may resume
-        under different parallelism, kernel or resilience settings.
+        under different parallelism or kernel settings.
         """
         items = sorted(
             (f.name, repr(getattr(self, f.name)))
@@ -184,13 +166,6 @@ class TestGenConfig:
             if f.name not in self._EXECUTION_ONLY
         )
         return hashlib.sha256(repr(items).encode()).hexdigest()
-
-    @property
-    def eval_cache_enabled(self) -> bool:
-        """The resolved cache setting (auto: on iff ``eval_jobs > 1``)."""
-        if self.eval_cache is None:
-            return self.eval_jobs > 1
-        return self.eval_cache
 
     def for_circuit(self, circuit_name: str) -> "TestGenConfig":
         """Apply the paper's per-circuit overrides (deep circuits)."""

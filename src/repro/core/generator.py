@@ -108,8 +108,7 @@ def make_fault_simulator(
     """Build the fault simulator one GATEST run needs under ``config``.
 
     The single place the config's simulator-shaping knobs (fault model,
-    kernel, eval parallelism/cache/resilience) are turned
-    into a constructor call — the generator builds through here, and so
+    kernel, eval parallelism) are turned into a constructor call — the generator builds through here, and so
     does the job service's warm registry, so a leased resident simulator
     is guaranteed to match what the generator would have built itself.
     """
@@ -124,10 +123,7 @@ def make_fault_simulator(
     return sim_class(
         compiled, faults=faults,
         collector=collector, eval_jobs=config.eval_jobs,
-        eval_cache=config.eval_cache,
         kernel=config.sim_kernel,
-        eval_task_timeout=config.eval_task_timeout,
-        eval_retries=config.eval_retries,
     )
 
 
@@ -142,8 +138,8 @@ class GaTestGenerator:
 
     ``fsim`` lends the generator an existing simulator instead of
     building one: it must wrap the same compiled circuit, be configured
-    like :func:`make_fault_simulator` would (same fault model, kernel,
-    word width), and be at power-up state (freshly built or ``reset``).
+    like :func:`make_fault_simulator` would (same fault model and
+    kernel), and be at power-up state (freshly built or ``reset``).
     A lent simulator is *not* closed by :meth:`run`/:meth:`close` — its
     lifetime (and its worker pool's) stays with the owner, which is how
     the job service keeps simulators and pools warm across jobs.
@@ -198,6 +194,9 @@ class GaTestGenerator:
 
         Phase 1 passes an empty ``sample``: its fitness reads only the
         good-machine observables, which every block's top slot carries.
+        The committed state, ``sample`` and ``phase`` stay fixed for the
+        GA run that uses the evaluator, so it is a pure function of the
+        chromosome, as the GA's fitness memo requires.
         """
         count_events = (
             phase is Phase.ACTIVITY and self.config.use_activity_fitness
@@ -235,10 +234,6 @@ class GaTestGenerator:
             crossover=self.config.crossover,
             mutation_rate=schedule.mutation_rate,
             generation_gap=self.config.generation_gap,
-            # With the evaluation cache on, duplicate chromosomes inside
-            # one generation are also collapsed before the evaluator is
-            # called (identical fitnesses; fewer simulator slots).
-            dedup_evaluations=self.config.eval_cache_enabled,
         )
         if n_islands > 1:
             from ..ga.islands import IslandGA, IslandParams

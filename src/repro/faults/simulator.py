@@ -32,11 +32,10 @@ Candidate scoring has two executions with bit-identical results.  The
 :meth:`evaluate_batch` to a :class:`repro.parallel.ParallelEvaluator`:
 the fault sample is split into contiguous shards scored by a persistent
 worker-process pool and merged by summation (exact, because shards are
-disjoint fault subsets), with a chromosome-level memo cache in front
-keyed by ``(candidate bits, state_epoch)``.  The ``state_epoch``
-counter — bumped by every :meth:`commit`, :meth:`restore` and
-:meth:`reset` — is what lets that cache prove a memoized score is still
-valid.  See docs/ARCHITECTURE.md and docs/PERFORMANCE.md.
+disjoint fault subsets).  Repeated candidates never reach either path
+twice in one GA run: the GA memoizes fitness by chromosome
+(:class:`repro.ga.engine.GeneticAlgorithm`).  See docs/ARCHITECTURE.md
+and docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -102,22 +101,26 @@ class _BatchLayout:
     the injected pass that simulates the faulty machines computes every
     candidate's good machine alongside them.  Nothing here reads the
     committed state: it depends only on the sample's order and the
-    population size.  The static forces come from
-    :meth:`FaultSimulator._injection_tables`; a model whose forces
-    change per frame returns none there and supplies them from
+    population size.  :meth:`replicate` builds a layout from the
+    sample's forces (:meth:`FaultSimulator._injection_tables` at
+    ``rep``); :meth:`trimmed` serves a smaller population of the same
+    sample from a built one.  A model whose forces change per frame
+    returns none from the tables and supplies them from
     :meth:`FaultSimulator._frame_forces`.
     """
 
     __slots__ = (
-        "S", "mask", "rep", "top", "blocks", "tops",
-        "pi_forces", "ff_out_rows", "ff_pin_forces", "injection",
+        "S", "n_cand", "mask", "rep", "top", "blocks", "tops",
+        "pi_forces", "ff_out_rows", "ff_pin_forces", "out_force",
+        "pin_force", "injection",
     )
 
-    def __init__(self, sim: "FaultSimulator", sample: Sequence[int],
-                 n_cand: int) -> None:
-        S = len(sample)
+    def __init__(self, sim: "FaultSimulator", S: int, n_cand: int,
+                 pi_forces, ff_out_rows, ff_pin_forces, out_force,
+                 pin_force) -> None:
         B = S + 1
         self.S = S
+        self.n_cand = n_cand
         self.mask = (1 << (n_cand * B)) - 1
         #: Bit ``c * B`` of every block; ``rep << S`` is every top slot.
         rep = self.mask // ((1 << B) - 1)
@@ -127,20 +130,49 @@ class _BatchLayout:
         #: results into per-candidate counts, and top slots.
         self.blocks = [((1 << B) - 1) << (c * B) for c in range(n_cand)]
         self.tops = [1 << (c * B + S) for c in range(n_cand)]
-        (out_force, pin_force, pi_forces,
-         ff_out_forces, ff_pin_forces) = sim._injection_tables(sample)
-        self.pi_forces = [(node, f1 * rep, f0 * rep)
-                          for node, f1, f0 in pi_forces]
-        ff_ids = sim.compiled.ff_ids
+        #: ``(node, f1, f0)``: primary-input forces, applied at load.
+        self.pi_forces = pi_forces
         #: ``(k, flip-flop node, f1, f0)``: forced at present-state load.
-        self.ff_out_rows = [(k, ff_ids[k], f1 * rep, f0 * rep)
-                            for k, (f1, f0) in ff_out_forces.items()]
-        self.ff_pin_forces = {k: (f1 * rep, f0 * rep)
-                              for k, (f1, f0) in ff_pin_forces.items()}
-        self.injection = sim._kernel.make_injection(
-            {node: (f1 * rep, f0 * rep) for node, (f1, f0) in out_force.items()},
-            {gate: [(pin, f1 * rep, f0 * rep) for pin, f1, f0 in entries]
-             for gate, entries in pin_force.items()},
+        self.ff_out_rows = ff_out_rows
+        #: ``k -> (f1, f0)``: D-pin forces, applied at next-state capture.
+        self.ff_pin_forces = ff_pin_forces
+        #: The gate forces :attr:`injection` digests, kept for trimming.
+        self.out_force = out_force
+        self.pin_force = pin_force
+        self.injection = sim._kernel.make_injection(out_force, pin_force)
+
+    @classmethod
+    def replicate(cls, sim: "FaultSimulator", sample: Sequence[int],
+                  n_cand: int) -> "_BatchLayout":
+        """Build the layout: every force bit set in all ``n_cand`` blocks."""
+        S = len(sample)
+        B = S + 1
+        rep = ((1 << (n_cand * B)) - 1) // ((1 << B) - 1)
+        (out_force, pin_force, pi_forces,
+         ff_out_forces, ff_pin_forces) = sim._injection_tables(sample, rep)
+        ff_ids = sim.compiled.ff_ids
+        return cls(
+            sim, S, n_cand, pi_forces,
+            [(k, ff_ids[k], f1, f0) for k, (f1, f0) in ff_out_forces.items()],
+            ff_pin_forces, out_force, pin_force,
+        )
+
+    def trimmed(self, sim: "FaultSimulator", n_cand: int) -> "_BatchLayout":
+        """The layout of this sample's first ``n_cand`` blocks.
+
+        Every block carries the same forces, so cutting each replicated
+        word to the narrower mask gives what :meth:`replicate` would
+        build for ``n_cand`` candidates, without building it again.
+        """
+        m = (1 << (n_cand * (self.S + 1))) - 1
+        return _BatchLayout(
+            sim, self.S, n_cand,
+            [(node, f1 & m, f0 & m) for node, f1, f0 in self.pi_forces],
+            [(k, ff, f1 & m, f0 & m) for k, ff, f1, f0 in self.ff_out_rows],
+            {k: (f1 & m, f0 & m) for k, (f1, f0) in self.ff_pin_forces.items()},
+            {node: (f1 & m, f0 & m) for node, (f1, f0) in self.out_force.items()},
+            {gate: [(pin, f1 & m, f0 & m) for pin, f1, f0 in entries]
+             for gate, entries in self.pin_force.items()},
         )
 
 
@@ -228,16 +260,14 @@ class FaultSimulator:
     """Sequential fault simulator over a collapsed stuck-at fault list.
 
     ``eval_jobs > 1`` scores candidates fault-shard-parallel over a
-    persistent worker pool, and ``eval_cache`` memoizes candidate scores
-    per committed-state epoch (default: enabled exactly when
-    ``eval_jobs > 1``); both leave every result bit-identical to the
+    persistent worker pool, leaving every result bit-identical to the
     serial path (see :mod:`repro.parallel`).
     """
 
     #: Whether candidate scoring may be sharded to pool workers (which
     #: rebuild a plain ``FaultSimulator``); subclasses with extra
     #: per-frame state they cannot ship (e.g. the transition-fault
-    #: model) set this False and keep only the evaluation cache.
+    #: model) set this False and score in-process.
     _shardable = True
 
     def __init__(
@@ -246,10 +276,7 @@ class FaultSimulator:
         faults: Optional[List[Fault]] = None,
         collector: Optional[NullCollector] = None,
         eval_jobs: int = 1,
-        eval_cache: Optional[bool] = None,
         kernel: Optional[str] = None,
-        eval_task_timeout: Optional[float] = None,
-        eval_retries: Optional[int] = None,
     ) -> None:
         if isinstance(circuit, CompiledCircuit):
             self.compiled = circuit
@@ -276,26 +303,17 @@ class FaultSimulator:
         self.divergence: Dict[int, Dict[int, int]] = {}
         self.vectors_applied = 0
         self.detections: List[Tuple[Fault, int]] = []  # (fault, absolute frame)
-        #: Monotonic committed-state version: bumped by every commit /
-        #: restore / reset, consulted by the evaluation cache.
-        self.state_epoch = 0
-        #: Per-epoch memo of :class:`_BatchLayout` objects (and the
-        #: transition model's launch tables): they depend only on the
-        #: sample, so every pass against the same sample and committed
-        #: state reuses them.
-        self._plan_cache: Dict[tuple, object] = {}
-        self._plan_epoch = -1
-        if eval_cache is None:
-            eval_cache = eval_jobs > 1
-        if eval_jobs > 1 or eval_cache:
+        #: Tables that read only the sample (the population pass's
+        #: :class:`_BatchLayout` objects, the transition model's launch
+        #: tables), for the one sample passes used last: a GA run keeps
+        #: one sample, and commits leave these tables valid.
+        self._plan_sample: Optional[tuple] = None
+        self._plan_cache: Dict[object, object] = {}
+        if eval_jobs > 1:
             from ..parallel.evaluator import ParallelEvaluator
-            from ..parallel.resilience import RetryPolicy
 
             self._parallel: Optional["ParallelEvaluator"] = ParallelEvaluator(
-                self, jobs=eval_jobs, cache=eval_cache, collector=self.collector,
-                retry=RetryPolicy.from_env(
-                    task_timeout=eval_task_timeout, max_retries=eval_retries
-                ),
+                self, jobs=eval_jobs, collector=self.collector
             )
         else:
             self._parallel = None
@@ -348,7 +366,6 @@ class FaultSimulator:
         self.active = list(snap.active)
         self.vectors_applied = snap.vectors_applied
         self.detections = list(snap.detections)
-        self.state_epoch += 1
 
     def reset(self) -> None:
         """Return to power-up: all faults undetected, all state unknown."""
@@ -358,7 +375,6 @@ class FaultSimulator:
         self.divergence = {}
         self.vectors_applied = 0
         self.detections = []
-        self.state_epoch += 1
 
     def close(self) -> None:
         """Release the parallel evaluator's worker pool, if any.
@@ -386,8 +402,14 @@ class FaultSimulator:
     # Injection tables and the population pass's layout
     # ------------------------------------------------------------------
 
-    def _injection_tables(self, sample: Sequence[int]):
+    def _injection_tables(self, sample: Sequence[int], rep: int = 1):
         """Static stuck-at forces of a sample, one bit per sample slot.
+
+        A fault in slot ``s`` forces bit ``s`` of every block that
+        ``rep`` marks (``rep << s``; ``rep = 1`` gives the sample's own
+        ``S``-bit words): on unsampled s1196 that builds a 16-candidate
+        layout in about 5 ms, where multiplying the ``S``-bit words by
+        ``rep`` took about 70 ms.
 
         Returns ``(out_force, pin_force, pi_forces, ff_out_forces,
         ff_pin_forces)`` where the first two feed
@@ -415,7 +437,7 @@ class FaultSimulator:
 
         for slot, fault_id in enumerate(sample):
             fault = self.faults[fault_id]
-            bit = 1 << slot
+            bit = rep << slot
             if fault.pin == STEM:
                 if fault.node in is_ff:
                     add_pair(ff_out_forces, is_ff[fault.node], bit, fault.stuck_at)
@@ -446,33 +468,41 @@ class FaultSimulator:
         ]
         return out_force, pin_force, pi_forces, ff_out_forces, ff_pin_forces
 
-    def _memo(self, key: tuple, build):
-        """Per-epoch memo of per-sample tables, built on first use.
+    def _memo(self, sample: Sequence[int], key, build):
+        """A table of ``sample``'s, built on first use.
 
-        Cleared whenever the committed state changes and bounded, since
-        fault sampling can stream distinct subsets (the common
-        full-sample key returns fast).
+        Holds one sample's tables at a time: a pass over another sample
+        drops them.  Nothing in them reads the committed state, so they
+        stay exact across commits, restores and pool workers' state
+        overwrites (see :mod:`repro.parallel.worker`).
         """
-        if self._plan_epoch != self.state_epoch:
+        sample_key = tuple(sample)
+        if sample_key != self._plan_sample:
             self._plan_cache.clear()
-            self._plan_epoch = self.state_epoch
+            self._plan_sample = sample_key
         value = self._plan_cache.get(key)
         if value is None:
             value = build()
-            if len(self._plan_cache) >= 16:
-                self._plan_cache.clear()
             self._plan_cache[key] = value
         return value
 
     def _batch_layout(self, sample: Sequence[int], n_cand: int) -> _BatchLayout:
         """The population pass's :class:`_BatchLayout`, memoized.
 
-        It reads only the sample order, so it stays exact in pool
-        workers, which overwrite ``good_state`` and ``divergence``
-        without an epoch change (see :mod:`repro.parallel.worker`).
+        Kept by population size.  A size wider than any built for the
+        sample so far is replicated and becomes the ``"widest"`` entry;
+        smaller populations, which the GA's fitness memo and commits
+        produce, are trimmed from that entry.
         """
-        return self._memo(("batch", n_cand, tuple(sample)),
-                          lambda: _BatchLayout(self, sample, n_cand))
+        def build():
+            widest = self._plan_cache.get("widest")
+            if widest is not None and widest.n_cand > n_cand:
+                return widest.trimmed(self, n_cand)
+            layout = _BatchLayout.replicate(self, sample, n_cand)
+            self._plan_cache["widest"] = layout
+            return layout
+
+        return self._memo(sample, n_cand, build)
 
     def _batch_ff_planes(self, sample: Sequence[int], layout: _BatchLayout):
         """Present-state planes that open a population pass.
@@ -730,14 +760,10 @@ class FaultSimulator:
         phase-3 activity observable (it costs an extra pass over the
         node arrays per frame).  A one-candidate population pass.
 
-        With ``eval_jobs > 1`` / ``eval_cache`` the call is served by the
-        sharded, memoized evaluator; the result is bit-identical.
+        With ``eval_jobs > 1`` the call is served by the sharded
+        evaluator; the result is bit-identical.
         """
-        if self._parallel is not None:
-            return self._parallel.evaluate(
-                vectors, sample=sample, count_faulty_events=count_faulty_events
-            )
-        return self._evaluate_batch_serial(
+        return self.evaluate_batch(
             [vectors], sample=sample, count_faulty_events=count_faulty_events
         )[0]
 
@@ -761,10 +787,9 @@ class FaultSimulator:
         at the end of the pass.
 
         All candidates must have the same number of frames, and every
-        vector one value per primary input.  With ``eval_jobs > 1`` /
-        ``eval_cache`` the population is served by the sharded, memoized
-        evaluator instead (duplicates are scored once; misses fan out
-        per fault shard); results are bit-identical.
+        vector one value per primary input.  With ``eval_jobs > 1`` the
+        population is served by the sharded evaluator instead (it fans
+        out per fault shard); results are bit-identical.
         """
         if self._parallel is not None:
             return self._parallel.evaluate_batch(
@@ -892,7 +917,6 @@ class FaultSimulator:
             self._after_commit(run.v1, run.v0, top)
         self.vectors_applied += len(vectors)
         self.detections.extend(detections)
-        self.state_epoch += 1
         collector = self.collector
         if collector.enabled:
             collector.inc("sim.commit.calls")

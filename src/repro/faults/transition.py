@@ -74,9 +74,8 @@ class TransitionFaultSimulator(FaultSimulator):
     """
 
     #: Pool workers rebuild a plain stuck-at simulator, which cannot
-    #: replay this model's per-frame conditional injection; only the
-    #: epoch-keyed evaluation cache applies (``eval_jobs`` is accepted
-    #: but scoring stays in-process).
+    #: replay this model's per-frame conditional injection
+    #: (``eval_jobs`` is accepted but scoring stays in-process).
     _shardable = False
 
     def __init__(
@@ -85,10 +84,7 @@ class TransitionFaultSimulator(FaultSimulator):
         faults: Optional[List[TransitionFault]] = None,
         collector=None,
         eval_jobs: int = 1,
-        eval_cache: Optional[bool] = None,
         kernel: Optional[str] = None,
-        eval_task_timeout: Optional[float] = None,
-        eval_retries: Optional[int] = None,
     ) -> None:
         if isinstance(circuit, CompiledCircuit):
             compiled = circuit
@@ -100,9 +96,7 @@ class TransitionFaultSimulator(FaultSimulator):
             faults = generate_transition_faults(compiled.circuit)
         super().__init__(compiled, faults=faults,  # type: ignore[arg-type]
                          collector=collector, eval_jobs=eval_jobs,
-                         eval_cache=eval_cache, kernel=kernel,
-                         eval_task_timeout=eval_task_timeout,
-                         eval_retries=eval_retries)
+                         kernel=kernel)
         #: Fault-free node values at the last committed frame (scalars);
         #: the excitation condition for the first frame of any new test.
         self.prev_good: List[int] = [X] * compiled.num_nodes
@@ -141,7 +135,7 @@ class TransitionFaultSimulator(FaultSimulator):
     # Per-frame conditional injection
     # ------------------------------------------------------------------
 
-    def _injection_tables(self, sample: Sequence[int]):
+    def _injection_tables(self, sample: Sequence[int], rep: int = 1):
         """No static forces: every force depends on a frame's transitions."""
         return {}, {}, [], {}, {}
 
@@ -169,7 +163,7 @@ class TransitionFaultSimulator(FaultSimulator):
                 for node, (falls, rises) in shifts.items()
             ]
 
-        return self._memo(("launch", tuple(sample)), build)
+        return self._memo(sample, "launch", build)
 
     def _frame_forces(self, sample, layout, v1, v0, carry):
         """Forces of the faults whose transition launches this frame.

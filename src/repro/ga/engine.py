@@ -5,7 +5,9 @@ The engine is application-agnostic: it evolves chromosomes under a
 coding, a selection scheme, a crossover operator and a mutation rate,
 calling a user-supplied *batch* evaluator for fitness.  Batching is what
 lets GATEST score a whole population with one population pass of the
-fault simulator (see :mod:`repro.faults.simulator`).
+fault simulator (see :mod:`repro.faults.simulator`); memoizing fitness
+by chromosome for the length of a run is what keeps the repeats a
+converging population breeds out of that pass.
 
 GATEST specifics — fitness functions, parameter schedules, phase logic —
 live in :mod:`repro.core`; nothing here knows about circuits.
@@ -42,11 +44,6 @@ class GAParams:
     mutation_rate: float = 1 / 64
     crossover_prob: float = 1.0
     generation_gap: float = 1.0
-    #: Collapse duplicate chromosomes within one generation before the
-    #: batch evaluator is called.  Exact for any per-candidate-pure
-    #: evaluator (all of GATEST's are); GATEST turns it on together with
-    #: the chromosome evaluation cache (see :mod:`repro.parallel`).
-    dedup_evaluations: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -72,16 +69,65 @@ class GAResult:
     best: Individual
     best_generation: int        # generation in which the best first appeared
     generations_run: int
-    evaluations: int            # total fitness evaluations performed
+    evaluations: int            # fitness lookups, memo hits included
     history: List[float] = field(default_factory=list)  # best fitness per gen
+
+
+class _FitnessMemo:
+    """Fitness by chromosome for one GA run.
+
+    Calls the batch evaluator at most once per call, with only the
+    chromosomes the run has not scored yet (each once, in first-seen
+    order), and counts every chromosome served from the memo in
+    ``ga.dedup.skipped``.  :class:`~repro.ga.islands.IslandGA` shares
+    one memo across its islands.
+    """
+
+    def __init__(self, evaluator: BatchEvaluator, collector: NullCollector) -> None:
+        self.evaluator = evaluator
+        self.collector = collector
+        self.fitness: Dict[tuple, float] = {}
+
+    def __call__(self, chromosomes: List[Chromosome]) -> List[float]:
+        fitness = self.fitness
+        keys = [tuple(c) for c in chromosomes]
+        fresh: Dict[tuple, Chromosome] = {}
+        for key, chromosome in zip(keys, chromosomes):
+            if key not in fitness:
+                fresh.setdefault(key, chromosome)
+        if fresh:
+            scored = self.evaluator(list(fresh.values()))
+            if len(scored) != len(fresh):
+                raise ValueError(
+                    f"evaluator returned {len(scored)} fitnesses "
+                    f"for {len(fresh)} chromosomes"
+                )
+            fitness.update(zip(fresh, scored))
+        skipped = len(keys) - len(fresh)
+        if skipped and self.collector.enabled:
+            self.collector.inc("ga.dedup.skipped", skipped)
+        return [fitness[key] for key in keys]
 
 
 class GeneticAlgorithm:
     """One GA run over a fixed coding and evaluator.
 
     ``evaluator`` receives a list of chromosomes and must return their
-    fitnesses in order; it is called once per generation (plus once for
-    the initial population).
+    fitnesses in order.  Fitness is memoized by chromosome for the
+    length of one :meth:`run`: the evaluator is called at most once per
+    generation (plus once for the initial population), with only the
+    chromosomes the run has not scored yet, so it sees each distinct
+    chromosome at most once per run.
+
+    The memo is exact because the evaluator must be a pure function of
+    the chromosome for the length of a run.  Every GATEST and CRIS
+    evaluator is: the fault simulator's committed state, the fault
+    sample and the phase cannot change while a GA runs (commits and
+    restores happen between runs), and the population pass keeps each
+    candidate in its own block of bit slots, so a score does not depend
+    on its batch-mates.  ``evaluations`` (and the ``ga.evaluations``
+    counter) still count every fitness lookup, memo hits included: the
+    paper's cost metric.
     """
 
     def __init__(
@@ -109,52 +155,14 @@ class GeneticAlgorithm:
         self.mutation = Mutation(params.mutation_rate)
         self._initial = list(initial) if initial is not None else None
         self.evaluations = 0
+        self._memo = _FitnessMemo(evaluator, self.collector)
 
     # ------------------------------------------------------------------
 
     def _evaluate(self, chromosomes: List[Chromosome]) -> List[float]:
-        if self.params.dedup_evaluations:
-            evaluated = self._evaluate_deduped(chromosomes)
-        else:
-            evaluated = self.evaluator(chromosomes)
-        if len(evaluated) != len(chromosomes):
-            raise ValueError(
-                f"evaluator returned {len(evaluated)} fitnesses "
-                f"for {len(chromosomes)} chromosomes"
-            )
-        # ``evaluations`` counts logical fitness lookups (the paper's
-        # cost metric), independent of how many were deduplicated.
+        fitnesses = self._memo(chromosomes)
         self.evaluations += len(chromosomes)
-        return list(evaluated)
-
-    def _evaluate_deduped(self, chromosomes: List[Chromosome]) -> List[float]:
-        """Call the evaluator once per *distinct* chromosome.
-
-        Exact whenever the evaluator is pure per candidate (a
-        candidate's fitness does not depend on its batch-mates), which
-        holds for every GATEST evaluator: the population pass keeps each
-        candidate in its own block of bit slots.
-        """
-        index_of: Dict[tuple, int] = {}
-        unique: List[Chromosome] = []
-        for c in chromosomes:
-            key = tuple(c)
-            if key not in index_of:
-                index_of[key] = len(unique)
-                unique.append(c)
-        if len(unique) == len(chromosomes):
-            return self.evaluator(chromosomes)
-        fitnesses = self.evaluator(unique)
-        if len(fitnesses) != len(unique):
-            raise ValueError(
-                f"evaluator returned {len(fitnesses)} fitnesses "
-                f"for {len(unique)} chromosomes"
-            )
-        if self.collector.enabled:
-            self.collector.inc(
-                "ga.dedup.skipped", len(chromosomes) - len(unique)
-            )
-        return [fitnesses[index_of[tuple(c)]] for c in chromosomes]
+        return fitnesses
 
     def _initial_population(self) -> Population:
         size = self.params.population_size
@@ -210,6 +218,7 @@ class GeneticAlgorithm:
         """
         params = self.params
         collector = self.collector
+        self._memo = _FitnessMemo(self.evaluator, collector)
         population = self._initial_population()
         best = population.best().copy()
         best_generation = 0

@@ -22,11 +22,11 @@ migration semantics that a distributed port would rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from .chromosome import Chromosome
-from .engine import BatchEvaluator, GAParams, GAResult, GeneticAlgorithm
+from ..telemetry.collector import get_collector
+from .engine import BatchEvaluator, GAParams, GAResult, GeneticAlgorithm, _FitnessMemo
 from .population import Individual, Population
 
 
@@ -51,7 +51,10 @@ class IslandGA:
     """Ring-topology island GA over a shared batch evaluator.
 
     ``params.population_size`` is the size of *each island*; the total
-    population is ``n_islands * population_size``.
+    population is ``n_islands * population_size``.  The islands share
+    one fitness memo per run, under the contract of
+    :class:`~repro.ga.engine.GeneticAlgorithm`: a chromosome any island
+    has scored is not scored again.
     """
 
     def __init__(
@@ -69,24 +72,18 @@ class IslandGA:
         self.rng = rng if rng is not None else random.Random()
         self.evaluations = 0
 
-    def _wrapped_evaluator(self):
-        def evaluate(chromosomes):
-            fitnesses = self.evaluator(chromosomes)
-            self.evaluations += len(chromosomes)
-            return fitnesses
-
-        return evaluate
-
     def run(self) -> GAResult:
         """Evolve all islands with ring migration; returns the global best."""
         ip = self.island_params
-        evaluator = self._wrapped_evaluator()
         # Each island is a GeneticAlgorithm driven one migration epoch at
         # a time.  They share this object's RNG for reproducibility.
         islands: List[GeneticAlgorithm] = [
-            GeneticAlgorithm(self.coding, evaluator, self.params, rng=self.rng)
+            GeneticAlgorithm(self.coding, self.evaluator, self.params, rng=self.rng)
             for _ in range(ip.n_islands)
         ]
+        memo = _FitnessMemo(self.evaluator, get_collector())
+        for ga in islands:
+            ga._memo = memo
         populations: List[Population] = [
             ga._initial_population() for ga in islands
         ]
@@ -110,7 +107,7 @@ class IslandGA:
                         else ga.params.population_size
                     )
                     chromosomes = ga._breed(population, offspring_count)
-                    fitnesses = evaluator(chromosomes)
+                    fitnesses = ga._evaluate(chromosomes)
                     offspring = [
                         Individual(c, f) for c, f in zip(chromosomes, fitnesses)
                     ]
@@ -140,6 +137,7 @@ class IslandGA:
                 max(pop.best().fitness for pop in populations)
             )
 
+        self.evaluations = sum(ga.evaluations for ga in islands)
         return GAResult(
             best=best,
             best_generation=best_generation,

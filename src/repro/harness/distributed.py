@@ -78,10 +78,10 @@ from .runner import (
 def config_to_json(config: TestGenConfig) -> dict:
     """A JSON rendering of *every* config field, execution knobs included.
 
-    Unlike :meth:`TestGenConfig.digest` this keeps ``eval_jobs``,
-    ``eval_cache``, ``sim_kernel`` and the resilience knobs: a lease
-    must reproduce the coordinator's *execution environment* on the
-    worker host, not just the result-affecting identity.
+    Unlike :meth:`TestGenConfig.digest` this keeps ``eval_jobs`` and
+    ``sim_kernel``: a lease must reproduce the coordinator's *execution
+    environment* on the worker host, not just the result-affecting
+    identity.
     """
     data = {}
     for f in fields(config):

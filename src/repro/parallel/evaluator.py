@@ -1,24 +1,21 @@
-"""Fault-sharded, cache-fronted candidate evaluation.
+"""Fault-sharded candidate evaluation.
 
 :class:`ParallelEvaluator` wraps one :class:`FaultSimulator` and serves
-its ``evaluate`` / ``evaluate_batch`` calls through two layers:
-
-1. the :class:`~repro.parallel.cache.EvalCache` — duplicate candidates
-   (within a population, across generations, across GA runs at the same
-   committed state) return their memoized :class:`CandidateEval`
-   without touching the simulator;
-2. fault-sharded scoring — cache misses are split along the fault axis:
-   the sampled fault list is cut into contiguous shards
-   (:func:`~repro.parallel.sharding.plan_shards`) across a persistent
-   worker pool, each worker scores *every* miss against its sub-sample
-   with the population pass, and the disjoint per-shard observables are
-   merged by summation — an *exact* merge, so parallel scores are
-   bit-identical to serial ones.
+its ``evaluate`` / ``evaluate_batch`` calls by fault-sharded scoring:
+the sampled fault list is cut into contiguous shards
+(:func:`~repro.parallel.sharding.plan_shards`) across a persistent
+worker pool, each worker scores *every* candidate against its
+sub-sample with the population pass, and the disjoint per-shard
+observables are merged by summation — an *exact* merge, so parallel
+scores are bit-identical to serial ones.
 
 Sharding along the fault axis (rather than the candidate axis) keeps
 the population pass's packing intact inside every worker: a population
-of misses still rides one bit-plane word per worker, and the shard
-fan-out multiplies on top of that packing instead of replacing it.
+still rides one bit-plane word per worker, and the shard fan-out
+multiplies on top of that packing instead of replacing it.  Repeated
+candidates are the GA's business: it memoizes fitness by chromosome
+for the length of a run, so a population reaches this evaluator with
+only the chromosomes the run has not scored yet.
 
 The evaluator degrades gracefully: with ``jobs=1``, a single usable
 CPU, a fault sample too small to pay for a worker round trip
@@ -31,20 +28,18 @@ The pool is a self-healing :class:`~repro.parallel.supervisor.SupervisedPool`
 (docs/ROBUSTNESS.md §1): a failed sharded pass is retried on a fresh
 pool, and once the retries are spent the evaluator scores in-process for
 good.  Telemetry counters (``parallel.*``, see docs/TELEMETRY.md) meter
-cache traffic, shard fan-out, worker wall time, retries, pool restarts
-and degradation.
+shard fan-out, worker wall time, retries, pool restarts and
+degradation.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from ..faults.simulator import CandidateEval, FaultSimulator
 from ..sim.logic3 import Vector
 from ..telemetry.collector import NullCollector, get_collector
-from .cache import DEFAULT_MAX_ENTRIES, EvalCache, eval_key
 from .resilience import RetryPolicy
 from .sharding import plan_shards
 from .supervisor import PoolGaveUp, SupervisedPool
@@ -66,29 +61,27 @@ def _usable_cpus() -> int:
 
 
 class ParallelEvaluator:
-    """Sharded + memoized scoring front-end for one fault simulator.
+    """Fault-sharded scoring front-end for one fault simulator.
 
-    ``jobs`` is the worker-process count (1 disables sharding, keeping
-    only the cache); ``cache=False`` disables memoization, keeping only
-    sharding.  The pool is created lazily on the first sharded score and
-    survives across calls.  Use as a context manager or call
+    ``jobs`` is the worker-process count (1 scores every population
+    in-process).  The pool is created lazily on the first sharded score
+    and survives across calls.  Use as a context manager or call
     :meth:`close` to release the pool.
 
     On a host with a single usable CPU, or for a sample smaller than
     :data:`SHARD_MIN_SAMPLE`, the fan-out cannot beat the in-process
-    population pass (the task payloads are pure overhead), so misses
-    are scored in-process; ``force_shard=True`` — or the environment
-    variable ``REPRO_EVAL_FORCE_SHARD=1`` — overrides both heuristics,
-    which the determinism suite and benchmarks use to exercise the pool
-    path on small circuits and single-core CI machines.
+    population pass (the task payloads are pure overhead), so
+    populations are scored in-process; ``force_shard=True`` — or the
+    environment variable ``REPRO_EVAL_FORCE_SHARD=1`` — overrides both
+    heuristics, which the determinism suite and benchmarks use to
+    exercise the pool path on small circuits and single-core CI
+    machines.
     """
 
     def __init__(
         self,
         sim: FaultSimulator,
         jobs: int = 1,
-        cache: bool = True,
-        max_cache_entries: int = DEFAULT_MAX_ENTRIES,
         collector: Optional[NullCollector] = None,
         force_shard: bool = False,
         retry: Optional[RetryPolicy] = None,
@@ -97,9 +90,6 @@ class ParallelEvaluator:
             raise ValueError("jobs must be >= 1")
         self.sim = sim
         self.jobs = jobs
-        self.cache: Optional[EvalCache] = (
-            EvalCache(max_cache_entries) if cache else None
-        )
         self.collector = collector if collector is not None else get_collector()
         self.force_shard = (
             force_shard
@@ -128,7 +118,7 @@ class ParallelEvaluator:
 
     def close(self) -> None:
         """Shut down the worker pool (scoring stays usable: the pool is
-        recreated on demand, and the cache is unaffected)."""
+        recreated on demand)."""
         if self.pool is not None:
             self.pool.close()
 
@@ -229,14 +219,22 @@ class ParallelEvaluator:
                 )
         return results
 
-    def _score_batch(
+    def evaluate_batch(
         self,
         candidates: Sequence[Sequence[Vector]],
-        sample: List[int],
-        count_faulty_events: bool,
+        sample: Optional[Sequence[int]] = None,
+        count_faulty_events: bool = False,
     ) -> List[CandidateEval]:
-        """Score candidates (no cache): sharded if worthwhile, else (or
-        when the pool gives up) with the in-process population pass."""
+        """Sharded ``FaultSimulator.evaluate_batch``.
+
+        Every worker runs one population pass over all candidates
+        against its fault sub-sample when sharding pays; otherwise, or
+        when the pool gives up, one in-process population pass scores
+        them.
+        """
+        if not candidates:
+            return []
+        sample = list(sample if sample is not None else self.sim.active)
         scored = None
         if (candidates[0] and self._can_shard(len(sample))
                 and (self.force_shard or len(sample) >= SHARD_MIN_SAMPLE)):
@@ -246,94 +244,3 @@ class ParallelEvaluator:
                 candidates, sample=sample, count_faulty_events=count_faulty_events
             )
         return scored
-
-    def evaluate(
-        self,
-        vectors: Sequence[Vector],
-        sample: Optional[Sequence[int]] = None,
-        count_faulty_events: bool = False,
-    ) -> CandidateEval:
-        """Cache-fronted, optionally sharded ``FaultSimulator.evaluate``."""
-        sim = self.sim
-        sample = list(sample if sample is not None else sim.active)
-        cache = self.cache
-        collector = self.collector
-        if cache is None:
-            return self._score_batch([vectors], sample, count_faulty_events)[0]
-        key = eval_key(vectors, sample, count_faulty_events)
-        cached = cache.get(sim.state_epoch, key)
-        if cached is not None:
-            if collector.enabled:
-                collector.inc("parallel.cache.hits")
-            return replace(cached)
-        if collector.enabled:
-            collector.inc("parallel.cache.misses")
-        result = self._score_batch([vectors], sample, count_faulty_events)[0]
-        cache.put(sim.state_epoch, key, result)
-        return replace(result)
-
-    def evaluate_batch(
-        self,
-        candidates: Sequence[Sequence[Vector]],
-        sample: Optional[Sequence[int]] = None,
-        count_faulty_events: bool = False,
-    ) -> List[CandidateEval]:
-        """Cache-fronted, sharded ``FaultSimulator.evaluate_batch``.
-
-        Cache hits (including duplicates *within* the batch) are served
-        from memory; the distinct misses are scored together — either
-        shard-parallel (every worker runs one population pass over all
-        misses against its fault sub-sample) or, when sharding is off or
-        unavailable, with one in-process population pass.
-        """
-        sim = self.sim
-        n_cand = len(candidates)
-        if n_cand == 0:
-            return []
-        sample = list(sample if sample is not None else sim.active)
-        cache = self.cache
-        collector = self.collector
-        if cache is None:
-            miss_positions = list(range(n_cand))
-            results: List[Optional[CandidateEval]] = [None] * n_cand
-        else:
-            epoch = sim.state_epoch
-            results = [None] * n_cand
-            miss_of_key = {}
-            miss_positions = []
-            hits = 0
-            for position, candidate in enumerate(candidates):
-                key = eval_key(candidate, sample, count_faulty_events)
-                cached = cache.get(epoch, key)
-                if cached is not None:
-                    results[position] = replace(cached)
-                    hits += 1
-                elif key in miss_of_key:
-                    # In-batch duplicate of a pending miss: scored once.
-                    cache.misses -= 1
-                    cache.hits += 1
-                    hits += 1
-                    miss_of_key[key].append(position)
-                else:
-                    miss_of_key[key] = [position]
-                    miss_positions.append(position)
-            if collector.enabled:
-                collector.inc("parallel.cache.hits", hits)
-                collector.inc("parallel.cache.misses", len(miss_positions))
-
-        if miss_positions:
-            miss_candidates = [candidates[position] for position in miss_positions]
-            scored = self._score_batch(miss_candidates, sample, count_faulty_events)
-            for position, result in zip(miss_positions, scored):
-                results[position] = result
-
-        if cache is not None:
-            epoch = sim.state_epoch
-            for position in miss_positions:
-                key = eval_key(candidates[position], sample, count_faulty_events)
-                cache.put(epoch, key, results[position])
-            for key, positions in miss_of_key.items() if miss_positions else ():
-                first = positions[0]
-                for position in positions[1:]:
-                    results[position] = replace(results[first])
-        return results  # type: ignore[return-value]

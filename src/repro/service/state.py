@@ -16,8 +16,8 @@ reuse: a keyed, LRU-evicting registry of
   makes repeat requests skip kernel compilation (the
   ``codegen.kernels.built`` / ``c.kernels.built`` counters stay flat).
 * **fault simulators**, keyed by the circuit key plus every
-  config field that shapes the simulator (fault model, word width,
-  kernel, eval parallelism/cache/resilience — the same fields
+  config field that shapes the simulator (fault model, kernel, eval
+  parallelism — the same fields
   :func:`repro.core.generator.make_fault_simulator` consumes).  A
   resident simulator keeps its parallel evaluator's worker pool warm
   across jobs.
@@ -93,9 +93,6 @@ def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:
         config.fault_model,
         config.sim_kernel,
         config.eval_jobs,
-        config.eval_cache,
-        config.eval_task_timeout,
-        config.eval_retries,
     )
 
 

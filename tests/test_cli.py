@@ -68,11 +68,13 @@ class TestRun:
         assert "det 26/26" in parallel
 
     def test_eval_cache_flag(self, capsys):
-        code, out = run_cli(
-            capsys, "run", "s27", "--seed", "7", "--eval-cache"
-        )
-        assert code == 0
-        assert "det 26/26" in out
+        """The GA memoizes fitness on every run, so the flag that once
+        switched a cache on is gone, and a script passing it fails
+        loudly rather than running with a setting it did not get."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "s27", "--seed", "7", "--eval-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eval-cache" in capsys.readouterr().err
 
 
 class TestFsim:

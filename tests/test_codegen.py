@@ -226,9 +226,7 @@ class TestSimulatorEquivalence:
         monkeypatch.setenv("REPRO_EVAL_FORCE_SHARD", "1")
         circuit = synthesize_named("s298", seed=3, scale=0.15)
         serial = FaultSimulator(circuit, kernel="codegen")
-        sharded = FaultSimulator(
-            circuit, kernel="codegen", eval_jobs=2, eval_cache=False
-        )
+        sharded = FaultSimulator(circuit, kernel="codegen", eval_jobs=2)
         warm = random_vectors(circuit, 4, seed=2)
         serial.commit(warm)
         sharded.commit(warm)

@@ -74,6 +74,27 @@ class TestTestGenConfig:
         base = TestGenConfig()
         assert base.vector_ga_schedule(10).population_size == 16
 
+    def test_digest_pinned(self):
+        """Run checkpoints and campaign journals store this digest, so
+        deleting execution-only fields must leave it unchanged."""
+        assert TestGenConfig().digest() == (
+            "1d7eefd1eed0ad77a34b58965f019963b4a4f65594844e6687e1a7f5e084a2ea"
+        )
+        assert TestGenConfig(eval_jobs=4, sim_kernel="interp").digest() == (
+            TestGenConfig().digest()
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["eval_cache", "eval_task_timeout", "eval_retries"]
+    )
+    def test_removed_execution_knobs(self, field):
+        """The GA memoizes fitness on every run and the pool policy comes
+        from ``REPRO_EVAL_TIMEOUT``/``REPRO_EVAL_RETRIES``, so these
+        fields are gone and naming one fails."""
+        assert TestGenConfig._EXECUTION_ONLY == ("eval_jobs", "sim_kernel")
+        with pytest.raises(TypeError, match=field):
+            TestGenConfig(**{field: 1})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TestGenConfig(generations=0)

@@ -115,7 +115,6 @@ class TestConfigWire:
     def test_round_trip_keeps_execution_knobs(self):
         config = TestGenConfig(
             population_scale=0.5, eval_jobs=3, sim_kernel="interp",
-            eval_cache=False,
         )
         rebuilt = config_from_json(json.loads(json.dumps(
             config_to_json(config)
@@ -129,6 +128,18 @@ class TestConfigWire:
         data = config_to_json(TestGenConfig())
         data["warp_factor"] = 9
         with pytest.raises(CheckpointError, match="warp_factor"):
+            config_from_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eval_cache", True), ("eval_task_timeout", 5.0), ("eval_retries", 2)],
+    )
+    def test_removed_field_refused(self, field, value):
+        """Leases journaled by builds that still had these fields fail
+        closed instead of running without them."""
+        data = config_to_json(TestGenConfig())
+        data[field] = value
+        with pytest.raises(CheckpointError, match=field):
             config_from_json(data)
 
 

@@ -107,6 +107,24 @@ class TestCliExampleChecking:
                "'gatest run'): --turbo" in result.stdout
         assert "2 problem(s)" in result.stdout
 
+    def test_bare_flag_spans_checked(self, tmp_path):
+        """A bare `--flag` span must name a flag some gatest subcommand
+        (experiments included) defines; its value is not checked.
+        The two spans are the wording docs/PERFORMANCE.md once used for
+        the pool policy, which only environment variables set."""
+        result = self._check(tmp_path, (
+            "# x\n\nUse `--eval-jobs N`, `--kernel c`, `--state-dir` or\n"
+            "`--table fig2`.\n\n"
+            "The self-healing pool machinery (`--eval-task-timeout`,\n"
+            "`--eval-retries`, chaos injection) sits on the failure path.\n"
+        ))
+        assert result.returncode == 1
+        assert "README.md:6: stale CLI example (flag defined by no gatest " \
+               "command): --eval-task-timeout" in result.stdout
+        assert "README.md:7: stale CLI example (flag defined by no gatest " \
+               "command): --eval-retries" in result.stdout
+        assert "2 problem(s)" in result.stdout
+
     def test_plans_and_history_skip_inline_check(self, tmp_path):
         """ROADMAP.md and CHANGES.md may name in prose commands that do
         not exist yet or any more."""

@@ -334,8 +334,9 @@ class TestEvaluateBatch:
     def test_worker_state_overwrite_without_epoch_bump(self, kernel,
                                                        monkeypatch):
         """Pool workers overwrite ``good_state``/``divergence`` per task
-        and never bump ``state_epoch``: a second batch on the same
-        sample must still score against the new state, not a memo."""
+        and keep their memoized layout: a second batch on the same
+        sample reuses the layout but must still score against the new
+        state."""
         compiled, faults = _batch_circuit()
         circuit = compiled.circuit
         monkeypatch.setattr(pool_worker, "_SIM", None)
@@ -344,6 +345,7 @@ class TestEvaluateBatch:
         sample = _site_faults(parent) + list(parent.active)[:40]
         candidates = [random_vectors(circuit, 2, seed=s) for s in range(4)]
         scores = []
+        layouts = []
         for commit_seed in (21, 22):
             parent.commit(random_vectors(circuit, 5, seed=commit_seed))
             task = pool_worker.shard_payload(parent, candidates, sample, True)
@@ -358,7 +360,8 @@ class TestEvaluateBatch:
                 for e in expected
             ]
             scores.append(rows)
-        assert pool_worker._SIM.state_epoch == 0
+            layouts.append(pool_worker._SIM._batch_layout(sample, len(candidates)))
+        assert layouts[0] is layouts[1]  # one layout served both tasks
         assert scores[0] != scores[1]  # the overwrite changed the scores
 
     def test_backends_never_share_a_memoized_layout(self):
@@ -504,7 +507,6 @@ class TestVectorWidth:
         sim = FaultSimulator(s27_circuit)
         sim.commit(random_vectors(s27_circuit, 3, seed=2))
         before = sim.snapshot()
-        epoch = sim.state_epoch
         detections = list(sim.detections)
         with pytest.raises(ValueError, match=(
                 rf"candidate 0, frame 2: {width} values .* 4 primary inputs")):
@@ -515,4 +517,3 @@ class TestVectorWidth:
         assert after.active == before.active
         assert sim.vectors_applied == before.vectors_applied
         assert sim.detections == detections
-        assert sim.state_epoch == epoch

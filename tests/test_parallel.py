@@ -1,11 +1,12 @@
-"""Determinism suite for fault-sharded evaluation and the eval cache.
+"""Determinism suite for fault-sharded evaluation and the GA's memo.
 
-The contract under test (ISSUE: parallel evaluation): every
-``eval_jobs`` / ``eval_cache`` setting must produce *bit-identical*
-results to the plain serial simulator — identical ``CandidateEval``
-observables and identical final test sets — because shard merges are
-exact (disjoint fault subsets summed) and cache entries are invalidated
-by the committed-state epoch.
+The contract under test: every ``eval_jobs`` setting must produce
+*bit-identical* results to the plain serial simulator — identical
+``CandidateEval`` observables and identical final test sets — because
+shard merges are exact (disjoint fault subsets summed); and the GA's
+per-run fitness memo must return exactly what the evaluator would,
+because the committed state, the fault sample and the phase cannot
+change during a GA run.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import pytest
 from repro.circuit import s27, synthesize_named
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator
-from repro.faults.transition import TransitionFaultSimulator
+from repro.faults.simulator import _BatchLayout
+from repro.ga import GAParams, GeneticAlgorithm, IslandGA, IslandParams
 from repro.ga.chromosome import make_coding
-from repro.ga.engine import GAParams, GeneticAlgorithm
 from repro.harness import run_gatest
-from repro.parallel import EvalCache, ParallelEvaluator, eval_key, plan_shards
+from repro.parallel import ParallelEvaluator, plan_shards
+from repro.telemetry import TelemetryCollector
 
 from tests.conftest import random_vectors
 
@@ -64,33 +66,70 @@ class TestShardPlanning:
             plan_shards(-1, 2)
 
 
+class _CountingEvaluator:
+    """A pure batch evaluator that records every chromosome it scores."""
+
+    def __init__(self):
+        self.seen = []
+        self.calls = 0
+
+    def __call__(self, chromosomes):
+        self.calls += 1
+        self.seen.extend(tuple(c) for c in chromosomes)
+        return [float(sum(c) * 3 - c[0]) for c in chromosomes]
+
+
 class TestEvalCache:
+    """The evaluation cache is the GA's fitness memo, one per run."""
+
     def test_hit_and_miss_accounting(self):
-        cache = EvalCache()
-        key = eval_key([[0, 1]], [0, 1, 2], False)
-        assert cache.get(0, key) is None
-        cache.put(0, key, "sentinel")
-        assert cache.get(0, key) == "sentinel"
-        assert (cache.hits, cache.misses) == (1, 1)
+        evaluator = _CountingEvaluator()
+        collector = TelemetryCollector()
+        ga = GeneticAlgorithm(
+            make_coding("binary", 4, 1), evaluator,
+            GAParams(population_size=8, generations=6),
+            rng=random.Random(3), collector=collector,
+        )
+        result = ga.run()
+        counters = collector.counters
+        # Every lookup is a hit or a chromosome the evaluator scored.
+        assert len(evaluator.seen) + counters["ga.dedup.skipped"] == (
+            result.evaluations
+        )
+        assert counters["ga.evaluations"] == result.evaluations == 8 * 7
+        assert counters["ga.dedup.skipped"] > 0
 
     def test_epoch_change_invalidates(self):
-        cache = EvalCache()
-        key = eval_key([[1]], [0], False)
-        cache.put(3, key, "old")
-        assert cache.get(4, key) is None
-        assert len(cache) == 0
+        """A GA run is the memo's epoch: the evaluator's state may change
+        between runs (GATEST commits between them), so the next run
+        scores its chromosomes again."""
+        evaluator = _CountingEvaluator()
+        ga = GeneticAlgorithm(
+            make_coding("binary", 3, 1), evaluator,
+            GAParams(population_size=8, generations=4),
+            rng=random.Random(5),
+        )
+        ga.run()
+        first = set(evaluator.seen)
+        evaluator.seen.clear()
+        ga.run()
+        assert len(evaluator.seen) == len(set(evaluator.seen))
+        assert first & set(evaluator.seen)
 
     def test_eviction_bound(self):
-        cache = EvalCache(max_entries=2)
-        for i in range(5):
-            cache.put(0, eval_key([[i]], [0], False), i)
-        assert len(cache) == 2
-
-    def test_key_distinguishes_sample_and_flags(self):
-        base = eval_key([[0, 1]], [0, 1], False)
-        assert eval_key([[0, 1]], [0, 2], False) != base
-        assert eval_key([[0, 1]], [0, 1], True) != base
-        assert eval_key([[0, 0]], [0, 1], False) != base
+        """The memo is bounded by its run: one entry per distinct
+        chromosome the run scored, none carried into the next run."""
+        evaluator = _CountingEvaluator()
+        ga = GeneticAlgorithm(
+            make_coding("binary", 6, 1), evaluator,
+            GAParams(population_size=8, generations=5),
+            rng=random.Random(6),
+        )
+        result = ga.run()
+        assert len(ga._memo.fitness) == len(evaluator.seen) < result.evaluations
+        evaluator.seen.clear()
+        ga.run()
+        assert len(ga._memo.fitness) == len(evaluator.seen)
 
 
 class TestSerialPathUntouched:
@@ -104,12 +143,6 @@ class TestSerialPathUntouched:
             FaultSimulator(s27(), eval_jobs=0)
         with pytest.raises(ValueError):
             TestGenConfig(eval_jobs=0)
-
-    def test_config_cache_resolution(self):
-        assert not TestGenConfig().eval_cache_enabled
-        assert TestGenConfig(eval_jobs=2).eval_cache_enabled
-        assert TestGenConfig(eval_cache=True).eval_cache_enabled
-        assert not TestGenConfig(eval_jobs=4, eval_cache=False).eval_cache_enabled
 
 
 @pytest.mark.parametrize("jobs", [2, 4], ids=["jobs2", "jobs4"])
@@ -132,7 +165,7 @@ class TestCandidateEvalDeterminism:
                     assert sharded.evaluate(
                         vectors, count_faulty_events=True
                     ) == expected
-                    # Second lookup is a cache hit; still identical.
+                    # A second pass reuses the memoized layout.
                     assert sharded.evaluate(
                         vectors, count_faulty_events=True
                     ) == expected
@@ -196,86 +229,205 @@ class TestGeneratorDeterminism:
             assert a.detected == b.detected
 
 
+def _fault_evaluator(sim, coding, sample=None):
+    """A GATEST-style evaluator: phase-2 detections of each chromosome."""
+    def evaluate(chromosomes):
+        return [
+            float(e.detected) for e in sim.evaluate_batch(
+                [coding.decode(c) for c in chromosomes], sample=sample
+            )
+        ]
+
+    return evaluate
+
+
 class TestCacheCorrectness:
-    def test_commit_epoch_bump_invalidates(self):
-        """A memoized score must never survive a state change (ISSUE:
-        cache-correctness across a commit() epoch bump)."""
+    def test_layout_memo_survives_commit_and_restore(self):
+        """The layout memo is keyed by the sample alone, so it outlives
+        commits and restores, but every score still reads the committed
+        state it is asked about."""
         circuit = _circuits()[1]
-        cached = FaultSimulator(circuit, eval_cache=True)
+        sim = FaultSimulator(circuit)
         reference = FaultSimulator(circuit)
         vectors = random_vectors(circuit, 2, seed=4)
+        sample = list(sim.active)
+        first = sim.evaluate(vectors, sample=sample)
+        layout = sim._batch_layout(sample, 1)
+        snap = sim.snapshot()
 
-        first = cached.evaluate(vectors)
-        assert cached.evaluate(vectors) == first
-        cache = cached._parallel.cache
-        assert (cache.hits, cache.misses) == (1, 1)
-
-        cached.commit(vectors)
+        sim.commit(vectors)
         reference.commit(vectors)
-        refreshed = cached.evaluate(vectors)
-        assert refreshed == reference.evaluate(vectors)
-        assert cache.misses == 2  # the post-commit lookup re-simulated
+        assert sim.evaluate(vectors, sample=sample) == reference.evaluate(
+            vectors, sample=sample
+        )
+        sim.restore(snap)
+        assert sim.evaluate(vectors, sample=sample) == first
+        assert sim._batch_layout(sample, 1) is layout
 
-    def test_restore_also_bumps_epoch(self):
-        circuit = s27()
-        cached = FaultSimulator(circuit, eval_cache=True)
-        vectors = random_vectors(circuit, 2, seed=6)
-        snap = cached.snapshot()
-        before = cached.evaluate(vectors)
-        cached.commit(vectors)
-        cached.restore(snap)
-        # Same state as before the commit, but a conservative fresh
-        # epoch: the result must be recomputed, and must match.
-        assert cached.evaluate(vectors) == before
-        assert cached._parallel.cache.misses == 2
+    def test_shrunk_populations_reuse_one_layout(self, monkeypatch):
+        """Over a GA run whose populations the memo shrinks, the sample's
+        force words are replicated once, for the widest population; the
+        smaller passes are trimmed from it and score what a fresh
+        simulator does."""
+        replications = []
+        trims = []
+        replicate = _BatchLayout.replicate.__func__
+        trimmed = _BatchLayout.trimmed
+
+        def counting_replicate(cls, sim, sample, n_cand):
+            replications.append((tuple(sample), n_cand))
+            return replicate(cls, sim, sample, n_cand)
+
+        def counting_trimmed(layout, sim, n_cand):
+            trims.append(n_cand)
+            return trimmed(layout, sim, n_cand)
+
+        circuit = _circuits()[1]
+        sim = FaultSimulator(circuit)
+        sim.commit(random_vectors(circuit, 3, seed=2))
+        sample = list(sim.active)
+        monkeypatch.setattr(_BatchLayout, "replicate",
+                            classmethod(counting_replicate))
+        monkeypatch.setattr(_BatchLayout, "trimmed", counting_trimmed)
+        coding = make_coding("binary", circuit.num_inputs, 2)
+        rng = random.Random(8)
+        initial = []
+        while len(initial) < 8:
+            chromosome = coding.random(rng)
+            if chromosome not in initial:
+                initial.append(chromosome)
+        sizes = []
+        evaluate = _fault_evaluator(sim, coding, sample)
+
+        def sizing(chromosomes):
+            sizes.append(len(chromosomes))
+            return evaluate(chromosomes)
+
+        members = []
+        GeneticAlgorithm(
+            coding, sizing, GAParams(population_size=8, generations=6),
+            rng=random.Random(2), initial=initial,
+        ).run(on_generation=lambda gen, pop: members.extend(pop))
+        assert sizes[0] == 8 and min(sizes) < 8  # the memo shrank passes
+        assert replications == [(tuple(sample), 8)]
+        assert sorted(set(trims)) == sorted({n for n in sizes if n < 8})
+        reference = FaultSimulator(circuit)
+        reference.commit(random_vectors(circuit, 3, seed=2))
+        fresh = _fault_evaluator(reference, coding, sample)
+        assert [m.fitness for m in members] == [
+            fresh([m.chromosome])[0] for m in members
+        ]
 
     def test_duplicate_batch_scores_once(self):
-        circuit = s27()
-        cached = FaultSimulator(circuit, eval_cache=True)
-        vector = random_vectors(circuit, 1, seed=7)[0]
-        results = cached.evaluate_batch([[vector]] * 6)
-        assert all(r == results[0] for r in results)
-        cache = cached._parallel.cache
-        assert cache.misses == 1
-        assert cache.hits == 5
+        """A population of one chromosome reaches the sharded evaluator
+        once per run, and its fitness is what a direct call returns."""
+        circuit = _circuits()[1]
+        sharded = FaultSimulator(circuit, eval_jobs=2)
+        coding = make_coding("binary", circuit.num_inputs, 2)
+        chromosome = coding.random(random.Random(7))
+        batches = []
+        evaluate = _fault_evaluator(sharded, coding)
+
+        def counting(chromosomes):
+            batches.append(len(chromosomes))
+            return evaluate(chromosomes)
+
+        params = GAParams(population_size=6, generations=2,
+                          mutation_rate=0.0, crossover_prob=0.0)
+        try:
+            result = GeneticAlgorithm(
+                coding, counting, params, rng=random.Random(1),
+                initial=[chromosome] * 6,
+            ).run()
+            assert batches == [1]
+            assert result.evaluations == 6 * 3
+            serial = _fault_evaluator(FaultSimulator(circuit), coding)
+            assert result.best.fitness == serial([chromosome])[0]
+        finally:
+            sharded.close()
 
     def test_transition_model_uses_cache_not_shards(self):
+        """Transition faults cannot be sharded; with ``eval_jobs=2`` the
+        GA memo still serves repeats, the pool never starts and the run
+        equals the serial one."""
         circuit = s27()
-        serial = TransitionFaultSimulator(circuit)
-        cached = TransitionFaultSimulator(circuit, eval_jobs=2)
-        assert not cached._shardable
-        vectors = random_vectors(circuit, 3, seed=8)
-        assert cached.evaluate(vectors) == serial.evaluate(vectors)
-        assert cached.evaluate(vectors) == serial.evaluate(vectors)
-        assert cached._parallel.cache.hits == 1
-        cached.close()
+        serial = GaTestGenerator(
+            circuit, TestGenConfig(seed=2, fault_model="transition")
+        ).run()
+        collector = TelemetryCollector()
+        generator = GaTestGenerator(
+            circuit, TestGenConfig(seed=2, fault_model="transition", eval_jobs=2),
+            collector=collector,
+        )
+        assert not generator.fsim._shardable
+        parallel = generator.run()
+        assert parallel.test_sequence == serial.test_sequence
+        assert parallel.ga_evaluations == serial.ga_evaluations
+        assert collector.counters["ga.dedup.skipped"] > 0
+        assert "parallel.evaluate.sharded" not in collector.counters
+        assert not generator.fsim._parallel.pool.live
 
 
 class TestEngineDedup:
+    """Each distinct chromosome reaches the evaluator at most once per
+    run, and every member's fitness equals a direct evaluator call."""
+
     def test_dedup_preserves_results_and_reduces_calls(self):
-        coding = make_coding("binary", 4, 1)
-        seen = []
+        evaluator = _CountingEvaluator()
+        members = []
+        ga = GeneticAlgorithm(
+            make_coding("binary", 4, 1), evaluator,
+            GAParams(population_size=8, generations=6),
+            rng=random.Random(3),
+        )
+        result = ga.run(on_generation=lambda gen, pop: members.extend(pop))
+        assert len(evaluator.seen) == len(set(evaluator.seen))
+        assert len(evaluator.seen) < result.evaluations
+        assert evaluator.calls <= 1 + 6
+        direct = _CountingEvaluator()
+        assert [m.fitness for m in members] == direct(
+            [m.chromosome for m in members]
+        )
 
-        def evaluator(chromosomes):
-            seen.append(len(chromosomes))
-            return [float(sum(c)) for c in chromosomes]
+    def test_islands_share_one_memo(self):
+        evaluator = _CountingEvaluator()
+        result = IslandGA(
+            make_coding("binary", 4, 1), evaluator,
+            GAParams(population_size=6, generations=5),
+            IslandParams(n_islands=2, migration_interval=2),
+            rng=random.Random(4),
+        ).run()
+        assert len(evaluator.seen) == len(set(evaluator.seen))
+        assert len(evaluator.seen) < result.evaluations == 2 * 6 * 6
+        assert result.best.fitness == _CountingEvaluator()(
+            [result.best.chromosome]
+        )[0]
 
-        def run(dedup):
-            seen.clear()
-            params = GAParams(
-                population_size=8, generations=4, dedup_evaluations=dedup
+    def test_gatest_sees_each_chromosome_once_per_run(self):
+        """Through GATEST's own evaluators, on both fault models."""
+        for fault_model in ("stuck-at", "transition"):
+            generator = GaTestGenerator(
+                s27(), TestGenConfig(seed=3, fault_model=fault_model,
+                                     max_vectors=12),
             )
-            ga = GeneticAlgorithm(
-                coding, evaluator, params, rng=random.Random(3)
-            )
-            return ga.run(), sum(seen)
+            per_run = []
+            inner = generator._fault_evaluator
 
-        plain, plain_calls = run(False)
-        deduped, dedup_calls = run(True)
-        assert deduped.best.chromosome == plain.best.chromosome
-        assert deduped.history == plain.history
-        assert deduped.evaluations == plain.evaluations  # logical count
-        assert dedup_calls <= plain_calls  # fewer physical evaluations
+            def recording(coding, phase, sample):
+                evaluate = inner(coding, phase, sample)
+                seen = []
+                per_run.append(seen)
+
+                def wrapped(chromosomes):
+                    seen.extend(tuple(c) for c in chromosomes)
+                    return evaluate(chromosomes)
+
+                return wrapped
+
+            generator._fault_evaluator = recording
+            result = generator.run()
+            assert per_run and all(len(s) == len(set(s)) for s in per_run)
+            assert sum(len(s) for s in per_run) < result.ga_evaluations
 
 
 class TestCpuHeuristic:
@@ -313,10 +465,10 @@ class TestPoolReuse:
         circuit = _circuits()[1]
         sim = FaultSimulator(circuit)
         evaluator = ParallelEvaluator(sim, jobs=2)
-        vectors = random_vectors(circuit, 2, seed=1)
-        first = evaluator.evaluate(vectors)
+        candidates = [random_vectors(circuit, 2, seed=1)]
+        first = evaluator.evaluate_batch(candidates)
         evaluator.close()
-        assert evaluator.evaluate(vectors) == first  # cache hit, no pool
-        evaluator.cache.clear()
-        assert evaluator.evaluate(vectors) == first  # pool recreated
+        assert not evaluator.pool.live
+        assert evaluator.evaluate_batch(candidates) == first  # pool recreated
+        assert evaluator.pool.live
         evaluator.close()

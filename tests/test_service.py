@@ -370,11 +370,16 @@ class TestJobManager:
     @pytest.mark.parametrize("config, message", [
         ({"seed": 1, "word_width": 16}, "word_width"),
         ({"seed": 1, "sim_kernel": "c"}, "unknown simulation kernel 'c'"),
+        ({"seed": 1, "eval_cache": True}, "eval_cache"),
+        ({"seed": 1, "eval_task_timeout": 5.0}, "eval_task_timeout"),
+        ({"seed": 1, "eval_retries": 2}, "eval_retries"),
     ])
     def test_ledger_job_of_removed_knobs_is_unrecoverable(
             self, tmp_path, capsys, config, message):
-        """Run jobs accepted by builds that had ``word_width`` or the
-        ``c`` kernel are counted and named, never run with a guess."""
+        """Run jobs accepted by builds that had ``word_width``, the ``c``
+        kernel, the evaluation cache switch or the per-config pool
+        resilience knobs are counted and named, never run with a
+        guess."""
         manager, _ = self._manager(tmp_path)
         manager.ledger.append(
             {"event": "accepted", "id": "j9997-0ldc0f16", "seq": 9997,

@@ -255,12 +255,12 @@ class TestInstrumentedRun:
         counters = collector.counters
         assert counters["sim.commit.calls"] >= 1
         assert counters["sim.commit.detected"] == result.detected
-        # The cache is off, so every evaluator call (each GA run's
-        # initial population, then one per generation) is one population
-        # pass, phase 1 included.
-        assert counters["sim.batch.calls"] == (
-            counters["ga.runs"] + counters["ga.generations"]
+        # Every fitness lookup (phase 1 included) is either a GA memo
+        # hit or a candidate of a population pass.
+        assert counters["ga.evaluations"] == (
+            counters["ga.dedup.skipped"] + counters["sim.batch.candidates"]
         )
+        assert counters["ga.dedup.skipped"] > 0
         # Phase 1 has no simulator of its own, so no counters of one.
         assert not [name for name in counters if name.startswith("sim.pattern")]
 

@@ -29,7 +29,10 @@ renamed or deleted flag or value fails the build instead of
 misleading readers.  Inline code spans that quote an invocation
 (`` `gatest run s27 --seed 1` ``), including spans that wrap onto the
 next line, get the same check in README.md, DESIGN.md, EXPERIMENTS.md
-and docs/*.md; ROADMAP.md and CHANGES.md are skipped, because they
+and docs/*.md, and there a bare flag span (`` `--eval-jobs N` ``)
+must name a flag that some ``gatest`` subcommand (``experiments``
+included) defines; its value is not checked, since the span names no
+subcommand.  ROADMAP.md and CHANGES.md are skipped, because they
 hold plans and history, which may name commands that do not exist
 (yet, or any more).
 
@@ -139,6 +142,7 @@ SHELL_FENCES = {"bash", "sh", "shell", "console"}
 
 _FENCE_OPEN = re.compile(r"^(```|~~~)\s*([A-Za-z0-9_+-]*)")
 _ENV_ASSIGN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*=")
+_BARE_FLAG = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 _SEPARATORS = {"|", "||", "&&", ";", "&"}
 
 #: option string -> its argparse ``choices`` as strings (None: any value).
@@ -281,7 +285,15 @@ def check_cli_blocks(
     raw_lines = path.read_text(encoding="utf-8").splitlines()
     lines = _shell_blocks(raw_lines)
     if inline_code:
-        lines += _inline_spans(raw_lines)
+        spans = _inline_spans(raw_lines)
+        lines += spans
+        defined = {flag for options in commands.values() for flag in options}
+        for lineno, text in spans:
+            bare = _BARE_FLAG.match(text)
+            if bare and bare.group(0) not in defined:
+                problems.append(
+                    (lineno, bare.group(0), "flag defined by no gatest command")
+                )
     for lineno, line in lines:
         # Drop env-var prefixes so `VAR=x gatest run` parses.
         try:
