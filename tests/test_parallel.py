@@ -242,26 +242,38 @@ def _fault_evaluator(sim, coding, sample=None):
 
 
 class TestCacheCorrectness:
-    def test_layout_memo_survives_commit_and_restore(self):
-        """The layout memo is keyed by the sample alone, so it outlives
-        commits and restores, but every score still reads the committed
-        state it is asked about."""
+    def test_layout_memo_survives_commit(self):
+        """The layout memo is keyed by the sample alone, so it outlives a
+        commit, but the next score reads the new committed state."""
         circuit = _circuits()[1]
         sim = FaultSimulator(circuit)
         reference = FaultSimulator(circuit)
         vectors = random_vectors(circuit, 2, seed=4)
         sample = list(sim.active)
-        first = sim.evaluate(vectors, sample=sample)
+        sim.evaluate(vectors, sample=sample)
         layout = sim._batch_layout(sample, 1)
-        snap = sim.snapshot()
 
         sim.commit(vectors)
         reference.commit(vectors)
         assert sim.evaluate(vectors, sample=sample) == reference.evaluate(
             vectors, sample=sample
         )
+        assert sim._batch_layout(sample, 1) is layout
+
+    def test_layout_memo_survives_restore(self):
+        """After a commit and a restore the layout memo is still the one
+        built before, and the score is the pre-commit one again."""
+        circuit = s27()
+        sim = FaultSimulator(circuit)
+        vectors = random_vectors(circuit, 2, seed=6)
+        sample = list(sim.active)
+        snap = sim.snapshot()
+        before = sim.evaluate(vectors, sample=sample)
+        layout = sim._batch_layout(sample, 1)
+
+        sim.commit(vectors)
         sim.restore(snap)
-        assert sim.evaluate(vectors, sample=sample) == first
+        assert sim.evaluate(vectors, sample=sample) == before
         assert sim._batch_layout(sample, 1) is layout
 
     def test_shrunk_populations_reuse_one_layout(self, monkeypatch):
