@@ -43,14 +43,20 @@ def bench_pattern_parallel_good(benchmark):
 
 
 @pytest.mark.benchmark(group="simulator")
-def bench_fault_commit(benchmark):
-    """Committing 32 vectors against the full fault list."""
+@pytest.mark.parametrize("stream", ["one-commit", "one-frame-commits"])
+def bench_fault_commit(benchmark, stream):
+    """Committing 32 vectors against the full fault list, as one commit
+    or as 32 one-frame commits (the way GATEST commits)."""
     compiled = circuit("s298")
     vectors = _vectors(compiled, 32, seed=1)
 
     def run():
         sim = FaultSimulator(compiled)
-        sim.commit(vectors)
+        if stream == "one-commit":
+            sim.commit(vectors)
+        else:
+            for vector in vectors:
+                sim.commit([vector])
         return sim.detected_count
 
     detected = benchmark(run)

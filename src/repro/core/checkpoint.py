@@ -57,7 +57,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..atomicio import atomic_write_text
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault, FaultStatus
-from ..faults.simulator import FaultSimulator
+from ..faults.simulator import FaultSimulator, SimSnapshot
 from ..faults.transition import TransitionFaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..sim.logic3 import GoodState
@@ -157,23 +157,32 @@ def load_checkpoint(
         )
     faults = [Fault(n, p, s) for n, p, s in payload["faults"]]
     simulator = FaultSimulator(compiled, faults=faults)
-    simulator.status = [
+    _write_sim_state(simulator, payload, [
+        (Fault(*fault), frame) for fault, frame in payload["detections"]
+    ])
+    return simulator, [list(v) for v in payload["test_sequence"]]
+
+
+def _write_sim_state(simulator: FaultSimulator, payload: dict,
+                     detections: List[tuple]) -> None:
+    """Write the committed state both checkpoint kinds store (status
+    flags, good state, string-keyed divergences, vector count) plus
+    ``detections`` into ``simulator``."""
+    status = [
         FaultStatus.DETECTED if detected else FaultStatus.UNDETECTED
         for detected in payload["status"]
     ]
-    simulator.active = [
-        i for i, s in enumerate(simulator.status) if s is FaultStatus.UNDETECTED
-    ]
-    simulator.good_state = GoodState(list(payload["good_state"]))
-    simulator.divergence = {
-        int(fault_id): {int(k): v for k, v in divergence.items()}
-        for fault_id, divergence in payload["divergence"].items()
-    }
-    simulator.vectors_applied = payload["vectors_applied"]
-    simulator.detections = [
-        (Fault(*fault), frame) for fault, frame in payload["detections"]
-    ]
-    return simulator, [list(v) for v in payload["test_sequence"]]
+    simulator._write_state(SimSnapshot(
+        good_state=GoodState(list(payload["good_state"])),
+        divergence={
+            int(fault_id): {int(k): v for k, v in div.items()}
+            for fault_id, div in payload["divergence"].items()
+        },
+        status=status,
+        active=[i for i, s in enumerate(status) if s is FaultStatus.UNDETECTED],
+        vectors_applied=payload["vectors_applied"],
+        detections=detections,
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -225,24 +234,10 @@ def restore_sim_run_state(simulator: FaultSimulator, state: dict) -> None:
             "checkpoint fault list does not match the regenerated fault "
             "list; refusing to restore per-fault state"
         )
-    simulator.status = [
-        FaultStatus.DETECTED if detected else FaultStatus.UNDETECTED
-        for detected in state["status"]
-    ]
-    simulator.active = [
-        i for i, s in enumerate(simulator.status)
-        if s is FaultStatus.UNDETECTED
-    ]
-    simulator.good_state = GoodState(list(state["good_state"]))
-    simulator.divergence = {
-        int(fault_id): {int(k): v for k, v in div.items()}
-        for fault_id, div in state["divergence"].items()
-    }
-    simulator.vectors_applied = state["vectors_applied"]
-    simulator.detections = [
+    _write_sim_state(simulator, state, [
         (simulator.faults[index], frame)
         for index, frame in state["detections"]
-    ]
+    ])
     simulator._restore_checkpoint_extra(state["extra"])
 
 

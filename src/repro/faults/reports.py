@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
-from .model import Fault
+from .model import Fault, FaultStatus
 from .simulator import FaultSimulator
 
 
@@ -92,17 +92,12 @@ def coverage_report(simulator: FaultSimulator) -> CoverageReport:
         else:
             curve.append((frame, running))
 
-    by_region: Dict[str, List[int]] = {}
-    detected_set = {
-        simulator.faults[i] for i in range(simulator.num_faults)
-        if i not in set(simulator.active)
-    }
     totals: Counter = Counter()
     detected_counter: Counter = Counter()
-    for fault in simulator.faults:
+    for fault, status in zip(simulator.faults, simulator.status):
         region = _region_of(circuit, fault)
         totals[region] += 1
-        if fault in detected_set:
+        if status is FaultStatus.DETECTED:
             detected_counter[region] += 1
 
     return CoverageReport(

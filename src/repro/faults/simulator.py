@@ -19,9 +19,12 @@ Two entry points mirror how GATEST uses PROOFS (paper §III/§IV):
   the good and faulty circuit states" modification is realized by
   simply never writing candidate results back.
 * :meth:`FaultSimulator.commit` — apply the selected test for real: a
-  one-candidate pass over the active list that advances the good state
-  and every faulty state, marks newly detected faults (with their first
-  detecting frame) and drops them from the active list.
+  one-candidate pass over the *commit slot space* (:class:`_SlotSpace`)
+  that advances the good state and every faulty state, marks newly
+  detected faults (with their first detecting frame) and drops them
+  from the active list.  Dropping is PROOFS-style, by masking: a fault
+  keeps its slot from one repack to the next, so the slot space's
+  injection is built once per repack, not once per commit.
 
 Explicit :meth:`snapshot` / :meth:`restore` are also provided for
 callers that need transactional experimentation beyond that model.
@@ -90,6 +93,24 @@ class SimSnapshot:
     vectors_applied: int
     detections: List[Tuple[Fault, int]]
 
+    def copy(self) -> "SimSnapshot":
+        """A deep copy that shares no mutable container with this one."""
+        return SimSnapshot(
+            good_state=self.good_state.copy(),
+            divergence={f: dict(d) for f, d in self.divergence.items()},
+            status=list(self.status),
+            active=list(self.active),
+            vectors_applied=self.vectors_applied,
+            detections=list(self.detections),
+        )
+
+
+#: Dead share of the commit slot space past which a commit repacks it.
+#: Over 2000 one-frame commits on s1423, repacking at a quarter dead ran
+#: faster than at an eighth, a half or three quarters (CHANGES.md has
+#: the times).
+REPACK_DEAD_SHARE = 0.25
+
 
 class _BatchLayout:
     """Slot layout and replicated injection of one population pass.
@@ -106,18 +127,18 @@ class _BatchLayout:
     ``rep``); :meth:`trimmed` serves a smaller population of the same
     sample from a built one.  A model whose forces change per frame
     returns none from the tables and supplies them from
-    :meth:`FaultSimulator._frame_forces`.
+    :meth:`FaultSimulator._frame_forces`, which reads :attr:`launch`.
     """
 
     __slots__ = (
         "S", "n_cand", "mask", "rep", "top", "blocks", "tops",
         "pi_forces", "ff_out_rows", "ff_pin_forces", "out_force",
-        "pin_force", "injection",
+        "pin_force", "injection", "launch",
     )
 
     def __init__(self, sim: "FaultSimulator", S: int, n_cand: int,
                  pi_forces, ff_out_rows, ff_pin_forces, out_force,
-                 pin_force) -> None:
+                 pin_force, launch) -> None:
         B = S + 1
         self.S = S
         self.n_cand = n_cand
@@ -140,6 +161,9 @@ class _BatchLayout:
         self.out_force = out_force
         self.pin_force = pin_force
         self.injection = sim._kernel.make_injection(out_force, pin_force)
+        #: The model's per-frame table (:meth:`FaultSimulator._launch_table`).
+        #: It reads only the sample, so trimming keeps it.
+        self.launch = launch
 
     @classmethod
     def replicate(cls, sim: "FaultSimulator", sample: Sequence[int],
@@ -154,7 +178,7 @@ class _BatchLayout:
         return cls(
             sim, S, n_cand, pi_forces,
             [(k, ff_ids[k], f1, f0) for k, (f1, f0) in ff_out_forces.items()],
-            ff_pin_forces, out_force, pin_force,
+            ff_pin_forces, out_force, pin_force, sim._launch_table(sample),
         )
 
     def trimmed(self, sim: "FaultSimulator", n_cand: int) -> "_BatchLayout":
@@ -173,21 +197,83 @@ class _BatchLayout:
             {node: (f1 & m, f0 & m) for node, (f1, f0) in self.out_force.items()},
             {gate: [(pin, f1 & m, f0 & m) for pin, f1, f0 in entries]
              for gate, entries in self.pin_force.items()},
+            self.launch,
         )
+
+
+class _SlotSpace:
+    """The commit slot space: fault slots that survive commits.
+
+    Slot ``s`` holds fault ``ids[s]`` from one repack to the next:
+    ``ids`` is the active list at the repack, and :attr:`layout` its
+    one-candidate :class:`_BatchLayout`, so a commit builds no
+    injection.  A detected fault becomes a dead slot: it leaves
+    :attr:`live`, and its detections and divergences are masked out
+    (PROOFS-style fault dropping, done by masking).  Divergences are
+    per-flip-flop slot planes: ``moved[k]`` marks the live slots whose
+    faulty flip-flop ``k`` differs from the good machine's, ``ones[k]``
+    and ``zeros[k]`` those where it is 1 or 0 (a move to X is in
+    neither).
+    """
+
+    __slots__ = ("ids", "slot_of", "layout", "live", "moved", "ones", "zeros")
+
+    def __init__(self, sim: "FaultSimulator", ids: List[int]) -> None:
+        self.ids = ids
+        self.slot_of = {fault_id: slot for slot, fault_id in enumerate(ids)}
+        self.layout = _BatchLayout.replicate(sim, ids, 1)
+        self.live = 0
+        self.moved: List[int] = []
+        self.ones: List[int] = []
+        self.zeros: List[int] = []
+
+    def covers(self, active: Sequence[int]) -> bool:
+        """Whether every fault of ``active`` has a slot."""
+        slot_of = self.slot_of
+        return all(fault_id in slot_of for fault_id in active)
+
+    def due(self) -> bool:
+        """Whether the dead share has passed :data:`REPACK_DEAD_SHARE`."""
+        S = len(self.ids)
+        return S - self.live.bit_count() > REPACK_DEAD_SHARE * S
+
+    def load(self, active: Sequence[int],
+             divergence: Dict[int, Dict[int, int]], n_ffs: int) -> None:
+        """Set :attr:`live` and the planes from the edge format
+        (``active`` must be covered)."""
+        slot_of = self.slot_of
+        live = 0
+        for fault_id in active:
+            live |= 1 << slot_of[fault_id]
+        self.live = live
+        self.moved, self.ones, self.zeros = _divergence_words(
+            self.ids, divergence, n_ffs
+        )
+
+    def divergence(self) -> Dict[int, Dict[int, int]]:
+        """The planes in the edge format, flip-flop by flip-flop."""
+        ids = self.ids
+        out: Dict[int, Dict[int, int]] = {}
+        for k, (m, o, z) in enumerate(zip(self.moved, self.ones, self.zeros)):
+            while m:
+                low = m & -m
+                value = 1 if o & low else (0 if z & low else X)
+                out.setdefault(ids[low.bit_length() - 1], {})[k] = value
+                m ^= low
+        return out
 
 
 @dataclass
 class _Frames:
     """What :meth:`FaultSimulator._run_frames` leaves after the last frame."""
 
-    layout: _BatchLayout
     v1: List[int]             # node planes of the last frame (top slots:
     v0: List[int]             # the good machine)
     ff1: List[int]            # next-state planes after the last frame
     ff0: List[int]
     prev1: List[int]          # the present state the last frame started from
     prev0: List[int]
-    det_word: int             # slots detected at a PO in any frame
+    det_word: int             # slots detected at a PO in any frame, or dead
     prop_words: List[int]     # per frame, slots with an effect at a FF
     good_counts: List[int]    # bit-sliced events counters (see _add_bits)
     faulty_counts: List[int]
@@ -256,6 +342,48 @@ def _split_counts(planes: List[int], masks: List[int]) -> List[int]:
     return counts
 
 
+def _divergence_words(sample: Sequence[int],
+                      divergence: Dict[int, Dict[int, int]], n_ffs: int):
+    """Per flip-flop ``(moved, ones, zeros)`` words of ``sample``'s
+    divergences, bit ``s`` standing for ``sample[s]``: the faults whose
+    flip-flop differs from the good machine's, and of those the ones at
+    1 and at 0 (a move to X is in neither)."""
+    moved = [0] * n_ffs
+    ones = [0] * n_ffs
+    zeros = [0] * n_ffs
+    bit = 1
+    for fault_id in sample:
+        div = divergence.get(fault_id)
+        if div:
+            for k, value in div.items():
+                moved[k] |= bit
+                if value == 1:
+                    ones[k] |= bit
+                elif value == 0:
+                    zeros[k] |= bit
+        bit <<= 1
+    return moved, ones, zeros
+
+
+def _open_planes(good_values: Sequence[int], moved: List[int],
+                 ones: List[int], zeros: List[int], mask: int, rep: int):
+    """Present-state planes ``(ff1, ff0)`` that open a pass: the good
+    state in every slot, then each moved slot of every block (``rep``
+    marks the blocks) overwritten by its faulty value."""
+    ff1 = []
+    ff0 = []
+    for value, m, o, z in zip(good_values, moved, ones, zeros):
+        a1 = mask if value == 1 else 0
+        a0 = mask if value == 0 else 0
+        if m:
+            keep = ~(m * rep)
+            a1 = (a1 & keep) | (o * rep)
+            a0 = (a0 & keep) | (z * rep)
+        ff1.append(a1)
+        ff0.append(a0)
+    return ff1, ff0
+
+
 class FaultSimulator:
     """Sequential fault simulator over a collapsed stuck-at fault list.
 
@@ -295,20 +423,17 @@ class FaultSimulator:
         if eval_jobs < 1:
             raise ValueError("eval_jobs must be >= 1")
         self.faults: List[Fault] = list(faults)
-        self.status: List[FaultStatus] = [FaultStatus.UNDETECTED] * len(self.faults)
-        self.active: List[int] = list(range(len(self.faults)))
-        self.good_state: GoodState = GoodState.unknown(self.compiled.num_ffs)
-        #: fault index -> {ff index -> scalar faulty value} where the faulty
-        #: machine's flip-flop state differs from the good machine's.
-        self.divergence: Dict[int, Dict[int, int]] = {}
-        self.vectors_applied = 0
-        self.detections: List[Tuple[Fault, int]] = []  # (fault, absolute frame)
-        #: Tables that read only the sample (the population pass's
-        #: :class:`_BatchLayout` objects, the transition model's launch
-        #: tables), for the one sample passes used last: a GA run keeps
-        #: one sample, and commits leave these tables valid.
-        self._plan_sample: Optional[tuple] = None
-        self._plan_cache: Dict[object, object] = {}
+        #: The commit slot space, built by the first commit.  When set,
+        #: its ``live`` word and planes hold the committed state.
+        self._slots: Optional[_SlotSpace] = None
+        # Committed state (status, active, good_state, divergence,
+        # vectors_applied, detections), written by _write_state only.
+        FaultSimulator.reset(self)
+        #: The population pass's :class:`_BatchLayout` objects by
+        #: population size, for the one sample passes used last: a GA
+        #: run keeps one sample, and commits leave them valid.
+        self._layout_sample: Optional[tuple] = None
+        self._layouts: Dict[object, _BatchLayout] = {}
         if eval_jobs > 1:
             from ..parallel.evaluator import ParallelEvaluator
 
@@ -343,38 +468,71 @@ class FaultSimulator:
         """The remaining (active) faults, in list order."""
         return [self.faults[i] for i in self.active]
 
+    @property
+    def divergence(self) -> Dict[int, Dict[int, int]]:
+        """fault index -> {ff index -> scalar faulty value} where an
+        undetected fault's flip-flop state differs from the good machine's.
+
+        The edge format that GA passes, shard payloads, snapshots and
+        checkpoints read.  Commits keep divergences as slot planes
+        (:class:`_SlotSpace`); this dict is derived from them at most
+        once per commit and must not be modified.
+        """
+        if self._divergence is None:
+            self._divergence = self._slots.divergence()
+        return self._divergence
+
     # ------------------------------------------------------------------
     # Snapshot / restore (paper §IV)
     # ------------------------------------------------------------------
 
+    def _write_state(self, state: SimSnapshot) -> None:
+        """Overwrite all committed state: the one way to do it.
+
+        Takes ``state``'s containers as they are.  A slot space that
+        covers the written active list keeps its slots and loads its
+        ``live`` word and planes from the written divergences; one that
+        does not is dropped, so the next commit repacks.
+        """
+        self.good_state = state.good_state
+        self.status = state.status
+        self.active = state.active
+        self.vectors_applied = state.vectors_applied
+        self.detections = state.detections
+        self._divergence: Optional[Dict[int, Dict[int, int]]] = state.divergence
+        slots = self._slots
+        if slots is not None:
+            if slots.covers(state.active):
+                slots.load(state.active, state.divergence, self.compiled.num_ffs)
+            else:
+                self._slots = None
+
     def snapshot(self) -> SimSnapshot:
         """Deep-copy all mutable state (paper §IV store)."""
         return SimSnapshot(
-            good_state=self.good_state.copy(),
-            divergence={f: dict(d) for f, d in self.divergence.items()},
-            status=list(self.status),
-            active=list(self.active),
+            good_state=self.good_state,
+            divergence=self.divergence,
+            status=self.status,
+            active=self.active,
             vectors_applied=self.vectors_applied,
-            detections=list(self.detections),
-        )
+            detections=self.detections,
+        ).copy()
 
     def restore(self, snap: SimSnapshot) -> None:
         """Roll every piece of state back to a snapshot (paper §IV)."""
-        self.good_state = snap.good_state.copy()
-        self.divergence = {f: dict(d) for f, d in snap.divergence.items()}
-        self.status = list(snap.status)
-        self.active = list(snap.active)
-        self.vectors_applied = snap.vectors_applied
-        self.detections = list(snap.detections)
+        self._write_state(snap.copy())
 
     def reset(self) -> None:
         """Return to power-up: all faults undetected, all state unknown."""
-        self.status = [FaultStatus.UNDETECTED] * len(self.faults)
-        self.active = list(range(len(self.faults)))
-        self.good_state = GoodState.unknown(self.compiled.num_ffs)
-        self.divergence = {}
-        self.vectors_applied = 0
-        self.detections = []
+        n = len(self.faults)
+        self._write_state(SimSnapshot(
+            good_state=GoodState.unknown(self.compiled.num_ffs),
+            divergence={},
+            status=[FaultStatus.UNDETECTED] * n,
+            active=list(range(n)),
+            vectors_applied=0,
+            detections=[],
+        ))
 
     def close(self) -> None:
         """Release the parallel evaluator's worker pool, if any.
@@ -468,41 +626,37 @@ class FaultSimulator:
         ]
         return out_force, pin_force, pi_forces, ff_out_forces, ff_pin_forces
 
-    def _memo(self, sample: Sequence[int], key, build):
-        """A table of ``sample``'s, built on first use.
-
-        Holds one sample's tables at a time: a pass over another sample
-        drops them.  Nothing in them reads the committed state, so they
-        stay exact across commits, restores and pool workers' state
-        overwrites (see :mod:`repro.parallel.worker`).
-        """
-        sample_key = tuple(sample)
-        if sample_key != self._plan_sample:
-            self._plan_cache.clear()
-            self._plan_sample = sample_key
-        value = self._plan_cache.get(key)
-        if value is None:
-            value = build()
-            self._plan_cache[key] = value
-        return value
+    def _launch_table(self, sample: Sequence[int]):
+        """What :meth:`_frame_forces` reads of ``sample`` every frame,
+        built with its layout.  Stuck-at forces are static: nothing."""
+        return None
 
     def _batch_layout(self, sample: Sequence[int], n_cand: int) -> _BatchLayout:
         """The population pass's :class:`_BatchLayout`, memoized.
 
-        Kept by population size.  A size wider than any built for the
-        sample so far is replicated and becomes the ``"widest"`` entry;
-        smaller populations, which the GA's fitness memo and commits
-        produce, are trimmed from that entry.
+        Holds one sample's layouts at a time, by population size: a pass
+        over another sample drops them.  A size wider than any built for
+        the sample so far is replicated and becomes the ``"widest"``
+        entry; smaller populations, which the GA's fitness memo
+        produces, are trimmed from that entry.  Nothing in a layout reads
+        the committed state, so layouts stay exact across commits,
+        restores and pool workers' state overwrites (see
+        :mod:`repro.parallel.worker`).
         """
-        def build():
-            widest = self._plan_cache.get("widest")
+        sample_key = tuple(sample)
+        if sample_key != self._layout_sample:
+            self._layouts = {}
+            self._layout_sample = sample_key
+        layout = self._layouts.get(n_cand)
+        if layout is None:
+            widest = self._layouts.get("widest")
             if widest is not None and widest.n_cand > n_cand:
-                return widest.trimmed(self, n_cand)
-            layout = _BatchLayout.replicate(self, sample, n_cand)
-            self._plan_cache["widest"] = layout
-            return layout
-
-        return self._memo(sample, n_cand, build)
+                layout = widest.trimmed(self, n_cand)
+            else:
+                layout = _BatchLayout.replicate(self, sample, n_cand)
+                self._layouts["widest"] = layout
+            self._layouts[n_cand] = layout
+        return layout
 
     def _batch_ff_planes(self, sample: Sequence[int], layout: _BatchLayout):
         """Present-state planes that open a population pass.
@@ -513,36 +667,11 @@ class FaultSimulator:
         Divergences are gathered into ``S``-bit words per flip-flop
         first, so only one replication per word touches the wide planes.
         """
-        n_ffs = self.compiled.num_ffs
-        moved = [0] * n_ffs
-        ones = [0] * n_ffs
-        zeros = [0] * n_ffs
-        divergence = self.divergence
-        bit = 1
-        for fault_id in sample:
-            div = divergence.get(fault_id)
-            if div:
-                for k, value in div.items():
-                    moved[k] |= bit
-                    if value == 1:
-                        ones[k] |= bit
-                    elif value == 0:
-                        zeros[k] |= bit
-            bit <<= 1
-        mask = layout.mask
-        rep = layout.rep
-        ff1 = []
-        ff0 = []
-        for value, m, o, z in zip(self.good_state.ff_values, moved, ones, zeros):
-            a1 = mask if value == 1 else 0
-            a0 = mask if value == 0 else 0
-            if m:
-                keep = ~(m * rep)
-                a1 = (a1 & keep) | (o * rep)
-                a0 = (a0 & keep) | (z * rep)
-            ff1.append(a1)
-            ff0.append(a0)
-        return ff1, ff0
+        moved, ones, zeros = _divergence_words(
+            sample, self.divergence, self.compiled.num_ffs
+        )
+        return _open_planes(self.good_state.ff_values, moved, ones, zeros,
+                            layout.mask, layout.rep)
 
     @staticmethod
     def _batch_pi_planes(candidates, layout: _BatchLayout):
@@ -586,7 +715,7 @@ class FaultSimulator:
                         f"for {n_pis} primary inputs"
                     )
 
-    def _frame_forces(self, sample: Sequence[int], layout: _BatchLayout,
+    def _frame_forces(self, layout: _BatchLayout,
                       v1: List[int], v0: List[int], carry):
         """Forces of one frame of the population pass.
 
@@ -604,13 +733,16 @@ class FaultSimulator:
     # The population pass: the one frame loop
     # ------------------------------------------------------------------
 
-    def _run_frames(self, candidates, sample: List[int], count_faulty_events: bool,
-                    first_frames: Optional[Dict[int, int]] = None) -> _Frames:
+    def _run_frames(self, candidates, layout: _BatchLayout,
+                    ff1: List[int], ff0: List[int], count_faulty_events: bool,
+                    first_frames: Optional[Dict[int, int]] = None,
+                    dead: int = 0) -> _Frames:
         """Run the population pass over every frame of ``candidates``.
 
         Candidate *c* owns the ``S + 1`` slots from ``c * (S + 1)`` on,
         *S* being the sample size: one slot per sampled fault, then a
         fault-free top slot that carries the candidate's good machine.
+        ``ff1``/``ff0`` are the present-state planes of the first frame.
         One injected kernel call per frame evaluates every good and
         faulty machine of the population.  Good values live in the top
         slots: a good plane ``g = word & top`` spreads over its whole
@@ -619,13 +751,13 @@ class FaultSimulator:
         slot a top slot) and zero frames need no special case.
 
         ``first_frames``, when given, receives the first detecting frame
-        of every detected slot (commit).  Malformed candidates raise
-        ``ValueError`` (see :meth:`_check_candidates`) before any work.
+        of every detected slot (commit).  ``dead`` slots (the commit's
+        dropped faults) start out counted as detected, so they never
+        reach ``first_frames``.  Callers check the candidates first
+        (:meth:`_check_candidates`).
         """
-        self._check_candidates(candidates)
         compiled = self.compiled
         n = compiled.num_nodes
-        layout = self._batch_layout(sample, len(candidates))
         pi_planes = self._batch_pi_planes(candidates, layout)
         S = layout.S
         mask = layout.mask
@@ -637,11 +769,10 @@ class FaultSimulator:
         ff_pin_forces = layout.ff_pin_forces
         eval_injection = self._kernel.eval_injection
 
-        ff1, ff0 = self._batch_ff_planes(sample, layout)
         prev1, prev0 = ff1, ff0
         v1 = [0] * n
         v0 = [0] * n
-        det_word = 0
+        det_word = dead
         prop_words: List[int] = []
         # Bit-sliced per-slot counters (see _add_bits) for the events
         # observables; words that use only top slots are folded first
@@ -661,7 +792,7 @@ class FaultSimulator:
                 v1[ff] = ff1[k]
                 v0[ff] = ff0[k]
             pi_forces, ff_out_rows, injection, carry = self._frame_forces(
-                sample, layout, v1, v0, carry
+                layout, v1, v0, carry
             )
             for node, f1, f0 in pi_forces:
                 if f1:
@@ -739,7 +870,7 @@ class FaultSimulator:
             prev1, prev0 = ff1, ff0
             ff1, ff0 = next1, next0
 
-        return _Frames(layout, v1, v0, ff1, ff0, prev1, prev0, det_word,
+        return _Frames(v1, v0, ff1, ff0, prev1, prev0, det_word,
                        prop_words, good_counts, faulty_counts)
 
     # ------------------------------------------------------------------
@@ -812,9 +943,11 @@ class FaultSimulator:
         n_cand = len(candidates)
         if n_cand == 0:
             return []
-        run = self._run_frames(candidates, sample, count_faulty_events)
+        self._check_candidates(candidates)
+        layout = self._batch_layout(sample, n_cand)
+        ff1, ff0 = self._batch_ff_planes(sample, layout)
+        run = self._run_frames(candidates, layout, ff1, ff0, count_faulty_events)
         frames = len(candidates[0])
-        layout = run.layout
         S = layout.S
         top = layout.top
 
@@ -872,46 +1005,76 @@ class FaultSimulator:
             for c in range(n_cand)
         ]
 
+    def _open_slots(self) -> _SlotSpace:
+        """The commit slot space, holding the committed state.
+
+        Repacks first (slots for the active list, with their layout)
+        when there is none, or when its dead share has passed
+        :data:`REPACK_DEAD_SHARE`.
+        """
+        slots = self._slots
+        if slots is not None and not slots.due():
+            return slots
+        slots = _SlotSpace(self, list(self.active))
+        slots.load(self.active, self.divergence, self.compiled.num_ffs)
+        self._slots = slots
+        if self.collector.enabled:
+            self.collector.inc("sim.commit.repacks")
+        return slots
+
     def commit(self, vectors: Sequence[Vector]) -> CommitResult:
         """Apply a test for real: advance all state, drop detected faults.
 
-        A one-candidate population pass over the active list.  Its
-        detections come out in active-list order, each with the absolute
-        frame that first detected it.
+        A one-candidate population pass over the commit slot space
+        (:class:`_SlotSpace`), whose layout was built at its last
+        repack.  The pass opens from the slot planes, and dead slots are
+        masked out of its detections and next divergences, so its
+        detections come out in active-list order, each with the
+        absolute frame that first detected it.
         """
-        sample = list(self.active)
+        self._check_candidates([vectors])
+        slots = self._open_slots()
+        layout = slots.layout
+        S = layout.S
+        top = layout.top
+        live = slots.live
+        ff1, ff0 = _open_planes(self.good_state.ff_values, slots.moved,
+                                slots.ones, slots.zeros, layout.mask, 1)
         first_frames: Dict[int, int] = {}
-        run = self._run_frames([vectors], sample, False, first_frames)
-        S = len(sample)
-        top = run.layout.top
-        # Undetected fault slots whose next state differs from the good
-        # machine's (the top slot spread over the block) diverge.
-        undetected = ((1 << S) - 1) & ~run.det_word
-        new_divergence: Dict[int, Dict[int, int]] = {}
+        run = self._run_frames([vectors], layout, ff1, ff0, False, first_frames,
+                               dead=((1 << S) - 1) & ~live)
+        # Live slots left undetected whose next state differs from the
+        # good machine's (the top slot spread over the block) diverge.
+        live &= ~run.det_word
+        mask = layout.mask
         good_next = []
-        for k, (a1, a0) in enumerate(zip(run.ff1, run.ff0)):
-            g1 = a1 & top
-            g0 = a0 & top
+        moved = []
+        ones = []
+        zeros = []
+        for a1, a0 in zip(run.ff1, run.ff0):
+            g1 = mask if a1 & top else 0
+            g0 = mask if a0 & top else 0
             good_next.append(1 if g1 else (0 if g0 else X))
-            diff = ((a1 ^ ((g1 << 1) - (g1 >> S)))
-                    | (a0 ^ ((g0 << 1) - (g0 >> S)))) & undetected
-            while diff:
-                low = diff & -diff
-                value = 1 if a1 & low else (0 if a0 & low else X)
-                new_divergence.setdefault(sample[low.bit_length() - 1], {})[k] = value
-                diff ^= low
+            diff = ((a1 ^ g1) | (a0 ^ g0)) & live
+            moved.append(diff)
+            ones.append(a1 & diff)
+            zeros.append(a0 & diff)
+        slots.live = live
+        slots.moved = moved
+        slots.ones = ones
+        slots.zeros = zeros
+        self._divergence = None
         detections: List[Tuple[Fault, int]] = []
         for slot in sorted(first_frames):
-            fault_id = sample[slot]
+            fault_id = slots.ids[slot]
             self.status[fault_id] = FaultStatus.DETECTED
             detections.append(
                 (self.faults[fault_id], self.vectors_applied + first_frames[slot])
             )
-        if first_frames:
+        if detections:
             self.active = [
-                f for f in sample if self.status[f] is FaultStatus.UNDETECTED
+                f for f in self.active if self.status[f] is FaultStatus.UNDETECTED
             ]
-        self.divergence = new_divergence
         if vectors:
             self.good_state = GoodState(good_next)
             self._after_commit(run.v1, run.v0, top)

@@ -144,28 +144,25 @@ class TransitionFaultSimulator(FaultSimulator):
         None, is_pi, rise shifts, fall shifts)``.
 
         A shift ``S - slot`` moves a launch bit from a block's top slot
-        down to the fault's own slot.  Memoized per sample.
+        down to the fault's own slot.  Built with the sample's layout
+        (:attr:`~repro.faults.simulator._BatchLayout.launch`).
         """
+        compiled = self.compiled
+        is_ff = {ff: k for k, ff in enumerate(compiled.ff_ids)}
+        is_pi = set(compiled.pi_ids)
+        S = len(sample)
+        shifts = {}
+        for slot, fault_id in enumerate(sample):
+            fault = self.faults[fault_id]
+            shifts.setdefault(fault.node, ([], []))[fault.slow_to].append(
+                S - slot
+            )
+        return [
+            (node, is_ff.get(node), node in is_pi, rises, falls)
+            for node, (falls, rises) in shifts.items()
+        ]
 
-        def build():
-            compiled = self.compiled
-            is_ff = {ff: k for k, ff in enumerate(compiled.ff_ids)}
-            is_pi = set(compiled.pi_ids)
-            S = len(sample)
-            shifts = {}
-            for slot, fault_id in enumerate(sample):
-                fault = self.faults[fault_id]
-                shifts.setdefault(fault.node, ([], []))[fault.slow_to].append(
-                    S - slot
-                )
-            return [
-                (node, is_ff.get(node), node in is_pi, rises, falls)
-                for node, (falls, rises) in shifts.items()
-            ]
-
-        return self._memo(sample, "launch", build)
-
-    def _frame_forces(self, sample, layout, v1, v0, carry):
+    def _frame_forces(self, layout, v1, v0, carry):
         """Forces of the faults whose transition launches this frame.
 
         The loaded top slots hold each candidate's primary inputs and
@@ -188,7 +185,7 @@ class TransitionFaultSimulator(FaultSimulator):
         out_force = {}
         pi_forces = []
         ff_out_rows = []
-        for node, k, is_pi, rises, falls in self._launch_table(sample):
+        for node, k, is_pi, rises, falls in layout.launch:
             rise = p0[node] & g1[node]   # slow-to-rise: held at 0
             fall = p1[node] & g0[node]   # slow-to-fall: held at 1
             f0 = 0

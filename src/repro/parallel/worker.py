@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faults.simulator import FaultSimulator
+from ..faults.simulator import FaultSimulator, SimSnapshot
 from ..sim.compile import CompiledCircuit
 from ..sim.logic3 import GoodState, Vector
 
@@ -78,8 +78,11 @@ def run_batch_shard(task: ShardTask) -> ShardResult:
         raise RuntimeError("worker used before init_worker")
     t0 = time.perf_counter()
     ff_values, divergence, candidates, sub_sample, count_events = task
-    _SIM.good_state = GoodState(list(ff_values))
-    _SIM.divergence = divergence
+    _SIM._write_state(SimSnapshot(
+        good_state=GoodState(list(ff_values)), divergence=divergence,
+        status=_SIM.status, active=_SIM.active, vectors_applied=0,
+        detections=[],
+    ))
     evals = _SIM._evaluate_batch_serial(
         candidates, sample=sub_sample, count_faulty_events=count_events
     )

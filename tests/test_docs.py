@@ -1,14 +1,19 @@
-"""Documentation health: links resolve and CLI quickstarts are real.
+"""Documentation health: links resolve, CLI quickstarts are real, and
+quoted benchmark numbers match their snapshots.
 
 Runs tools/check_doc_links.py (the same script CI runs) over the
 repository's README and docs/*.md, so a renamed file, heading, or CLI
-flag fails tier-1 tests, not just the separate CI step.
+flag, or a regenerated BENCH_*.json, fails tier-1 tests, not just the
+separate CI step.
 """
 
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,3 +148,49 @@ class TestCliExampleChecking:
             "```\n"
         ))
         assert result.returncode == 0, result.stdout
+
+
+class TestBenchQuoteChecking:
+    """Every quote of a committed BENCH_*.json field must match it."""
+
+    def _copy(self, tmp_path):
+        """The documents, snapshots and sources the checker reads."""
+        root = tmp_path / "repo"
+        shutil.copytree(REPO_ROOT / "src", root / "src")
+        shutil.copytree(REPO_ROOT / "docs", root / "docs")
+        for path in REPO_ROOT.glob("*.md"):
+            shutil.copy(path, root / path.name)
+        for path in REPO_ROOT.glob("BENCH_*.json"):
+            shutil.copy(path, root / path.name)
+        return root
+
+    def _stale(self, result):
+        return [line for line in result.stdout.splitlines()
+                if "stale benchmark quote" in line]
+
+    def test_copy_quotes_match(self, tmp_path):
+        assert self._stale(run_checker(self._copy(tmp_path))) == []
+
+    @pytest.mark.parametrize("snapshot, field, value, docs", [
+        ("BENCH_SIMULATOR.json", "speedup", 2.6,
+         {"README.md", "DESIGN.md", "docs/KERNELS.md", "docs/PERFORMANCE.md"}),
+        ("BENCH_SIMULATOR.json", "codegen_seconds", 0.0312,
+         {"docs/PERFORMANCE.md"}),
+        ("BENCH_SERVICE.json", "speedup", 5.46,
+         {"README.md", "DESIGN.md", "docs/SERVICE.md", "docs/PERFORMANCE.md"}),
+        ("BENCH_SERVICE.json", "cold_seconds", 0.0804,
+         {"docs/PERFORMANCE.md"}),
+    ])
+    def test_edited_snapshot_fails(self, tmp_path, snapshot, field, value, docs):
+        """Editing one field of a snapshot flags every quote of it."""
+        root = self._copy(tmp_path)
+        path = root / snapshot
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        result = run_checker(root)
+        stale = self._stale(result)
+        assert result.returncode == 1
+        assert stale and all(f"{snapshot} {field} rounds to" in line
+                             for line in stale)
+        assert {line.split(":")[0] for line in stale} == docs

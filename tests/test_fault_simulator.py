@@ -6,20 +6,36 @@ circuit, sequence, committed state and kernel.
 """
 
 import functools
+import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import mini_fsm, resettable_counter, s27, synthesize_named
+from repro.circuit import (
+    library,
+    mini_fsm,
+    resettable_counter,
+    s27,
+    synthesize_named,
+)
 from repro.circuit.gates import X
+from repro.core import (
+    load_checkpoint,
+    restore_sim_run_state,
+    save_checkpoint,
+    sim_run_state,
+)
 from repro.faults import (
     STEM,
     Fault,
     FaultSimulator,
     FaultStatus,
+    TransitionFaultSimulator,
     collapsed_fault_list,
 )
+from repro.faults.simulator import REPACK_DEAD_SHARE
 from repro.parallel import worker as pool_worker
 from repro.sim import compile_circuit
 from repro.telemetry import TelemetryCollector
@@ -517,3 +533,176 @@ class TestVectorWidth:
         assert after.active == before.active
         assert sim.vectors_applied == before.vectors_applied
         assert sim.detections == detections
+
+
+# ---------------------------------------------------------------------------
+# The commit slot space: stable slots, dead-slot masking, repacks
+# ---------------------------------------------------------------------------
+
+def _slot_sim(kernel, model):
+    """A simulator of ``model`` on the s298 stand-in, counting repacks."""
+    compiled, faults = _batch_circuit()
+    collector = TelemetryCollector()
+    if model == "transition":
+        sim = TransitionFaultSimulator(compiled, kernel=kernel,
+                                       collector=collector)
+    else:
+        sim = FaultSimulator(compiled, faults=faults, kernel=kernel,
+                             collector=collector)
+    return sim, collector
+
+
+def _repacks(collector):
+    return collector.counters.get("sim.commit.repacks", 0)
+
+
+def _has_dead_slots(sim):
+    slots = sim._slots
+    return slots.live != (1 << len(slots.ids)) - 1
+
+
+def _checked_commit(sim, vector):
+    """Commit one frame, checked against the oracle; detections must come
+    out in active-list order."""
+    active = list(sim.active)
+    oracle.assert_commit_matches(sim, [vector])
+    index = {fault: i for i, fault in enumerate(sim.faults)}
+    frame = sim.vectors_applied - 1
+    got = [index[fault] for fault, at in sim.detections if at == frame]
+    detected = set(got)
+    assert got == [f for f in active if f in detected]
+
+
+def _same_next_commits(original, restored, vectors):
+    """Both simulators commit ``vectors`` one frame at a time; the restored
+    one is checked against the oracle, and every result must agree."""
+    for vector in vectors:
+        want = original.commit([vector])
+        before = len(restored.detections)
+        _checked_commit(restored, vector)
+        assert restored.detections[before:] == want.detections
+        assert restored.divergence == original.divergence
+        assert restored.good_state.ff_values == original.good_state.ff_values
+        assert restored.active == original.active
+    assert restored.detections == original.detections
+
+
+@pytest.mark.parametrize("model", ["stuck-at", "transition"])
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestCommitSlotSpace:
+    """Commits run over slots that survive them: a detected fault becomes
+    a dead slot, and the slot space repacks once REPACK_DEAD_SHARE of it
+    is dead.  Every state change must still be what the oracle says."""
+
+    STREAM = 48
+
+    def _stream(self, sim):
+        return random_vectors(sim.circuit, self.STREAM, seed=31)
+
+    def test_one_frame_stream_crosses_repacks(self, kernel, model):
+        """Every one-frame commit matches the oracle across at least two
+        repacks after the first build, and a shuffled-sample pass between
+        commits scores what the oracle scores."""
+        sim, collector = _slot_sim(kernel, model)
+        rng = random.Random(7)
+        for step, vector in enumerate(self._stream(sim)):
+            _checked_commit(sim, vector)
+            if step % 8 == 3 and sim.active:
+                sample = list(sim.active)
+                rng.shuffle(sample)
+                sample = sample[:max(1, len(sample) // 2)]
+                candidates = [random_vectors(sim.circuit, 2, seed=step + c)
+                              for c in range(3)]
+                assert sim.evaluate_batch(candidates, sample=sample) == [
+                    oracle.evaluate_like(sim, c, sample) for c in candidates
+                ]
+        assert _repacks(collector) >= 3
+
+    def test_snapshot_before_repack_restored_after(self, kernel, model):
+        """A snapshot whose active list the repacked slots no longer cover
+        restores, and the next commits are the original's."""
+        sim, collector = _slot_sim(kernel, model)
+        vectors = self._stream(sim)
+        _checked_commit(sim, vectors[0])
+        snap = sim.snapshot()
+        repacks = _repacks(collector)
+        step = 1
+        while _repacks(collector) == repacks:
+            _checked_commit(sim, vectors[step])
+            step += 1
+        sim.restore(snap)
+        original, _ = _slot_sim(kernel, model)
+        original.commit([vectors[0]])
+        _same_next_commits(original, sim, vectors[1:step + 8])
+
+    def test_reset_after_repack(self, kernel, model):
+        """``reset`` after a repack gives back power-up: a stream from
+        there commits what a fresh simulator commits."""
+        sim, collector = _slot_sim(kernel, model)
+        vectors = self._stream(sim)
+        step = 0
+        while _repacks(collector) < 2:
+            _checked_commit(sim, vectors[step])
+            step += 1
+        sim.reset()
+        fresh, _ = _slot_sim(kernel, model)
+        _same_next_commits(fresh, sim, vectors[:12])
+
+    def test_run_state_round_trip_with_dead_slots(self, kernel, model):
+        """A run checkpoint taken mid-stream, while the slot space holds
+        dead slots, restores into a simulator whose next commits are the
+        original's."""
+        sim, _ = _slot_sim(kernel, model)
+        vectors = self._stream(sim)
+        step = 0
+        while step < 6 or not _has_dead_slots(sim):
+            _checked_commit(sim, vectors[step])
+            step += 1
+        state = json.loads(json.dumps(sim_run_state(sim)))
+        restored, _ = _slot_sim(kernel, model)
+        restore_sim_run_state(restored, state)
+        _same_next_commits(sim, restored, vectors[step:step + 12])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_simulator_checkpoint_round_trip_with_dead_slots(kernel, tmp_path):
+    """The same through ``save_checkpoint``/``load_checkpoint``, which
+    store stuck-at simulators only."""
+    sim, _ = _slot_sim(kernel, "stuck-at")
+    vectors = random_vectors(sim.circuit, TestCommitSlotSpace.STREAM, seed=31)
+    step = 0
+    while step < 6 or not _has_dead_slots(sim):
+        _checked_commit(sim, vectors[step])
+        step += 1
+    save_checkpoint(tmp_path / "sim.json", sim)
+    restored, _ = load_checkpoint(tmp_path / "sim.json", sim.compiled)
+    _same_next_commits(sim, restored, vectors[step:step + 12])
+
+
+def test_one_frame_stream_repacks_within_the_dead_share_bound():
+    """200 one-frame commits from power-up on full-size s1423 build the
+    slot space, then repack only past REPACK_DEAD_SHARE dead.  Each
+    repack after the first shrinks the slot space below ``1 - share`` of
+    its size, and it never shrinks below the faults still active, so
+
+        repacks <= 1 + log(initial faults / final active) / log(1 / (1 - share)).
+
+    Every repack builds one injection, and commits build none."""
+    circuit = library.resolve_spec("s1423", scale=1.0, seed=0)
+    collector = TelemetryCollector()
+    sim = FaultSimulator(circuit, collector=collector)
+    calls = []
+    make_injection = sim._kernel.make_injection
+
+    def counting(*args):
+        calls.append(args)
+        return make_injection(*args)
+
+    sim._kernel.make_injection = counting
+    for vector in random_vectors(circuit, 200, seed=1):
+        sim.commit([vector])
+    repacks = _repacks(collector)
+    bound = 1 + math.log(sim.num_faults / len(sim.active)) / math.log(
+        1 / (1 - REPACK_DEAD_SHARE))
+    assert 1 <= repacks <= bound
+    assert len(calls) == repacks

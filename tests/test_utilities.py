@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from repro.circuit import (
     shift_register,
     synthesize_named,
 )
-from repro.faults import FaultSimulator, coverage_report
+from repro.faults import FaultSimulator, FaultStatus, coverage_report
+from repro.faults.reports import _region_of
 from repro.sim import dump_vcd
 
 from tests.conftest import random_vectors
@@ -220,6 +222,26 @@ class TestCoverageReport:
         _, report = self.make_report()
         assert sum(total for _, total in report.by_region.values()) == report.total_faults
         assert sum(det for det, _ in report.by_region.values()) == report.detected
+
+    def test_region_counts_recount_from_status(self):
+        """After commits, each region's detected count is a recount of
+        the simulator's fault status, and the regions sum to
+        ``detected_count``."""
+        circuit = synthesize_named("s298", scale=0.5)
+        fsim = FaultSimulator(circuit)
+        for vector in random_vectors(circuit, 40, seed=9):
+            fsim.commit([vector])
+        report = coverage_report(fsim)
+        recount = Counter(
+            _region_of(circuit, fault)
+            for fault, status in zip(fsim.faults, fsim.status)
+            if status is FaultStatus.DETECTED
+        )
+        assert 0 < fsim.detected_count < fsim.num_faults
+        assert {region: det for region, (det, _) in report.by_region.items()
+                if det} == dict(recount)
+        assert sum(det for det, _ in report.by_region.values()) == (
+            fsim.detected_count)
 
     def test_render(self):
         _, report = self.make_report()

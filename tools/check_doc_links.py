@@ -36,6 +36,13 @@ subcommand.  ROADMAP.md and CHANGES.md are skipped, because they
 hold plans and history, which may name commands that do not exist
 (yet, or any more).
 
+**Benchmark quotes** — every quote of a committed benchmark snapshot
+listed in :data:`BENCH_QUOTES` (``BENCH_SIMULATOR.json``'s speedup and
+interp/codegen seconds, ``BENCH_SERVICE.json``'s speedup and cold/warm
+seconds) must be found once in its document and equal its field,
+rounded as quoted.  A regenerated snapshot therefore fails the build
+until the docs quote its numbers.
+
 Exit status 0 when everything resolves, 1 otherwise (one diagnostic
 line per problem) — CI runs this, and tests/test_docs.py keeps it in
 the tier-1 suite.
@@ -46,6 +53,7 @@ Usage: python tools/check_doc_links.py [repo_root]
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import shlex
 import sys
@@ -342,6 +350,86 @@ def check_cli_blocks(
     return problems
 
 
+# ----------------------------------------------------------------------
+# Benchmark snapshot quotes
+# ----------------------------------------------------------------------
+
+_NUMBER = r"(\d+(?:\.\d+)?)"
+
+#: ``(document, pattern, snapshot, fields)``: each group of ``pattern``
+#: (a space in it matches any run of whitespace, line breaks included)
+#: quotes the snapshot field in the same position.  ``*_seconds`` fields
+#: are quoted in milliseconds.
+BENCH_QUOTES = [
+    ("README.md",
+     rf"\| `codegen` \(default\) \| always safe[^|]*\| {_NUMBER}x \|",
+     "BENCH_SIMULATOR.json", ("speedup",)),
+    ("docs/KERNELS.md",
+     rf"\| `codegen` \(default\) \| one pair of straight-line[^|]*\| {_NUMBER}x \|",
+     "BENCH_SIMULATOR.json", ("speedup",)),
+    ("docs/PERFORMANCE.md",
+     rf"`interp` vs `codegen` kernel \| {_NUMBER} ms vs {_NUMBER} ms → "
+     rf"\*\*{_NUMBER}x\*\*",
+     "BENCH_SIMULATOR.json", ("interp_seconds", "codegen_seconds", "speedup")),
+    ("docs/PERFORMANCE.md",
+     rf"\| 20 six-frame candidates \| {_NUMBER} ms \| {_NUMBER} ms "
+     rf"\(\*\*{_NUMBER}x\*\*\) \|",
+     "BENCH_SIMULATOR.json", ("interp_seconds", "codegen_seconds", "speedup")),
+    ("DESIGN.md",
+     rf"generated straight-line Python \({_NUMBER}x on the one-candidate pass",
+     "BENCH_SIMULATOR.json", ("speedup",)),
+    ("README.md",
+     rf"warm repeat requests measured \*\*{_NUMBER}x\*\* faster than cold",
+     "BENCH_SERVICE.json", ("speedup",)),
+    ("docs/PERFORMANCE.md",
+     rf"service fsim request \(full, 24 frames\), cold vs warm \| {_NUMBER} ms "
+     rf"vs {_NUMBER} ms → \*\*{_NUMBER}x\*\*",
+     "BENCH_SERVICE.json", ("cold_seconds", "warm_seconds", "speedup")),
+    ("docs/PERFORMANCE.md",
+     rf"\| cold \(first request[^|]*\| {_NUMBER} ms \|",
+     "BENCH_SERVICE.json", ("cold_seconds",)),
+    ("docs/PERFORMANCE.md",
+     rf"\| warm \(resident simulator[^|]*\| {_NUMBER} ms → \*\*{_NUMBER}x\*\* \|",
+     "BENCH_SERVICE.json", ("warm_seconds", "speedup")),
+    ("docs/SERVICE.md",
+     rf"a warm fault-simulation request is \*\*{_NUMBER}x\*\* faster",
+     "BENCH_SERVICE.json", ("speedup",)),
+    ("DESIGN.md",
+     rf"measured {_NUMBER}x warm-request speedup",
+     "BENCH_SERVICE.json", ("speedup",)),
+]
+
+
+def check_bench_quotes(root: Path) -> List[Tuple[str, int, str, str]]:
+    """(document, line, quote, reason) for every :data:`BENCH_QUOTES`
+    quote that is missing or disagrees with its snapshot.  Entries whose
+    document or snapshot is absent are skipped."""
+    problems: List[Tuple[str, int, str, str]] = []
+    for doc, pattern, snapshot, fields in BENCH_QUOTES:
+        doc_path = root / doc
+        snapshot_path = root / snapshot
+        if not (doc_path.exists() and snapshot_path.exists()):
+            continue
+        text = doc_path.read_text(encoding="utf-8")
+        matches = list(re.finditer(pattern.replace(" ", r"\s+"), text))
+        if len(matches) != 1:
+            problems.append((doc, 0, pattern,
+                             f"quote of {snapshot} found {len(matches)} times, "
+                             f"expected once"))
+            continue
+        match = matches[0]
+        lineno = text.count("\n", 0, match.start()) + 1
+        data = json.loads(snapshot_path.read_text(encoding="utf-8"))
+        for field, quoted in zip(fields, match.groups()):
+            value = data[field] * (1000 if field.endswith("_seconds") else 1)
+            decimals = len(quoted.partition(".")[2])
+            exact = f"{value:.{decimals}f}"
+            if exact != quoted:
+                problems.append((doc, lineno, quoted,
+                                 f"{snapshot} {field} rounds to {exact}"))
+    return problems
+
+
 def main(argv: List[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
     failures = 0
@@ -361,6 +449,9 @@ def main(argv: List[str]) -> int:
                 failures += 1
                 print(f"{path.relative_to(root)}:{lineno}: stale CLI "
                       f"example ({reason}): {target}")
+    for doc, lineno, quote, reason in check_bench_quotes(root):
+        failures += 1
+        print(f"{doc}:{lineno}: stale benchmark quote ({reason}): {quote}")
     print(f"checked {checked} markdown files: "
           f"{'OK' if not failures else f'{failures} problem(s)'}")
     return 1 if failures else 0
