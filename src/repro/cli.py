@@ -407,16 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="job ledger + run checkpoints live here; reuse "
                             "the directory across restarts to recover "
                             "unfinished jobs (default: throwaway tempdir)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="job worker threads (default: "
-                            "$REPRO_SERVICE_WORKERS or 2)")
+    serve.add_argument("--workers", type=int, default=2, metavar="N",
+                       help="job worker threads and tier worker processes "
+                            "(default 2)")
     serve.add_argument("--cache-size", type=int, default=None, metavar="N",
-                       help="max resident warm simulators (default: "
-                            "$REPRO_SERVICE_CACHE_SIZE or 8)")
+                       help="max resident warm simulators, in the service "
+                            "and in each tier worker (default 8)")
     serve.add_argument("--queue-max", type=int, default=None, metavar="N",
                        help="max queued jobs before submissions are "
-                            "rejected with 429 (default: "
-                            "$REPRO_SERVICE_QUEUE_MAX or unbounded)")
+                            "rejected with 429 (default: unbounded)")
     serve.add_argument("--no-tier", action="store_true",
                        help="execute run jobs in-thread instead of the "
                             "fault-isolated process tier (bit-identical "

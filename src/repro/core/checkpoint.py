@@ -20,18 +20,20 @@ layers live here:
   makes the continuation replay exactly what an uninterrupted run would
   have done).  See ``docs/ROBUSTNESS.md`` for the schema and
   compatibility rules.
-* **Campaign journals** (:func:`save_campaign_journal` /
-  :func:`load_campaign_journal` plus the per-line sealing helpers) —
-  the JSONL substrate of the harness's multi-run experiment campaigns
-  (:mod:`repro.harness.campaign`): a content-hashed header line binding
-  the campaign's identity, followed by one sealed record per journaled
-  unit of work.  The guards mirror the run-checkpoint compatibility
-  rules — unknown schema versions, torn or bit-flipped lines and
-  mismatched headers are refused with :class:`CheckpointError`, never
+* **Sealed logs** (:func:`append_journal_record` /
+  :func:`load_sealed_log`) — append-only JSONL files whose every line
+  carries its own content hash: the campaign journals of the harness's
+  multi-run experiment campaigns (:mod:`repro.harness.campaign`, read
+  with :func:`load_campaign_journal`, which also checks the header
+  binding the campaign's identity) and the job service's ledger.  One
+  writer and one loader serve both, with one torn-line rule: a final
+  line without a newline is a crashed append, dropped on load and cut
+  by the next writer; any other bad line, an unknown schema version or
+  a mismatched header is refused with :class:`CheckpointError`, never
   silently misread.
 
-All checkpoint writes are atomic (tmp + fsync + rename, via
-:mod:`repro.atomicio`): a crash mid-write leaves the previous
+Simulator and run checkpoint writes are atomic (tmp + fsync + rename,
+via :mod:`repro.atomicio`): a crash mid-write leaves the previous
 checkpoint intact, never a torn file.
 
 The circuit itself is *not* stored; a fingerprint (structural hash) is,
@@ -67,7 +69,7 @@ FORMAT_VERSION = 1
 #: Schema version of *run* checkpoints (the generator-level payload).
 RUN_FORMAT_VERSION = 1
 
-#: Schema version of campaign journals (the harness-level JSONL file).
+#: Schema version of campaign journals (the harness-level sealed log).
 CAMPAIGN_FORMAT_VERSION = 1
 
 
@@ -298,12 +300,12 @@ def run_checkpoint_is_preempted(payload: dict) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Campaign journals (harness-level JSONL; crash-safe, resumable)
+# Sealed logs: campaign journals and the job ledger (append-only JSONL)
 # ----------------------------------------------------------------------
 
 
 def _line_hash(record: dict) -> str:
-    """Canonical hash of one journal record, excluding its seal."""
+    """Canonical hash of one sealed-log record, excluding its seal."""
     body = {k: v for k, v in record.items() if k != "sha"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -312,59 +314,31 @@ def _line_hash(record: dict) -> str:
 def seal_journal_record(record: dict) -> dict:
     """Return ``record`` with its per-line ``sha`` seal stamped in.
 
-    Every journal line carries its own content hash so corruption is
-    localized: :func:`load_campaign_journal` reports exactly which line
-    is torn or bit-flipped instead of a whole-file parse error.
+    Every line of a sealed log carries its own content hash so
+    corruption is localized: :func:`load_sealed_log` reports exactly
+    which line is bit-flipped instead of a whole-file parse error.
     """
     sealed = dict(record)
     sealed["sha"] = _line_hash(sealed)
     return sealed
 
 
-def check_journal_record(record: dict, lineno: int, path) -> None:
-    """Verify one journal line's seal; raise :class:`CheckpointError`."""
-    if not isinstance(record, dict) or "sha" not in record:
-        raise CheckpointError(
-            f"campaign journal {path}:{lineno}: record has no seal "
-            "(not a campaign journal, or written by an incompatible build)"
-        )
-    if record["sha"] != _line_hash(record):
-        raise CheckpointError(
-            f"campaign journal {path}:{lineno}: line failed its "
-            "content-hash check (torn or corrupted record)"
-        )
-
-
-def save_campaign_journal(path: Union[str, Path], records: Sequence[dict]) -> None:
-    """Atomically (re)write a whole campaign journal as sealed JSONL.
-
-    The journal is small (one line per campaign cell), so the whole
-    file is rewritten through :mod:`repro.atomicio` on every update: a
-    SIGKILL mid-write leaves the previous complete journal intact,
-    never a torn tail line.  Records that already carry a valid seal
-    are written as-is; the rest are sealed here.
-    """
-    lines = []
-    for record in records:
-        if record.get("sha") != _line_hash(record):
-            record = seal_journal_record(record)
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def append_journal_record(path: Union[str, Path], record: dict) -> dict:
-    """Append one sealed record to a multi-writer campaign journal.
+    """Append one sealed record to a sealed log: the only writer of
+    campaign journals and of the service's job ledger.
 
-    The distributed campaign backend has several processes — the
-    coordinator plus any number of ``gatest campaign-worker`` hosts —
-    writing the *same* journal, so the whole-file atomic rewrite of
-    :func:`save_campaign_journal` would lose concurrent appends.  This
-    path instead opens with ``O_APPEND``, takes an exclusive
-    ``fcntl.flock`` for the write, emits the record as exactly one
-    ``\\n``-terminated line, and fsyncs before releasing — concurrent
-    appenders serialize, and a crash mid-append can tear at most the
-    final line (which :func:`load_campaign_journal` can skip when asked
-    with ``skip_torn_tail=True``).
+    A log may have several writers at once — the coordinator and every
+    ``gatest campaign-worker`` host share a distributed campaign's
+    journal, the service's worker threads share its ledger — so the
+    record is written as exactly one ``\\n``-terminated line under an
+    exclusive ``fcntl.flock`` and fsynced before the lock is released.
+    A line is committed once its newline is on disk.
+
+    While the lock is held no live writer can be mid-line, so a final
+    line without a newline is the fragment of a writer killed
+    mid-append.  It is cut before the record is written; otherwise the
+    record would land on the fragment's line and be dropped with it as
+    a torn tail by :func:`load_sealed_log`.
 
     Returns the sealed record as written.
     """
@@ -375,11 +349,12 @@ def append_journal_record(path: Union[str, Path], record: dict) -> dict:
         import fcntl
     except ImportError:  # pragma: no cover - non-POSIX
         fcntl = None
-    with open(path, "a", encoding="utf-8") as handle:
+    with open(path, "a+b") as handle:
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         try:
-            handle.write(line)
+            _cut_torn_tail(handle)
+            handle.write(line.encode())
             handle.flush()
             os.fsync(handle.fileno())
         finally:
@@ -388,48 +363,69 @@ def append_journal_record(path: Union[str, Path], record: dict) -> dict:
     return record
 
 
-def load_campaign_journal(
-    path: Union[str, Path], *, skip_torn_tail: bool = False
-) -> List[dict]:
-    """Read and integrity-check a campaign journal.
+def _cut_torn_tail(handle) -> None:
+    """Truncate an append handle's file after its last newline.
 
-    Returns the sealed records (header first).  Refuses — with a
-    :class:`CheckpointError` naming the offending line — on unreadable
-    files, non-JSON or unsealed lines, per-line hash failures, a
-    missing or malformed header, and unknown schema versions.
+    One read of the last byte when the file is empty or ends in a
+    newline; the whole file is read only to cut a fragment.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    if end == 0:
+        return
+    handle.seek(end - 1)
+    if handle.read(1) == b"\n":
+        return
+    handle.seek(0)
+    handle.truncate(handle.read().rfind(b"\n") + 1)
 
-    ``skip_torn_tail=True`` relaxes exactly one case: a *final* line
-    that is torn (invalid JSON or a failed seal) is dropped instead of
-    refused.  Multi-writer journals (the distributed backend) append
-    under ``O_APPEND`` + flock, so a SIGKILL mid-append can leave only
-    a torn tail — every complete line before it is still trustworthy.
-    Corruption anywhere *but* the final line is refused regardless: that
-    is bit-rot or tampering, not a crash artifact.
+
+def load_sealed_log(path: Union[str, Path]) -> List[dict]:
+    """Read and integrity-check a sealed log; its records in file order.
+
+    A final line with no newline is the fragment of a writer killed
+    mid-append (:func:`append_journal_record` commits a line with its
+    newline) and is dropped.  Any other line that is not sealed JSON
+    raises :class:`CheckpointError` naming ``path:line``: that is bit
+    rot or tampering, not a crash, and skipping it could silently lose
+    a record.  Blank lines are ignored.
     """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise CheckpointError(f"cannot read campaign journal {path}: {exc}") from exc
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), 1)
-        if line.strip()
-    ]
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     records: List[dict] = []
-    for index, (lineno, line) in enumerate(lines):
-        is_tail = index == len(lines) - 1
+    for lineno, line in enumerate(data.split(b"\n")[:-1], 1):
+        if not line.strip():
+            continue
         try:
             record = json.loads(line)
-            check_journal_record(record, lineno, path)
-        except (json.JSONDecodeError, CheckpointError) as exc:
-            if skip_torn_tail and is_tail:
-                break
-            if isinstance(exc, CheckpointError):
-                raise
+        except ValueError as exc:
             raise CheckpointError(
-                f"campaign journal {path}:{lineno}: not valid JSON ({exc})"
+                f"{path}:{lineno}: not valid JSON ({exc})"
             ) from exc
+        if not isinstance(record, dict) or "sha" not in record:
+            raise CheckpointError(
+                f"{path}:{lineno}: record has no seal (not a sealed log, "
+                "or written by an incompatible build)"
+            )
+        if record["sha"] != _line_hash(record):
+            raise CheckpointError(
+                f"{path}:{lineno}: line failed its content-hash check "
+                "(corrupted record)"
+            )
         records.append(record)
+    return records
+
+
+def load_campaign_journal(path: Union[str, Path]) -> List[dict]:
+    """Read and integrity-check a campaign journal.
+
+    Returns the sealed records (header first), read by
+    :func:`load_sealed_log`.  Also refuses, with a
+    :class:`CheckpointError`, an empty journal, a missing or malformed
+    header, and unknown schema versions.
+    """
+    records = load_sealed_log(path)
     if not records:
         raise CheckpointError(f"campaign journal {path} is empty")
     header = records[0]

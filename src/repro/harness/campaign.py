@@ -5,9 +5,9 @@ this module does the same for the harness's *campaign loop* — the
 (circuit, config-label, seed) matrix behind every paper table.  Each
 cell is a journaled unit of work:
 
-* :class:`CampaignJournal` owns a sealed JSONL journal (written through
-  :mod:`repro.atomicio`, integrity-checked by
-  :mod:`repro.core.checkpoint`).  The header binds the campaign's
+* :class:`CampaignJournal` owns a sealed JSONL journal (appended and
+  integrity-checked by :mod:`repro.core.checkpoint`, like the job
+  service's ledger).  The header binds the campaign's
   identity — table, scale, seed list, schema version — and each
   ``run_matrix`` call additionally binds its circuit list and config
   digests (:meth:`CampaignJournal.bind`), so a resumed journal that no
@@ -26,15 +26,15 @@ The journal is attached to the harness with :func:`campaign_scope`
 journal per seed.  ``python -m repro.harness.experiments --journal J
 [--resume]`` wires this up from the command line.
 
-Distributed campaigns (:mod:`repro.harness.distributed`, ``--workers-from``)
-reuse this journal as their only coordination channel: ``append_mode``
-switches writes from whole-file atomic rewrites to flocked single-line
-appends (a SIGKILL tears at most the final line, which loaders skip),
-``campaign-lease`` / ``campaign-close`` records drive the worker
-protocol, and duplicate cell seals — a stalled worker racing its
-re-leased peer — are arbitrated **first-sealed-ok-wins in file order**,
-so every reader derives the same winner from the same bytes
-(docs/ROBUSTNESS.md §6).
+Every write is one flocked, fsynced single-line append, so a SIGKILL
+tears at most the final line: loaders drop it and the next writer cuts
+it.  Distributed campaigns (:mod:`repro.harness.distributed`,
+``--workers-from``) therefore reuse this journal unchanged as their
+only coordination channel: ``campaign-lease`` / ``campaign-close``
+records drive the worker protocol, and duplicate cell seals — a
+stalled worker racing its re-leased peer — are arbitrated
+**first-sealed-ok-wins in file order**, so every reader derives the
+same winner from the same bytes (docs/ROBUSTNESS.md §6).
 
 Counters (see docs/TELEMETRY.md): ``campaign.cells.completed`` /
 ``campaign.cells.skipped`` / ``campaign.cells.failed`` /
@@ -55,8 +55,6 @@ from ..core.checkpoint import (
     CheckpointError,
     append_journal_record,
     load_campaign_journal,
-    save_campaign_journal,
-    seal_journal_record,
 )
 from ..core.fitness import Phase
 from ..core.results import StageEvent, TestGenResult
@@ -157,10 +155,10 @@ class CampaignJournal:
     Create with :meth:`create` (fresh campaign, overwrites any stale
     journal at ``path``) or :meth:`create` with ``resume=True`` (loads
     and integrity-checks the existing journal, refusing on any identity
-    mismatch).  Every completed or failed cell triggers a whole-file
-    atomic rewrite — the journal is one line per cell, so this stays
-    cheap, and a SIGKILL at any instant leaves a complete, loadable
-    journal behind.
+    mismatch); peers attach with :meth:`open`.  Every binding, cell,
+    lease and close marker is one sealed line appended by
+    :func:`~repro.core.checkpoint.append_journal_record`, so a SIGKILL
+    at any instant leaves every committed line loadable behind.
     """
 
     def __init__(
@@ -170,12 +168,10 @@ class CampaignJournal:
         records: List[dict],
         resumed: bool,
         collector=None,
-        append_mode: bool = False,
     ) -> None:
         self.path = Path(path)
         self.header = header
         self.resumed = resumed
-        self.append_mode = bool(append_mode)
         self.collector = collector if collector is not None else get_collector()
         self._bind_count = 0
         self._duplicates = 0
@@ -189,13 +185,15 @@ class CampaignJournal:
     def _ingest(self, records: List[dict]) -> None:
         """(Re)build the cell/lease views from the full record list.
 
-        Duplicate cell records — possible only in append mode, where a
-        host stalled past its lease TTL can seal a late result after a
-        re-leased peer already sealed one — are arbitrated
+        A cell may have several records: a failed cell re-run on resume
+        appends its new outcome after the failure, and a host stalled
+        past its lease TTL can seal a late result after a re-leased
+        peer already sealed one.  They are arbitrated
         first-sealed-ok-wins: the earliest ``ok`` record in file order
         is the cell's result, later duplicates are ignored (counted as
         ``campaign.cells.duplicate``), and a ``failed`` record is
-        superseded by any later ``ok`` (a re-lease healing the cell).
+        superseded by any later record (a retry or a re-lease healing
+        the cell).
         Leases keep only the latest grant per cell (highest ``seq``).
         """
         duplicates_before = self._duplicates
@@ -256,7 +254,6 @@ class CampaignJournal:
         seeds: Sequence[int],
         resume: bool = False,
         collector=None,
-        append_mode: bool = False,
     ) -> "CampaignJournal":
         """Open a campaign journal at ``path``.
 
@@ -265,14 +262,8 @@ class CampaignJournal:
         ``resume=True`` requires an existing journal whose header
         matches ``table`` / ``scale`` / ``seeds`` exactly; anything
         else — missing file, corrupt line, unknown schema, different
-        campaign identity — raises :class:`CheckpointError`.
-
-        ``append_mode=True`` switches every subsequent write from the
-        whole-file atomic rewrite to flocked single-line appends — the
-        multi-writer discipline of the distributed backend, where the
-        coordinator and the campaign workers share this journal.  A
-        resume in append mode tolerates a torn final line (the tail a
-        SIGKILLed appender can leave).
+        campaign identity — raises :class:`CheckpointError`.  A torn
+        final line (the tail a SIGKILLed appender leaves) is dropped.
         """
         header = {
             "kind": "campaign-header",
@@ -282,7 +273,7 @@ class CampaignJournal:
             "seeds": [int(s) for s in seeds],
         }
         if resume:
-            records = load_campaign_journal(path, skip_torn_tail=append_mode)
+            records = load_campaign_journal(path)
             found = records[0]
             for field in ("table", "scale", "seeds"):
                 if found.get(field) != header[field]:
@@ -293,14 +284,12 @@ class CampaignJournal:
                         "or rerun with the original parameters)"
                     )
             journal = cls(path, found, records, resumed=True,
-                          collector=collector, append_mode=append_mode)
+                          collector=collector)
             journal.collector.inc("campaign.resumed")
             return journal
-        sealed = seal_journal_record(header)
-        journal = cls(path, sealed, [sealed], resumed=False,
-                      collector=collector, append_mode=append_mode)
-        save_campaign_journal(journal.path, journal._records)
-        return journal
+        Path(path).unlink(missing_ok=True)
+        sealed = append_journal_record(path, header)
+        return cls(path, sealed, [sealed], resumed=False, collector=collector)
 
     @classmethod
     def open(
@@ -309,21 +298,13 @@ class CampaignJournal:
         """Attach to an existing journal as a peer writer (a worker).
 
         Campaign workers take no identity arguments — the header on
-        disk *is* the campaign's identity — and always write in append
-        mode.  The journal must exist and pass integrity checks (a torn
-        final line is tolerated, anything else is refused).
+        disk *is* the campaign's identity.  The journal must exist and
+        pass integrity checks (a torn final line is dropped, anything
+        else is refused).
         """
-        records = load_campaign_journal(path, skip_torn_tail=True)
+        records = load_campaign_journal(path)
         return cls(path, records[0], records, resumed=True,
-                   collector=collector, append_mode=True)
-
-    def _flush(self) -> None:
-        if self.append_mode:
-            raise RuntimeError(
-                "whole-file rewrite in append mode would lose concurrent "
-                "peers' records"
-            )
-        save_campaign_journal(self.path, self._records)
+                   collector=collector)
 
     def _append(self, record: dict) -> dict:
         sealed = append_journal_record(self.path, record)
@@ -331,16 +312,14 @@ class CampaignJournal:
         return sealed
 
     def refresh(self) -> None:
-        """Re-read the journal from disk (append mode only).
+        """Re-read the journal from disk.
 
         Picks up records sealed by peer writers since the last load —
         the coordinator's poll step and the workers' claim step both
         live on this.  A torn final line (a peer SIGKILLed mid-append)
-        is skipped, not refused.
+        is dropped, not refused.
         """
-        if not self.append_mode:
-            raise RuntimeError("refresh is only meaningful in append mode")
-        self._ingest(load_campaign_journal(self.path, skip_torn_tail=True))
+        self._ingest(load_campaign_journal(self.path))
 
     # -- identity bindings ---------------------------------------------
 
@@ -374,11 +353,7 @@ class CampaignJournal:
                             "must not change across a resume"
                         )
                 return
-        if self.append_mode:
-            self._append(binding)
-        else:
-            self._records.append(seal_journal_record(binding))
-            self._flush()
+        self._append(binding)
 
     # -- cells ----------------------------------------------------------
 
@@ -427,14 +402,12 @@ class CampaignJournal:
         """Journal one executed cell (completed or failed) atomically.
 
         Exactly one of ``result`` (completed) / ``error`` (failed) must
-        be given.  In rewrite mode a re-executed cell (a failed one
-        retried on resume) replaces its previous record in place; in
-        append mode the record is always appended and duplicate
-        arbitration (first-sealed-ok-wins) decides which record is the
-        cell's result.  ``host`` stamps the sealing host's name and
-        ``trace`` ships the executing worker's telemetry records along
-        with the result (the coordinator merges them under
-        ``host.<name>`` scopes).
+        be given.  The record is always appended; arbitration
+        (first-sealed-ok-wins, see :meth:`_ingest`) decides which of a
+        cell's records is its result.  ``host`` stamps the sealing
+        host's name and ``trace`` ships the executing worker's telemetry
+        records along with the result (the coordinator merges them
+        under ``host.<name>`` scopes).
         """
         if (result is None) == (error is None):
             raise ValueError("record_cell takes exactly one of result/error")
@@ -458,22 +431,11 @@ class CampaignJournal:
             record["error"] = error
             record["attempts"] = attempts
             self.collector.inc("campaign.cells.failed")
-        sealed = seal_journal_record(record)
-        key = _cell_key(circuit, label, seed, scale)
-        if self.append_mode:
-            sealed = self._append(sealed)
-            if not self._absorb_cell(sealed, len(self._records) - 1):
-                self.collector.inc("campaign.cells.duplicate")
-            return
-        previous = self._cells.get(key)
-        if previous is not None:
-            self._records[self._records.index(previous)] = sealed
-        else:
-            self._records.append(sealed)
-        self._cells[key] = sealed
-        self._flush()
+        sealed = self._append(record)
+        if not self._absorb_cell(sealed, len(self._records) - 1):
+            self.collector.inc("campaign.cells.duplicate")
 
-    # -- leases (distributed campaigns; append mode only) ----------------
+    # -- leases (distributed campaigns) ----------------------------------
 
     def grant_lease(
         self,
@@ -499,8 +461,6 @@ class CampaignJournal:
         previous lease by carrying a higher ``seq``.  Counts
         ``campaign.lease.granted``.
         """
-        if not self.append_mode:
-            raise RuntimeError("leases require an append-mode journal")
         self._lease_seq += 1
         record = {
             "kind": "campaign-lease",
@@ -568,24 +528,21 @@ class CampaignJournal:
         return record
 
     def record_close(self) -> None:
-        """Seal the campaign-close marker (coordinator, append mode).
+        """Seal the campaign-close marker (the coordinator's last write).
 
         Workers exit their poll loop when a refresh shows the campaign
         closed; a journal with a close marker grants no further leases.
         """
-        if not self.append_mode:
-            raise RuntimeError("record_close requires an append-mode journal")
         self._append({"kind": "campaign-close"})
         self.closed = True
 
     # -- inspection ------------------------------------------------------
 
     def cells(self, status: Optional[str] = None) -> List[dict]:
-        """All journaled cell records, optionally filtered by status."""
-        found = [r for r in self._records if r.get("kind") == "campaign-cell"]
-        if status is not None:
-            found = [r for r in found if r.get("status") == status]
-        return found
+        """Each journaled cell's effective record (see :meth:`_ingest`),
+        optionally filtered by status."""
+        return [r for r in self._cells.values()
+                if status is None or r.get("status") == status]
 
 
 # ----------------------------------------------------------------------

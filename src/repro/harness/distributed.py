@@ -10,7 +10,7 @@ it to a *coordination substrate* for multiple hosts:
   TTL-stamped **lease records** granting each (circuit, label, seed)
   cell to a worker host, and polls the journal for sealed results.
 * **Workers** (``gatest campaign-worker --journal J --host NAME``)
-  attach to the same journal in append mode, claim leases addressed to
+  attach to the same journal as peer writers, claim leases addressed to
   their host name, execute each cell through the PR 5 per-seed
   self-healing pool (same chaos hooks, same retry policy, same
   telemetry shipback), and seal the result back into the journal.
@@ -133,11 +133,6 @@ class DistributedCoordinator:
         policy: Optional[RetryPolicy] = None,
         collector=None,
     ) -> None:
-        if not journal.append_mode:
-            raise ValueError(
-                "a distributed campaign needs an append-mode journal "
-                "(multi-writer); pass append_mode=True to CampaignJournal"
-            )
         if not hosts:
             raise ValueError("at least one worker host name is required")
         self.journal = journal
@@ -435,7 +430,7 @@ def campaign_worker_main(
 ) -> int:
     """The ``gatest campaign-worker`` loop: claim, execute, seal, repeat.
 
-    Attaches to ``journal_path`` in append mode (waiting up to
+    Attaches to ``journal_path`` as a peer writer (waiting up to
     ``max_idle`` seconds for the coordinator to create it), then polls:
     claim the next live lease addressed to ``host``, execute it through
     the PR 5 self-healing seed pool, seal the result back.  Exits 0

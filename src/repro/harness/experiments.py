@@ -534,7 +534,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 journal = CampaignJournal.create(
                     args.journal, table=args.table, scale=args.scale,
                     seeds=seeds, resume=args.resume, collector=collector,
-                    append_mode=hosts is not None,
                 )
             except CheckpointError as exc:
                 raise SystemExit(f"error: {exc}")

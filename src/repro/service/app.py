@@ -25,14 +25,15 @@ from typing import Optional
 
 from ..telemetry import TelemetryCollector
 from .http import ServiceServer
-from .jobs import JobManager, workers_from_env
+from ..core.checkpoint import CheckpointError
+from .jobs import JobManager
 
 
 def serve(
     host: str = "127.0.0.1",
     port: int = 8337,
     state_dir: Optional[str] = None,
-    workers: Optional[int] = None,
+    workers: int = 2,
     cache_size: Optional[int] = None,
     queue_max: Optional[int] = None,
     use_tier: bool = True,
@@ -42,9 +43,10 @@ def serve(
     With ``state_dir=None`` a throwaway directory is used: no recovery
     across restarts, but also no litter.  Pass a real directory to get
     the ledger/checkpoint/recovery behaviour described in
-    docs/SERVICE.md.  ``queue_max`` bounds the queued-job count
-    (``None``: ``REPRO_SERVICE_QUEUE_MAX``, unset = unbounded);
-    ``use_tier=False`` keeps run jobs in-thread (no process isolation —
+    docs/SERVICE.md; a corrupt ledger there stops the start with the
+    line it names.  ``cache_size`` bounds the resident simulators
+    (``None``: 8) and ``queue_max`` the queued-job count (``None``:
+    unbounded); ``use_tier=False`` keeps run jobs in-thread (no process isolation —
     a debugging escape hatch, results are bit-identical either way).
     """
     collector = TelemetryCollector(source="repro.service")
@@ -59,12 +61,13 @@ def serve(
         manager = JobManager(
             state_path,
             collector=collector,
-            workers=workers if workers is not None else workers_from_env(),
+            workers=workers,
             cache_size=cache_size,
             queue_max=queue_max,
             use_tier=use_tier,
         )
-    except ValueError as exc:  # e.g. a malformed REPRO_CHAOS spec
+    except (CheckpointError, ValueError) as exc:
+        # A corrupt ledger line, or a malformed REPRO_CHAOS spec.
         raise SystemExit(f"error: {exc}")
     try:
         asyncio.run(_serve_async(manager, host, port))

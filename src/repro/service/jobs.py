@@ -35,16 +35,18 @@ and "result JSON ready":
   running run jobs cooperatively — the generator writes a final
   ``preempted`` checkpoint at its next stage boundary, so resubmitting
   the identical config resumes bit-identically; a bounded queue
-  (``REPRO_SERVICE_QUEUE_MAX``) rejects overflow with
+  (``queue_max``, ``gatest serve --queue-max``) rejects overflow with
   :class:`QueueFullError` (HTTP 429 + ``Retry-After``) *before*
   anything is ledgered, so every accepted job is durable.
 * **Ledger + recovery** — every accepted/completed/failed transition is
-  appended to a sealed JSONL ledger (the per-line content hashes of
-  :func:`repro.core.checkpoint.seal_journal_record`).  On restart,
+  appended to a sealed log, the per-line-hashed JSONL file campaign
+  journals use (:mod:`repro.core.checkpoint`).  On restart,
   accepted-but-unfinished jobs are re-enqueued; those with a run
   checkpoint on disk resume from it bit-identically (PR 4 contract),
   the rest re-run from scratch — deterministic seeds make that
-  equivalent (``service.jobs.resumed``).
+  equivalent (``service.jobs.resumed``).  A corrupt ledger line stops
+  the restart with a :class:`~repro.core.checkpoint.CheckpointError`
+  naming it.
 * **Telemetry** — each job records into its own
   :class:`StreamingCollector` (live ``GET /jobs/<id>/events`` stream,
   schema-valid JSONL trace); at completion the job trace is folded into
@@ -58,37 +60,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.checkpoint import (
-    CheckpointError,
-    check_journal_record,
-    seal_journal_record,
-)
+from ..core.checkpoint import append_journal_record, load_sealed_log
 from ..core.config import TestGenConfig
-from ..core.generator import GaTestGenerator, RunPreempted
-from ..harness.campaign import result_to_json
 from ..harness.distributed import config_to_json
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp
 from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
 from .state import WarmRegistry, circuit_key, sim_key
-from .tier import open_tier, run_tier_job
+from .tier import execute_run_job, open_tier, run_tier_job
 
 #: Default stage events between run-job checkpoint writes.
 DEFAULT_CHECKPOINT_EVERY = 8
-
-#: Environment knob: number of job worker threads.
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
-
-#: Environment knob: max queued jobs before admission control rejects
-#: (empty/<= 0: unbounded).
-QUEUE_MAX_ENV = "REPRO_SERVICE_QUEUE_MAX"
 
 #: Seconds a rejected client is told to wait before retrying.
 RETRY_AFTER_SECONDS = 1
@@ -381,74 +369,32 @@ class Job:
 
 
 class JobLedger:
-    """Append-only sealed-JSONL record of every job state transition.
+    """The sealed log of every job state transition (``ledger.jsonl``).
 
-    Each line is an independent sealed record
-    (:func:`~repro.core.checkpoint.seal_journal_record`), appended with
-    flush+fsync so an accepted job survives a service SIGKILL.  A torn
-    tail line (killed mid-append) is detected by its seal and skipped
-    on load — corruption is localized to the one unfinished write, per
-    the PR 4 journal contract.
+    Written and read like a campaign journal
+    (:func:`~repro.core.checkpoint.append_journal_record` /
+    :func:`~repro.core.checkpoint.load_sealed_log`): each transition is
+    one flocked, fsynced line, so an accepted job survives a service
+    SIGKILL.  A torn final line (killed mid-append) is dropped on load
+    and cut by the next append; a corrupt line anywhere else raises
+    :class:`~repro.core.checkpoint.CheckpointError` naming it.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append(self, record: dict) -> None:
-        line = json.dumps(seal_journal_record(record), sort_keys=True)
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+        append_journal_record(self.path, record)
 
     def load(self) -> List[dict]:
-        """All intact records, oldest first; torn/corrupt lines skipped."""
-        if not self.path.exists():
-            return []
-        records: List[dict] = []
-        with self._lock:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                check_journal_record(record, lineno, self.path)
-            except Exception:
-                continue  # torn or corrupt line: skip, keep the rest
-            records.append(record)
-        return records
+        """All committed records, oldest first (none before the first
+        append)."""
+        return load_sealed_log(self.path) if self.path.exists() else []
 
 
 # ----------------------------------------------------------------------
 # The manager
 # ----------------------------------------------------------------------
-
-
-def workers_from_env(default: int = 2) -> int:
-    """Resolve the worker-thread count from :data:`WORKERS_ENV`."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
-def queue_max_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Resolve the queue bound from :data:`QUEUE_MAX_ENV` (None: unbounded)."""
-    raw = os.environ.get(QUEUE_MAX_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else None
 
 
 class JobManager:
@@ -458,12 +404,14 @@ class JobManager:
     checkpoints (``checkpoints/run-<runkey>.ckpt``, keyed by the job's
     deterministic :func:`run_key` so resubmissions resume prior work);
     pass the same directory to a restarted service and unfinished jobs
-    are recovered.  ``workers`` threads schedule the queue (run jobs
-    execute in the process tier unless ``use_tier=False`` or the tier
-    degrades); with one worker, execution order (and therefore the
-    service telemetry trace) is deterministic.  ``queue_max`` bounds
-    the number of queued jobs (``None``: read ``REPRO_SERVICE_QUEUE_MAX``,
-    unset means unbounded).
+    are recovered; a corrupt ledger line raises
+    :class:`~repro.core.checkpoint.CheckpointError` here.  ``workers``
+    threads schedule the queue (run jobs execute in the process tier
+    unless ``use_tier=False`` or the tier degrades); with one worker,
+    execution order (and therefore the service telemetry trace) is
+    deterministic.  ``cache_size`` bounds the resident simulators of
+    the manager and of every tier worker (``None``: 8); ``queue_max``
+    bounds the number of queued jobs (``None``: unbounded).
     """
 
     def __init__(
@@ -478,10 +426,14 @@ class JobManager:
         self.state_dir = Path(state_dir)
         self.collector = collector if collector is not None else get_collector()
         # First: it parses REPRO_CHAOS, failing before any state is touched.
-        self.tier = open_tier(self.collector, max(1, workers)) if use_tier else None
+        self.tier = (
+            open_tier(self.collector, max(1, workers), cache_size)
+            if use_tier else None
+        )
         self.registry = WarmRegistry(collector=self.collector, max_sims=cache_size)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
         self.ledger = JobLedger(self.state_dir / "ledger.jsonl")
-        self.queue_max = queue_max if queue_max is not None else queue_max_from_env()
+        self.queue_max = queue_max
         self.use_tier = use_tier
         self._tier_degraded = False
         self._cond = threading.Condition()
@@ -851,6 +803,7 @@ class JobManager:
         config = spec.config.for_circuit(compiled.circuit.name)
         checkpoint = self._checkpoint_path(job, config)
         stop_path = self._stop_path(job)
+        outcome = None
         if self.tier is not None and not self._tier_degraded:
             task = {
                 "circuit": spec.circuit,
@@ -873,66 +826,22 @@ class JobManager:
                 self._tier_degraded = True
             else:
                 job.collector.absorb_worker_records(records)
-                if status == "done":
-                    self._finish(job, result=payload)
-                elif status == "preempted":
-                    self._finish(job, error="preempted by DELETE",
-                                 status="preempted")
-                else:
-                    self._finish(job, error=payload)
-                return
-        if self._tier_degraded and self.collector.enabled:
-            self.collector.inc("service.jobs.degraded")
-        resume = checkpoint.exists()
-        sim = self.registry.lease(ckey, config)
-        try:
-            try:
-                result = self._run_generator(
-                    job, compiled, config, sim, checkpoint, resume, stop_path
-                )
-            except CheckpointError as exc:
-                if not resume:
-                    raise
-                # The checkpoint is torn or from an incompatible
-                # config/circuit.  The seed is deterministic, so a
-                # fresh run produces the same result the resumed one
-                # would have — fall back instead of failing the job.
-                # Counted on the job's collector (merged into the
-                # service trace at finish), same as the tier path.
-                job.collector.inc("service.jobs.resume_fallback")
-                sim.reset()
-                result = self._run_generator(
-                    job, compiled, config, sim, checkpoint, False, stop_path
-                )
-        except RunPreempted:
-            self.registry.release(ckey, config, sim)
-            self._finish(job, error="preempted by DELETE", status="preempted")
-            return
-        except Exception as exc:
-            self.registry.discard(sim)
-            self._finish(job, error=f"{type(exc).__name__}: {exc}")
-            return
-        self.registry.release(ckey, config, sim)
-        payload = result_to_json(result)
-        payload["fault_coverage"] = result.fault_coverage
-        payload["summary"] = result.summary()
-        self._finish(job, result=payload)
-
-    @staticmethod
-    def _run_generator(job, compiled, config, sim, checkpoint, resume,
-                       stop_path):
-        generator = GaTestGenerator(
-            compiled, config, collector=job.collector, fsim=sim
-        )
-        try:
-            return generator.run(
-                checkpoint_path=checkpoint,
-                checkpoint_every=job.spec.checkpoint_every,
-                resume=resume,
+                outcome = (status, payload)
+        if outcome is None:
+            if self._tier_degraded and self.collector.enabled:
+                self.collector.inc("service.jobs.degraded")
+            outcome = execute_run_job(
+                self.registry, job.collector, ckey, config, checkpoint,
+                spec.checkpoint_every,
                 stop=lambda: job.cancel_event.is_set() or stop_path.exists(),
             )
-        finally:
-            generator.close()
+        status, payload = outcome
+        if status == "done":
+            self._finish(job, result=payload)
+        elif status == "preempted":
+            self._finish(job, error="preempted by DELETE", status="preempted")
+        else:
+            self._finish(job, error=payload)
 
     def _execute_fsim_group(self, group: List[Job]) -> None:
         spec = group[0].spec

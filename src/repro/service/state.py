@@ -39,7 +39,6 @@ Counters (on the registry's collector, surfaced via ``GET /healthz``):
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
@@ -51,10 +50,8 @@ from ..parallel.shutdown import close_quietly
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..telemetry import NullCollector, get_collector
 
-#: Environment knob: max resident simulators (compiled circuits follow).
-CACHE_SIZE_ENV = "REPRO_SERVICE_CACHE_SIZE"
-
-#: Default maximum number of resident simulators.
+#: Default maximum number of resident simulators (compiled circuits
+#: follow the same bound).
 DEFAULT_CACHE_SIZE = 8
 
 #: (spec, scale, seed) — everything circuit resolution depends on.
@@ -96,18 +93,6 @@ def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:
     )
 
 
-def cache_size_from_env(default: int = DEFAULT_CACHE_SIZE) -> int:
-    """Resolve the registry capacity from :data:`CACHE_SIZE_ENV`."""
-    raw = os.environ.get(CACHE_SIZE_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
-
-
 class WarmRegistry:
     """Thread-safe LRU cache of compiled circuits and leased simulators."""
 
@@ -117,7 +102,7 @@ class WarmRegistry:
         max_sims: Optional[int] = None,
     ) -> None:
         self.collector = collector if collector is not None else get_collector()
-        self.max_sims = max_sims if max_sims is not None else cache_size_from_env()
+        self.max_sims = max_sims if max_sims is not None else DEFAULT_CACHE_SIZE
         self._lock = threading.Lock()
         self._circuits: "OrderedDict[CircuitKey, CompiledCircuit]" = OrderedDict()
         self._sims: "OrderedDict[tuple, object]" = OrderedDict()

@@ -23,19 +23,90 @@ by name inside pool worker processes.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.checkpoint import CheckpointError
+from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator, RunPreempted
 from ..harness.campaign import result_to_json
 from ..harness.distributed import config_from_json
 from ..parallel.supervisor import SupervisedPool
 from ..telemetry import NullCollector, TelemetryCollector
-from .state import WarmRegistry, circuit_key
+from .state import CircuitKey, WarmRegistry, circuit_key
 
 #: One tier task outcome: ``("done", result_payload)``, ``("preempted",
 #: None)`` or ``("error", message)``, plus the worker's shipped trace.
 TierOutcome = Tuple[str, Optional[object], list]
+
+
+# ----------------------------------------------------------------------
+# The run body (tier workers and the in-thread path)
+# ----------------------------------------------------------------------
+
+
+def execute_run_job(
+    registry: WarmRegistry,
+    collector: NullCollector,
+    ckey: CircuitKey,
+    config: TestGenConfig,
+    checkpoint: Path,
+    checkpoint_every: int,
+    stop: Callable[[], bool],
+) -> Tuple[str, Optional[object]]:
+    """Run one job on a simulator leased from ``registry``.
+
+    Both execution paths call this: :func:`run_tier_job` in a tier
+    worker, and :class:`~repro.service.jobs.JobManager` in-thread when
+    the tier is off or degraded.  ``config`` is the effective
+    (per-circuit) config; ``resume`` is armed when ``checkpoint``
+    exists, and a torn or incompatible checkpoint falls back to a
+    fresh run (``service.jobs.resume_fallback``), which the
+    deterministic seed makes equivalent.  ``stop`` is the generator's
+    preemption hook.  Returns ``("done", result_payload)``,
+    ``("preempted", None)`` or ``("error", message)``; the simulator
+    goes back to the registry unless the run failed.
+    """
+    compiled = registry.compiled(ckey)
+    resume = checkpoint.exists()
+    sim = registry.lease(ckey, config)
+    try:
+        try:
+            result = _run_generator(compiled, config, sim, collector,
+                                    checkpoint, checkpoint_every, resume, stop)
+        except CheckpointError:
+            if not resume:
+                raise
+            collector.inc("service.jobs.resume_fallback")
+            sim.reset()
+            result = _run_generator(compiled, config, sim, collector,
+                                    checkpoint, checkpoint_every, False, stop)
+    except RunPreempted:
+        registry.release(ckey, config, sim)
+        return ("preempted", None)
+    except Exception as exc:
+        registry.discard(sim)
+        return ("error", f"{type(exc).__name__}: {exc}")
+    registry.release(ckey, config, sim)
+    payload = result_to_json(result)
+    payload["fault_coverage"] = result.fault_coverage
+    payload["summary"] = result.summary()
+    return ("done", payload)
+
+
+def _run_generator(compiled, config, sim, collector, checkpoint,
+                   checkpoint_every, resume, stop):
+    generator = GaTestGenerator(
+        compiled, config, collector=collector, fsim=sim
+    )
+    try:
+        return generator.run(
+            checkpoint_path=checkpoint,
+            checkpoint_every=checkpoint_every,
+            resume=resume,
+            stop=stop,
+        )
+    finally:
+        generator.close()
 
 
 # ----------------------------------------------------------------------
@@ -49,11 +120,12 @@ _REGISTRY: Optional[WarmRegistry] = None
 _COLLECTOR: Optional[TelemetryCollector] = None
 
 
-def init_tier_worker() -> None:
-    """Pool initializer: build this process's registry and collector."""
+def init_tier_worker(cache_size: Optional[int] = None) -> None:
+    """Pool initializer: build this process's registry (bounded like
+    the service's, ``gatest serve --cache-size``) and collector."""
     global _REGISTRY, _COLLECTOR
     _COLLECTOR = TelemetryCollector(source="repro.service.tier")
-    _REGISTRY = WarmRegistry(collector=_COLLECTOR)
+    _REGISTRY = WarmRegistry(collector=_COLLECTOR, max_sims=cache_size)
 
 
 def run_tier_job(task: dict) -> TierOutcome:
@@ -71,8 +143,6 @@ def run_tier_job(task: dict) -> TierOutcome:
         raise RuntimeError("tier worker used before init_tier_worker")
     collector = _COLLECTOR
     marker = collector.mark()
-    checkpoint = Path(task["checkpoint_path"])
-    stop_path = Path(task["stop_path"])
     try:
         config = config_from_json(task["config"])
         ckey = circuit_key(task["circuit"], task["scale"], task["seed"])
@@ -81,57 +151,11 @@ def run_tier_job(task: dict) -> TierOutcome:
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}",
                 collector.records_since(marker))
-    resume = checkpoint.exists()
-    sim = _REGISTRY.lease(ckey, config)
-    try:
-        try:
-            result = _run_generator(
-                compiled, config, sim, collector, checkpoint,
-                task["checkpoint_every"], resume, stop_path,
-            )
-        except CheckpointError:
-            if not resume:
-                raise
-            # The checkpoint is torn or incompatible.  The seed is
-            # deterministic, so a fresh run produces the same result
-            # the resumed one would have — fall back instead of
-            # failing the job (mirrors the in-thread path).
-            collector.inc("service.jobs.resume_fallback")
-            sim.reset()
-            result = _run_generator(
-                compiled, config, sim, collector, checkpoint,
-                task["checkpoint_every"], False, stop_path,
-            )
-    except RunPreempted:
-        _REGISTRY.release(ckey, config, sim)
-        return ("preempted", None, collector.records_since(marker))
-    except Exception as exc:
-        _REGISTRY.discard(sim)
-        return ("error", f"{type(exc).__name__}: {exc}",
-                collector.records_since(marker))
-    _REGISTRY.release(ckey, config, sim)
-    payload = result_to_json(result)
-    payload["fault_coverage"] = result.fault_coverage
-    payload["summary"] = result.summary()
-    return ("done", payload, collector.records_since(marker))
-
-
-def _run_generator(
-    compiled, config, sim, collector, checkpoint, checkpoint_every,
-    resume, stop_path,
-):
-    generator = GaTestGenerator(
-        compiled, config, collector=collector, fsim=sim
+    status, payload = execute_run_job(
+        _REGISTRY, collector, ckey, config, Path(task["checkpoint_path"]),
+        task["checkpoint_every"], stop=Path(task["stop_path"]).exists,
     )
-    try:
-        return generator.run(
-            checkpoint_path=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            stop=stop_path.exists,
-        )
-    finally:
-        generator.close()
+    return (status, payload, collector.records_since(marker))
 
 
 # ----------------------------------------------------------------------
@@ -140,10 +164,13 @@ def _run_generator(
 
 
 def open_tier(
-    collector: Optional[NullCollector] = None, workers: int = 2
+    collector: Optional[NullCollector] = None,
+    workers: int = 2,
+    cache_size: Optional[int] = None,
 ) -> SupervisedPool:
     """The run-job pool: run one job with
-    ``pool.run(run_tier_job, [(task,)], policy)[0]``.
+    ``pool.run(run_tier_job, [(task,)], policy)[0]``.  Each worker's
+    registry holds at most ``cache_size`` simulators (``None``: 8).
 
     Workers fork from a **forkserver**, not from the service: forking a
     threaded process can deadlock the child on a lock frozen
@@ -154,6 +181,7 @@ def open_tier(
     return SupervisedPool(
         workers,
         initializer=init_tier_worker,
+        initargs=(cache_size,),
         context="forkserver",
         preload=["repro.service.tier"],
         first_task=1,

@@ -149,7 +149,7 @@ class TestConfigWire:
 
 
 def _dist_journal(tmp_path, **kwargs):
-    params = dict(table="4", scale=0.1, seeds=[1, 2], append_mode=True)
+    params = dict(table="4", scale=0.1, seeds=[1, 2])
     params.update(kwargs)
     return CampaignJournal.create(tmp_path / "j.jsonl", **params)
 
@@ -248,11 +248,32 @@ class TestJournalLeaseEdges:
         journal.refresh()
         assert journal.result_for(CIRCUIT, "lbl", 1, 0.1) is None
 
-    def test_rewrite_mode_refuses_leases(self, tmp_path):
-        journal = _dist_journal(tmp_path, append_mode=False)
-        with pytest.raises(RuntimeError, match="append-mode"):
-            journal.grant_lease(CIRCUIT, "lbl", 1, 0.1, "a" * 64,
-                                host="alpha", ttl=60.0)
+    def test_peer_appends_after_torn_tail_are_kept(self, tmp_path, capsys):
+        """A writer killed mid-append leaves a fragment with no newline.
+        The next append cuts it, so a peer's records land on lines of
+        their own: both load, a refresh works, and the campaign resumes
+        without re-running them."""
+        path = tmp_path / "j.jsonl"
+        argv = ["--table", "4", "--scale", "0.1", "--seeds", "1",
+                "--circuits", CIRCUIT, "--journal", str(path)]
+        assert experiments_main(argv) == 0
+        fresh = capsys.readouterr().out
+        lines = path.read_text().splitlines(keepends=True)
+        cells = [json.loads(line) for line in lines[-2:]]
+        assert [c["kind"] for c in cells] == ["campaign-cell"] * 2
+        # Drop the last two cells and leave a torn line in their place.
+        path.write_text("".join(lines[:-2]) + lines[-2][:40])
+        peer = CampaignJournal.open(path)
+        for cell in cells:
+            peer.record_cell(cell["circuit"], cell["label"], cell["seed"],
+                             cell["scale"], cell["config_digest"],
+                             result=cell["result"])
+        assert path.read_text() == "".join(lines)
+        peer.refresh()
+        assert [c for c in peer.cells() if c in cells] == cells
+        assert experiments_main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out == fresh
+        assert path.read_text() == "".join(lines)  # nothing re-ran
 
     def test_resume_refusal_names_field_and_both_values(self, tmp_path):
         _dist_journal(tmp_path)
@@ -319,11 +340,6 @@ class TestDegradation:
         direct = run_gatest(CIRCUIT, config, [1], scale=0.1, jobs=1).runs[0]
         assert results[1].detected == direct.detected
         assert results[1].test_sequence == direct.test_sequence
-
-    def test_coordinator_requires_append_mode(self, tmp_path):
-        journal = _dist_journal(tmp_path, append_mode=False)
-        with pytest.raises(ValueError, match="append-mode"):
-            DistributedCoordinator(journal, ["alpha"])
 
     def test_coordinator_requires_hosts(self, tmp_path):
         journal = _dist_journal(tmp_path)

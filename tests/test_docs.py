@@ -139,6 +139,17 @@ class TestCliExampleChecking:
         ])
         assert result.returncode == 0, result.stdout
 
+    @pytest.mark.parametrize("name, status", [
+        ("REPRO_TURBO", 1), ("REPRO_CHAOS", 0),
+    ])
+    def test_unread_environment_variable_fails(self, tmp_path, name, status):
+        """A doc must not name a REPRO_* variable no source file reads."""
+        result = self._check(tmp_path, f"# x\n\nSet `{name}=1` first.\n")
+        assert result.returncode == status, result.stdout
+        stale = f"README.md:3: stale environment variable (no file under " \
+                f"src, benchmarks, tools names it): {name}"
+        assert (stale in result.stdout) == bool(status)
+
     def test_console_output_lines_are_not_commands(self, tmp_path):
         """In console fences only `$ `-prompted lines are commands."""
         result = self._check(tmp_path, (

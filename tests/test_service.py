@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -32,6 +33,7 @@ import pytest
 
 from repro.circuit import s27
 from repro.core import GaTestGenerator, TestGenConfig
+from repro.core.checkpoint import CheckpointError, seal_journal_record
 from repro.faults import FaultSimulator
 from repro.service import (
     JobLedger,
@@ -191,7 +193,7 @@ class TestJobLedger:
             handle.write('{"event": "completed", "id"')  # torn mid-append
         assert [r["event"] for r in ledger.load()] == ["accepted"]
 
-    def test_bitflipped_line_is_skipped(self, tmp_path):
+    def test_bitflipped_line_is_refused(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = JobLedger(path)
         ledger.append({"event": "accepted", "id": "j1", "seq": 1, "payload": {}})
@@ -199,7 +201,124 @@ class TestJobLedger:
         lines = path.read_text().splitlines()
         lines[0] = lines[0].replace('"accepted"', '"rejected"')
         path.write_text("\n".join(lines) + "\n")
-        assert [r["event"] for r in ledger.load()] == ["completed"]
+        with pytest.raises(CheckpointError, match=r"ledger\.jsonl:1: .*content-hash"):
+            ledger.load()
+
+    def test_concurrent_appends_keep_every_record(self, tmp_path):
+        """Worker threads share the ledger with no lock of their own:
+        the file lock alone must keep every line whole."""
+        ledger = JobLedger(tmp_path / "ledger.jsonl")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda t=t: [
+                    ledger.append({"event": "accepted", "id": f"t{t}-{i}"})
+                    for i in range(25)
+                ])
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        ids = sorted(r["id"] for r in ledger.load())
+        assert ids == sorted(f"t{t}-{i}" for t in range(8) for i in range(25))
+
+    def test_default_separator_lines_load(self, tmp_path):
+        """Ledgers written before journals and the ledger shared one
+        writer spaced their JSON (``json.dumps`` default separators);
+        the seal covers the canonical form, so those lines still load."""
+        path = tmp_path / "ledger.jsonl"
+        records = [
+            seal_journal_record({"event": "accepted", "id": "j1", "seq": 1,
+                                 "payload": {"kind": "run"}}),
+            seal_journal_record({"event": "completed", "id": "j1",
+                                 "result": {"x": [1, 2]}}),
+        ]
+        path.write_text("".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in records
+        ))
+        ledger = JobLedger(path)
+        ledger.append({"event": "accepted", "id": "j2", "seq": 2,
+                       "payload": {}})
+        assert [r["id"] for r in ledger.load()] == ["j1", "j1", "j2"]
+
+
+class TestLedgerRecovery:
+    """Restarting a service on a ledger a crash or bit rot touched."""
+
+    def _manager(self, state, **kw):
+        kw.setdefault("use_tier", False)
+        return JobManager(state, collector=TelemetryCollector(), workers=1,
+                          **kw)
+
+    def test_job_accepted_after_torn_tail_is_recovered(self, tmp_path):
+        """The next append cuts a killed writer's fragment, so the job
+        it accepts is not glued onto the torn line and lost with it."""
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "ledger.jsonl").write_text('{"event": "completed", "id"')
+        manager = self._manager(state)
+        try:
+            job, _ = manager.submit(
+                {"kind": "run", "circuit": "s27", "config": {"seed": 1}}
+            )
+            assert manager.wait_idle(timeout=300)
+            assert job.status == "done", job.error
+        finally:
+            manager.close()
+        restarted = self._manager(state)
+        try:
+            recovered = restarted.get(job.id)
+            assert recovered is not None and recovered.status == "done"
+            assert recovered.result["test_sequence"] == \
+                job.result["test_sequence"]
+        finally:
+            restarted.close()
+
+    def _corrupt_ledger(self, state):
+        state.mkdir()
+        ledger = JobLedger(state / "ledger.jsonl")
+        for seq, job_id in enumerate(("j1", "j2", "j3"), 1):
+            ledger.append({"event": "accepted", "id": job_id, "seq": seq,
+                           "payload": {}})
+        lines = ledger.path.read_text().splitlines()
+        lines[1] = lines[1].replace('"j2"', '"j9"')
+        ledger.path.write_text("\n".join(lines) + "\n")
+
+    def test_corrupt_line_stops_the_manager(self, tmp_path):
+        state = tmp_path / "state"
+        self._corrupt_ledger(state)
+        with pytest.raises(CheckpointError, match=r"ledger\.jsonl:2: "):
+            self._manager(state, use_tier=True)
+        assert not multiprocessing.active_children()
+
+    def test_serve_exits_1_naming_the_line(self, tmp_path):
+        state = tmp_path / "state"
+        self._corrupt_ledger(state)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--state-dir", str(state)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 1
+        assert err.startswith("error: ") and "ledger.jsonl:2: " in err
+        assert "listening" not in out
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no tier worker or forkserver left
 
 
 # ----------------------------------------------------------------------

@@ -426,6 +426,23 @@ class TestProcessTier:
         finally:
             manager.close()
 
+    def test_cache_size_bounds_the_worker_registry(self, tmp_path):
+        """``cache_size`` reaches the tier workers' registries: with room
+        for one simulator, a second circuit evicts the first in the
+        worker, and the shipped trace carries the eviction."""
+        manager, collector = _manager(tmp_path, cache_size=1)
+        try:
+            for circuit in ("s27", "minifsm"):
+                job, _ = manager.submit(
+                    {"kind": "run", "circuit": circuit, "config": {"seed": 1}}
+                )
+                assert manager.wait_idle(timeout=600)
+                assert job.status == "done", job.error
+            assert "service.jobs.degraded" not in collector.counters
+            assert collector.counters["service.cache.evictions"] >= 1
+        finally:
+            manager.close()
+
     @pytest.mark.parametrize("use_tier", [True, False])
     def test_truncated_checkpoint_falls_back_to_fresh_run(
         self, tmp_path, use_tier

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fail on dead links and phantom CLI flags in the markdown docs.
+"""Fail on dead links, phantom CLI flags and stale environment
+variables in the markdown docs.
 
-Two independent checks over README.md, the other top-level markdown
-documents, and docs/*.md (CLI mentions in prose only in
-:data:`INLINE_DOCS`):
+Independent checks over README.md, the other top-level markdown
+documents, and docs/*.md (CLI mentions in prose and environment
+variables only in :data:`INLINE_DOCS`):
 
 **Links** — every ``[text](target)``:
 
@@ -35,6 +36,13 @@ included) defines; its value is not checked, since the span names no
 subcommand.  ROADMAP.md and CHANGES.md are skipped, because they
 hold plans and history, which may name commands that do not exist
 (yet, or any more).
+
+**Environment variables** — every ``REPRO_`` name in
+:data:`INLINE_DOCS` and in the CI workflow (:data:`ENV_DOCS`) must
+appear in some file under src/, benchmarks/ or tools/
+(:data:`ENV_SOURCES`): a doc that names a deleted variable fails
+instead of telling readers to set something nothing reads.  A name
+cut short by a wildcard (a ``_*`` suffix) is not checked.
 
 **Benchmark quotes** — every quote of a committed benchmark snapshot
 listed in :data:`BENCH_QUOTES` (``BENCH_SIMULATOR.json``'s speedup and
@@ -351,6 +359,38 @@ def check_cli_blocks(
 
 
 # ----------------------------------------------------------------------
+# Environment variable names
+# ----------------------------------------------------------------------
+
+#: Directories whose files must mention every documented variable.
+ENV_SOURCES = ("src", "benchmarks", "tools")
+
+#: Files checked for variable names besides :data:`INLINE_DOCS`.
+ENV_DOCS = (".github/workflows/ci.yml",)
+
+_ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9](?![A-Za-z0-9_*])")
+
+
+def check_env_names(root: Path, docs: List[Path]) -> List[Tuple[Path, int, str]]:
+    """(doc, line, name) for every ``REPRO_`` name in ``docs`` that no
+    file under :data:`ENV_SOURCES` contains."""
+    corpus = "\n".join(
+        path.read_text(encoding="utf-8", errors="ignore")
+        for source in ENV_SOURCES
+        for path in (root / source).rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+    )
+    stale: List[Tuple[Path, int, str]] = []
+    for doc in docs:
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for name in _ENV_NAME.findall(line):
+                if name not in corpus:
+                    stale.append((doc, lineno, name))
+    return stale
+
+
+# ----------------------------------------------------------------------
 # Benchmark snapshot quotes
 # ----------------------------------------------------------------------
 
@@ -449,6 +489,14 @@ def main(argv: List[str]) -> int:
                 failures += 1
                 print(f"{path.relative_to(root)}:{lineno}: stale CLI "
                       f"example ({reason}): {target}")
+    env_docs = sorted(inline_docs) + [
+        root / name for name in ENV_DOCS if (root / name).exists()
+    ]
+    for doc, lineno, name in check_env_names(root, env_docs):
+        failures += 1
+        print(f"{doc.relative_to(root)}:{lineno}: stale environment "
+              f"variable (no file under {', '.join(ENV_SOURCES)} "
+              f"names it): {name}")
     for doc, lineno, quote, reason in check_bench_quotes(root):
         failures += 1
         print(f"{doc}:{lineno}: stale benchmark quote ({reason}): {quote}")
