@@ -102,7 +102,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_body(args: argparse.Namespace, collector) -> int:
-    circuit = _load_circuit(args.circuit, args.scale, args.seed)
+    # --seed seeds the test generator, never the circuit: synthesized
+    # profiles resolve at circuit seed 0, as the harness and the
+    # benchmark do (`gatest synth --seed K -o c.bench` reaches another).
+    circuit = _load_circuit(args.circuit, args.scale, 0)
     if args.resume and not args.checkpoint:
         raise SystemExit("error: --resume requires --checkpoint")
     if args.checkpoint and args.engine != "ga":
@@ -296,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ga", "random", "deterministic", "hybrid"],
         default="ga",
     )
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=0,
+                     help="test-generation seed; synthesized profiles "
+                          "always resolve at circuit seed 0")
     run.add_argument("--scale", type=float, default=1.0)
     run.add_argument("--selection", default="tournament")
     run.add_argument("--crossover", default="uniform")

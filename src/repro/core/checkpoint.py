@@ -23,9 +23,9 @@ layers live here:
 * **Sealed logs** (:func:`append_journal_record` /
   :func:`load_sealed_log`) — append-only JSONL files whose every line
   carries its own content hash: the campaign journals of the harness's
-  multi-run experiment campaigns (:mod:`repro.harness.campaign`, read
-  with :func:`load_campaign_journal`, which also checks the header
-  binding the campaign's identity) and the job service's ledger.  One
+  multi-run experiment campaigns (:mod:`repro.harness.campaign`, whose
+  header, binding the campaign's identity, :func:`check_campaign_header`
+  checks) and the job service's ledger.  One
   writer and one loader serve both, with one torn-line rule: a final
   line without a newline is a crashed append, dropped on load and cut
   by the next writer; any other bad line, an unknown schema version or
@@ -393,12 +393,28 @@ def load_sealed_log(path: Union[str, Path]) -> List[dict]:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    return parse_sealed_lines(path, data)[0]
+
+
+def parse_sealed_lines(
+    path: Union[str, Path], data: bytes, line: int = 0
+) -> Tuple[List[dict], int, int]:
+    """Integrity-check the committed lines of ``data``, a sealed log's
+    bytes from some line start on, under :func:`load_sealed_log`'s rules.
+
+    ``line`` counts the log's lines before ``data``, so errors name the
+    absolute ``path:line``.  Returns ``(records, used, lines)``: the
+    records in file order, the bytes up to and including the last
+    newline, and the line count there.  Bytes after the last newline
+    are not committed yet and are left for a later read.
+    """
+    used = data.rfind(b"\n") + 1
     records: List[dict] = []
-    for lineno, line in enumerate(data.split(b"\n")[:-1], 1):
-        if not line.strip():
+    for lineno, raw in enumerate(data[:used].split(b"\n")[:-1], line + 1):
+        if not raw.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(raw)
         except ValueError as exc:
             raise CheckpointError(
                 f"{path}:{lineno}: not valid JSON ({exc})"
@@ -414,18 +430,15 @@ def load_sealed_log(path: Union[str, Path]) -> List[dict]:
                 "(corrupted record)"
             )
         records.append(record)
-    return records
+    return records, used, line + data.count(b"\n", 0, used)
 
 
-def load_campaign_journal(path: Union[str, Path]) -> List[dict]:
-    """Read and integrity-check a campaign journal.
+def check_campaign_header(path: Union[str, Path], records: List[dict]) -> dict:
+    """The header of a campaign journal, from its records in file order.
 
-    Returns the sealed records (header first), read by
-    :func:`load_sealed_log`.  Also refuses, with a
-    :class:`CheckpointError`, an empty journal, a missing or malformed
-    header, and unknown schema versions.
+    Refuses, with a :class:`CheckpointError`, an empty journal, a
+    missing or malformed header, and unknown schema versions.
     """
-    records = load_sealed_log(path)
     if not records:
         raise CheckpointError(f"campaign journal {path} is empty")
     header = records[0]
@@ -439,4 +452,4 @@ def load_campaign_journal(path: Union[str, Path]) -> List[dict]:
             f"unsupported campaign journal format {header.get('format')!r} "
             f"(this build reads format {CAMPAIGN_FORMAT_VERSION})"
         )
-    return records
+    return header

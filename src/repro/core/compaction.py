@@ -78,14 +78,12 @@ class TestSetCompactor:
         return sim.detected_count
 
     def _last_detection_frame(self, vectors: Sequence[Vector]) -> int:
-        """Index of the last frame that detects a new fault (-1 if none)."""
+        """Index of the last frame that detects a new fault (-1 if none):
+        the latest first-detection frame of one commit from power-up."""
         sim = FaultSimulator(self.compiled, faults=self._faults)
-        last = -1
-        for index, vector in enumerate(vectors):
-            if sim.commit([vector]).detected_count > 0:
-                last = index
+        detections = sim.commit(vectors).detections
         self.trials += 1
-        return last
+        return max((frame for _fault, frame in detections), default=-1)
 
     def compact(self, vectors: Sequence[Vector]) -> CompactionResult:
         """Run tail truncation followed by greedy block omission."""

@@ -50,9 +50,9 @@ class RunPreempted(Exception):
     """A run was stopped cooperatively before completion.
 
     Raised out of :meth:`GaTestGenerator.run` when the run's ``stop``
-    hook (or :meth:`GaTestGenerator.request_stop`) fires.  When the run
-    had a checkpoint path, a final checkpoint marked ``preempted`` was
-    written at the stage boundary where the stop was observed —
+    hook fires.  When the run had a checkpoint path, a final checkpoint
+    marked ``preempted`` was written at the stage boundary where the
+    stop was observed —
     resubmitting the identical canonical config resumes from it and
     finishes bit-identically to an uninterrupted run.
     ``checkpoint_written`` tells the caller whether that checkpoint
@@ -182,7 +182,6 @@ class GaTestGenerator:
         self.ga_evaluations = 0
         self.trace: List[StageEvent] = []
         self.test_sequence: List[List[int]] = []
-        self._stop_requested = False
         self._stop_hook: Optional[Callable[[], bool]] = None
 
     # ------------------------------------------------------------------
@@ -234,22 +233,12 @@ class GaTestGenerator:
             crossover=self.config.crossover,
             mutation_rate=schedule.mutation_rate,
             generation_gap=self.config.generation_gap,
+            n_islands=n_islands,
+            migration_interval=self.config.migration_interval,
         )
-        if n_islands > 1:
-            from ..ga.islands import IslandGA, IslandParams
-
-            ga = IslandGA(
-                coding, evaluator, params,
-                island_params=IslandParams(
-                    n_islands=n_islands,
-                    migration_interval=self.config.migration_interval,
-                ),
-                rng=self.rng,
-            )
-        else:
-            ga = GeneticAlgorithm(
-                coding, evaluator, params, rng=self.rng, collector=self.collector
-            )
+        ga = GeneticAlgorithm(
+            coding, evaluator, params, rng=self.rng, collector=self.collector
+        )
         with self.collector.bind(ga_run=self.ga_runs):
             result = ga.run()
         self.ga_runs += 1
@@ -283,18 +272,7 @@ class GaTestGenerator:
     # Stage loops
     # ------------------------------------------------------------------
 
-    def request_stop(self) -> None:
-        """Ask the running :meth:`run` to preempt cooperatively.
-
-        Thread-safe (a single flag write); the run observes the request
-        at its next stage-event boundary, writes a final ``preempted``
-        checkpoint (when checkpointing) and raises :class:`RunPreempted`.
-        """
-        self._stop_requested = True
-
     def _stop_pending(self) -> bool:
-        if self._stop_requested:
-            return True
         hook = self._stop_hook
         return hook is not None and bool(hook())
 
@@ -566,12 +544,11 @@ class GaTestGenerator:
         checkpoint carries the RNG state).
 
         ``stop`` is the cooperative preemption hook: a zero-argument
-        callable polled once per stage event (alongside any pending
-        :meth:`request_stop`).  When it returns true the run writes a
-        final ``preempted`` checkpoint (when checkpointing) and raises
-        :class:`RunPreempted` — see its docstring for the resume
-        contract.  The hook must be cheap; the job service passes a
-        stop-file existence probe.
+        callable polled once per stage event.  When it returns true the
+        run writes a final ``preempted`` checkpoint (when checkpointing)
+        and raises :class:`RunPreempted` — see its docstring for the
+        resume contract.  The hook must be cheap; the job service passes
+        a stop-file existence probe.
         """
         collector = self.collector
         self._stop_hook = stop

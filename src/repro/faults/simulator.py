@@ -1096,7 +1096,3 @@ class FaultSimulator:
         """Hook for subclasses needing the committed test's last frame:
         its node planes, whose ``top`` slot holds the good machine (the
         transition-fault model keeps those values for launching)."""
-
-    def run_test_set(self, vectors: Sequence[Vector]) -> CommitResult:
-        """Convenience: commit an entire pre-built test set at once."""
-        return self.commit(vectors)

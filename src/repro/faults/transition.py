@@ -100,6 +100,8 @@ class TransitionFaultSimulator(FaultSimulator):
         #: Fault-free node values at the last committed frame (scalars);
         #: the excitation condition for the first frame of any new test.
         self.prev_good: List[int] = [X] * compiled.num_nodes
+        #: The kernel's empty injection: the per-frame good pass.
+        self._no_forces = self._kernel.make_injection({}, {})
 
     # ------------------------------------------------------------------
     # State management additions
@@ -166,9 +168,9 @@ class TransitionFaultSimulator(FaultSimulator):
         """Forces of the faults whose transition launches this frame.
 
         The loaded top slots hold each candidate's primary inputs and
-        good present state, so one good-machine pass over them (mask =
-        the top slots) gives every candidate's good values for the
-        frame.  A fault launches where its node moves to ``slow_to``
+        good present state, so one kernel pass over them with no forces
+        (mask = the top slots) gives every candidate's good values for
+        the frame.  A fault launches where its node moves to ``slow_to``
         from the previous frame's good value (the committed
         ``prev_good`` at frame 0); the faulty machine then holds the
         node at the old value in that block.  The frame's good planes
@@ -177,7 +179,7 @@ class TransitionFaultSimulator(FaultSimulator):
         top = layout.top
         g1 = [w & top for w in v1]
         g0 = [w & top for w in v0]
-        self._kernel.eval(g1, g0, top)
+        self._kernel.eval_injection(g1, g0, top, self._no_forces)
         if carry is None:
             carry = ([top if value == 1 else 0 for value in self.prev_good],
                      [top if value == 0 else 0 for value in self.prev_good])

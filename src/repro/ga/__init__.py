@@ -10,7 +10,6 @@ from .crossover import (
     make_crossover,
 )
 from .engine import BatchEvaluator, GAParams, GAResult, GeneticAlgorithm
-from .islands import IslandGA, IslandParams
 from .mutation import Mutation
 from .population import Individual, Population
 from .selection import (
@@ -33,8 +32,6 @@ __all__ = [
     "GAResult",
     "GeneticAlgorithm",
     "Individual",
-    "IslandGA",
-    "IslandParams",
     "Mutation",
     "NonbinaryCoding",
     "OnePoint",

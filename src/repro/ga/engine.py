@@ -1,5 +1,5 @@
 """The genetic-algorithm engine (Goldberg's simple GA plus the paper's
-overlapping-generation variant).
+overlapping-generation variant and an island model).
 
 The engine is application-agnostic: it evolves chromosomes under a
 coding, a selection scheme, a crossover operator and a mutation rate,
@@ -8,6 +8,14 @@ lets GATEST score a whole population with one population pass of the
 fault simulator (see :mod:`repro.faults.simulator`); memoizing fitness
 by chromosome for the length of a run is what keeps the repeats a
 converging population breeds out of that pass.
+
+The island model is the coarse-grained parallel GA the paper's
+conclusion points at ("Genetic algorithms are particularly amenable to
+parallel implementations"): ``n_islands`` semi-isolated populations
+evolve side by side and, every ``migration_interval`` generations, each
+sends a copy of its best individual to the next island on a ring.
+Islands breed independently, but every generation scores all their
+offspring in one evaluator call, so they share one population pass.
 
 GATEST specifics — fitness functions, parameter schedules, phase logic —
 live in :mod:`repro.core`; nothing here knows about circuits.
@@ -28,6 +36,10 @@ from .selection import SelectionScheme, make_selection
 
 BatchEvaluator = Callable[[List[Chromosome]], List[float]]
 
+#: Individuals each island sends to the next island on the ring at a
+#: migration.
+MIGRANTS = 1
+
 
 @dataclass
 class GAParams:
@@ -35,6 +47,8 @@ class GAParams:
 
     ``generation_gap`` is G = g/N: the fraction of the population
     replaced per generation.  G = 1 is the simple nonoverlapping GA.
+    ``population_size`` is the size of each island; ``n_islands = 1``
+    is the plain GA.
     """
 
     population_size: int
@@ -44,6 +58,8 @@ class GAParams:
     mutation_rate: float = 1 / 64
     crossover_prob: float = 1.0
     generation_gap: float = 1.0
+    n_islands: int = 1
+    migration_interval: int = 2   # generations between ring migrations
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -54,6 +70,10 @@ class GAParams:
             raise ValueError("crossover probability must be in [0, 1]")
         if not 0.0 < self.generation_gap <= 1.0:
             raise ValueError("generation gap must be in (0, 1]")
+        if self.n_islands < 1:
+            raise ValueError("need at least one island")
+        if self.migration_interval < 1:
+            raise ValueError("migration interval must be >= 1")
 
     @property
     def offspring_per_generation(self) -> int:
@@ -79,8 +99,7 @@ class _FitnessMemo:
     Calls the batch evaluator at most once per call, with only the
     chromosomes the run has not scored yet (each once, in first-seen
     order), and counts every chromosome served from the memo in
-    ``ga.dedup.skipped``.  :class:`~repro.ga.islands.IslandGA` shares
-    one memo across its islands.
+    ``ga.dedup.skipped``.
     """
 
     def __init__(self, evaluator: BatchEvaluator, collector: NullCollector) -> None:
@@ -115,9 +134,9 @@ class GeneticAlgorithm:
     ``evaluator`` receives a list of chromosomes and must return their
     fitnesses in order.  Fitness is memoized by chromosome for the
     length of one :meth:`run`: the evaluator is called at most once per
-    generation (plus once for the initial population), with only the
-    chromosomes the run has not scored yet, so it sees each distinct
-    chromosome at most once per run.
+    generation (plus once for the initial populations), whatever the
+    number of islands, with only the chromosomes the run has not scored
+    yet, so it sees each distinct chromosome at most once per run.
 
     The memo is exact because the evaluator must be a pure function of
     the chromosome for the length of a run.  Every GATEST and CRIS
@@ -164,21 +183,28 @@ class GeneticAlgorithm:
         self.evaluations += len(chromosomes)
         return fitnesses
 
-    def _initial_population(self) -> Population:
-        size = self.params.population_size
+    def _initial_populations(self) -> List[Population]:
+        """Every island's initial population, scored in one call."""
+        params = self.params
+        size = params.population_size
+        total = params.n_islands * size
         if self._initial is not None:
             chromosomes = [list(c) for c in self._initial]
-            if len(chromosomes) != size:
+            if len(chromosomes) != total:
                 raise ValueError(
                     f"initial population has {len(chromosomes)} members, "
-                    f"expected {size}"
+                    f"expected {total}"
                 )
         else:
-            chromosomes = [self.coding.random(self.rng) for _ in range(size)]
-        fitnesses = self._evaluate(chromosomes)
-        return Population(
-            [Individual(c, f) for c, f in zip(chromosomes, fitnesses)]
-        )
+            chromosomes = [self.coding.random(self.rng) for _ in range(total)]
+        members = [
+            Individual(c, f)
+            for c, f in zip(chromosomes, self._evaluate(chromosomes))
+        ]
+        return [
+            Population(members[start:start + size])
+            for start in range(0, total, size)
+        ]
 
     def _breed(self, population: Population, n_offspring: int) -> List[Chromosome]:
         """Select, cross and mutate to produce ``n_offspring`` chromosomes."""
@@ -212,14 +238,21 @@ class GeneticAlgorithm:
     def run(self, on_generation: Optional[Callable[[int, Population], None]] = None) -> GAResult:
         """Evolve for the configured number of generations.
 
+        Each generation breeds every island in island order and scores
+        all their offspring with one evaluator call; every
+        ``migration_interval`` generations, a copy of each island's best
+        replaces the worst of the next island on the ring.
+
         ``on_generation(gen_index, population)`` is called after each
         generation (and for the initial population with index 0) — used
-        by the experiment traces for Figures 1 and 2.
+        by the experiment traces for Figures 1 and 2.  With several
+        islands, ``population`` holds every island's members.
         """
         params = self.params
         collector = self.collector
         self._memo = _FitnessMemo(self.evaluator, collector)
-        population = self._initial_population()
+        islands = self._initial_populations()
+        population = _merged(islands)
         best = population.best().copy()
         best_generation = 0
         history = [best.fitness]
@@ -229,27 +262,29 @@ class GeneticAlgorithm:
             self._record_generation(collector, 0, population)
 
         overlapping = params.generation_gap < 1.0
+        if overlapping:
+            n_offspring = min(
+                params.offspring_per_generation, params.population_size
+            )
+        else:
+            n_offspring = params.population_size
         for generation in range(1, params.generations + 1):
-            if overlapping:
-                n_offspring = min(
-                    params.offspring_per_generation, params.population_size
-                )
-            else:
-                n_offspring = params.population_size
-            chromosomes = self._breed(population, n_offspring)
-            fitnesses = self._evaluate(chromosomes)
-            offspring = [
-                Individual(c, f) for c, f in zip(chromosomes, fitnesses)
-            ]
-            if overlapping:
-                population.replace_worst(offspring)
-            else:
-                population.replace_all(offspring)
+            bred = [self._breed(island, n_offspring) for island in islands]
+            fitnesses = iter(self._evaluate([c for brood in bred for c in brood]))
+            for island, brood in zip(islands, bred):
+                offspring = [Individual(c, next(fitnesses)) for c in brood]
+                if overlapping:
+                    island.replace_worst(offspring)
+                else:
+                    island.replace_all(offspring)
+            if len(islands) > 1 and generation % params.migration_interval == 0:
+                _migrate(islands)
+            population = _merged(islands)
             generation_best = population.best()
             if generation_best.fitness > best.fitness:
                 best = generation_best.copy()
                 best_generation = generation
-            history.append(population.best().fitness)
+            history.append(generation_best.fitness)
             if on_generation is not None:
                 on_generation(generation, population)
             if collector.enabled:
@@ -266,3 +301,24 @@ class GeneticAlgorithm:
             evaluations=self.evaluations,
             history=history,
         )
+
+
+def _merged(islands: List[Population]) -> Population:
+    """One population of every island's members (the island itself
+    when there is one)."""
+    if len(islands) == 1:
+        return islands[0]
+    return Population([member for island in islands for member in island])
+
+
+def _migrate(islands: List[Population]) -> None:
+    """Ring migration: copies of each island's :data:`MIGRANTS` best
+    replace the worst of the next island."""
+    emigrants = [
+        [member.copy() for member in sorted(
+            island, key=lambda member: member.fitness, reverse=True
+        )[:MIGRANTS]]
+        for island in islands
+    ]
+    for i, island in enumerate(islands):
+        island.replace_worst(emigrants[i - 1])

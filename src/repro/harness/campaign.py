@@ -45,6 +45,7 @@ counters live in the coordinator).
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -54,7 +55,8 @@ from ..core.checkpoint import (
     CAMPAIGN_FORMAT_VERSION,
     CheckpointError,
     append_journal_record,
-    load_campaign_journal,
+    check_campaign_header,
+    parse_sealed_lines,
 )
 from ..core.fitness import Phase
 from ..core.results import StageEvent, TestGenResult
@@ -159,31 +161,45 @@ class CampaignJournal:
     lease and close marker is one sealed line appended by
     :func:`~repro.core.checkpoint.append_journal_record`, so a SIGKILL
     at any instant leaves every committed line loadable behind.
+
+    The journal object reads its file incrementally: it keeps the byte
+    offset after the last committed line it has read, and each
+    :meth:`refresh` absorbs only the lines committed after it, each
+    once and in file order.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        header: dict,
-        records: List[dict],
         resumed: bool,
         collector=None,
     ) -> None:
         self.path = Path(path)
-        self.header = header
         self.resumed = resumed
         self.collector = collector if collector is not None else get_collector()
         self._bind_count = 0
-        self._duplicates = 0
         self._lease_seq = 0
+        #: ``(st_dev, st_ino)`` of the file read so far, the byte offset
+        #: after its last committed line read, and that line's number.
+        self._file: Optional[Tuple[int, int]] = None
+        self._offset = 0
+        self._lines = 0
+        self.refresh()
+
+    def _restart(self, identity: Tuple[int, int]) -> None:
+        """Forget every record read: the next read starts at byte 0."""
+        self._file = identity
+        self._offset = 0
+        self._lines = 0
         self._records: List[dict] = []
         self._cells: Dict[Tuple, dict] = {}
         self._leases: Dict[Tuple, dict] = {}
+        self._cell_pos: Dict[Tuple, int] = {}
+        self._lease_pos: Dict[Tuple, int] = {}
         self.closed = False
-        self._ingest(records)
 
-    def _ingest(self, records: List[dict]) -> None:
-        """(Re)build the cell/lease views from the full record list.
+    def _absorb(self, record: dict) -> None:
+        """Fold one record, the next in file order, into the views.
 
         A cell may have several records: a failed cell re-run on resume
         appends its new outcome after the failure, and a host stalled
@@ -196,51 +212,30 @@ class CampaignJournal:
         the cell).
         Leases keep only the latest grant per cell (highest ``seq``).
         """
-        duplicates_before = self._duplicates
-        self._records = list(records)
-        self._cells = {}
-        self._leases = {}
-        self._cell_pos = {}
-        self._lease_pos = {}
-        self._duplicates = 0
-        self.closed = False
-        for position, record in enumerate(records):
-            kind = record.get("kind")
+        position = len(self._records)
+        self._records.append(record)
+        kind = record.get("kind")
+        if kind == "campaign-close":
+            self.closed = True
+        elif kind in ("campaign-cell", "campaign-lease"):
+            key = _cell_key(
+                record["circuit"], record["label"],
+                record["seed"], record["scale"],
+            )
             if kind == "campaign-cell":
-                self._absorb_cell(record, position)
-            elif kind == "campaign-lease":
-                key = _cell_key(
-                    record["circuit"], record["label"],
-                    record["seed"], record["scale"],
-                )
-                seq = int(record.get("seq", 0))
-                current = self._leases.get(key)
-                if current is None or int(current.get("seq", 0)) <= seq:
-                    self._leases[key] = record
-                    self._lease_pos[key] = position
-                self._lease_seq = max(self._lease_seq, seq)
-            elif kind == "campaign-close":
-                self.closed = True
-        new_duplicates = self._duplicates - duplicates_before
-        if new_duplicates > 0:
-            self.collector.inc("campaign.cells.duplicate", new_duplicates)
-
-    def _absorb_cell(self, record: dict, position: int) -> bool:
-        """First-sealed-ok-wins arbitration for one cell record.
-
-        Returns whether ``record`` became the cell's effective record.
-        """
-        key = _cell_key(
-            record["circuit"], record["label"],
-            record["seed"], record["scale"],
-        )
-        previous = self._cells.get(key)
-        if previous is not None and previous.get("status") == "ok":
-            self._duplicates += 1
-            return False
-        self._cells[key] = record
-        self._cell_pos[key] = position
-        return True
+                previous = self._cells.get(key)
+                if previous is not None and previous.get("status") == "ok":
+                    self.collector.inc("campaign.cells.duplicate")
+                    return
+                self._cells[key] = record
+                self._cell_pos[key] = position
+                return
+            seq = int(record.get("seq", 0))
+            current = self._leases.get(key)
+            if current is None or int(current.get("seq", 0)) <= seq:
+                self._leases[key] = record
+                self._lease_pos[key] = position
+            self._lease_seq = max(self._lease_seq, seq)
 
     # -- construction ---------------------------------------------------
 
@@ -273,23 +268,20 @@ class CampaignJournal:
             "seeds": [int(s) for s in seeds],
         }
         if resume:
-            records = load_campaign_journal(path)
-            found = records[0]
+            journal = cls(path, resumed=True, collector=collector)
             for field in ("table", "scale", "seeds"):
-                if found.get(field) != header[field]:
+                if journal.header.get(field) != header[field]:
                     raise CheckpointError(
                         f"campaign journal {path} belongs to a different "
-                        f"campaign: {field} is {found.get(field)!r}, this "
-                        f"run wants {header[field]!r} (use a fresh journal "
-                        "or rerun with the original parameters)"
+                        f"campaign: {field} is {journal.header.get(field)!r}, "
+                        f"this run wants {header[field]!r} (use a fresh "
+                        "journal or rerun with the original parameters)"
                     )
-            journal = cls(path, found, records, resumed=True,
-                          collector=collector)
             journal.collector.inc("campaign.resumed")
             return journal
         Path(path).unlink(missing_ok=True)
-        sealed = append_journal_record(path, header)
-        return cls(path, sealed, [sealed], resumed=False, collector=collector)
+        append_journal_record(path, header)
+        return cls(path, resumed=False, collector=collector)
 
     @classmethod
     def open(
@@ -302,24 +294,44 @@ class CampaignJournal:
         pass integrity checks (a torn final line is dropped, anything
         else is refused).
         """
-        records = load_campaign_journal(path)
-        return cls(path, records[0], records, resumed=True,
-                   collector=collector)
+        return cls(path, resumed=True, collector=collector)
 
     def _append(self, record: dict) -> dict:
+        """Seal and append ``record``, then read on through it, so it
+        takes its file position among peers' records."""
         sealed = append_journal_record(self.path, record)
-        self._records.append(sealed)
+        self.refresh()
         return sealed
 
     def refresh(self) -> None:
-        """Re-read the journal from disk.
+        """Absorb the records committed since the last read.
 
-        Picks up records sealed by peer writers since the last load —
-        the coordinator's poll step and the workers' claim step both
-        live on this.  A torn final line (a peer SIGKILLed mid-append)
-        is dropped, not refused.
+        Picks up records sealed by peer writers — the coordinator's
+        poll step and the workers' claim step both live on this — each
+        once, in file order, reading only the bytes after the last
+        committed line read.  A line without its newline yet (a peer
+        mid-append, or SIGKILLed there) is left for a later read.  The
+        whole file is read again only when it was replaced or is now
+        shorter than what was read; the first read checks the header.
         """
-        self._ingest(load_campaign_journal(self.path))
+        try:
+            with open(self.path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                identity = (stat.st_dev, stat.st_ino)
+                if identity != self._file or stat.st_size < self._offset:
+                    self._restart(identity)
+                handle.seek(self._offset)
+                data = handle.read()
+        except OSError as exc:
+            raise CheckpointError(f"cannot read {self.path}: {exc}") from exc
+        records, used, self._lines = parse_sealed_lines(
+            self.path, data, self._lines
+        )
+        if not self._offset:
+            self.header = check_campaign_header(self.path, records)
+        self._offset += used
+        for record in records:
+            self._absorb(record)
 
     # -- identity bindings ---------------------------------------------
 
@@ -403,7 +415,7 @@ class CampaignJournal:
 
         Exactly one of ``result`` (completed) / ``error`` (failed) must
         be given.  The record is always appended; arbitration
-        (first-sealed-ok-wins, see :meth:`_ingest`) decides which of a
+        (first-sealed-ok-wins, see :meth:`_absorb`) decides which of a
         cell's records is its result.  ``host`` stamps the sealing
         host's name and ``trace`` ships the executing worker's telemetry
         records along with the result (the coordinator merges them
@@ -431,9 +443,7 @@ class CampaignJournal:
             record["error"] = error
             record["attempts"] = attempts
             self.collector.inc("campaign.cells.failed")
-        sealed = self._append(record)
-        if not self._absorb_cell(sealed, len(self._records) - 1):
-            self.collector.inc("campaign.cells.duplicate")
+        self._append(record)
 
     # -- leases (distributed campaigns) ----------------------------------
 
@@ -477,9 +487,6 @@ class CampaignJournal:
             "collect": bool(collect),
         }
         sealed = self._append(record)
-        key = _cell_key(circuit, label, seed, scale)
-        self._leases[key] = sealed
-        self._lease_pos[key] = len(self._records) - 1
         self.collector.inc("campaign.lease.granted")
         return sealed
 
@@ -534,12 +541,11 @@ class CampaignJournal:
         closed; a journal with a close marker grants no further leases.
         """
         self._append({"kind": "campaign-close"})
-        self.closed = True
 
     # -- inspection ------------------------------------------------------
 
     def cells(self, status: Optional[str] = None) -> List[dict]:
-        """Each journaled cell's effective record (see :meth:`_ingest`),
+        """Each journaled cell's effective record (see :meth:`_absorb`),
         optionally filtered by status."""
         return [r for r in self._cells.values()
                 if status is None or r.get("status") == status]

@@ -22,10 +22,13 @@ def reap_pool(pool, join_timeout: float = JOIN_TIMEOUT) -> None:
     """Hard-stop a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
     Cancels queued work, terminates every worker process, then joins
-    them with a bounded timeout.  Safe on ``None``, on an already
-    shut-down pool, and on a pool whose workers are wedged — a clean
-    ``shutdown(wait=True)`` would block forever on a hung worker, which
-    is exactly when this gets called.  Never raises.
+    them and the executor's manager thread with a bounded timeout.  The
+    manager thread of a broken pool terminates and joins the workers
+    itself, concurrently; returning before it is done can leave a
+    worker that still counts as a live child.  Safe on ``None``, on an
+    already shut-down pool, and on a pool whose workers are wedged — a
+    clean ``shutdown(wait=True)`` would block forever on a hung worker,
+    which is exactly when this gets called.  Never raises.
     """
     if pool is None:
         return
@@ -44,6 +47,9 @@ def reap_pool(pool, join_timeout: float = JOIN_TIMEOUT) -> None:
             proc.join(timeout=join_timeout)
         except Exception:  # pragma: no cover - defensive
             pass
+    manager = getattr(pool, "_executor_manager_thread", None)
+    if manager is not None:
+        manager.join(timeout=join_timeout)
 
 
 def close_quietly(closable: Optional[object]) -> None:

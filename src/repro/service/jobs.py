@@ -190,7 +190,7 @@ class JobSpec:
     kind: str                            # "run" | "fsim"
     circuit: str                         # spec string (resolve_spec grammar)
     scale: float
-    seed: int                            # circuit synthesis seed
+    seed: int                            # circuit synthesis seed (0 for run)
     config: TestGenConfig                # simulator-shaping config
     vectors: Optional[List[List[int]]]   # fsim only
     checkpoint_every: int                # run only
@@ -259,7 +259,7 @@ def parse_job(payload: object) -> JobSpec:
             and checkpoint_every >= 1,
             "field 'checkpoint_every' must be a positive integer",
         )
-        seed = config.seed
+        seed = 0  # the GA seed never chooses the circuit
         vectors = None
     else:
         allowed = {"kind", "circuit", "scale", "seed", "kernel", "vectors",

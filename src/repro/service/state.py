@@ -14,7 +14,7 @@ reuse: a keyed, LRU-evicting registry of
   object.  Kernels are cached per compiled-circuit *object* inside
   :mod:`repro.sim.codegen`, so keeping the object resident is what
   makes repeat requests skip kernel compilation (the
-  ``codegen.kernels.built`` / ``c.kernels.built`` counters stay flat).
+  ``codegen.kernels.built`` counter stays flat).
 * **fault simulators**, keyed by the circuit key plus every
   config field that shapes the simulator (fault model, kernel, eval
   parallelism — the same fields
@@ -61,11 +61,13 @@ CircuitKey = Tuple[str, float, int]
 def circuit_key(spec: str, scale: float, seed: int) -> CircuitKey:
     """The registry key for one resolvable circuit.
 
-    ``seed`` (and ``scale``) only influence resolution for synthesized
-    ISCAS89 profile names; a ``.bench`` path or builtin name resolves to
-    the same circuit regardless, so those keys canonicalize seed/scale
-    away — a seed-7 run job on ``s27`` warm-hits the simulator a seed-1
-    job left behind.
+    ``seed`` is the circuit synthesis seed: an ``fsim`` job's ``seed``
+    field, and 0 for every run job, whose GA seed never chooses the
+    circuit.  It (and ``scale``) only influence resolution for
+    synthesized ISCAS89 profile names; a ``.bench`` path or builtin name
+    resolves to the same circuit regardless, so those keys canonicalize
+    seed/scale away — a seed-7 ``fsim`` job on ``s27`` warm-hits the
+    simulator a seed-1 job left behind.
     """
     from pathlib import Path
 

@@ -16,7 +16,7 @@ from .codegen import (
     kernel_source,
     resolve_kernel_name,
 )
-from .compile import CompiledCircuit, compile_circuit, eval_program, eval_program_injected
+from .compile import CompiledCircuit, compile_circuit, eval_program_injected
 from .logic3 import GoodState, Vector
 from .vcd import dump_vcd
 
@@ -29,7 +29,6 @@ __all__ = [
     "Vector",
     "dump_vcd",
     "compile_circuit",
-    "eval_program",
     "eval_program_injected",
     "kernel_for",
     "kernel_source",

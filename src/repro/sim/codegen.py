@@ -1,41 +1,38 @@
 """Codegen simulation kernels: each circuit compiled to straight-line Python.
 
-The interpreter loops in :mod:`repro.sim.compile` pay per-gate dispatch
-on every pass: tuple unpacking, opcode branching and an inner fanin loop
-per gate per frame.  PROOFS and the compiled-simulation line of work it
-builds on (see PAPERS.md) get their speed from translating the levelized
-netlist into straight-line code evaluated without any dispatch.  This
-module does the same for the bit-plane programs of
-:class:`~repro.sim.compile.CompiledCircuit`:
+The reference interpreter in :mod:`repro.sim.compile` pays per-gate
+dispatch on every pass: tuple unpacking, opcode branching and an inner
+fanin loop per gate per frame.  PROOFS and the compiled-simulation line
+of work it builds on (see PAPERS.md) get their speed from translating
+the levelized netlist into straight-line code evaluated without any
+dispatch.  This module does the same for the bit-plane programs of
+:class:`~repro.sim.compile.CompiledCircuit`: one generated function per
+circuit, with fanin loops unrolled, the ``invert`` flag folded into the
+expressions, and node planes register-allocated into Python locals and
+spilled back into the ``v1``/``v0`` lists with a single bulk list
+assignment per plane.
 
-* the **good-machine kernel** is a generated function with the same
-  contract as :func:`~repro.sim.compile.eval_program` — one pair of
-  bitwise expressions per gate in levelized order, fanin loops unrolled
-  and the ``invert`` flag folded into the expression, node planes
-  register-allocated into Python locals and spilled back into the
-  ``v1``/``v0`` lists with a single bulk list assignment per plane;
-* the **injected kernel** is *parameterized*: it reads per-run
-  ``out_force``/``pin_force`` words from dense per-node tables, so one
-  compiled function serves every injection signature — fault samples
-  never trigger a recompile.  Unforced gates (the common case) pay one
-  table load and one branch on top of the straight-line expressions;
-  forced gates take a generated branch that applies the output and
-  per-pin force words inline, replicating the interpreter's forced
-  branch bit for bit.
+The function is *parameterized*: it reads per-run ``out_force`` /
+``pin_force`` words from one dense per-node table, so it serves every
+injection signature — fault samples never trigger a recompile, and an
+empty table is the good-machine pass.  Unforced gates (the common
+case) pay one table load and one branch on top of the straight-line
+expressions; forced gates take a generated branch that applies the
+output and per-pin force words inline, replicating the interpreter's
+forced branch bit for bit.
 
-Generated kernels are **bit-identical** to the interpreter under the
+The generated kernel is **bit-identical** to the interpreter under the
 bit-plane contract (``v1[i] & v0[i] == 0`` and both planes subsets of
 ``mask`` — what every caller in this repo maintains): the only algebraic
 liberty taken is dropping ``mask &`` where the operands are already
 subsets of ``mask``.
 
-Kernels are built once per circuit per process and held in a small
-keyed cache (every population pass shares the two generated
-functions); building is metered with the
-``codegen.compile.seconds`` / ``codegen.kernels.built`` counters.  Any
-failure to generate, compile or ``exec`` a kernel falls back to the
-interpreter automatically (``codegen.fallbacks``), so ``codegen`` is a
-safe default everywhere.
+The kernel is built once per circuit per process and held in a small
+keyed cache (every population pass shares the one generated function);
+building is metered with the ``codegen.compile.seconds`` /
+``codegen.kernels.built`` counters.  Any failure to generate, compile
+or ``exec`` it falls back to the interpreter automatically
+(``codegen.fallbacks``), so ``codegen`` is a safe default everywhere.
 
 Backend selection: :func:`resolve_kernel_name` resolves an explicit
 ``"interp"``/``"codegen"`` request, else the ``REPRO_SIM_KERNEL``
@@ -51,7 +48,6 @@ import os
 import time
 import warnings
 import weakref
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .compile import (
@@ -60,7 +56,6 @@ from .compile import (
     OP_OR,
     OP_XOR,
     CompiledCircuit,
-    eval_program,
     eval_program_injected,
 )
 
@@ -99,17 +94,17 @@ def resolve_kernel_name(name: Optional[str] = None) -> str:
 
 
 class SimKernel:
-    """One circuit's evaluation backend: three bound callables.
+    """One circuit's evaluation backend: two bound callables.
 
-    * ``eval(v1, v0, mask)`` — the good-machine pass; same contract as
-      :func:`~repro.sim.compile.eval_program` with the program bound.
     * ``make_injection(out_force, pin_force)`` — prepare one
       injection's force tables in whatever form ``eval_injection``
       wants.  The population pass builds it once per pass (once per
-      frame for the transition model), outside the kernel call.
-    * ``eval_injection(v1, v0, mask, injection)`` — the injected pass;
-      same contract as :func:`~repro.sim.compile.eval_program_injected`
-      with the program bound and the force dicts pre-digested.
+      frame for the transition model), outside the kernel call; the
+      transition model builds an empty one once, for its good pass.
+    * ``eval_injection(v1, v0, mask, injection)`` — the pass; same
+      contract as :func:`~repro.sim.compile.eval_program_injected` with
+      the program bound and the force dicts pre-digested, non-contiguous
+      ``mask`` words included.
 
     The frame loop itself lives in the simulator
     (:meth:`~repro.faults.simulator.FaultSimulator._run_frames`).
@@ -117,21 +112,17 @@ class SimKernel:
     ``requested`` is what the caller asked for.
     """
 
-    __slots__ = (
-        "name", "requested", "eval", "make_injection", "eval_injection",
-    )
+    __slots__ = ("name", "requested", "make_injection", "eval_injection")
 
     def __init__(
         self,
         name: str,
         requested: str,
-        eval_fn: Callable[[List[int], List[int], int], None],
         make_injection: Callable[[Dict, Dict], object],
         eval_injection: Callable[[List[int], List[int], int, object], None],
     ) -> None:
         self.name = name
         self.requested = requested
-        self.eval = eval_fn
         self.make_injection = make_injection
         self.eval_injection = eval_injection
 
@@ -176,24 +167,19 @@ def _gate_exprs(opcode: int, ones: List[str], zeros: List[str]) -> Tuple[List[st
     )
 
 
-def generate_source(compiled: CompiledCircuit, injected: bool) -> str:
+def generate_source(compiled: CompiledCircuit) -> str:
     """Generate the straight-line kernel source for one circuit.
 
-    With ``injected=False`` the function is ``_kernel(v1, v0, M)``;
-    with ``injected=True`` it is ``_kernel_injected(v1, v0, M, _FX)``
-    where ``_FX`` is one dense per-node table (``None`` for unforced
-    gates — the overwhelmingly common case, costing one load and one
-    branch — or the combined ``(pins, f1, f0)`` entry built by
+    The function is ``_kernel_injected(v1, v0, M, _FX)`` where ``_FX``
+    is one dense per-node table (``None`` for unforced gates — the
+    overwhelmingly common case, costing one load and one branch — or
+    the combined ``(pins, f1, f0)`` entry built by
     :func:`make_force_tables`).  Forced gates apply the output and
     per-pin force words inline.
     """
     n = compiled.num_nodes
     written = {instr[0] for instr in compiled.program}
-    lines: List[str] = []
-    if injected:
-        lines.append("def _kernel_injected(v1, v0, M, _FX):")
-    else:
-        lines.append("def _kernel(v1, v0, M):")
+    lines: List[str] = ["def _kernel_injected(v1, v0, M, _FX):"]
     # Register allocation: load every node the program does not write
     # (primary inputs, flip-flop outputs, isolated nodes) into locals so
     # the final spill can rebuild both planes in full.
@@ -206,12 +192,6 @@ def generate_source(compiled: CompiledCircuit, injected: bool) -> str:
         setup, e1, e0 = _gate_exprs(opcode, ones, zeros)
         if invert:
             e1, e0 = e0, e1
-        if not injected:
-            for stmt in setup:
-                lines.append(f"    {stmt}")
-            lines.append(f"    a{out} = {e1}")
-            lines.append(f"    b{out} = {e0}")
-            continue
         lines.append(f"    _e = _FX[{out}]")
         lines.append("    if _e is None:")
         for stmt in setup:
@@ -293,11 +273,11 @@ def make_force_tables(
 # Build + cache
 # ----------------------------------------------------------------------
 
-#: Kernel cache: ``id(compiled) -> (weakref, {"good": fn, "injected": fn})``.
-#: Keyed by identity (``CompiledCircuit`` holds an unhashable ``Circuit``)
-#: and validated against the weakref so a recycled id can never alias; the
+#: Kernel cache: ``id(compiled) -> (weakref, kernel, source)``.  Keyed
+#: by identity (``CompiledCircuit`` holds an unhashable ``Circuit``) and
+#: validated against the weakref so a recycled id can never alias; the
 #: weakref callback evicts entries when a circuit is collected.
-_CACHE: Dict[int, Tuple["weakref.ref", Dict[str, Callable]]] = {}
+_CACHE: Dict[int, Tuple["weakref.ref", Callable, str]] = {}
 
 
 def clear_kernel_cache() -> None:
@@ -305,37 +285,29 @@ def clear_kernel_cache() -> None:
     _CACHE.clear()
 
 
-def _build_kernels(compiled: CompiledCircuit, collector) -> Dict[str, Callable]:
-    """Generate, compile and ``exec`` both kernel functions for a circuit."""
+def _build_kernel(compiled: CompiledCircuit, collector) -> Tuple[Callable, str]:
+    """Generate, compile and ``exec`` one circuit's kernel function."""
     t0 = time.perf_counter()
     label = compiled.circuit.name or "circuit"
     namespace: Dict[str, object] = {}
-    good_src = generate_source(compiled, injected=False)
-    exec(compile(good_src, f"<codegen:{label}:good>", "exec"), namespace)
-    injected_src = generate_source(compiled, injected=True)
-    exec(compile(injected_src, f"<codegen:{label}:injected>", "exec"), namespace)
-    fns = {
-        "good": namespace["_kernel"],
-        "injected": namespace["_kernel_injected"],
-        "good_source": good_src,
-        "injected_source": injected_src,
-    }
+    source = generate_source(compiled)
+    exec(compile(source, f"<codegen:{label}>", "exec"), namespace)
     if collector.enabled:
         collector.inc("codegen.compile.seconds", time.perf_counter() - t0)
-        collector.inc("codegen.kernels.built", 2)
-    return fns  # type: ignore[return-value]
+        collector.inc("codegen.kernels.built")
+    return namespace["_kernel_injected"], source  # type: ignore[return-value]
 
 
-def _kernels_for(compiled: CompiledCircuit, collector) -> Dict[str, Callable]:
-    """The cached generated kernels for one compiled circuit."""
+def _kernel_for(compiled: CompiledCircuit, collector) -> Tuple[Callable, str]:
+    """The cached generated kernel and its source for one circuit."""
     key = id(compiled)
     entry = _CACHE.get(key)
     if entry is not None and entry[0]() is compiled:
-        return entry[1]
-    fns = _build_kernels(compiled, collector)
+        return entry[1], entry[2]
+    fn, source = _build_kernel(compiled, collector)
     ref = weakref.ref(compiled, lambda _r, _k=key: _CACHE.pop(_k, None))
-    _CACHE[key] = (ref, fns)
-    return fns
+    _CACHE[key] = (ref, fn, source)
+    return fn, source
 
 
 def _interp_kernel(compiled: CompiledCircuit, requested: str) -> SimKernel:
@@ -352,7 +324,6 @@ def _interp_kernel(compiled: CompiledCircuit, requested: str) -> SimKernel:
     return SimKernel(
         name="interp",
         requested=requested,
-        eval_fn=partial(eval_program, program),
         make_injection=make_injection,
         eval_injection=eval_injection,
     )
@@ -396,9 +367,7 @@ def kernel_for(
     if requested == "interp":
         return _interp_kernel(compiled, requested)
     try:
-        fns = _kernels_for(compiled, collector)
-        good = fns["good"]
-        injected = fns["injected"]
+        injected = _kernel_for(compiled, collector)[0]
     except Exception as exc:  # automatic interpreter fallback
         return _fallback_kernel(compiled, requested, exc, collector)
     num_nodes = compiled.num_nodes
@@ -407,21 +376,16 @@ def kernel_for(
     def make_injection(out_force: Dict, pin_force: Dict):
         return make_force_tables(num_nodes, out_force, pin_force, arity)
 
-    def eval_injection(v1, v0, mask, injection):
-        injected(v1, v0, mask, injection)
-
     return SimKernel(
         name="codegen",
         requested=requested,
-        eval_fn=good,
         make_injection=make_injection,
-        eval_injection=eval_injection,
+        eval_injection=injected,
     )
 
 
-def kernel_source(compiled: CompiledCircuit, variant: str = "good") -> str:
-    """The generated source of a cached kernel (introspection/tests)."""
+def kernel_source(compiled: CompiledCircuit) -> str:
+    """The generated source of a circuit's cached kernel (introspection/tests)."""
     from ..telemetry.collector import get_collector
 
-    fns = _kernels_for(compiled, get_collector())
-    return fns[f"{variant}_source"]  # type: ignore[return-value]
+    return _kernel_for(compiled, get_collector())[1]

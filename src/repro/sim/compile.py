@@ -7,7 +7,8 @@ per frame, a circuit is compiled once into a list of small tuples
 kernels of :mod:`repro.sim.codegen` then evaluate that program, once
 per frame of the population pass in :mod:`repro.faults.simulator`,
 over two bit-plane lists ``v1``/``v0`` (see :mod:`repro.circuit.gates`
-for the encoding).
+for the encoding); :func:`eval_program_injected` is the reference
+interpreter they must match.
 """
 
 from __future__ import annotations
@@ -84,46 +85,6 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     )
 
 
-def eval_program(
-    program: Tuple[Instruction, ...],
-    v1: List[int],
-    v0: List[int],
-    mask: int,
-) -> None:
-    """Evaluate the compiled program in place over the bit planes.
-
-    ``v1[i]``/``v0[i]`` must hold the PI and FF (present state) values on
-    entry; on exit every combinational node's planes are filled in.
-    ``mask`` is the all-slots-active word.
-    """
-    for out, opcode, invert, fanins in program:
-        if opcode == OP_AND:
-            a1 = mask
-            a0 = 0
-            for f in fanins:
-                a0 |= v0[f]
-                a1 &= v1[f]
-        elif opcode == OP_OR:
-            a1 = 0
-            a0 = mask
-            for f in fanins:
-                a1 |= v1[f]
-                a0 &= v0[f]
-        elif opcode == OP_XOR:
-            f = fanins[0]
-            a1, a0 = v1[f], v0[f]
-            for f in fanins[1:]:
-                b1, b0 = v1[f], v0[f]
-                a1, a0 = (a1 & b0) | (a0 & b1), (a1 & b1) | (a0 & b0)
-        else:  # OP_COPY
-            f = fanins[0]
-            a1, a0 = v1[f], v0[f]
-        if invert:
-            v1[out], v0[out] = a0, a1
-        else:
-            v1[out], v0[out] = a1, a0
-
-
 def _force(b1: int, b0: int, f1: int, f0: int) -> Tuple[int, int]:
     """Overwrite slots of a (v1, v0) pair with stuck values."""
     if f1:
@@ -143,15 +104,19 @@ def eval_program_injected(
     out_force: dict,
     pin_force: dict,
 ) -> None:
-    """Evaluate with per-slot stuck-at injection (the faulty machines).
+    """Evaluate the program in place over the bit planes, with per-slot
+    stuck-at injection: the reference semantics of every kernel.
 
+    ``v1[i]``/``v0[i]`` must hold the PI and FF (present state) values on
+    entry; on exit every combinational node's planes are filled in.
+    ``mask`` is the all-slots-active word, contiguous or not (the
+    transition model's good pass runs over the top slots alone).
     ``out_force[node] -> (force1_word, force0_word)`` forces slots of a
     node's *output*; ``pin_force[gate] -> [(pin, force1, force0), ...]``
     forces specific fanin pins of a gate.  Forcing wins over the computed
     value; the population pass puts at most one fault in a slot, so
-    the forced-to-1 and forced-to-0 slot sets are disjoint.  Gates
-    without injections take a fast path identical to
-    :func:`eval_program`.
+    the forced-to-1 and forced-to-0 slot sets are disjoint.  With both
+    dicts empty this is the good-machine pass.
     """
     for out, opcode, invert, fanins in program:
         pins = pin_force.get(out)

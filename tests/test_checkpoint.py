@@ -246,3 +246,86 @@ class TestRunCheckpoints:
         digest = fault_list_digest(sim.faults)
         assert digest == fault_list_digest(list(sim.faults))
         assert digest != fault_list_digest(list(reversed(sim.faults)))
+
+
+class TestJournalIncrementalRefresh:
+    """A campaign journal reads only the lines committed since its last
+    read, each once and in file order."""
+
+    @staticmethod
+    def _big_journal(path, cells):
+        """A journal of ``cells`` sealed cell records, written at once."""
+        from repro.core.checkpoint import seal_journal_record
+
+        CampaignJournal.create(path, table="4", scale=0.1, seeds=[1])
+        lines = [
+            json.dumps(seal_journal_record({
+                "kind": "campaign-cell", "circuit": f"c{i}", "label": "lbl",
+                "seed": 1, "scale": 0.1, "config_digest": "a" * 64,
+                "status": "ok", "result": {"detected": i},
+            }), sort_keys=True, separators=(",", ":"))
+            for i in range(cells)
+        ]
+        with open(path, "a") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+    def test_refresh_checks_only_new_lines(self, tmp_path, monkeypatch):
+        import repro.core.checkpoint as checkpoint
+
+        path = tmp_path / "j.jsonl"
+        self._big_journal(path, 500)
+        peer = CampaignJournal.open(path)
+        writer = CampaignJournal.open(path)
+        k = 3
+        for seed in range(k):
+            writer.grant_lease("c0", "lbl", seed, 0.1, "a" * 64,
+                               host="alpha", ttl=60.0)
+        checked = []
+        line_hash = checkpoint._line_hash
+
+        def counting(record):
+            checked.append(record.get("kind"))
+            return line_hash(record)
+
+        monkeypatch.setattr(checkpoint, "_line_hash", counting)
+        peer.refresh()
+        assert checked == ["campaign-lease"] * k
+        assert len(peer.leases()) == k
+        assert len(peer.cells()) == 500
+        checked.clear()
+        peer.refresh()
+        assert checked == []
+
+    def test_own_record_keeps_its_file_position(self, tmp_path):
+        """A peer's ok seal committed before this journal's own wins in
+        this journal's view too, as it does for every later reader."""
+        path = tmp_path / "j.jsonl"
+        alpha = CampaignJournal.create(path, table="4", scale=0.1, seeds=[1])
+        beta = CampaignJournal.open(path)
+        beta.record_cell("c", "lbl", 1, 0.1, "a" * 64,
+                         result={"detected": 1}, host="beta")
+        alpha.record_cell("c", "lbl", 1, 0.1, "a" * 64,
+                          result={"detected": 1}, host="alpha")
+        assert alpha.result_for("c", "lbl", 1, 0.1)["host"] == "beta"
+        fresh = CampaignJournal.open(path)
+        assert fresh.result_for("c", "lbl", 1, 0.1)["host"] == "beta"
+
+    def test_replaced_or_cut_file_is_read_whole(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        first = CampaignJournal.create(path, table="4", scale=0.1, seeds=[1])
+        first.grant_lease("c", "lbl", 1, 0.1, "a" * 64, host="alpha",
+                          ttl=60.0)
+        peer = CampaignJournal.open(path)
+        assert peer.lease_for("c", "lbl", 1, 0.1) is not None
+        CampaignJournal.create(path, table="4", scale=0.1, seeds=[1])
+        peer.refresh()
+        assert peer.lease_for("c", "lbl", 1, 0.1) is None
+        first = CampaignJournal.open(path)
+        first.grant_lease("c", "lbl", 1, 0.1, "a" * 64, host="beta",
+                          ttl=60.0)
+        peer.refresh()
+        assert peer.lease_for("c", "lbl", 1, 0.1)["host"] == "beta"
+        header = path.read_text().splitlines(keepends=True)[0]
+        path.write_text(header)  # cut in place: same file, shorter
+        peer.refresh()
+        assert peer.leases() == []

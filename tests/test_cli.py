@@ -43,6 +43,22 @@ class TestRun:
         ]
         assert all(len(l) == 4 and set(l) <= {"0", "1"} for l in lines)
 
+    def test_ga_seed_does_not_choose_the_circuit(self, capsys, tmp_path):
+        """A run's test set replayed by ``fsim`` at the default circuit
+        seed reproduces the run's detected count."""
+        out_file = tmp_path / "tests.txt"
+        code, out = run_cli(
+            capsys, "run", "s298", "--scale", "0.3", "--seed", "3",
+            "-o", str(out_file),
+        )
+        assert code == 0
+        detected = out.split("det ", 1)[1].split()[0]
+        code, replay = run_cli(
+            capsys, "fsim", "s298", str(out_file), "--scale", "0.3"
+        )
+        assert code == 0
+        assert f": {detected} faults detected" in replay
+
     def test_random_engine(self, capsys):
         code, out = run_cli(
             capsys, "run", "s27", "--engine", "random", "--max-vectors", "64"

@@ -24,12 +24,13 @@ from repro.faults.transition import TransitionFaultSimulator
 from repro.sim import compile_circuit, kernel_for, kernel_source
 from repro.sim.codegen import (
     DEFAULT_KERNEL,
+    SimKernel,
     clear_kernel_cache,
     generate_source,
     make_force_tables,
     resolve_kernel_name,
 )
-from repro.sim.compile import eval_program, eval_program_injected
+from repro.sim.compile import eval_program_injected
 from repro.telemetry import TelemetryCollector
 
 from tests.conftest import random_vectors
@@ -74,53 +75,60 @@ def _random_forces(rng, compiled, width):
 
 
 class TestGeneratedSource:
-    def test_good_kernel_is_straight_line(self, s27_circuit):
-        """No loops, no branches: the entire point of the translation."""
-        compiled = compile_circuit(s27_circuit)
-        src = kernel_source(compiled, "good")
-        assert "for " not in src
-        assert "if " not in src
-        assert "while " not in src
-        assert src.startswith("def _kernel(v1, v0, M):")
-
     def test_injected_kernel_probes_force_table(self, s27_circuit):
         compiled = compile_circuit(s27_circuit)
-        src = kernel_source(compiled, "injected")
+        src = kernel_source(compiled)
         assert src.startswith("def _kernel_injected(v1, v0, M, _FX):")
+        assert src.count("def ") == 1  # one generated function per circuit
         assert "for " not in src  # branches on table rows, never loops
         assert "_FX[" in src
 
     def test_generate_source_compiles_for_every_circuit(self):
         for circuit in _sweep_circuits():
             compiled = compile_circuit(circuit)
-            for injected in (False, True):
-                compile(generate_source(compiled, injected), "<test>", "exec")
+            compile(generate_source(compiled), "<test>", "exec")
 
     def test_kernels_cached_per_circuit(self, s27_circuit):
         compiled = compile_circuit(s27_circuit)
         a = kernel_for(compiled, "codegen")
         b = kernel_for(compiled, "codegen")
-        assert a.eval is b.eval  # same generated function object
+        assert a.eval_injection is b.eval_injection  # same generated function
         clear_kernel_cache()
         c = kernel_for(compiled, "codegen")
-        assert c.eval is not a.eval
+        assert c.eval_injection is not a.eval_injection
+
+    def test_kernel_interface_is_two_callables(self, s27_circuit):
+        assert SimKernel.__slots__ == (
+            "name", "requested", "make_injection", "eval_injection",
+        )
+        compiled = compile_circuit(s27_circuit)
+        for name in ("interp", "codegen"):
+            assert not hasattr(kernel_for(compiled, name), "eval")
 
 
 class TestPlaneEquivalence:
     """Property-style sweep: random planes and injections, every circuit."""
 
     def test_good_pass_matches_interpreter(self):
+        """The empty injection is the good-machine pass, over any mask:
+        the transition model runs it over the top slots alone, one bit
+        per block, so non-contiguous masks are part of the contract."""
         rng = random.Random(101)
         for circuit in _sweep_circuits():
             compiled = compile_circuit(circuit)
             kernel = kernel_for(compiled, "codegen")
             assert kernel.name == "codegen"
+            no_forces = kernel.make_injection({}, {})
             for _ in range(12):
                 width = rng.choice([1, 8, 64, 200])
+                block = rng.choice([1, 2, 5, 33])
+                mask = ((1 << width) - 1) // ((1 << block) - 1) << (block - 1)
                 v1, v0 = _random_planes(rng, compiled.num_nodes, width)
+                v1 = [w & mask for w in v1]
+                v0 = [w & mask for w in v0]
                 r1, r0 = list(v1), list(v0)
-                eval_program(compiled.program, r1, r0, (1 << width) - 1)
-                kernel.eval(v1, v0, (1 << width) - 1)
+                eval_program_injected(compiled.program, r1, r0, mask, {}, {})
+                kernel.eval_injection(v1, v0, mask, no_forces)
                 assert (v1, v0) == (r1, r0), circuit.name
 
     def test_injected_pass_matches_interpreter(self):
@@ -338,7 +346,7 @@ class TestKernelSelection:
         def boom(compiled, collector):
             raise RuntimeError("synthetic build failure")
 
-        monkeypatch.setattr(codegen, "_build_kernels", boom)
+        monkeypatch.setattr(codegen, "_build_kernel", boom)
         clear_kernel_cache()
         compiled = compile_circuit(s27_circuit)
         collector = TelemetryCollector()
@@ -364,12 +372,12 @@ class TestKernelTelemetry:
         sim = FaultSimulator(compiled, kernel="codegen", collector=collector)
         assert sim.kernel_name == "codegen"
         counters = collector.counters
-        assert counters["codegen.kernels.built"] == 2
+        assert counters["codegen.kernels.built"] == 1
         assert counters["codegen.compile.seconds"] > 0
         assert counters["sim.kernel.codegen"] == 1
         # A second simulator on the same circuit reuses the cache.
         FaultSimulator(compiled, kernel="codegen", collector=collector)
-        assert collector.counters["codegen.kernels.built"] == 2
+        assert collector.counters["codegen.kernels.built"] == 1
         assert collector.counters["sim.kernel.codegen"] == 2
 
     def test_interp_selection_counter(self, s27_circuit):

@@ -205,3 +205,39 @@ class TestBenchQuoteChecking:
         assert stale and all(f"{snapshot} {field} rounds to" in line
                              for line in stale)
         assert {line.split(":")[0] for line in stale} == docs
+
+
+class TestServiceJobExamples:
+    """Every JSON ``POST /jobs`` example in docs/SERVICE.md is a job the
+    service accepts, and each ``fsim`` example's vectors fit its
+    circuit's primary inputs."""
+
+    @staticmethod
+    def _job_examples():
+        import re
+
+        text = (REPO_ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
+        section = text.split("### `POST /jobs`", 1)[1].split("\n### ", 1)[0]
+        blocks = [json.loads(block) for block in
+                  re.findall(r"```json\n(.*?)```", section, re.S)]
+        return [block for block in blocks if "id" not in block]  # not responses
+
+    def test_examples_parse(self):
+        from repro.service import parse_job
+
+        examples = self._job_examples()
+        assert sorted(job["kind"] for job in examples) == ["fsim", "run"]
+        for job in examples:
+            parse_job(job)
+
+    def test_fsim_example_vectors_fit_the_circuit(self):
+        from repro.circuit.library import resolve_spec
+        from repro.service import parse_job
+
+        for job in self._job_examples():
+            if job["kind"] != "fsim":
+                continue
+            spec = parse_job(job)
+            circuit = resolve_spec(spec.circuit, scale=spec.scale,
+                                   seed=spec.seed)
+            assert {len(v) for v in spec.vectors} == {circuit.num_inputs}

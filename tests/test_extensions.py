@@ -6,7 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import mini_fsm, resettable_counter, s27, shift_register
+from repro.circuit import (
+    mini_fsm,
+    resettable_counter,
+    s27,
+    shift_register,
+    synthesize_named,
+)
 from repro.core import GaTestGenerator, TestGenConfig, compact_test_set
 from repro.core.compaction import TestSetCompactor
 from repro.faults import (
@@ -15,7 +21,8 @@ from repro.faults import (
     TransitionFaultSimulator,
     generate_transition_faults,
 )
-from repro.ga import BinaryCoding, GAParams, IslandGA, IslandParams
+from repro.ga import BinaryCoding, GAParams, GeneticAlgorithm
+from repro.telemetry import TelemetryCollector
 
 from tests import oracle
 from tests.conftest import random_vectors
@@ -78,6 +85,32 @@ class TestCompaction:
         fsim = FaultSimulator(circuit, faults=faults)
         fsim.commit(compaction.test_sequence)
         assert fsim.detected_count == compaction.compacted_detected
+
+    def test_tail_cut_matches_per_vector_commits(self):
+        """One commit's last first-detection frame is the last vector
+        whose own one-vector commit detects a new fault, and compacting
+        with either gives the same result."""
+
+        class PerVector(TestSetCompactor):
+            def _last_detection_frame(self, vectors):
+                sim = FaultSimulator(self.compiled, faults=self._faults)
+                last = -1
+                for index, vector in enumerate(vectors):
+                    if sim.commit([vector]).detected_count > 0:
+                        last = index
+                self.trials += 1
+                return last
+
+        for circuit in (s27(), synthesize_named("s298", seed=3, scale=0.15)):
+            for seed in range(4):
+                vectors = random_vectors(circuit, 30, seed=seed)
+                want = PerVector(circuit)._last_detection_frame(vectors)
+                assert TestSetCompactor(circuit)._last_detection_frame(
+                    vectors) == want
+                got = compact_test_set(circuit, vectors)
+                reference = PerVector(circuit).compact(vectors)
+                got.elapsed_seconds = reference.elapsed_seconds = 0.0
+                assert got == reference
 
 
 # ---------------------------------------------------------------------------
@@ -234,64 +267,130 @@ def onemax(chromosomes):
     return [float(sum(c)) for c in chromosomes]
 
 
+def _islands(coding, evaluator, rng_seed, **params):
+    """One GA run under ``GAParams(**params)``, seeded with ``rng_seed``."""
+    return GeneticAlgorithm(
+        coding, evaluator, GAParams(**params), rng=random.Random(rng_seed),
+    ).run()
+
+
 class TestIslandGA:
     def test_single_island_matches_plain_ga_interface(self):
         coding = BinaryCoding(20)
-        params = GAParams(population_size=8, generations=6, mutation_rate=0.05)
-        result = IslandGA(
-            coding, onemax, params, IslandParams(n_islands=1),
-            rng=random.Random(0),
-        ).run()
+        params = dict(population_size=8, generations=6, mutation_rate=0.05)
+        result = _islands(coding, onemax, 0, n_islands=1, **params)
         assert result.generations_run == 6
         assert result.evaluations == 8 * 7  # initial + 6 generations
+        plain = GeneticAlgorithm(
+            coding, onemax, GAParams(**params), rng=random.Random(0)
+        ).run()
+        assert result == plain
 
     def test_multi_island_evaluation_accounting(self):
-        coding = BinaryCoding(20)
-        params = GAParams(population_size=6, generations=4, mutation_rate=0.05)
-        result = IslandGA(
-            coding, onemax, params,
-            IslandParams(n_islands=3, migration_interval=2),
-            rng=random.Random(0),
-        ).run()
+        result = _islands(
+            BinaryCoding(20), onemax, 0, population_size=6, generations=4,
+            mutation_rate=0.05, n_islands=3, migration_interval=2,
+        )
         assert result.evaluations == 3 * 6 * (4 + 1)
 
+    def test_one_evaluator_call_per_generation(self):
+        """All islands' offspring share one call (one population pass)
+        per generation, plus one for the initial populations."""
+        calls = []
+
+        def counting(chromosomes):
+            calls.append(len(chromosomes))
+            return onemax(chromosomes)
+
+        _islands(
+            BinaryCoding(40), counting, 1, population_size=6, generations=5,
+            mutation_rate=0.1, n_islands=3, migration_interval=2,
+        )
+        assert len(calls) == 5 + 1
+        assert calls[0] == 3 * 6
+
+    def test_best_is_the_best_the_evaluator_returned(self):
+        """The best is tracked every generation, not only at migrations:
+        with nonoverlapping populations a generation's best can be gone
+        one generation later (seed 3 loses it at a migration-only check)."""
+        returned = []
+
+        def deceptive(chromosomes):
+            scores = [float(int("".join(map(str, c)), 2) % 97)
+                      for c in chromosomes]
+            returned.extend(scores)
+            return scores
+
+        result = _islands(
+            BinaryCoding(12), deceptive, 3, population_size=4, generations=6,
+            mutation_rate=0.1, generation_gap=1.0, n_islands=2,
+            migration_interval=2,
+        )
+        assert result.best.fitness == max(returned)
+        assert result.history[result.best_generation] == max(returned)
+
     def test_converges(self):
-        coding = BinaryCoding(30)
-        params = GAParams(population_size=8, generations=20, mutation_rate=1 / 30)
-        result = IslandGA(
-            coding, onemax, params,
-            IslandParams(n_islands=4, migration_interval=3),
-            rng=random.Random(2),
-        ).run()
+        result = _islands(
+            BinaryCoding(30), onemax, 2, population_size=8, generations=20,
+            mutation_rate=1 / 30, n_islands=4, migration_interval=3,
+        )
         assert result.best.fitness >= 26
 
     def test_migration_spreads_good_genes(self):
         """With migration, a fit individual seeded into one island must
         lift the global best even when other islands start poor."""
-        coding = BinaryCoding(16)
-        params = GAParams(
-            population_size=4, generations=6, mutation_rate=0.0,
-            crossover_prob=0.0,
+        result = _islands(
+            BinaryCoding(16), onemax, 3, population_size=4, generations=6,
+            mutation_rate=0.0, crossover_prob=0.0, n_islands=2,
+            migration_interval=1,
         )
-        ga = IslandGA(
-            coding, onemax, params,
-            IslandParams(n_islands=2, migration_interval=1, migrants=1),
-            rng=random.Random(3),
-        )
-        result = ga.run()
         assert result.best.fitness >= 8  # sanity: something decent survives
+
+    def test_migration_copies_best_over_next_islands_worst(self):
+        """Every ``migration_interval`` generations a copy of island i's
+        best replaces the worst of island i+1 on the ring."""
+        seen = {}
+        GeneticAlgorithm(
+            BinaryCoding(8), onemax,
+            GAParams(population_size=2, generations=3, mutation_rate=0.0,
+                     crossover_prob=0.0, n_islands=2, migration_interval=2),
+            rng=random.Random(0), initial=[[1] * 8] * 2 + [[0] * 8] * 2,
+        ).run(on_generation=lambda gen, pop: seen.setdefault(
+            gen, [m.fitness for m in pop]))
+        assert seen[0] == seen[1] == [8.0, 8.0, 0.0, 0.0]
+        assert seen[2] == [0.0, 8.0, 8.0, 0.0]  # after the migration
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
-            IslandParams(n_islands=0)
+            GAParams(population_size=4, n_islands=0)
         with pytest.raises(ValueError):
-            IslandParams(migration_interval=0)
-        with pytest.raises(ValueError):
-            IslandParams(migrants=-1)
+            GAParams(population_size=4, migration_interval=0)
+
+    def test_initial_population_covers_every_island(self):
+        with pytest.raises(ValueError, match="expected 8"):
+            GeneticAlgorithm(
+                BinaryCoding(4), onemax,
+                GAParams(population_size=4, n_islands=2),
+                initial=[[0, 0, 0, 0]] * 4,
+            ).run()
 
     def test_gatest_with_islands(self):
         a = GaTestGenerator(mini_fsm(), TestGenConfig(seed=1, n_islands=2)).run()
         assert a.detected > 0
+
+    def test_gatest_islands_record_on_the_run_collector(self):
+        """An island run records the same GA counter families and one
+        generation record per generation as a plain run, on the
+        collector the generator was given."""
+        collector = TelemetryCollector()
+        config = TestGenConfig(seed=1, n_islands=2)
+        result = GaTestGenerator(mini_fsm(), config, collector=collector).run()
+        counters = collector.counters
+        assert counters["ga.runs"] == result.ga_runs > 0
+        assert counters["ga.generations"] == result.ga_runs * config.generations
+        assert counters["ga.evaluations"] == result.ga_evaluations
+        generations = collector.events("generation")
+        assert len(generations) == result.ga_runs * (config.generations + 1)
 
     def test_islands_config_validated(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from repro.circuit import s27, synthesize_named
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator
 from repro.faults.simulator import _BatchLayout
-from repro.ga import GAParams, GeneticAlgorithm, IslandGA, IslandParams
+from repro.ga import GAParams, GeneticAlgorithm
 from repro.ga.chromosome import make_coding
 from repro.harness import run_gatest
 from repro.parallel import ParallelEvaluator, plan_shards
@@ -403,10 +403,10 @@ class TestEngineDedup:
 
     def test_islands_share_one_memo(self):
         evaluator = _CountingEvaluator()
-        result = IslandGA(
+        result = GeneticAlgorithm(
             make_coding("binary", 4, 1), evaluator,
-            GAParams(population_size=6, generations=5),
-            IslandParams(n_islands=2, migration_interval=2),
+            GAParams(population_size=6, generations=5, n_islands=2,
+                     migration_interval=2),
             rng=random.Random(4),
         ).run()
         assert len(evaluator.seen) == len(set(evaluator.seen))
