@@ -119,6 +119,7 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
             fault_sample=args.sample,
             fault_model=args.fault_model,
             n_islands=args.islands,
+            max_vectors=args.max_vectors,
             eval_jobs=args.eval_jobs,
             sim_kernel=args.kernel,
         )
@@ -154,6 +155,7 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
 
         config = TestGenConfig(
             seed=args.seed, fault_sample=args.sample,
+            max_vectors=args.max_vectors,
             eval_jobs=args.eval_jobs,
             sim_kernel=args.kernel,
         )
@@ -332,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "bit-identical to an uninterrupted one")
     run.add_argument("--compact", action="store_true",
                      help="statically compact the generated test set")
-    run.add_argument("--max-vectors", type=int, default=None)
+    run.add_argument("--max-vectors", type=int, default=None, metavar="N",
+                     help="cap on vectors the GA commits (hybrid: its GA "
+                          "pass; random engine: default 1000)")
     run.add_argument("-o", "--output", default=None, help="write test vectors here")
     run.add_argument("--trace", default=None, metavar="OUT.jsonl",
                      help="write a JSONL telemetry trace (docs/TELEMETRY.md)")
@@ -447,7 +451,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return experiments_main(raw[1:])
 
-    args = build_parser().parse_args(raw)
+    parser = build_parser()
+    args = parser.parse_args(raw)
+    if args.command == "run" and args.eval_jobs < 1:
+        parser.error(f"--eval-jobs must be at least 1, got {args.eval_jobs}")
     return args.func(args)
 
 

@@ -134,6 +134,8 @@ class TestGenConfig:
             raise ValueError("eval_jobs must be >= 1")
         if self.n_islands < 1:
             raise ValueError("n_islands must be >= 1")
+        if self.migration_interval < 1:
+            raise ValueError("migration_interval must be >= 1")
         if self.sim_kernel is not None and self.sim_kernel not in KERNEL_NAMES:
             raise ValueError(
                 f"unknown simulation kernel {self.sim_kernel!r}; "

@@ -1,12 +1,7 @@
 """Experiment harness: runners, campaign journal, tables, paper data."""
 
 from . import paper_data
-from .campaign import (
-    CampaignJournal,
-    campaign_scope,
-    get_active_campaign,
-    set_active_campaign,
-)
+from .campaign import CampaignJournal
 from .distributed import (
     DistributedCoordinator,
     campaign_worker_main,
@@ -15,14 +10,11 @@ from .distributed import (
 )
 from .runner import (
     AggregateResult,
+    ExecutionPlan,
     SeedFailure,
     compiled_circuit_for,
-    get_distributed_backend,
     run_gatest,
     run_matrix,
-    set_default_eval_jobs,
-    set_default_seed_jobs,
-    set_distributed_backend,
 )
 from .tables import TextTable, fmt_mean_std, fmt_time, mean_std
 
@@ -30,23 +22,17 @@ __all__ = [
     "AggregateResult",
     "CampaignJournal",
     "DistributedCoordinator",
+    "ExecutionPlan",
     "SeedFailure",
     "TextTable",
-    "campaign_scope",
     "campaign_worker_main",
     "compiled_circuit_for",
     "config_from_json",
     "config_to_json",
     "fmt_mean_std",
     "fmt_time",
-    "get_active_campaign",
-    "get_distributed_backend",
     "mean_std",
     "paper_data",
     "run_gatest",
     "run_matrix",
-    "set_active_campaign",
-    "set_default_eval_jobs",
-    "set_default_seed_jobs",
-    "set_distributed_backend",
 ]

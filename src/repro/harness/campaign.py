@@ -21,10 +21,11 @@ cell is a journaled unit of work:
   the error instead; they are *not* replayed, so a resume re-attempts
   exactly the work that never finished.
 
-The journal is attached to the harness with :func:`campaign_scope`
-(or :func:`set_active_campaign`); ``run_gatest`` consults the active
-journal per seed.  ``python -m repro.harness.experiments --journal J
-[--resume]`` wires this up from the command line.
+A journal reaches the harness as the ``journal`` of an
+:class:`~repro.harness.runner.ExecutionPlan`: ``run_gatest`` looks
+each cell up in it and the executor that runs a cell seals it there.
+``python -m repro.harness.experiments --journal J [--resume]`` builds
+that plan from the command line.
 
 Every write is one flocked, fsynced single-line append, so a SIGKILL
 tears at most the final line: loaders drop it and the next writer cuts
@@ -47,9 +48,8 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.checkpoint import (
     CAMPAIGN_FORMAT_VERSION,
@@ -549,35 +549,3 @@ class CampaignJournal:
         optionally filtered by status."""
         return [r for r in self._cells.values()
                 if status is None or r.get("status") == status]
-
-
-# ----------------------------------------------------------------------
-# The active campaign (module default, like telemetry's collector)
-# ----------------------------------------------------------------------
-
-_active: Optional[CampaignJournal] = None
-
-
-def get_active_campaign() -> Optional[CampaignJournal]:
-    """The journal ``run_gatest`` consults, or ``None`` (the default)."""
-    return _active
-
-
-def set_active_campaign(
-    journal: Optional[CampaignJournal],
-) -> Optional[CampaignJournal]:
-    """Install ``journal`` as the active campaign; returns the previous."""
-    global _active
-    previous = _active
-    _active = journal
-    return previous
-
-
-@contextmanager
-def campaign_scope(journal: CampaignJournal) -> Iterator[CampaignJournal]:
-    """Scope ``journal`` as the active campaign for a ``with`` block."""
-    previous = set_active_campaign(journal)
-    try:
-        yield journal
-    finally:
-        set_active_campaign(previous)

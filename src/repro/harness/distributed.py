@@ -4,11 +4,13 @@ The sealed JSONL campaign journal (:mod:`repro.harness.campaign`) is
 already an append-only, integrity-checked ledger; this module promotes
 it to a *coordination substrate* for multiple hosts:
 
-* The **coordinator** (:class:`DistributedCoordinator`, wired in by
-  ``experiments --workers-from HOSTS``) binds the matrix exactly as a
-  single-host campaign would, then — instead of executing cells — seals
-  TTL-stamped **lease records** granting each (circuit, label, seed)
-  cell to a worker host, and polls the journal for sealed results.
+* The **coordinator** (:class:`DistributedCoordinator`, the
+  ``coordinator`` of the :class:`~repro.harness.runner.ExecutionPlan`
+  that ``experiments --workers-from HOSTS`` builds) binds the matrix
+  exactly as a single-host campaign would, then — instead of executing
+  cells — seals TTL-stamped **lease records** granting each (circuit,
+  label, seed) cell to a worker host, and polls the journal for sealed
+  results.
 * **Workers** (``gatest campaign-worker --journal J --host NAME``)
   attach to the same journal as peer writers, claim leases addressed to
   their host name, execute each cell through the PR 5 per-seed
@@ -59,13 +61,13 @@ from ..parallel.resilience import (
     ChaosConfig,
     RetryPolicy,
 )
-from ..sim.codegen import resolve_kernel_name
 from ..telemetry.collector import NullCollector, TelemetryCollector
-from .campaign import CampaignJournal, result_from_json, result_to_json
+from .campaign import CampaignJournal, result_from_json
 from .runner import (
     SeedFailure,
     _run_one_seed,
     _run_seed_pool,
+    _seal_cell,
     compiled_circuit_for,
 )
 
@@ -112,10 +114,10 @@ def config_from_json(data: dict) -> TestGenConfig:
 class DistributedCoordinator:
     """Grants leases, reaps expiries, accepts sealed results.
 
-    Installed as ``run_gatest``'s distributed backend
-    (:func:`repro.harness.runner.set_distributed_backend`); the harness
-    calls :meth:`run_cells` once per (circuit, label) aggregate with
-    the seeds that still need execution.
+    Carried as an :class:`~repro.harness.runner.ExecutionPlan`'s
+    ``coordinator`` (together with its journal); ``run_gatest`` calls
+    :meth:`run_cells` once per (circuit, label) aggregate with the
+    seeds that still need execution.
 
     ``policy.task_timeout`` is the lease TTL (``REPRO_LEASE_TTL``,
     default :data:`~repro.parallel.resilience.DEFAULT_LEASE_TTL`); a
@@ -174,19 +176,15 @@ class DistributedCoordinator:
     ) -> Tuple[Dict[int, TestGenResult], Dict[int, SeedFailure]]:
         """Execute the given seeds' cells through worker hosts.
 
-        Returns ``(results, failures)`` keyed by seed, exactly like the
-        seed pool — but every cell is *already journaled* when this
-        returns (workers seal theirs, degraded local runs are sealed
-        here), so the caller must not journal them again.
+        Returns ``(results, failures)`` keyed by seed, like every
+        ``run_gatest`` executor, with every cell sealed in the journal
+        (workers seal theirs, degraded local runs are sealed here).
+        ``config`` is leased as given: ``run_gatest`` has already
+        resolved its execution knobs (``eval_jobs``, the kernel name),
+        so worker hosts run what this process would.
         """
         collect = self.collector.enabled
-        worker_config = config
-        resolved = resolve_kernel_name(config.sim_kernel)
-        if resolved != config.sim_kernel:
-            from dataclasses import replace
-
-            worker_config = replace(config, sim_kernel=resolved)
-        config_json = config_to_json(worker_config)
+        config_json = config_to_json(config)
 
         #: per-seed lease state: expiry count + whether we ran it locally
         expiries: Dict[int, int] = {seed: 0 for seed in seeds}
@@ -317,22 +315,17 @@ class DistributedCoordinator:
         whose trace is attached).
         """
         try:
-            result = _run_one_seed(
+            outcome = _run_one_seed(
                 compiled, config, seed,
                 self.collector if self.collector.enabled else None,
             )
         except Exception as exc:
             detail = str(exc).strip() or type(exc).__name__
-            self.journal.record_cell(
-                circuit_name, label, seed, scale, digest,
-                error=f"{type(exc).__name__}: {detail}", attempts=1,
-                host="coordinator",
+            outcome = SeedFailure(
+                seed=seed, error=f"{type(exc).__name__}: {detail}", attempts=1
             )
-            return
-        self.journal.record_cell(
-            circuit_name, label, seed, scale, digest,
-            result=result_to_json(result), host="coordinator",
-        )
+        _seal_cell(self.journal, circuit_name, seed, outcome, scale=scale,
+                   label=label, digest=digest, host="coordinator")
 
     def close(self) -> None:
         """Seal the campaign-close marker; workers drain and exit."""
@@ -398,26 +391,12 @@ def _execute_lease(
         if collect else NullCollector()
     )
     results, failures = _run_seed_pool(compiled, config, [seed], 1, cellcol)
-    trace = None
-    if seed in results:
-        result, records = results[seed]
-        if records is not None:
-            cellcol.merge_worker_trace(f"worker.{seed}", records)
-        if collect:
-            trace = cellcol.records()
-        journal.record_cell(
-            circuit, label, seed, scale, digest,
-            result=result_to_json(result), host=host, trace=trace,
-        )
-    else:
-        failure = failures[seed]
-        if collect:
-            trace = cellcol.records()
-        journal.record_cell(
-            circuit, label, seed, scale, digest,
-            error=failure.error, attempts=failure.attempts,
-            host=host, trace=trace,
-        )
+    _seal_cell(
+        journal, circuit, seed,
+        results[seed] if seed in results else failures[seed],
+        scale=scale, label=label, digest=digest,
+        host=host, trace=cellcol.records() if collect else None,
+    )
 
 
 def campaign_worker_main(

@@ -18,6 +18,12 @@ re-running them — the resumed output is byte-identical to an
 uninterrupted run's (docs/ROBUSTNESS.md).  ``--jobs N`` fans seeds out
 over fault-isolated worker processes; ``--trace`` / ``--metrics``
 record the whole campaign's telemetry, worker traces included.
+
+:func:`main` turns the execution flags (``--journal``, ``--jobs``,
+``--eval-jobs``, ``--workers-from``) into one
+:class:`~repro.harness.runner.ExecutionPlan` and passes it to every
+driver; a driver called without one runs serially in-process, and
+nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from ..circuit.profiles import (
 from ..core.config import TestGenConfig, ga_params_for_vector_length
 from ..core.generator import GaTestGenerator
 from . import paper_data
-from .runner import AggregateResult, compiled_circuit_for, run_gatest, run_matrix
+from .runner import SERIAL, ExecutionPlan, compiled_circuit_for, run_gatest, run_matrix
 from .tables import TextTable, fmt_mean_std, fmt_time
 
 #: Circuits small enough for quick default runs, per table.
@@ -87,7 +93,8 @@ def _progress(line: str) -> None:
 # Table 1 — parameter schedule (verification, not measurement)
 # ---------------------------------------------------------------------------
 
-def table_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Verify and print the Table 1 parameter schedule."""
     table = TextTable(
         ["Vector length", "Population", "Mutation"],
@@ -106,7 +113,8 @@ def table_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 2 — GA vs deterministic ATPG
 # ---------------------------------------------------------------------------
 
-def table_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """GA vs deterministic ATPG per circuit (paper Table 2)."""
     circuits = circuits or QUICK_CIRCUITS[2]
     measured = TextTable(
@@ -115,7 +123,7 @@ def table_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
         title=f"Table 2 (measured, scale={scale}, {len(seeds)} seeds)",
     )
     for name in circuits:
-        agg = run_gatest(name, TestGenConfig(), seeds, scale=scale)
+        agg = run_gatest(name, TestGenConfig(), seeds, scale=scale, plan=plan)
         _progress(f"{name} GA done")
         compiled = compiled_circuit_for(name, scale)
         # A reduced backtrack budget keeps the deterministic comparator
@@ -157,7 +165,8 @@ def table_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 3 — selection x crossover
 # ---------------------------------------------------------------------------
 
-def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Selection x crossover grid (paper Table 3)."""
     circuits = circuits or QUICK_CIRCUITS[3]
     configs = {
@@ -165,7 +174,8 @@ def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
         for sel in SELECTIONS
         for xo in CROSSOVERS
     }
-    results = run_matrix(circuits, configs, seeds, scale=scale, progress=_progress)
+    results = run_matrix(circuits, configs, seeds, scale=scale,
+                         progress=_progress, plan=plan)
     measured = TextTable(
         ["Circuit"] + [f"{s[:4]}/{x[:4]}" for s in SELECTIONS for x in CROSSOVERS],
         title=f"Table 3 (measured detections, scale={scale}, {len(seeds)} seeds)",
@@ -233,14 +243,16 @@ def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 4 — mutation rate
 # ---------------------------------------------------------------------------
 
-def table_4(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_4(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Sequence-phase mutation-rate sweep (paper Table 4)."""
     circuits = circuits or QUICK_CIRCUITS[4]
     configs = {
         label: TestGenConfig(seq_mutation_rate=rate)
         for label, rate in MUTATION_RATES.items()
     }
-    results = run_matrix(circuits, configs, seeds, scale=scale, progress=_progress)
+    results = run_matrix(circuits, configs, seeds, scale=scale,
+                         progress=_progress, plan=plan)
     measured = TextTable(
         ["Circuit"] + list(MUTATION_RATES),
         title=f"Table 4 (measured detections, scale={scale}, {len(seeds)} seeds)",
@@ -263,7 +275,8 @@ def table_4(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 5 — coding x population size
 # ---------------------------------------------------------------------------
 
-def table_5(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_5(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Binary vs nonbinary coding x population size (paper Table 5)."""
     circuits = circuits or QUICK_CIRCUITS[5]
     cells = [("bin", 16), ("non", 16), ("bin", 32), ("non", 32), ("bin", 64), ("non", 64)]
@@ -274,7 +287,8 @@ def table_5(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
         )
         for coding, pop in cells
     }
-    results = run_matrix(circuits, configs, seeds, scale=scale, progress=_progress)
+    results = run_matrix(circuits, configs, seeds, scale=scale,
+                         progress=_progress, plan=plan)
     measured = TextTable(
         ["Circuit"] + [f"{c}{p}" for c, p in cells],
         title=f"Table 5 (measured detections, scale={scale}, {len(seeds)} seeds)",
@@ -295,7 +309,8 @@ def table_5(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 6 — fault sampling
 # ---------------------------------------------------------------------------
 
-def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Fault-sample sizes: coverage and speedup (paper Table 6)."""
     circuits = circuits or QUICK_CIRCUITS[6]
     # Scale the paper's absolute sample sizes with the circuit scale so
@@ -304,7 +319,8 @@ def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     configs: Dict[str, TestGenConfig] = {"full": TestGenConfig()}
     for size in sizes:
         configs[f"{size}"] = TestGenConfig(fault_sample=size)
-    results = run_matrix(circuits, configs, seeds, scale=scale, progress=_progress)
+    results = run_matrix(circuits, configs, seeds, scale=scale,
+                         progress=_progress, plan=plan)
     measured = TextTable(
         ["Circuit"] + [f"{s}: det/vec/spdup" for s in sizes],
         title=f"Table 6 (measured, scale={scale}, {len(seeds)} seeds; "
@@ -339,7 +355,8 @@ def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Table 7 — overlapping populations
 # ---------------------------------------------------------------------------
 
-def table_7(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def table_7(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+            plan: ExecutionPlan = SERIAL) -> str:
     """Overlapping-population generation gaps (paper Table 7)."""
     circuits = circuits or QUICK_CIRCUITS[7]
     configs: Dict[str, TestGenConfig] = {"nonoverlap": TestGenConfig()}
@@ -349,7 +366,8 @@ def table_7(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
             generation_gap=gap,
             generations=generations,
         )
-    results = run_matrix(circuits, configs, seeds, scale=scale, progress=_progress)
+    results = run_matrix(circuits, configs, seeds, scale=scale,
+                         progress=_progress, plan=plan)
     measured = TextTable(
         ["Circuit"] + [f"{label}: det/vec/spdup" for label in OVERLAP_SETTINGS],
         title=f"Table 7 (measured, scale={scale}, {len(seeds)} seeds)",
@@ -383,7 +401,8 @@ def table_7(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
 # Figures 1 and 2 — flow traces
 # ---------------------------------------------------------------------------
 
-def figure_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def figure_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+             plan: ExecutionPlan = SERIAL) -> str:
     """Trace the overall flow: vectors first, then sequences (Figure 1)."""
     name = (circuits or ["s298"])[0]
     compiled = compiled_circuit_for(name, scale)
@@ -410,7 +429,8 @@ def figure_1(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] =
     return "\n".join(lines)
 
 
-def figure_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None) -> str:
+def figure_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = None,
+             plan: ExecutionPlan = SERIAL) -> str:
     """Trace the phase transitions of vector generation (Figure 2)."""
     name = (circuits or ["s298"])[0]
     compiled = compiled_circuit_for(name, scale)
@@ -421,6 +441,9 @@ def figure_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] =
     return "\n".join(lines)
 
 
+#: Every driver takes ``(scale, seeds, circuits, plan)``.  Table 1 only
+#: checks a schedule and each figure traces one in-process run, so those
+#: three leave ``plan`` unused.
 TABLES = {
     "1": table_1,
     "2": table_2,
@@ -454,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault-sharded candidate evaluation over N "
                              "worker processes per run (bit-identical "
                              "results; see docs/PERFORMANCE.md)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run up to N seeds in parallel, each in its own "
                              "fault-isolated worker process (crashed/hung "
                              "seeds are retried, then reported as failed "
@@ -497,6 +520,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "the coordination substrate)")
     if args.lease_ttl is not None and args.lease_ttl <= 0:
         parser.error("--lease-ttl must be a positive number of seconds")
+    for flag, value in (("--jobs", args.jobs), ("--eval-jobs", args.eval_jobs)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     hosts: Optional[List[str]] = None
     if args.workers_from:
         try:
@@ -508,14 +534,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not hosts:
             parser.error(f"--workers-from file {args.workers_from!r} "
                          "names no hosts")
-    if args.eval_jobs is not None:
-        from .runner import set_default_eval_jobs
-
-        set_default_eval_jobs(args.eval_jobs)
-    if args.jobs is not None:
-        from .runner import set_default_seed_jobs
-
-        set_default_seed_jobs(args.jobs)
     seeds = list(range(1, args.seeds + 1))
     names = list(TABLES) if args.table == "all" else [args.table]
 
@@ -524,11 +542,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     from ..cli import _finish_telemetry, _make_collector
     from ..core.checkpoint import CheckpointError
     from ..telemetry import use
-    from .campaign import CampaignJournal, campaign_scope
+    from .campaign import CampaignJournal
 
     collector = _make_collector(args)
     with ExitStack() as stack:
         stack.enter_context(use(collector))
+        journal = coordinator = None
         if args.journal:
             try:
                 journal = CampaignJournal.create(
@@ -537,7 +556,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             except CheckpointError as exc:
                 raise SystemExit(f"error: {exc}")
-            stack.enter_context(campaign_scope(journal))
             if hosts is not None:
                 from ..parallel.resilience import (
                     LEASE_RETRIES_ENV,
@@ -545,7 +563,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     RetryPolicy,
                 )
                 from .distributed import DistributedCoordinator
-                from .runner import set_distributed_backend
 
                 policy = None
                 try:
@@ -560,15 +577,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                     )
                 except ValueError as exc:  # a malformed REPRO_LEASE_* value
                     raise SystemExit(f"error: {exc}")
-                set_distributed_backend(coordinator)
-                stack.callback(set_distributed_backend, None)
                 stack.callback(coordinator.close)
+        plan = ExecutionPlan(
+            journal=journal, seed_jobs=args.jobs, eval_jobs=args.eval_jobs,
+            coordinator=coordinator,
+        )
         try:
             for name in names:
                 circuits = args.circuits
                 if circuits is None and args.full and name.isdigit():
                     circuits = FULL_CIRCUITS.get(int(name))
-                print(TABLES[name](args.scale, seeds, circuits))
+                print(TABLES[name](args.scale, seeds, circuits, plan=plan))
                 print()
         except CheckpointError as exc:
             raise SystemExit(f"error: {exc}")

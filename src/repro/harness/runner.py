@@ -7,25 +7,38 @@ depth preserved) so the same experiment *structure* can run at laptop
 speed; the full-scale numbers are produced by the same code with
 ``scale=1.0``.
 
-Seed-level parallelism (``jobs > 1``) runs each seed in its *own*
-single-worker process pool
-(:meth:`~repro.parallel.supervisor.SupervisedPool.run_each`) — fault
-isolation: one crashed or hung seed worker cannot take sibling seeds'
-futures down with it.  Failed seeds are retried under a
-:class:`~repro.parallel.resilience.RetryPolicy` (``REPRO_SEED_TIMEOUT``
-/ ``REPRO_SEED_RETRIES``) and, once the budget is exhausted, reported
-as :class:`SeedFailure` entries on
-``AggregateResult.failed_seeds`` — surviving seeds still aggregate.
-``REPRO_CHAOS`` injects deterministic worker crashes/hangs at this
-level too (docs/ROBUSTNESS.md).  When a campaign journal is active
-(:mod:`repro.harness.campaign`), every (circuit, label, seed) cell is
-journaled and completed cells are replayed instead of re-run.
+How the cells run is one argument, an :class:`ExecutionPlan`: a
+campaign journal, seed jobs, eval jobs, a seed retry policy and a
+lease coordinator.  The default plan runs every seed serially
+in-process and journals nothing; ``repro.harness.experiments`` builds
+one plan from its flags and passes it through every table driver and
+:func:`run_matrix` to :func:`run_gatest`.  ``run_gatest`` replays the
+cells the plan's journal already holds and hands the rest to one
+executor, which :func:`_cell_executor` picks from the plan:
+
+* the lease coordinator (:mod:`repro.harness.distributed`), which
+  leases the cells to worker hosts;
+* the seed pool, when ``seed_jobs > 1`` and more than one cell runs.
+  Each seed runs in its *own* single-worker process pool
+  (:meth:`~repro.parallel.supervisor.SupervisedPool.run_each`) — fault
+  isolation: one crashed or hung seed worker cannot take sibling
+  seeds' futures down with it.  Failed seeds are retried under the
+  plan's :class:`~repro.parallel.resilience.RetryPolicy` (default:
+  ``REPRO_SEED_TIMEOUT`` / ``REPRO_SEED_RETRIES``) and, once the
+  budget is exhausted, reported as :class:`SeedFailure` entries on
+  ``AggregateResult.failed_seeds`` — surviving seeds still aggregate.
+  ``REPRO_CHAOS`` injects deterministic worker crashes/hangs at this
+  level too (docs/ROBUSTNESS.md);
+* otherwise this process, one seed after another.
+
+Each executor seals every cell it runs into the plan's journal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.netlist import Circuit
 from ..circuit.synth import synthesize_named
@@ -37,8 +50,11 @@ from ..parallel.supervisor import PoolGaveUp, SupervisedPool
 from ..sim.codegen import resolve_kernel_name
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..telemetry.collector import NullCollector, TelemetryCollector, get_collector
-from .campaign import get_active_campaign, result_from_json, result_to_json
+from .campaign import CampaignJournal, result_from_json, result_to_json
 from .tables import mean_std
+
+if TYPE_CHECKING:  # distributed imports this module
+    from .distributed import DistributedCoordinator
 
 
 @dataclass(frozen=True)
@@ -103,74 +119,51 @@ class AggregateResult:
         return self.det_mean / self.total_faults
 
 
+@dataclass(frozen=True)
+class ExecutionPlan:
+    """How :func:`run_gatest` executes its cells; the default plan runs
+    them serially in this process and journals nothing.
+
+    ``journal`` (a :class:`~repro.harness.campaign.CampaignJournal`)
+    replays completed cells and receives every executed one.
+    ``seed_jobs`` runs up to that many seeds at once, each in its own
+    fault-isolated worker process.  ``eval_jobs``, when set, replaces
+    each config's ``eval_jobs``; the two levels multiply
+    (docs/PERFORMANCE.md).  ``seed_retry`` bounds each seed worker
+    (``None``: ``REPRO_SEED_TIMEOUT`` / ``REPRO_SEED_RETRIES``, read
+    when a pool starts).  ``coordinator`` (a
+    :class:`~repro.harness.distributed.DistributedCoordinator`) leases
+    the cells to worker hosts and seals them into its journal, which
+    must be the plan's ``journal``.
+    """
+
+    journal: Optional[CampaignJournal] = None
+    seed_jobs: int = 1
+    eval_jobs: Optional[int] = None
+    seed_retry: Optional[RetryPolicy] = None
+    coordinator: Optional["DistributedCoordinator"] = None
+
+    def __post_init__(self) -> None:
+        if self.seed_jobs < 1:
+            raise ValueError("seed_jobs must be >= 1")
+        if self.eval_jobs is not None and self.eval_jobs < 1:
+            raise ValueError("eval_jobs must be >= 1")
+        if (self.coordinator is not None
+                and self.coordinator.journal is not self.journal):
+            raise ValueError(
+                "a plan with a lease coordinator must carry that "
+                "coordinator's journal"
+            )
+
+
+#: The default plan: serial, in-process, no journal.
+SERIAL = ExecutionPlan()
+
+#: What every executor returns: ``(results, failures)`` keyed by seed.
+CellOutcomes = Tuple[Dict[int, TestGenResult], Dict[int, SeedFailure]]
+
 #: Cache of compiled synthetic circuits, keyed by (name, scale).
 _circuit_cache: Dict[tuple, CompiledCircuit] = {}
-
-#: Process-wide default for fault-sharded candidate evaluation, applied
-#: by :func:`run_gatest` to configs that left ``eval_jobs`` at 1.  Set
-#: by ``repro.harness.experiments --eval-jobs`` so every table driver
-#: picks it up without threading a parameter through each table builder.
-_default_eval_jobs: Optional[int] = None
-
-#: Process-wide default for seed-level parallelism, applied when
-#: :func:`run_gatest` is called with ``jobs=None``.  Set by
-#: ``repro.harness.experiments --jobs``.
-_default_seed_jobs: Optional[int] = None
-
-#: The distributed campaign backend (duck-typed; in practice a
-#: :class:`repro.harness.distributed.DistributedCoordinator`).  When set
-#: and a campaign journal is active, :func:`run_gatest` routes
-#: non-replayed cells through ``backend.run_cells`` instead of local
-#: pools.  Installed by ``experiments --workers-from``; kept as a
-#: registration seam so this module never imports ``distributed``.
-_distributed_backend = None
-
-
-def set_distributed_backend(backend):
-    """Install the distributed campaign backend; returns the previous.
-
-    ``backend`` must provide ``run_cells(circuit_name, compiled,
-    config, seeds, *, scale, label, digest) -> (results, failures)``
-    with every returned cell already journaled (``None`` uninstalls).
-    """
-    global _distributed_backend
-    previous = _distributed_backend
-    _distributed_backend = backend
-    return previous
-
-
-def get_distributed_backend():
-    """The installed distributed backend, or ``None`` (the default)."""
-    return _distributed_backend
-
-
-def set_default_eval_jobs(jobs: Optional[int]) -> Optional[int]:
-    """Install the harness-wide ``eval_jobs`` default; returns the old one.
-
-    ``None`` (the initial value) leaves configs untouched.  Seed-level
-    process parallelism (``run_gatest(jobs=...)``) and candidate-level
-    sharding multiply: with both active, expect ``jobs * eval_jobs``
-    worker processes — see docs/PERFORMANCE.md before combining them.
-    The default is resolved into the config *before* seeds are shipped
-    to seed workers, so it applies inside the pool as well.
-    """
-    global _default_eval_jobs
-    previous = _default_eval_jobs
-    _default_eval_jobs = jobs
-    return previous
-
-
-def set_default_seed_jobs(jobs: Optional[int]) -> Optional[int]:
-    """Install the harness-wide seed-parallelism default; returns the old.
-
-    Applies to every :func:`run_gatest` call that leaves ``jobs`` at
-    ``None`` — which is how ``experiments --jobs N`` parallelizes whole
-    tables without threading a parameter through each table builder.
-    """
-    global _default_seed_jobs
-    previous = _default_seed_jobs
-    _default_seed_jobs = jobs
-    return previous
 
 
 def compiled_circuit_for(name: str, scale: float = 1.0) -> CompiledCircuit:
@@ -217,16 +210,16 @@ def _run_seed_pool(
     jobs: int,
     collector: NullCollector,
     policy: Optional[RetryPolicy] = None,
-) -> Tuple[Dict[int, Tuple[TestGenResult, Optional[list]]], Dict[int, SeedFailure]]:
+) -> CellOutcomes:
     """Fault-isolated, self-healing multi-seed fan-out.
 
     Each seed runs in its own single-worker pool, at most ``jobs`` at
     once (:meth:`SupervisedPool.run_each`), so one seed's crash or hang
     is *its* failure alone.  A seed that spends its retries (counted by
     ``harness.seed.retries``) becomes a :class:`SeedFailure`; seeds that
-    cannot start for lack of process support run in-process.  Returns
-    ``(results, failures)`` keyed by seed, where each result is
-    ``(TestGenResult, shipped-back trace records or None)``.
+    cannot start for lack of process support run in-process.  Worker
+    traces are merged into ``collector`` under ``worker.<seed>``
+    scopes.  Returns ``(results, failures)`` keyed by seed.
     """
     if policy is None:
         policy = RetryPolicy.from_env(
@@ -242,18 +235,88 @@ def _run_seed_pool(
         [(compiled, config, seed, collector.enabled) for seed in seeds],
         policy,
     )
-    results: Dict[int, Tuple[TestGenResult, Optional[list]]] = {}
+    results: Dict[int, TestGenResult] = {}
     failures: Dict[int, SeedFailure] = {}
     for seed, outcome in zip(seeds, outcomes):
         if not isinstance(outcome, PoolGaveUp):
-            results[seed] = outcome
+            results[seed], records = outcome
+            if records is not None:
+                collector.merge_worker_trace(f"worker.{seed}", records)
         elif outcome.unsupported:
-            results[seed] = (_run_one_seed(compiled, config, seed, collector), None)
+            results[seed] = _run_one_seed(compiled, config, seed, collector)
         else:
             failures[seed] = SeedFailure(
                 seed=seed, error=outcome.error, attempts=outcome.attempts
             )
     return results, failures
+
+
+def _seal_cell(
+    journal: CampaignJournal, circuit_name: str, seed: int,
+    outcome: Union[TestGenResult, SeedFailure],
+    *, scale: float, label: str, digest: str, **stamp,
+) -> None:
+    """Seal one executed cell's result or failure into ``journal``;
+    ``stamp`` (``host``, ``trace``) goes to :meth:`~CampaignJournal.record_cell`."""
+    if isinstance(outcome, SeedFailure):
+        fields = {"error": outcome.error, "attempts": outcome.attempts}
+    else:
+        fields = {"result": result_to_json(outcome)}
+    journal.record_cell(circuit_name, label, seed, scale, digest, **fields, **stamp)
+
+
+def _run_cells_in_process(
+    journal: Optional[CampaignJournal], collector: NullCollector,
+    circuit_name: str, compiled: CompiledCircuit, config: TestGenConfig,
+    seeds: Sequence[int], *, scale: float, label: str, digest: str,
+) -> CellOutcomes:
+    """Executor: run the seeds in this process, sealing each as it ends."""
+    results: Dict[int, TestGenResult] = {}
+    for seed in seeds:
+        results[seed] = _run_one_seed(compiled, config, seed, collector)
+        if journal is not None:
+            _seal_cell(journal, circuit_name, seed, results[seed],
+                       scale=scale, label=label, digest=digest)
+    return results, {}
+
+
+def _run_cells_pooled(
+    plan: ExecutionPlan, collector: NullCollector,
+    circuit_name: str, compiled: CompiledCircuit, config: TestGenConfig,
+    seeds: Sequence[int], *, scale: float, label: str, digest: str,
+) -> CellOutcomes:
+    """Executor: fan the seeds out over the seed pool, then seal them."""
+    results, failures = _run_seed_pool(
+        compiled, config, seeds, plan.seed_jobs, collector, plan.seed_retry
+    )
+    if plan.journal is not None:
+        for seed in seeds:
+            _seal_cell(
+                plan.journal, circuit_name, seed,
+                results[seed] if seed in results else failures[seed],
+                scale=scale, label=label, digest=digest,
+            )
+    return results, failures
+
+
+def _cell_executor(
+    plan: ExecutionPlan, collector: NullCollector, *, leasable: bool, cells: int
+) -> Callable[..., CellOutcomes]:
+    """Pick the executor for ``cells`` cells: the one place that chooses.
+
+    Each candidate has the signature ``run_cells(circuit_name,
+    compiled, config, seeds, *, scale, label, digest) -> (results,
+    failures)`` and seals every cell it runs.  A coordinator takes the
+    cells unless they are not ``leasable`` (an explicit circuit object,
+    which worker hosts cannot rebuild); the seed pool takes them when
+    the plan allows more than one seed job and more than one cell
+    runs; otherwise they run in this process.
+    """
+    if plan.coordinator is not None and leasable:
+        return plan.coordinator.run_cells
+    if plan.seed_jobs > 1 and cells > 1:
+        return partial(_run_cells_pooled, plan, collector)
+    return partial(_run_cells_in_process, plan.journal, collector)
 
 
 def run_gatest(
@@ -262,54 +325,38 @@ def run_gatest(
     seeds: Sequence[int],
     scale: float = 1.0,
     circuit: Optional[Circuit] = None,
-    jobs: Optional[int] = None,
-    eval_jobs: Optional[int] = None,
     collector: Optional[NullCollector] = None,
     label: Optional[str] = None,
-    retry: Optional[RetryPolicy] = None,
+    plan: ExecutionPlan = SERIAL,
 ) -> AggregateResult:
     """Run GATEST over several seeds on one circuit and aggregate.
 
     ``circuit`` overrides the synthetic stand-in (used by tests with
-    bundled circuits).  ``jobs > 1`` fans the seeds out over worker
-    processes (one fault-isolated single-worker pool per seed) — GA
-    runs over distinct seeds are fully independent, the easy level of
-    the parallelism the paper's §VI anticipates; ``jobs=None`` takes
-    the :func:`set_default_seed_jobs` harness default (initially 1).
-    ``eval_jobs`` shards each run's *candidate evaluation* across worker
-    processes instead (within-run parallelism, bit-identical results);
-    it overrides both ``config.eval_jobs`` and the harness default set
-    with :func:`set_default_eval_jobs`, and is resolved into the config
-    before it is shipped to seed workers.  The two levels multiply —
-    prefer seed-level ``jobs`` when there are many seeds, ``eval_jobs``
-    when a single run's wall clock is what matters.
-
-    Crashed or hung seed workers are retried per ``retry`` (default:
-    :class:`RetryPolicy` from ``REPRO_SEED_TIMEOUT`` /
-    ``REPRO_SEED_RETRIES``); seeds that exhaust the budget land on
-    ``AggregateResult.failed_seeds`` while surviving seeds aggregate
-    normally.
+    bundled circuits); it is never leased to worker hosts.  ``plan``
+    says how the seeds run (:class:`ExecutionPlan`; default: serially
+    in this process).  Seed jobs are the easy level of the parallelism
+    the paper's §VI anticipates — GA runs over distinct seeds are fully
+    independent; eval jobs shard each run's candidate evaluation
+    instead (bit-identical results).  The plan's ``eval_jobs`` and the
+    simulation kernel are resolved into the config once, before it is
+    shipped to any worker process or host.  Seeds whose workers crash
+    or hang past the plan's retry budget land on
+    ``AggregateResult.failed_seeds``; surviving seeds still aggregate.
 
     ``collector`` (default: the installed telemetry collector) wraps the
     batch in a ``harness.run_gatest`` span and is handed to every
-    serial-path generator; when telemetry is enabled, pool workers
+    in-process generator; when telemetry is enabled, pool workers
     record into their own collectors and their traces are shipped back
     and merged under ``worker.<seed>`` scopes.
 
-    With an active campaign journal (:mod:`repro.harness.campaign`),
-    each (circuit, ``label``, seed) cell is looked up first — completed
-    cells are replayed bit-identically instead of re-run — and journaled
-    after execution.  ``label`` defaults to a prefix of the config
-    digest, so direct calls journal correctly too.
+    With a journal in the plan (:mod:`repro.harness.campaign`), each
+    (circuit, ``label``, seed) cell is looked up first — completed
+    cells are replayed bit-identically instead of re-run — and the
+    executor seals every cell it runs.  ``label`` defaults to a prefix
+    of the config digest, so direct calls journal correctly too.
     """
     if collector is None:
         collector = get_collector()
-    if jobs is None:
-        jobs = _default_seed_jobs if _default_seed_jobs is not None else 1
-    if eval_jobs is None:
-        eval_jobs = _default_eval_jobs
-    if eval_jobs is not None and eval_jobs != config.eval_jobs:
-        config = replace(config, eval_jobs=eval_jobs)
     compiled = (
         compile_circuit(circuit) if circuit is not None
         else compiled_circuit_for(circuit_name, scale)
@@ -317,81 +364,44 @@ def run_gatest(
     digest = config.digest()
     if label is None:
         label = digest[:12]
-    campaign = get_active_campaign()
+    journal = plan.journal
 
-    replayed: Dict[int, TestGenResult] = {}
+    runs_by_seed: Dict[int, TestGenResult] = {}
     to_run: List[int] = []
     for seed in seeds:
         data = (
-            campaign.lookup(circuit_name, label, seed, scale, digest)
-            if campaign is not None else None
+            journal.lookup(circuit_name, label, seed, scale, digest)
+            if journal is not None else None
         )
         if data is not None:
-            replayed[seed] = result_from_json(data)
+            runs_by_seed[seed] = result_from_json(data)
         else:
             to_run.append(seed)
 
-    runs_by_seed: Dict[int, TestGenResult] = dict(replayed)
-    failures: Dict[int, SeedFailure] = {}
-    backend = get_distributed_backend()
-    journaled_by_backend = False
+    config = replace(
+        config,
+        eval_jobs=plan.eval_jobs or config.eval_jobs,
+        sim_kernel=resolve_kernel_name(config.sim_kernel),
+    )
+    run_cells = _cell_executor(
+        plan, collector, leasable=circuit is None, cells=len(to_run)
+    )
     with collector.span(
-        "harness.run_gatest", circuit=circuit_name, seeds=len(seeds), jobs=jobs
+        "harness.run_gatest", circuit=circuit_name, seeds=len(seeds),
+        jobs=plan.seed_jobs,
     ):
-        if (backend is not None and campaign is not None
-                and circuit is None and to_run):
-            # Distributed campaign: the backend leases the cells to
-            # worker hosts (degrading to local execution if they all
-            # fail) and every returned cell is already sealed in the
-            # journal — worker-side for remote cells, coordinator-side
-            # for degraded ones — so none may be journaled again here.
-            dist_results, failures = backend.run_cells(
-                circuit_name, compiled, config, to_run,
-                scale=scale, label=label, digest=digest,
-            )
-            runs_by_seed.update(dist_results)
-            replayed.update(dist_results)
-            journaled_by_backend = True
-        elif jobs > 1 and len(to_run) > 1:
-            # Ship the *resolved* kernel name so workers pick the same
-            # simulation backend as the parent would, even when it came
-            # from REPRO_SIM_KERNEL and the worker environment differs.
-            worker_config = config
-            resolved = resolve_kernel_name(config.sim_kernel)
-            if resolved != config.sim_kernel:
-                worker_config = replace(config, sim_kernel=resolved)
-            pool_results, failures = _run_seed_pool(
-                compiled, worker_config, to_run, jobs, collector, retry
-            )
-            for seed in to_run:
-                if seed not in pool_results:
-                    continue
-                result, records = pool_results[seed]
-                if records is not None:
-                    collector.merge_worker_trace(f"worker.{seed}", records)
-                runs_by_seed[seed] = result
-        else:
-            for seed in to_run:
-                runs_by_seed[seed] = _run_one_seed(compiled, config, seed, collector)
+        results, failures = run_cells(
+            circuit_name, compiled, config, to_run,
+            scale=scale, label=label, digest=digest,
+        )
+    runs_by_seed.update(results)
 
     agg = AggregateResult(circuit=circuit_name, total_faults=0)
     for seed in seeds:
         if seed in runs_by_seed:
-            result = runs_by_seed[seed]
-            agg.runs.append(result)
-            if campaign is not None and seed not in replayed:
-                campaign.record_cell(
-                    circuit_name, label, seed, scale, digest,
-                    result=result_to_json(result),
-                )
+            agg.runs.append(runs_by_seed[seed])
         else:
-            failure = failures[seed]
-            agg.failed_seeds.append(failure)
-            if campaign is not None and not journaled_by_backend:
-                campaign.record_cell(
-                    circuit_name, label, seed, scale, digest,
-                    error=failure.error, attempts=failure.attempts,
-                )
+            agg.failed_seeds.append(failures[seed])
     totals = {r.total_faults for r in agg.runs}
     if len(totals) > 1:
         raise RuntimeError(
@@ -410,7 +420,7 @@ def run_matrix(
     scale: float = 1.0,
     progress: Optional[Callable[[str], None]] = None,
     collector: Optional[NullCollector] = None,
-    jobs: Optional[int] = None,
+    plan: ExecutionPlan = SERIAL,
 ) -> Dict[str, Dict[str, AggregateResult]]:
     """Run a {config label -> config} matrix over several circuits.
 
@@ -420,16 +430,15 @@ def run_matrix(
     seeds are flagged on the line.  Each cell runs inside a
     ``harness.cell`` telemetry span; the progress line's elapsed time is
     that span's, so the printed and traced timings are one measurement.
-    ``jobs`` is passed through to :func:`run_gatest`.  With an active
-    campaign journal the matrix's circuits and config digests are bound
-    into the journal up front, so a resume against changed configs is
+    ``plan`` is passed through to :func:`run_gatest`.  With a journal in
+    the plan the matrix's circuits and config digests are bound into
+    the journal up front, so a resume against changed configs is
     refused before any work runs.
     """
     if collector is None:
         collector = get_collector()
-    campaign = get_active_campaign()
-    if campaign is not None:
-        campaign.bind(
+    if plan.journal is not None:
+        plan.journal.bind(
             list(circuit_names),
             {lbl: cfg.digest() for lbl, cfg in configs.items()},
         )
@@ -439,7 +448,7 @@ def run_matrix(
         for label, config in configs.items():
             with collector.span("harness.cell", circuit=name, label=label) as cell:
                 agg = run_gatest(name, config, seeds, scale=scale,
-                                 collector=collector, jobs=jobs, label=label)
+                                 collector=collector, label=label, plan=plan)
             results[name][label] = agg
             if progress is not None:
                 failed = (

@@ -21,12 +21,7 @@ import pytest
 
 from repro.core.checkpoint import CheckpointError, seal_journal_record
 from repro.core.config import TestGenConfig
-from repro.harness import (
-    CampaignJournal,
-    campaign_scope,
-    run_gatest,
-    set_default_eval_jobs,
-)
+from repro.harness import CampaignJournal, ExecutionPlan, run_gatest
 from repro.harness.campaign import result_from_json, result_to_json
 from repro.harness.experiments import main as experiments_main
 from repro.parallel.resilience import ChaosConfig, RetryPolicy
@@ -54,7 +49,7 @@ def _chaos_seed(predicate, crash=0.0, hang=0.0, limit=100_000):
 
 
 def _run_serial(seeds):
-    return run_gatest(CIRCUIT, TestGenConfig(), seeds, scale=0.1, jobs=1)
+    return run_gatest(CIRCUIT, TestGenConfig(), seeds, scale=0.1)
 
 
 def _fingerprint(result):
@@ -150,18 +145,18 @@ class TestJournalGuards:
 class TestCampaignReplay:
     def test_completed_cells_replay_bit_identically(self, tmp_path):
         collector = TelemetryCollector(source="test")
-        with campaign_scope(CampaignJournal.create(
-                tmp_path / "j.jsonl", table="t", scale=0.1, seeds=[1, 2],
-                collector=collector)):
-            first = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
-                               collector=collector)
+        plan = ExecutionPlan(journal=CampaignJournal.create(
+            tmp_path / "j.jsonl", table="t", scale=0.1, seeds=[1, 2],
+            collector=collector))
+        first = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                           collector=collector, plan=plan)
         assert collector.counters.get("campaign.cells.completed") == 2
         resumed = CampaignJournal.create(
             tmp_path / "j.jsonl", table="t", scale=0.1, seeds=[1, 2],
             resume=True, collector=collector)
-        with campaign_scope(resumed):
-            second = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
-                                collector=collector)
+        second = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                            collector=collector,
+                            plan=ExecutionPlan(journal=resumed))
         assert collector.counters.get("campaign.resumed") == 1
         assert collector.counters.get("campaign.cells.skipped") == 2
         assert [r.test_sequence for r in second.runs] == \
@@ -192,13 +187,14 @@ class TestAggregationGuard:
 
         monkeypatch.setattr(runner, "_run_one_seed", skewed)
         with pytest.raises(RuntimeError, match="disagree on the collapsed"):
-            run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=1)
+            run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1)
 
 
 class TestSeedPool:
     def test_pool_matches_serial_bit_identically(self):
         serial = _run_serial([1, 2])
-        pooled = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2)
+        pooled = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                            plan=ExecutionPlan(seed_jobs=2))
         assert not pooled.failed_seeds
         assert list(map(_fingerprint, pooled.runs)) == \
             list(map(_fingerprint, serial.runs))
@@ -215,8 +211,8 @@ class TestSeedPool:
         monkeypatch.setenv("REPRO_CHAOS", f"crash:{chaos.crash},seed:{chaos.seed}")
         monkeypatch.setenv("REPRO_SEED_RETRIES", "2")
         collector = TelemetryCollector(source="test")
-        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2,
-                         collector=collector)
+        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                         collector=collector, plan=ExecutionPlan(seed_jobs=2))
         assert [f.seed for f in agg.failed_seeds] == [2]
         assert agg.failed_seeds[0].attempts == 3
         assert collector.counters.get("harness.seed.retries") == 2
@@ -237,8 +233,8 @@ class TestSeedPool:
         )
         monkeypatch.setenv("REPRO_CHAOS", f"crash:{chaos.crash},seed:{chaos.seed}")
         collector = TelemetryCollector(source="test")
-        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2,
-                         collector=collector)
+        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                         collector=collector, plan=ExecutionPlan(seed_jobs=2))
         assert not agg.failed_seeds
         assert collector.counters.get("harness.seed.retries") == 1
         monkeypatch.delenv("REPRO_CHAOS")
@@ -256,8 +252,11 @@ class TestSeedPool:
             f"hang:{chaos.hang},seed:{chaos.seed},hang_seconds:60",
         )
         agg = run_gatest(
-            CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2,
-            retry=RetryPolicy(max_retries=0, task_timeout=1.0),
+            CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+            plan=ExecutionPlan(
+                seed_jobs=2,
+                seed_retry=RetryPolicy(max_retries=0, task_timeout=1.0),
+            ),
         )
         assert [f.seed for f in agg.failed_seeds] == [2]
         assert "timeout" in agg.failed_seeds[0].error
@@ -273,8 +272,8 @@ class TestSeedPool:
         monkeypatch.setenv("REPRO_SEED_RETRIES", "0")
         journal = CampaignJournal.create(tmp_path / "j.jsonl", table="t",
                                          scale=0.1, seeds=[1, 2])
-        with campaign_scope(journal):
-            agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2)
+        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                         plan=ExecutionPlan(journal=journal, seed_jobs=2))
         assert [f.seed for f in agg.failed_seeds] == [2]
         failed = journal.cells(status="failed")
         assert [c["seed"] for c in failed] == [2]
@@ -282,9 +281,8 @@ class TestSeedPool:
         monkeypatch.delenv("REPRO_CHAOS")
         resumed = CampaignJournal.create(tmp_path / "j.jsonl", table="t",
                                          scale=0.1, seeds=[1, 2], resume=True)
-        with campaign_scope(resumed):
-            healed = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
-                                jobs=2)
+        healed = run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                            plan=ExecutionPlan(journal=resumed, seed_jobs=2))
         assert not healed.failed_seeds
         assert not resumed.cells(status="failed")
         assert list(map(_fingerprint, healed.runs)) == \
@@ -295,8 +293,8 @@ class TestWorkerTelemetryShipback:
     def test_worker_traces_merge_under_seed_scopes(self):
         collector = TelemetryCollector(source="test")
         with use(collector):
-            run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1, jobs=2,
-                       collector=collector)
+            run_gatest(CIRCUIT, TestGenConfig(), [1, 2], scale=0.1,
+                       collector=collector, plan=ExecutionPlan(seed_jobs=2))
         assert collector.counters.get("worker.trace.merged") == 2
         scopes = {r.get("scope") for r in collector.events("span")}
         assert {"worker.1", "worker.2"} <= scopes
@@ -308,16 +306,13 @@ class TestWorkerTelemetryShipback:
 
     def test_eval_jobs_default_reaches_seed_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVAL_FORCE_SHARD", "1")
-        set_default_eval_jobs(2)
-        try:
-            collector = TelemetryCollector(source="test")
-            agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2],
-                             scale=0.1, jobs=2, collector=collector)
-        finally:
-            set_default_eval_jobs(None)
+        collector = TelemetryCollector(source="test")
+        agg = run_gatest(CIRCUIT, TestGenConfig(), [1, 2],
+                         scale=0.1, collector=collector,
+                         plan=ExecutionPlan(seed_jobs=2, eval_jobs=2))
         assert not agg.failed_seeds
         # The sharded-evaluation counter can only come from inside the
-        # seed workers — proof the harness default crossed the pool.
+        # seed workers — proof the plan's eval_jobs crossed the pool.
         assert collector.counters.get("parallel.evaluate.sharded", 0) > 0
         assert not _drain_children()
 

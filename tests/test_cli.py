@@ -83,6 +83,28 @@ class TestRun:
         assert parallel.split(",")[:1] == serial.split(",")[:1]
         assert "det 26/26" in parallel
 
+    def test_max_vectors_caps_the_ga_engine(self, capsys, tmp_path):
+        out_file = tmp_path / "tests.txt"
+        code, out = run_cli(
+            capsys, "run", "s298", "--scale", "0.3", "--seed", "3",
+            "--max-vectors", "20", "-o", str(out_file),
+        )
+        assert code == 0
+        lines = [
+            l for l in out_file.read_text().splitlines()
+            if l and not l.startswith("#")
+        ]
+        assert 0 < len(lines) <= 20
+        assert f"wrote {len(lines)} vectors" in out
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_eval_jobs_below_one_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "s27", "--eval-jobs", value])
+        assert exc.value.code == 2
+        assert (f"--eval-jobs must be at least 1, got {value}"
+                in capsys.readouterr().err)
+
     def test_eval_cache_flag(self, capsys):
         """The GA memoizes fitness on every run, so the flag that once
         switched a cache on is gone, and a script passing it fails

@@ -104,3 +104,6 @@ class TestTestGenConfig:
             TestGenConfig(generation_gap=0.0)
         with pytest.raises(ValueError):
             TestGenConfig(population_scale=0.0)
+        for n_islands in (1, 2):  # at construction, not at the first GA run
+            with pytest.raises(ValueError, match="migration_interval"):
+                TestGenConfig(n_islands=n_islands, migration_interval=0)

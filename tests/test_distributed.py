@@ -191,7 +191,7 @@ class TestJournalLeaseEdges:
         collector = TelemetryCollector(source="test")
         journal = _dist_journal(tmp_path, collector=collector)
         result = run_gatest(CIRCUIT, TestGenConfig(), [1],
-                            scale=0.1, jobs=1).runs[0]
+                            scale=0.1).runs[0]
         payload = result_to_json(result)
         journal.record_cell(CIRCUIT, "lbl", 1, 0.1, "a" * 64,
                             result=payload, host="alpha")
@@ -209,7 +209,7 @@ class TestJournalLeaseEdges:
         journal.record_cell(CIRCUIT, "lbl", 1, 0.1, "a" * 64,
                             error="boom", attempts=1, host="alpha")
         result = run_gatest(CIRCUIT, TestGenConfig(), [1],
-                            scale=0.1, jobs=1).runs[0]
+                            scale=0.1).runs[0]
         journal.record_cell(CIRCUIT, "lbl", 1, 0.1, "a" * 64,
                             result=result_to_json(result), host="beta")
         assert journal.result_for(CIRCUIT, "lbl", 1, 0.1)["status"] == "ok"
@@ -337,7 +337,7 @@ class TestDegradation:
             CIRCUIT, compiled, config, [1], scale=0.1, label="lbl",
             digest=config.digest(),
         )
-        direct = run_gatest(CIRCUIT, config, [1], scale=0.1, jobs=1).runs[0]
+        direct = run_gatest(CIRCUIT, config, [1], scale=0.1).runs[0]
         assert results[1].detected == direct.detected
         assert results[1].test_sequence == direct.test_sequence
 

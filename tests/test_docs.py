@@ -130,6 +130,22 @@ class TestCliExampleChecking:
                "command): --eval-retries" in result.stdout
         assert "2 problem(s)" in result.stdout
 
+    def test_unknown_config_field_span_fails(self, tmp_path):
+        """An inline `TestGenConfig(<name>=…)` span must name a field of
+        the dataclass; nested calls and the call's receiver are not
+        read as its keywords.  The stale span is the wording
+        docs/PERFORMANCE.md once used for fault sampling."""
+        result = self._check(tmp_path, (
+            "# x\n\n`TestGenConfig(fault_sample=N)` samples, and so does\n"
+            "`GaTestGenerator(c, TestGenConfig(seed=1, "
+            "seq_length_multipliers=(1.0, 2.0))).run(stop=s)`.\n\n"
+            "`TestGenConfig(seed=1, fault_sample_size=N)` raises.\n"
+        ))
+        assert result.returncode == 1
+        assert "README.md:6: stale config example (not a TestGenConfig " \
+               "field): TestGenConfig(fault_sample_size=" in result.stdout
+        assert "1 problem(s)" in result.stdout
+
     def test_plans_and_history_skip_inline_check(self, tmp_path):
         """ROADMAP.md and CHANGES.md may name in prose commands that do
         not exist yet or any more."""

@@ -5,9 +5,14 @@ so regressions in the regeneration pipeline surface in the unit suite,
 not only during long benchmark runs.
 """
 
+import json
+
 import pytest
 
-from repro.harness import experiments
+from repro.circuit import s27
+from repro.core import TestGenConfig
+from repro.harness import CampaignJournal, ExecutionPlan, experiments, run_gatest, runner
+from repro.telemetry import TelemetryCollector
 
 
 SMALL = dict(scale=0.1, seeds=[1], circuits=["s298"])
@@ -52,6 +57,36 @@ def test_table_7_driver():
     assert "3/4" in out
 
 
+#: The config labels each driver runs its cells under: table 2 calls
+#: ``run_gatest`` directly (label: the config digest's prefix), the
+#: others run a labelled matrix.
+DRIVER_LABELS = {
+    "2": [TestGenConfig().digest()[:12]],
+    "3": [f"{sel}/{xo}" for sel in experiments.SELECTIONS
+          for xo in experiments.CROSSOVERS],
+    "4": list(experiments.MUTATION_RATES),
+    "5": ["bin16", "non16", "bin32", "non32", "bin64", "non64"],
+    "6": ["full", "10", "20", "30"],
+    "7": ["nonoverlap", *experiments.OVERLAP_SETTINGS],
+}
+
+
+@pytest.mark.parametrize("table", sorted(DRIVER_LABELS))
+def test_driver_journals_each_cell(tmp_path, table):
+    """A driver run under a plan with a fresh journal seals exactly one
+    ``ok`` cell per (circuit, config label, seed) it ran."""
+    path = tmp_path / "j.jsonl"
+    journal = CampaignJournal.create(path, table=table, scale=0.1, seeds=[1])
+    experiments.TABLES[table](**SMALL, plan=ExecutionPlan(journal=journal))
+    cells = [json.loads(line) for line in path.read_text().splitlines()]
+    cells = [c for c in cells if c["kind"] == "campaign-cell"]
+    assert all(c["status"] == "ok" for c in cells)
+    keys = [(c["circuit"], c["label"], c["seed"]) for c in cells]
+    assert sorted(keys) == sorted(
+        ("s298", label, 1) for label in DRIVER_LABELS[table]
+    )
+
+
 def test_figures():
     out1 = experiments.figure_1(0.1, [1], ["s298"])
     assert "stage 1" in out1
@@ -63,3 +98,42 @@ def test_main_cli(capsys):
     code = experiments.main(["--table", "1"])
     assert code == 0
     assert "Table 1" in capsys.readouterr().out
+
+
+def test_main_leaves_no_execution_state_behind(capsys, monkeypatch):
+    """The flags of one ``main`` call build that call's plan and nothing
+    else: a later ``run_gatest`` with the default plan runs in-process,
+    one seed at a time, with each config's own ``eval_jobs``."""
+    assert experiments.main(
+        ["--table", "1", "--jobs", "3", "--eval-jobs", "2"]) == 0
+    capsys.readouterr()
+    eval_jobs = []
+    real = runner._run_one_seed
+
+    def spy(compiled, config, seed, collector=None):
+        eval_jobs.append(config.eval_jobs)
+        return real(compiled, config, seed, collector)
+
+    monkeypatch.setattr(runner, "_run_one_seed", spy)
+    collector = TelemetryCollector(source="test")
+    agg = run_gatest("s27", TestGenConfig(), [1, 2], circuit=s27(),
+                     collector=collector)
+    assert agg.n_runs == 2
+    spans = [s for s in collector.events("span")
+             if s["name"] == "harness.run_gatest"]
+    assert [s["jobs"] for s in spans] == [1]
+    assert not [r for r in collector.records()
+                if str(r.get("scope", "")).startswith("worker.")]
+    assert eval_jobs == [1, 1]
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--eval-jobs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_worker_count_below_one_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        experiments.main(["--table", "4", "--scale", "0.1", "--seeds", "1",
+                          "--circuits", "s298", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1, got {value}" in captured.err
+    assert not captured.out  # refused before any table ran

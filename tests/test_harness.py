@@ -5,6 +5,7 @@ import pytest
 from repro.circuit.profiles import TABLE2_CIRCUITS
 from repro.core import TestGenConfig
 from repro.harness import (
+    ExecutionPlan,
     TextTable,
     fmt_mean_std,
     fmt_time,
@@ -100,7 +101,8 @@ class TestRunner:
     def test_parallel_jobs_match_serial(self, s27_circuit):
         serial = run_gatest("s27", TestGenConfig(), [1, 2], circuit=s27_circuit)
         parallel = run_gatest(
-            "s27", TestGenConfig(), [1, 2], circuit=s27_circuit, jobs=2
+            "s27", TestGenConfig(), [1, 2], circuit=s27_circuit,
+            plan=ExecutionPlan(seed_jobs=2),
         )
         assert [r.detected for r in serial.runs] == [
             r.detected for r in parallel.runs

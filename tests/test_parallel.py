@@ -21,7 +21,7 @@ from repro.faults import FaultSimulator
 from repro.faults.simulator import _BatchLayout
 from repro.ga import GAParams, GeneticAlgorithm
 from repro.ga.chromosome import make_coding
-from repro.harness import run_gatest
+from repro.harness import ExecutionPlan, run_gatest
 from repro.parallel import ParallelEvaluator, plan_shards
 from repro.telemetry import TelemetryCollector
 
@@ -222,7 +222,8 @@ class TestGeneratorDeterminism:
         config = TestGenConfig(max_vectors=12)
         baseline = run_gatest("s27", config, seeds=[1, 2], circuit=circuit)
         parallel = run_gatest(
-            "s27", config, seeds=[1, 2], circuit=circuit, eval_jobs=jobs
+            "s27", config, seeds=[1, 2], circuit=circuit,
+            plan=ExecutionPlan(eval_jobs=jobs),
         )
         for a, b in zip(baseline.runs, parallel.runs):
             assert a.test_sequence == b.test_sequence

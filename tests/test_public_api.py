@@ -31,7 +31,7 @@ def test_subpackage_alls():
     import repro.sim
 
     for module in (repro.circuit, repro.sim, repro.faults, repro.ga,
-                   repro.core, repro.baselines):
+                   repro.core, repro.baselines, repro.harness):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
 

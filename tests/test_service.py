@@ -99,6 +99,10 @@ class TestParseJob:
             ({"kind": "fsim", "circuit": "s27"}, "'vectors'"),
             ({"kind": "fsim", "circuit": "s27", "vectors": [[0, 2]]}, "0/1"),
             ({"kind": "fsim", "circuit": "s27", "vectors": [[0], [0, 1]]}, "bits"),
+            # Refused on acceptance, not when the first GA run starts.
+            ({"kind": "run", "circuit": "s27",
+              "config": {"n_islands": 2, "migration_interval": 0}},
+             "migration_interval must be >= 1"),
         ],
     )
     def test_rejections(self, payload, message):
@@ -650,6 +654,10 @@ class TestHttpApi:
         client, _ = live_service
         with pytest.raises(ServiceError) as err:
             client.submit({"kind": "zap"})
+        assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "run", "circuit": "s27",
+                           "config": {"migration_interval": 0}})
         assert err.value.status == 400
         with pytest.raises(ServiceError) as err:
             client.job("j0000-nothere")

@@ -37,6 +37,12 @@ subcommand.  ROADMAP.md and CHANGES.md are skipped, because they
 hold plans and history, which may name commands that do not exist
 (yet, or any more).
 
+**Config fields** — an inline code span in :data:`INLINE_DOCS` that
+calls ``TestGenConfig(...)`` may pass only keywords that are fields of
+the real dataclass (``repro.core.config.TestGenConfig``), so a doc
+that quotes a renamed or deleted field fails instead of documenting a
+call that raises ``TypeError``.
+
 **Environment variables** — every ``REPRO_`` name in
 :data:`INLINE_DOCS` and in the CI workflow (:data:`ENV_DOCS`) must
 appear in some file under src/, benchmarks/ or tools/
@@ -359,6 +365,44 @@ def check_cli_blocks(
 
 
 # ----------------------------------------------------------------------
+# TestGenConfig keywords in inline code
+# ----------------------------------------------------------------------
+
+_CONFIG_CALL = re.compile(r"\bTestGenConfig\(")
+_NESTED = re.compile(r"\([^()]*\)")
+_KEYWORD = re.compile(r"(?:^|,)\s*([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def _config_fields(root: Path) -> set:
+    """The field names of the real ``TestGenConfig`` under ``root/src``."""
+    src = str(root / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from dataclasses import fields
+
+    from repro.core.config import TestGenConfig
+
+    return {f.name for f in fields(TestGenConfig)}
+
+
+def check_config_spans(path: Path, known: set) -> List[Tuple[int, str, str]]:
+    """(line, quote, reason) for every keyword an inline
+    ``TestGenConfig(...)`` span passes that is not in ``known``."""
+    problems: List[Tuple[int, str, str]] = []
+    raw_lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, text in _inline_spans(raw_lines):
+        for call in _CONFIG_CALL.finditer(text):
+            args = text[call.end():]
+            while _NESTED.search(args):  # drop nested calls and tuples
+                args = _NESTED.sub("", args)
+            for name in _KEYWORD.findall(args.split(")", 1)[0]):
+                if name not in known:
+                    problems.append((lineno, f"TestGenConfig({name}=",
+                                     "not a TestGenConfig field"))
+    return problems
+
+
+# ----------------------------------------------------------------------
 # Environment variable names
 # ----------------------------------------------------------------------
 
@@ -475,6 +519,7 @@ def main(argv: List[str]) -> int:
     failures = 0
     checked = 0
     commands = _cli_parsers(root)
+    config_fields = _config_fields(root)
     inline_docs = {path for pattern in INLINE_DOCS for path in root.glob(pattern)}
     for pattern in DOC_GLOBS:
         for path in sorted(root.glob(pattern)):
@@ -489,6 +534,13 @@ def main(argv: List[str]) -> int:
                 failures += 1
                 print(f"{path.relative_to(root)}:{lineno}: stale CLI "
                       f"example ({reason}): {target}")
+            if path in inline_docs:
+                for lineno, quote, reason in check_config_spans(
+                    path, config_fields
+                ):
+                    failures += 1
+                    print(f"{path.relative_to(root)}:{lineno}: stale config "
+                          f"example ({reason}): {quote}")
     env_docs = sorted(inline_docs) + [
         root / name for name in ENV_DOCS if (root / name).exists()
     ]
