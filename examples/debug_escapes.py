@@ -7,7 +7,9 @@ After running GATEST this script answers the engineer's next question —
 2. SCOAP testability analysis: are the escapes hard-to-control or
    hard-to-observe sites?
 3. a VCD waveform dump of the generated test set around one escape's
-   fault site (open it in GTKWave or any waveform viewer).
+   fault site (written to a temporary directory here; give
+   :func:`~repro.sim.dump_vcd` your own path to open it in GTKWave or
+   any waveform viewer).
 
 Run:  python examples/debug_escapes.py [circuit] [scale]
 e.g.  python examples/debug_escapes.py s526 0.5
@@ -15,6 +17,7 @@ e.g.  python examples/debug_escapes.py s526 0.5
 
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.circuit import analyze_testability
@@ -73,10 +76,11 @@ def main() -> None:
     neighbourhood = [site] + [
         circuit.node_names[f] for f in circuit.fanins[hardest.node]
     ]
-    out = Path("escape_debug.vcd")
-    dump_vcd(circuit, result.test_sequence, out, signals=neighbourhood)
-    print(f"wrote {out} with signals {neighbourhood} "
-          f"({len(result.test_sequence)} cycles) — inspect with a waveform viewer")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "escape_debug.vcd"
+        dump_vcd(circuit, result.test_sequence, out, signals=neighbourhood)
+        print(f"wrote {out.name} ({out.stat().st_size} bytes) with signals "
+              f"{neighbourhood} ({len(result.test_sequence)} cycles)")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
-"""Comparator test generators: random, CRIS-like, and deterministic ATPG."""
+"""Comparator test generators: random, CRIS-like, and deterministic ATPG.
+
+Each ``run()`` returns a :class:`~repro.faults.reports.TestSetResult`
+(the random generator that record itself; the others a subclass adding
+their own fields).
+"""
 
 from .contest import ContestLikeGenerator, ContestResult
 from .cris import CrisLikeGenerator, CrisResult
 from .deterministic import DeterministicAtpg, DeterministicResult
 from .podem import Podem, PodemResult, PodemStatus, Unrolled, unroll
-from .random_tpg import RandomTestGenerator, RandomTpgResult
+from .random_tpg import RandomTestGenerator
 from .weighted_random import WeightedRandomGenerator, WeightedRandomResult, scoap_weights
 
 __all__ = [
@@ -21,7 +26,6 @@ __all__ = [
     "WeightedRandomGenerator",
     "WeightedRandomResult",
     "scoap_weights",
-    "RandomTpgResult",
     "Unrolled",
     "unroll",
 ]

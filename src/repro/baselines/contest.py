@@ -23,30 +23,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from ..circuit.netlist import Circuit
+from ..faults.reports import TestSetResult
 from ..faults.simulator import FaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 
 
 @dataclass
-class ContestResult:
+class ContestResult(TestSetResult):
     """Outcome of a CONTEST-like run."""
 
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
-    elapsed_seconds: float
     evaluations: int
-
-    @property
-    def vectors(self) -> int:
-        """Test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the fault list."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
 
 
 class ContestLikeGenerator:
@@ -59,9 +45,7 @@ class ContestLikeGenerator:
         stagnation_limit: Optional[int] = None,
         max_vectors: int = 5_000,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.rng = random.Random(seed)
         depth = max(1, compiled.circuit.sequential_depth())

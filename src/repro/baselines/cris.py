@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from ..circuit.netlist import Circuit
+from ..faults.reports import TestSetResult
 from ..faults.simulator import FaultSimulator
 from ..ga.chromosome import make_coding
 from ..ga.engine import GAParams, GeneticAlgorithm
@@ -33,25 +34,10 @@ from ..sim.compile import CompiledCircuit, compile_circuit
 
 
 @dataclass
-class CrisResult:
+class CrisResult(TestSetResult):
     """Outcome of a CRIS-like run."""
 
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
-    elapsed_seconds: float
     ga_evaluations: int
-
-    @property
-    def vectors(self) -> int:
-        """Test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the fault list."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
 
 
 class CrisLikeGenerator:
@@ -67,9 +53,7 @@ class CrisLikeGenerator:
         stagnation_limit: int = 8,
         max_vectors: int = 2_000,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.rng = random.Random(seed)
         depth = max(1, compiled.circuit.sequential_depth())

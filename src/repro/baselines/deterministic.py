@@ -19,39 +19,32 @@ untestability), not HITEC's exact heuristics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault, FaultStatus
+from ..faults.reports import TestSetResult
 from ..faults.simulator import FaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 from .podem import Podem, PodemStatus, Unrolled, unroll
 
 
 @dataclass
-class DeterministicResult:
+class DeterministicResult(TestSetResult):
     """Outcome of a deterministic ATPG run."""
 
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
     untestable: int              # proven untestable within the frame window
     aborted: int                 # backtrack limit hit
-    elapsed_seconds: float
     backtracks: int
     targeted: int                # faults PODEM actually ran on
 
-    @property
-    def vectors(self) -> int:
-        """Test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the fault list."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
+    def summary(self) -> str:
+        """The shared row plus the untestable and aborted counts."""
+        return (
+            f"{super().summary()}, untestable {self.untestable}, "
+            f"aborted {self.aborted}"
+        )
 
 
 class DeterministicAtpg:
@@ -65,9 +58,7 @@ class DeterministicAtpg:
         backtrack_limit: int = 400,
         seed_vectors: int = 0,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.circuit = compiled.circuit
         depth = max(1, self.circuit.sequential_depth())

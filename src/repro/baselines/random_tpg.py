@@ -10,33 +10,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from ..circuit.netlist import Circuit
+from ..faults.reports import TestSetResult
 from ..faults.simulator import FaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
-
-
-@dataclass
-class RandomTpgResult:
-    """Outcome of a random test-generation run."""
-
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
-    elapsed_seconds: float
-
-    @property
-    def vectors(self) -> int:
-        """Test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the fault list."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
 
 
 class RandomTestGenerator:
@@ -55,9 +34,7 @@ class RandomTestGenerator:
         stagnation_limit: Optional[int] = None,
         batch: int = 32,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.rng = random.Random(seed)
         self.max_vectors = max_vectors
@@ -65,7 +42,7 @@ class RandomTestGenerator:
         self.batch = max(1, batch)
         self.fsim = FaultSimulator(compiled)
 
-    def run(self) -> RandomTpgResult:
+    def run(self) -> TestSetResult:
         """Apply random vectors until the budget or stagnation limit."""
         start = time.perf_counter()
         n_pi = self.compiled.num_pis
@@ -87,7 +64,7 @@ class RandomTestGenerator:
                     and stagnant >= self.stagnation_limit
                 ):
                     break
-        return RandomTpgResult(
+        return TestSetResult(
             circuit_name=self.compiled.circuit.name,
             test_sequence=test_sequence,
             detected=self.fsim.detected_count,

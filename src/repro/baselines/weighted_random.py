@@ -26,30 +26,16 @@ from typing import List, Optional, Union
 
 from ..circuit.netlist import Circuit
 from ..circuit.testability import analyze
+from ..faults.reports import TestSetResult
 from ..faults.simulator import FaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 
 
 @dataclass
-class WeightedRandomResult:
+class WeightedRandomResult(TestSetResult):
     """Outcome of a weighted-random run."""
 
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
-    elapsed_seconds: float
     final_weights: List[float]
-
-    @property
-    def vectors(self) -> int:
-        """Test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the fault list."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
 
 
 def scoap_weights(circuit: Circuit, strength: float = 0.25) -> List[float]:
@@ -90,9 +76,7 @@ class WeightedRandomGenerator:
         adapt: bool = True,
         batch: int = 16,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.rng = random.Random(seed)
         self.max_vectors = max_vectors

@@ -50,27 +50,6 @@ class GateType(enum.Enum):
         return self not in (GateType.INPUT, GateType.DFF)
 
 
-#: Gate types whose controlling value is 0 (AND family) or 1 (OR family).
-CONTROLLING_VALUE = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-
-#: Inversion parity of each gate type (output inverted w.r.t. the
-#: "underlying" monotone function).
-INVERTING = {
-    GateType.NAND: True,
-    GateType.NOR: True,
-    GateType.NOT: True,
-    GateType.XNOR: True,
-    GateType.AND: False,
-    GateType.OR: False,
-    GateType.BUFF: False,
-    GateType.XOR: False,
-}
-
 # Names accepted by the .bench parser, lowercase, mapped to GateType.
 BENCH_NAMES = {
     "and": GateType.AND,

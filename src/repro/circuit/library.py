@@ -144,8 +144,12 @@ def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
 
     The one spelling of "name a circuit" shared by the CLI and the job
     service: a ``.bench`` file path, a :func:`list_builtin` name, or an
-    ISCAS89 profile name (optionally ``name@variant``) synthesized with
-    ``seed``/``scale``.  Raises :class:`ValueError` on an unknown spec —
+    ISCAS89 profile name synthesized with ``seed``/``scale``.  A profile
+    name may carry its scale as ``name@<scale>`` — the name a scaled
+    stand-in reports (``s298@0.3``) — so a circuit's own name resolves
+    back to it; ``scale`` then stays at its default 1.0 or equals the
+    suffix.  Raises :class:`ValueError` on an unknown spec, a suffix that
+    is not a number, or a ``scale`` that conflicts with the suffix —
     callers map that to their own error surface (``SystemExit`` for the
     CLI, HTTP 400 for the service).
     """
@@ -160,11 +164,25 @@ def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
         return load_bench(path)
     if spec in list_builtin():
         return build_builtin(spec)
-    if spec.split("@")[0] in ISCAS89_PROFILES:
-        return synthesize_named(spec.split("@")[0], seed=seed, scale=scale)
+    name, at, suffix = spec.partition("@")
+    if name in ISCAS89_PROFILES:
+        if at:
+            try:
+                named = float(suffix)
+            except ValueError:
+                raise ValueError(
+                    f"circuit {spec!r}: scale suffix {suffix!r} is not a number"
+                ) from None
+            if scale not in (1.0, named):
+                raise ValueError(
+                    f"circuit {spec!r} names scale {named:g} but scale "
+                    f"{scale:g} was also given"
+                )
+            scale = named
+        return synthesize_named(name, seed=seed, scale=scale)
     raise ValueError(
         f"unknown circuit {spec!r} — give a .bench path, one of "
-        f"{list_builtin()}, or an ISCAS89 name like s298"
+        f"{list_builtin()}, or an ISCAS89 name like s298 or s298@0.3"
     )
 
 

@@ -59,17 +59,6 @@ _MASKABLE_TYPES = [
     GateType.NAND, GateType.NOR,
 ]
 
-#: Gate mix for the deep core (linear-heavy: controllable, propagating).
-_CORE_MIX = [
-    (GateType.XOR, 30),
-    (GateType.XNOR, 14),
-    (GateType.NOT, 16),
-    (GateType.BUFF, 10),
-    (GateType.NAND, 16),
-    (GateType.NOR, 14),
-]
-_CORE_TYPES = [t for t, w in _CORE_MIX for _ in range(w)]
-
 _FANIN_CHOICES = [2, 2, 2, 2, 3, 3]
 
 

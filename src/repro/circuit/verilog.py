@@ -36,9 +36,6 @@ _PRIMITIVES = {
 }
 _PRIMITIVE_OF = {v: k for k, v in _PRIMITIVES.items()}
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_$]*|\\[^ ]+ ?"
-
-
 def _sanitize(name: str) -> str:
     """Make a netlist name a legal Verilog identifier (escape if needed)."""
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name):

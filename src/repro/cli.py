@@ -46,6 +46,20 @@ def _load_circuit(spec: str, scale: float, seed: int):
         raise SystemExit(f"error: {exc}")
 
 
+def _refuse_bad_counts(parser: argparse.ArgumentParser, *flags) -> None:
+    """Usage error for a ``(flag, value)`` count below 1 (``None`` is
+    unset), naming the flag rather than failing later in a traceback."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
+
+
+def _refuse_bad_scale(parser: argparse.ArgumentParser, scale: float) -> None:
+    """Usage error for a ``--scale`` outside the profiles' (0, 1]."""
+    if not 0 < scale <= 1:
+        parser.error(f"--scale must be in (0, 1], got {scale:g}")
+
+
 def _write_tests(path: Path, vectors: List[List[int]]) -> None:
     lines = ["# one test vector per line, one bit per primary input"]
     lines += ["".join(str(b) for b in v) for v in vectors]
@@ -137,19 +151,6 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
             raise SystemExit(f"error: {exc}")
         finally:
             generator.close()
-        print(result.summary())
-        vectors = result.test_sequence
-        if args.compact:
-            from .core.compaction import compact_test_set
-
-            compaction = compact_test_set(circuit, vectors)
-            vectors = compaction.test_sequence
-            print(
-                f"compacted: {compaction.original_vectors} -> "
-                f"{compaction.compacted_vectors} vectors "
-                f"({100 * compaction.reduction:.0f}% smaller), "
-                f"coverage preserved"
-            )
     elif args.engine == "hybrid":
         from .core import HybridAtpg
 
@@ -160,24 +161,24 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
             sim_kernel=args.kernel,
         )
         result = HybridAtpg(circuit, config).run()
-        print(result.summary())
-        vectors = result.test_sequence
     elif args.engine == "random":
         result = RandomTestGenerator(circuit, seed=args.seed,
                                      max_vectors=args.max_vectors or 1000).run()
-        print(
-            f"{result.circuit_name}: det {result.detected}/{result.total_faults} "
-            f"({100 * result.fault_coverage:.1f}%), vec {result.vectors}"
-        )
-        vectors = result.test_sequence
     else:  # deterministic
         result = DeterministicAtpg(circuit).run()
+    print(result.summary())
+    vectors = result.test_sequence
+    if args.compact and args.engine == "ga":
+        from .core.compaction import compact_test_set
+
+        compaction = compact_test_set(circuit, vectors)
+        vectors = compaction.test_sequence
         print(
-            f"{result.circuit_name}: det {result.detected}/{result.total_faults} "
-            f"({100 * result.fault_coverage:.1f}%), vec {result.vectors}, "
-            f"untestable {result.untestable}, aborted {result.aborted}"
+            f"compacted: {compaction.original_vectors} -> "
+            f"{compaction.compacted_vectors} vectors "
+            f"({100 * compaction.reduction:.0f}% smaller), "
+            f"coverage preserved"
         )
-        vectors = result.test_sequence
     if args.output:
         _write_tests(Path(args.output), vectors)
         print(f"wrote {len(vectors)} vectors to {args.output}")
@@ -453,8 +454,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(raw)
-    if args.command == "run" and args.eval_jobs < 1:
-        parser.error(f"--eval-jobs must be at least 1, got {args.eval_jobs}")
+    if args.command == "run":
+        _refuse_bad_counts(
+            parser,
+            ("--eval-jobs", args.eval_jobs),
+            ("--islands", args.islands),
+            ("--sample", args.sample),
+            ("--checkpoint-every", args.checkpoint_every),
+        )
+    if getattr(args, "scale", None) is not None:
+        _refuse_bad_scale(parser, args.scale)
     return args.func(args)
 
 

@@ -8,7 +8,6 @@ from .checkpoint import (
     load_checkpoint,
     load_run_checkpoint,
     restore_sim_run_state,
-    run_checkpoint_is_preempted,
     save_checkpoint,
     save_run_checkpoint,
     sim_run_state,
@@ -47,7 +46,6 @@ __all__ = [
     "load_checkpoint",
     "load_run_checkpoint",
     "restore_sim_run_state",
-    "run_checkpoint_is_preempted",
     "RunPreempted",
     "save_checkpoint",
     "save_run_checkpoint",

@@ -142,9 +142,7 @@ def load_checkpoint(
     The circuit must match the checkpoint's fingerprint exactly.  The
     word-width key older builds wrote is ignored.
     """
-    compiled = (
-        circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-    )
+    compiled = compile_circuit(circuit)
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != FORMAT_VERSION:
         raise CheckpointError(
@@ -285,18 +283,6 @@ def load_run_checkpoint(path: Union[str, Path]) -> dict:
             "(truncated or corrupted file)"
         )
     return payload
-
-
-def run_checkpoint_is_preempted(payload: dict) -> bool:
-    """Whether a (loaded) run checkpoint was written by a preemption.
-
-    A preempted checkpoint is an ordinary run checkpoint in every other
-    respect — same schema, same guards, resumes bit-identically — the
-    marker only records *why* the run stopped, so operators and the job
-    service can distinguish "preempted mid-run, resumable" from
-    "finished" (``stage == "done"``) when inspecting state directories.
-    """
-    return bool(payload.get("preempted"))
 
 
 # ----------------------------------------------------------------------

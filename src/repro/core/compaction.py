@@ -63,9 +63,7 @@ class TestSetCompactor:
         circuit: Union[Circuit, CompiledCircuit],
         faults: Optional[List[Fault]] = None,
     ) -> None:
-        self.compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        self.compiled = compile_circuit(circuit)
         self._faults = faults
         self.trials = 0
 

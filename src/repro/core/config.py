@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
+from ..faults.sampling import make_sampler
 from ..sim.codegen import KERNEL_NAMES
 
 
@@ -154,6 +155,10 @@ class TestGenConfig:
             raise ValueError("generation gap must be in (0, 1]")
         if self.population_scale <= 0:
             raise ValueError("population_scale must be positive")
+        try:
+            make_sampler(self.fault_sample)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"fault_sample: {exc}") from None
 
     def digest(self) -> str:
         """Hash of every result-affecting knob (run-checkpoint guard).

@@ -153,9 +153,7 @@ class GaTestGenerator:
         collector: Optional[NullCollector] = None,
         fsim: Optional[FaultSimulator] = None,
     ) -> None:
-        compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        compiled = compile_circuit(circuit)
         self.compiled = compiled
         self.circuit = compiled.circuit
         self.config = (config or TestGenConfig()).for_circuit(self.circuit.name)

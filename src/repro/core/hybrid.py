@@ -17,13 +17,12 @@ justifies the hybrid (deterministic effort shrinks to the residue).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from ..baselines.deterministic import DeterministicAtpg, DeterministicResult
 from ..circuit.netlist import Circuit
-from ..faults.model import Fault
-from ..faults.simulator import FaultSimulator
+from ..faults.reports import TestSetResult
 from ..sim.compile import CompiledCircuit, compile_circuit
 from .config import TestGenConfig
 from .generator import GaTestGenerator
@@ -31,12 +30,10 @@ from .results import TestGenResult
 
 
 @dataclass
-class HybridResult:
-    """Outcome of the two-pass flow."""
+class HybridResult(TestSetResult):
+    """Outcome of the two-pass flow: ``detected`` and ``elapsed_seconds``
+    are the sums of the two passes, whose own shares follow."""
 
-    circuit_name: str
-    test_sequence: List[List[int]]
-    total_faults: int
     ga_detected: int
     deterministic_detected: int
     untestable: int
@@ -45,21 +42,6 @@ class HybridResult:
     deterministic_seconds: float
     ga_result: TestGenResult
     deterministic_result: Optional[DeterministicResult]
-
-    @property
-    def detected(self) -> int:
-        """Total faults detected across both passes."""
-        return self.ga_detected + self.deterministic_detected
-
-    @property
-    def vectors(self) -> int:
-        """Combined test-set length."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction across both passes."""
-        return self.detected / self.total_faults if self.total_faults else 0.0
 
     @property
     def fault_efficiency(self) -> float:
@@ -92,9 +74,7 @@ class HybridAtpg:
         backtrack_limit: int = 400,
         max_frames: Optional[int] = None,
     ) -> None:
-        self.compiled = (
-            circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
-        )
+        self.compiled = compile_circuit(circuit)
         self.config = config or TestGenConfig()
         self.backtrack_limit = backtrack_limit
         self.max_frames = max_frames
@@ -131,7 +111,9 @@ class HybridAtpg:
         return HybridResult(
             circuit_name=self.compiled.circuit.name,
             test_sequence=test_sequence,
+            detected=ga_result.detected + deterministic_detected,
             total_faults=ga_result.total_faults,
+            elapsed_seconds=ga_seconds + deterministic_seconds,
             ga_detected=ga_result.detected,
             deterministic_detected=deterministic_detected,
             untestable=untestable,

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..faults.model import Fault
+from ..faults.reports import TestSetResult
 from .fitness import Phase
 
 
@@ -28,43 +29,19 @@ class StageEvent:
 
 
 @dataclass
-class TestGenResult:
-    """Everything a GATEST run produced.
+class TestGenResult(TestSetResult):
+    """Everything a GATEST run produced: the shared test-set record plus
+    the GA's effort, its phase history and the per-fault detections."""
 
-    ``test_sequence`` is the full stream of committed vectors in
-    application order (the paper's "Vec" column is its length);
-    ``detected`` counts collapsed faults detected ("Det" column).
-    """
-
-    __test__ = False  # "Test" prefix confuses pytest collection otherwise
-
-    circuit_name: str
-    test_sequence: List[List[int]]
-    detected: int
-    total_faults: int
-    elapsed_seconds: float
     ga_evaluations: int
     ga_runs: int
     phase_transitions: List[Tuple[int, Phase]]
     trace: List[StageEvent] = field(default_factory=list)
     detections: List[Tuple[Fault, int]] = field(default_factory=list)
 
-    @property
-    def vectors(self) -> int:
-        """Test-set length (the paper's Vec column)."""
-        return len(self.test_sequence)
-
-    @property
-    def fault_coverage(self) -> float:
-        """Detected fraction of the collapsed fault list."""
-        if self.total_faults == 0:
-            return 0.0
-        return self.detected / self.total_faults
-
     def summary(self) -> str:
         """One paper-style row: detections, vectors, time."""
         return (
-            f"{self.circuit_name}: det {self.detected}/{self.total_faults} "
-            f"({100 * self.fault_coverage:.1f}%), vec {self.vectors}, "
-            f"{self.elapsed_seconds:.1f}s, {self.ga_evaluations} evaluations"
+            f"{super().summary()}, {self.elapsed_seconds:.1f}s, "
+            f"{self.ga_evaluations} evaluations"
         )

@@ -8,7 +8,7 @@ The transition model joins it through one per-frame force hook.
 
 from .collapse import CollapsedFaults, collapse_faults, collapsed_fault_list
 from .model import STEM, Fault, FaultStatus, fault_universe_size, generate_faults
-from .reports import CoverageReport, coverage_report
+from .reports import CoverageReport, TestSetResult, coverage_report
 from .sampling import FaultSampler, FixedSize, Fraction, FullList, make_sampler
 from .simulator import (
     CandidateEval,
@@ -37,6 +37,7 @@ __all__ = [
     "Fraction",
     "FullList",
     "SimSnapshot",
+    "TestSetResult",
     "TransitionFault",
     "TransitionFaultSimulator",
     "collapse_faults",

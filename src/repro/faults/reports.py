@@ -1,20 +1,60 @@
 """Coverage reporting over fault-simulation results.
 
-Turns the raw state of a :class:`~repro.faults.simulator.FaultSimulator`
-(or a :class:`~repro.core.results.TestGenResult`) into the reports a
-test engineer actually reads: the coverage curve over the test set, the
-undetected-fault list grouped by region, and a one-page text summary.
+:class:`TestSetResult` is the record every test generator returns (the
+GA, the hybrid flow and each baseline): the test set with the paper's
+three scores — faults detected, vectors and time.  :func:`coverage_report`
+turns the raw state of a :class:`~repro.faults.simulator.FaultSimulator`
+into the reports a test engineer actually reads: the coverage curve over
+the test set, the undetected-fault list grouped by region, and a
+one-page text summary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..circuit.netlist import Circuit
 from .model import Fault, FaultStatus
 from .simulator import FaultSimulator
+
+
+@dataclass
+class TestSetResult:
+    """A generated test set and its score, as every generator reports it.
+
+    ``test_sequence`` is the committed vectors in application order (the
+    paper's "Vec" column is its length); ``detected`` counts faults of
+    the ``total_faults`` the generator targeted ("Det" column).
+    Generators with more to report subclass this record and declare only
+    their extra fields.
+    """
+
+    __test__ = False  # "Test" prefix confuses pytest collection otherwise
+
+    circuit_name: str
+    test_sequence: List[List[int]]
+    detected: int
+    total_faults: int
+    elapsed_seconds: float
+
+    @property
+    def vectors(self) -> int:
+        """Test-set length (the paper's Vec column)."""
+        return len(self.test_sequence)
+
+    @property
+    def fault_coverage(self) -> float:
+        """Detected fraction of the fault list."""
+        return self.detected / self.total_faults if self.total_faults else 0.0
+
+    def summary(self) -> str:
+        """One paper-style row: detections and vectors."""
+        return (
+            f"{self.circuit_name}: det {self.detected}/{self.total_faults} "
+            f"({100 * self.fault_coverage:.1f}%), vec {self.vectors}"
+        )
 
 
 @dataclass

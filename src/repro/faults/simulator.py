@@ -406,10 +406,7 @@ class FaultSimulator:
         eval_jobs: int = 1,
         kernel: Optional[str] = None,
     ) -> None:
-        if isinstance(circuit, CompiledCircuit):
-            self.compiled = circuit
-        else:
-            self.compiled = compile_circuit(circuit)
+        self.compiled = compile_circuit(circuit)
         self.collector = collector if collector is not None else get_collector()
         self._kernel = kernel_for(self.compiled, kernel, collector=self.collector)
         #: Backend actually evaluating the compiled program (one of

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..circuit.gates import X
 from ..circuit.netlist import Circuit
-from ..sim.compile import CompiledCircuit
+from ..sim.compile import CompiledCircuit, compile_circuit
 from .simulator import FaultSimulator
 
 
@@ -86,12 +86,7 @@ class TransitionFaultSimulator(FaultSimulator):
         eval_jobs: int = 1,
         kernel: Optional[str] = None,
     ) -> None:
-        if isinstance(circuit, CompiledCircuit):
-            compiled = circuit
-        else:
-            from ..sim.compile import compile_circuit
-
-            compiled = compile_circuit(circuit)
+        compiled = compile_circuit(circuit)
         if faults is None:
             faults = generate_transition_faults(compiled.circuit)
         super().__init__(compiled, faults=faults,  # type: ignore[arg-type]

@@ -510,6 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI: regenerate tables/figures by number (see module docstring)."""
+    from ..cli import (
+        _finish_telemetry,
+        _make_collector,
+        _refuse_bad_counts,
+        _refuse_bad_scale,
+    )
+
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -520,9 +527,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "the coordination substrate)")
     if args.lease_ttl is not None and args.lease_ttl <= 0:
         parser.error("--lease-ttl must be a positive number of seconds")
-    for flag, value in (("--jobs", args.jobs), ("--eval-jobs", args.eval_jobs)):
-        if value is not None and value < 1:
-            parser.error(f"{flag} must be at least 1, got {value}")
+    _refuse_bad_counts(parser, ("--seeds", args.seeds), ("--jobs", args.jobs),
+                       ("--eval-jobs", args.eval_jobs))
+    _refuse_bad_scale(parser, args.scale)
     hosts: Optional[List[str]] = None
     if args.workers_from:
         try:
@@ -539,7 +546,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from contextlib import ExitStack
 
-    from ..cli import _finish_telemetry, _make_collector
     from ..core.checkpoint import CheckpointError
     from ..telemetry import use
     from .campaign import CampaignJournal

@@ -237,17 +237,6 @@ TABLE7: Dict[str, Dict[str, Tuple[float, int, float]]] = {
               "1/2": (3156, 490, 1.23), "3/4": (3193, 500, 1.33)},
 }
 
-#: Paper-level summary claims checked by the benchmark suite.
-PAPER_CLAIMS = {
-    "best_selection": "tournament",
-    "best_crossover": "uniform",
-    "overlap_speedup_gap_3_4": 1.3,     # average speedup at G = 3/4
-    "overlap_coverage_drop_pct": 0.4,   # average coverage drop at G = 3/4
-    "test_len_vs_hitec": 0.42,          # GA test length / HITEC test length
-    "mutation_effect": "small",         # vs selection/crossover effect
-}
-
-
 def table3_scheme_means() -> Dict[str, float]:
     """Mean detected fraction per selection scheme across Table 3.
 

@@ -87,10 +87,6 @@ RETRY_AFTER_SECONDS = 1
 #: cooperatively at a stage boundary (resumable via resubmission).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "preempted")
 
-#: States a job never leaves (and the ledger events that record them).
-TERMINAL_STATES = ("done", "failed", "cancelled", "preempted")
-
-
 class JobValidationError(ValueError):
     """A job request payload is malformed (HTTP layer maps this to 400)."""
 

@@ -14,7 +14,7 @@ interpreter they must match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
@@ -67,8 +67,14 @@ class CompiledCircuit:
         return len(self.ff_ids)
 
 
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile a finalized circuit into its evaluation program."""
+def compile_circuit(circuit: Union[Circuit, CompiledCircuit]) -> CompiledCircuit:
+    """Compile a finalized circuit into its evaluation program.
+
+    A :class:`CompiledCircuit` is returned unchanged, so every consumer
+    that accepts either form compiles with this one call.
+    """
+    if isinstance(circuit, CompiledCircuit):
+        return circuit
     program: List[Instruction] = []
     for node_id in circuit.topo_order:
         gate_type = circuit.node_types[node_id]

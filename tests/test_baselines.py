@@ -1,13 +1,17 @@
 """Tests for the comparator test generators (random, CRIS-like, PODEM)."""
 
+import re
+
 import pytest
 
 from repro.baselines import (
+    ContestLikeGenerator,
     CrisLikeGenerator,
     DeterministicAtpg,
     Podem,
     PodemStatus,
     RandomTestGenerator,
+    WeightedRandomGenerator,
     unroll,
 )
 from repro.circuit import (
@@ -19,7 +23,41 @@ from repro.circuit import (
     s27,
     shift_register,
 )
-from repro.faults import STEM, Fault, FaultSimulator, collapsed_fault_list
+from repro.core import GaTestGenerator, HybridAtpg, TestGenConfig
+from repro.faults import (
+    STEM,
+    Fault,
+    FaultSimulator,
+    TestSetResult,
+    collapsed_fault_list,
+)
+
+_ROW = r"minifsm: det \d+/26 \(\d+\.\d%\), vec \d+"
+
+
+class TestSharedResultRecord:
+    """Every generator reports the one record, printed by its summary():
+    the shared row, plus whatever the generator adds to it."""
+
+    @pytest.mark.parametrize("make, line", [
+        (lambda c: GaTestGenerator(c, TestGenConfig(seed=1)),
+         _ROW + r", \d+\.\ds, \d+ evaluations"),
+        (lambda c: HybridAtpg(c, TestGenConfig(seed=1)),
+         r"minifsm: GA \d+ \+ deterministic \d+ = \d+/26 detected .*"),
+        (lambda c: RandomTestGenerator(c, seed=1, max_vectors=64), _ROW),
+        (lambda c: WeightedRandomGenerator(c, seed=1, max_vectors=64), _ROW),
+        (lambda c: CrisLikeGenerator(c, seed=1, max_vectors=64), _ROW),
+        (lambda c: ContestLikeGenerator(c, seed=1, max_vectors=64), _ROW),
+        (lambda c: DeterministicAtpg(c),
+         _ROW + r", untestable \d+, aborted \d+"),
+    ], ids=["ga", "hybrid", "random", "weighted", "cris", "contest",
+            "deterministic"])
+    def test_every_generator_returns_the_shared_record(self, make, line):
+        result = make(mini_fsm()).run()
+        assert isinstance(result, TestSetResult)
+        assert result.vectors == len(result.test_sequence)
+        assert result.fault_coverage == result.detected / result.total_faults
+        assert re.fullmatch(line, result.summary()), result.summary()
 
 
 class TestRandomTpg:

@@ -58,6 +58,11 @@ class TestRun:
         )
         assert code == 0
         assert f": {detected} faults detected" in replay
+        # The name the run reports resolves to the same scaled circuit.
+        assert out.startswith("s298@0.3: det ")
+        code, replay = run_cli(capsys, "fsim", "s298@0.3", str(out_file))
+        assert code == 0
+        assert replay.startswith(f"s298@0.3: {detected} faults detected")
 
     def test_random_engine(self, capsys):
         code, out = run_cli(
@@ -104,6 +109,26 @@ class TestRun:
         assert exc.value.code == 2
         assert (f"--eval-jobs must be at least 1, got {value}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--islands", "--sample",
+                                      "--checkpoint-every"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "s27", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["synth", "s298"], ["info", "s298"],
+                                         ["run", "s298"]],
+                             ids=["synth", "info", "run"])
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    def test_scale_outside_profiles_is_a_usage_error(self, capsys, command,
+                                                     value):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--scale", value])
+        assert exc.value.code == 2
+        assert f"--scale must be in (0, 1], got {value}" in capsys.readouterr().err
 
     def test_eval_cache_flag(self, capsys):
         """The GA memoizes fitness on every run, so the flag that once

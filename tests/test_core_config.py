@@ -107,3 +107,7 @@ class TestTestGenConfig:
         for n_islands in (1, 2):  # at construction, not at the first GA run
             with pytest.raises(ValueError, match="migration_interval"):
                 TestGenConfig(n_islands=n_islands, migration_interval=0)
+        # Refused here, as make_sampler would refuse it once the run starts.
+        for fault_sample in (0, -2, 1.5, "x", True):
+            with pytest.raises(ValueError, match="fault_sample"):
+                TestGenConfig(fault_sample=fault_sample)

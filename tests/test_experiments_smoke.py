@@ -127,7 +127,7 @@ def test_main_leaves_no_execution_state_behind(capsys, monkeypatch):
     assert eval_jobs == [1, 1]
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--eval-jobs"])
+@pytest.mark.parametrize("flag", ["--jobs", "--eval-jobs", "--seeds"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_worker_count_below_one_is_a_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -137,3 +137,14 @@ def test_worker_count_below_one_is_a_usage_error(capsys, flag, value):
     captured = capsys.readouterr()
     assert f"{flag} must be at least 1, got {value}" in captured.err
     assert not captured.out  # refused before any table ran
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5"])
+def test_scale_outside_profiles_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        experiments.main(["--table", "4", "--seeds", "1", "--circuits",
+                          "s298", "--scale", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--scale must be in (0, 1], got {value}" in captured.err
+    assert not captured.out

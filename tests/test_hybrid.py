@@ -11,6 +11,8 @@ class TestHybrid:
     def test_counts_consistent(self):
         result = run_hybrid(mini_fsm(), TestGenConfig(seed=1))
         assert result.detected == result.ga_detected + result.deterministic_detected
+        assert result.elapsed_seconds == (
+            result.ga_seconds + result.deterministic_seconds)
         assert result.detected + result.untestable <= result.total_faults
         assert 0.0 <= result.fault_coverage <= result.fault_efficiency <= 1.0
 

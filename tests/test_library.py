@@ -8,7 +8,9 @@ from repro.circuit import (
     mini_fsm,
     parity_tracker,
     resettable_counter,
+    resolve_spec,
     shift_register,
+    synthesize_named,
     uninitializable_loop,
 )
 from repro.circuit.gates import X
@@ -107,3 +109,26 @@ class TestRegistry:
     def test_unknown_builtin_raises(self):
         with pytest.raises(KeyError, match="unknown builtin"):
             build_builtin("nope")
+
+
+class TestResolveSpec:
+    def test_scaled_name_resolves_to_that_circuit(self):
+        from repro.core.checkpoint import circuit_fingerprint
+
+        scaled = synthesize_named("s298", scale=0.3)
+        assert scaled.name == "s298@0.3"
+        for scale in (1.0, 0.3):  # the default defers to the suffix
+            resolved = resolve_spec(scaled.name, scale=scale)
+            assert circuit_fingerprint(resolved) == circuit_fingerprint(scaled)
+        assert (circuit_fingerprint(resolve_spec("s298"))
+                != circuit_fingerprint(scaled))
+
+    @pytest.mark.parametrize("spec, scale, message", [
+        ("s298@x", 1.0, "not a number"),
+        ("s298@", 1.0, "not a number"),
+        ("s298@0.3", 0.5, "also given"),
+        ("s298@0", 1.0, "scale must be in"),
+    ])
+    def test_bad_scale_suffix_is_refused(self, spec, scale, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_spec(spec, scale=scale)

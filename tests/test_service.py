@@ -103,6 +103,9 @@ class TestParseJob:
             ({"kind": "run", "circuit": "s27",
               "config": {"n_islands": 2, "migration_interval": 0}},
              "migration_interval must be >= 1"),
+            *(({"kind": "run", "circuit": "s27",
+                "config": {"fault_sample": bad}}, "invalid config: fault_sample")
+              for bad in (0, -2, 1.5, "x", True)),
         ],
     )
     def test_rejections(self, payload, message):
@@ -655,10 +658,11 @@ class TestHttpApi:
         with pytest.raises(ServiceError) as err:
             client.submit({"kind": "zap"})
         assert err.value.status == 400
-        with pytest.raises(ServiceError) as err:
-            client.submit({"kind": "run", "circuit": "s27",
-                           "config": {"migration_interval": 0}})
-        assert err.value.status == 400
+        for config in ({"migration_interval": 0}, {"fault_sample": 0}):
+            with pytest.raises(ServiceError) as err:
+                client.submit({"kind": "run", "circuit": "s27",
+                               "config": config})
+            assert err.value.status == 400
         with pytest.raises(ServiceError) as err:
             client.job("j0000-nothere")
         assert err.value.status == 404
