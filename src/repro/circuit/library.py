@@ -11,7 +11,8 @@ detectable-fault sets) can be derived by hand.
 from __future__ import annotations
 
 from importlib import resources
-from typing import List
+from pathlib import Path
+from typing import List, Tuple
 
 from .bench import parse_bench
 from .gates import GateType
@@ -139,6 +140,50 @@ def mini_fsm() -> Circuit:
     return circuit.finalize()
 
 
+def _profile_scale(spec: str, scale: float) -> Tuple[str, float]:
+    """Split an ISCAS89 profile's ``name@<scale>`` into the bare name and
+    the scale it names; any other spec comes back as given.  ``scale``
+    must be 1.0 or equal the suffix.  The one parser of ``name@<scale>``.
+    """
+    from .profiles import ISCAS89_PROFILES
+
+    name, at, suffix = spec.partition("@")
+    if not at or name not in ISCAS89_PROFILES:
+        return spec, scale
+    try:
+        named = float(suffix)
+    except ValueError:
+        raise ValueError(
+            f"circuit {spec!r}: scale suffix {suffix!r} is not a number"
+        ) from None
+    if scale not in (1.0, named):
+        raise ValueError(
+            f"circuit {spec!r} names scale {named:g} but scale "
+            f"{scale:g} was also given"
+        )
+    return name, named
+
+
+def canonical_spec(
+    spec: str, scale: float = 1.0, seed: int = 0
+) -> Tuple[str, float, int]:
+    """The ``(spec, scale, seed)`` :func:`resolve_spec` resolves, spelled
+    one way for each circuit (the job service's warm-registry key).
+
+    A ``.bench`` path or builtin name ignores ``scale`` and ``seed``, so
+    both become 1.0 and 0.  A profile's ``name@<scale>`` (the name a
+    scaled stand-in reports, ``s298@0.3``) becomes the bare name and that
+    scale, unless the bare name is a builtin too (``s27``), whose
+    stand-ins only the suffix tells apart.  Raises :class:`ValueError`
+    on a suffix that is not a number or that conflicts with ``scale``.
+    """
+    path = Path(spec)
+    if (path.suffix == ".bench" and path.exists()) or spec in list_builtin():
+        return (spec, 1.0, 0)
+    name, scale = _profile_scale(spec, scale)
+    return (spec if name in list_builtin() else name, float(scale), int(seed))
+
+
 def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
     """Resolve a circuit spec string to a :class:`Circuit`.
 
@@ -153,8 +198,6 @@ def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
     callers map that to their own error surface (``SystemExit`` for the
     CLI, HTTP 400 for the service).
     """
-    from pathlib import Path
-
     from .bench import load_bench
     from .profiles import ISCAS89_PROFILES
     from .synth import synthesize_named
@@ -164,21 +207,8 @@ def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
         return load_bench(path)
     if spec in list_builtin():
         return build_builtin(spec)
-    name, at, suffix = spec.partition("@")
+    name, scale = _profile_scale(spec, scale)
     if name in ISCAS89_PROFILES:
-        if at:
-            try:
-                named = float(suffix)
-            except ValueError:
-                raise ValueError(
-                    f"circuit {spec!r}: scale suffix {suffix!r} is not a number"
-                ) from None
-            if scale not in (1.0, named):
-                raise ValueError(
-                    f"circuit {spec!r} names scale {named:g} but scale "
-                    f"{scale:g} was also given"
-                )
-            scale = named
         return synthesize_named(name, seed=seed, scale=scale)
     raise ValueError(
         f"unknown circuit {spec!r} — give a .bench path, one of "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .atomicio import atomic_write_text
 from .baselines import DeterministicAtpg, RandomTestGenerator
@@ -52,6 +52,44 @@ def _refuse_bad_counts(parser: argparse.ArgumentParser, *flags) -> None:
     for flag, value in flags:
         if value is not None and value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
+
+
+#: The engine-specific ``gatest run`` flags each engine reads (all read
+#: the circuit, --scale, --compact, -o, --trace and --metrics).  The GA
+#: and hybrid engines build one config from the same flags, but the
+#: hybrid engine's PODEM pass takes stuck-at faults only.
+_CONFIG_FLAGS = ("--seed", "--selection", "--crossover", "--coding",
+                 "--sample", "--fault-model", "--islands", "--max-vectors",
+                 "--eval-jobs", "--kernel")
+ENGINE_FLAGS = {
+    "ga": _CONFIG_FLAGS + ("--checkpoint", "--checkpoint-every", "--resume"),
+    "hybrid": tuple(f for f in _CONFIG_FLAGS if f != "--fault-model"),
+    "random": ("--seed", "--max-vectors"),
+    "deterministic": (),
+}
+
+
+def unread_run_flags(engine: str, flags: Iterable[str]) -> List[str]:
+    """The flags among ``flags`` that ``gatest run --engine ENGINE``
+    does not read.  ``gatest run`` refuses them as a usage error, and
+    tools/check_doc_links.py refuses documented invocations that give
+    them."""
+    return [flag for flag in flags
+            if flag in ENGINE_FLAGS["ga"] and flag not in ENGINE_FLAGS[engine]]
+
+
+def _refuse_unread_flags(parser: argparse.ArgumentParser,
+                         args: argparse.Namespace) -> None:
+    """Usage error for a flag set off its default that the engine
+    does not read."""
+    defaults = parser.parse_args(["run", args.circuit])
+    dests = {flag: flag[2:].replace("-", "_") for flag in ENGINE_FLAGS["ga"]}
+    given = [flag for flag, dest in dests.items()
+             if getattr(args, dest) != getattr(defaults, dest)]
+    unread = unread_run_flags(args.engine, given)
+    if unread:
+        parser.error(f"--engine {args.engine} does not read "
+                     f"{', '.join(unread)}")
 
 
 def _refuse_bad_scale(parser: argparse.ArgumentParser, scale: float) -> None:
@@ -122,21 +160,19 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
     circuit = _load_circuit(args.circuit, args.scale, 0)
     if args.resume and not args.checkpoint:
         raise SystemExit("error: --resume requires --checkpoint")
-    if args.checkpoint and args.engine != "ga":
-        raise SystemExit("error: --checkpoint is only supported by --engine ga")
+    config = TestGenConfig(
+        seed=args.seed,
+        selection=args.selection,
+        crossover=args.crossover,
+        coding=args.coding,
+        fault_sample=args.sample,
+        fault_model=args.fault_model,
+        n_islands=args.islands,
+        max_vectors=args.max_vectors,
+        eval_jobs=args.eval_jobs,
+        sim_kernel=args.kernel,
+    )
     if args.engine == "ga":
-        config = TestGenConfig(
-            seed=args.seed,
-            selection=args.selection,
-            crossover=args.crossover,
-            coding=args.coding,
-            fault_sample=args.sample,
-            fault_model=args.fault_model,
-            n_islands=args.islands,
-            max_vectors=args.max_vectors,
-            eval_jobs=args.eval_jobs,
-            sim_kernel=args.kernel,
-        )
         generator = GaTestGenerator(circuit, config, collector=collector)
         # The finally mirrors run()'s own cleanup but also covers the
         # window where run() never starts (and close() is idempotent),
@@ -154,12 +190,6 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
     elif args.engine == "hybrid":
         from .core import HybridAtpg
 
-        config = TestGenConfig(
-            seed=args.seed, fault_sample=args.sample,
-            max_vectors=args.max_vectors,
-            eval_jobs=args.eval_jobs,
-            sim_kernel=args.kernel,
-        )
         result = HybridAtpg(circuit, config).run()
     elif args.engine == "random":
         result = RandomTestGenerator(circuit, seed=args.seed,
@@ -168,10 +198,11 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
         result = DeterministicAtpg(circuit).run()
     print(result.summary())
     vectors = result.test_sequence
-    if args.compact and args.engine == "ga":
+    if args.compact:
         from .core.compaction import compact_test_set
 
-        compaction = compact_test_set(circuit, vectors)
+        compaction = compact_test_set(circuit, vectors,
+                                      fault_model=args.fault_model)
         vectors = compaction.test_sequence
         print(
             f"compacted: {compaction.original_vectors} -> "
@@ -334,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resume from --checkpoint; the finished run is "
                           "bit-identical to an uninterrupted one")
     run.add_argument("--compact", action="store_true",
-                     help="statically compact the generated test set")
+                     help="statically compact the generated test set, "
+                          "re-simulated under the run's fault model")
     run.add_argument("--max-vectors", type=int, default=None, metavar="N",
                      help="cap on vectors the GA commits (hybrid: its GA "
                           "pass; random engine: default 1000)")
@@ -462,6 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--sample", args.sample),
             ("--checkpoint-every", args.checkpoint_every),
         )
+        _refuse_unread_flags(parser, args)
     if getattr(args, "scale", None) is not None:
         _refuse_bad_scale(parser, args.scale)
     return args.func(args)

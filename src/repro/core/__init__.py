@@ -4,10 +4,14 @@ from .checkpoint import (
     RUN_FORMAT_VERSION,
     CheckpointError,
     circuit_fingerprint,
+    config_from_json,
+    config_to_json,
     fault_list_digest,
     load_checkpoint,
     load_run_checkpoint,
     restore_sim_run_state,
+    result_from_json,
+    result_to_json,
     save_checkpoint,
     save_run_checkpoint,
     sim_run_state,
@@ -42,10 +46,14 @@ __all__ = [
     "CheckpointError",
     "RUN_FORMAT_VERSION",
     "circuit_fingerprint",
+    "config_from_json",
+    "config_to_json",
     "fault_list_digest",
     "load_checkpoint",
     "load_run_checkpoint",
     "restore_sim_run_state",
+    "result_from_json",
+    "result_to_json",
     "RunPreempted",
     "save_checkpoint",
     "save_run_checkpoint",

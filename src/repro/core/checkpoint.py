@@ -1,51 +1,42 @@
-"""Checkpointing for long test-generation campaigns.
+"""Every persisted JSON shape of the reproduction, and its one hash.
 
-The paper's largest run (s35932, full fault list) took 105 hours on its
-hardware; campaigns of that length need to survive interruption.  Three
-layers live here:
+GATEST depends on storing and restoring the good and faulty circuit
+states (paper §IV); a paper-scale run (105 hours for s35932) survives
+interruption only if that state is saved faithfully.  This module owns
+every format in which state, configs and results are stored or shipped:
 
-* **Simulator checkpoints** (:func:`save_checkpoint` /
-  :func:`load_checkpoint`) — a faithful JSON rendering of one
-  :class:`~repro.faults.simulator.FaultSimulator`'s committed state
-  plus the vectors that produced it, for callers that manage their own
-  campaign loop.
-* **Run checkpoints** (:func:`save_run_checkpoint` /
-  :func:`load_run_checkpoint` plus the ``sim_run_state`` helpers) — the
-  *complete* :class:`~repro.core.generator.GaTestGenerator` run state:
-  simulator state, test set, phase tracker, RNG state, GA counters and
-  stage trace, guarded by a schema version, a circuit fingerprint, a
-  config digest and a whole-payload content hash.  ``gatest run
-  --checkpoint CKPT --checkpoint-every N`` writes them periodically and
-  ``--resume`` continues a killed run bit-identically (the RNG state
-  makes the continuation replay exactly what an uninterrupted run would
-  have done).  See ``docs/ROBUSTNESS.md`` for the schema and
-  compatibility rules.
-* **Sealed logs** (:func:`append_journal_record` /
-  :func:`load_sealed_log`) — append-only JSONL files whose every line
-  carries its own content hash: the campaign journals of the harness's
-  multi-run experiment campaigns (:mod:`repro.harness.campaign`, whose
-  header, binding the campaign's identity, :func:`check_campaign_header`
-  checks) and the job service's ledger.  One
-  writer and one loader serve both, with one torn-line rule: a final
-  line without a newline is a crashed append, dropped on load and cut
-  by the next writer; any other bad line, an unknown schema version or
-  a mismatched header is refused with :class:`CheckpointError`, never
-  silently misread.
+* **Sealed documents**: one JSON object per file, written atomically
+  (:mod:`repro.atomicio`) under a ``kind`` and a ``format`` number and
+  sealed by a ``content_hash`` over every other field.  Loaders check
+  kind and format, then the seal, so a truncated, bit-flipped or
+  foreign file raises :class:`CheckpointError` instead of being misread.
+  *Run checkpoints* (``gatest-run`` format 1, :func:`save_run_checkpoint`)
+  hold a whole :class:`~repro.core.generator.GaTestGenerator` run, which
+  ``gatest run --checkpoint CKPT --resume`` continues bit-identically.
+  *Simulator checkpoints* (``gatest-sim`` format 2, :func:`save_checkpoint`)
+  hold one simulator's committed state (:func:`sim_run_state`), its
+  fault list, of either fault model, and a test set; format-1 files,
+  which were unsealed, are refused.
+* **Sealed logs** (:func:`append_journal_record`, :func:`load_sealed_log`):
+  append-only JSONL files whose every line carries its own hash, the
+  harness's campaign journals and the job service's ledger.  A final
+  line without a newline is a crashed append, dropped on load and cut by
+  the next writer; any other bad line is refused naming ``path:line``.
+* **Codecs** for configs with every field (leases and service tier
+  tasks ship them), run results (campaign cells, service job results),
+  faults of both models and stage events.
 
-Simulator and run checkpoint writes are atomic (tmp + fsync + rename,
-via :mod:`repro.atomicio`): a crash mid-write leaves the previous
-checkpoint intact, never a torn file.
+One canonical rendering (:func:`canonical_json`) and its SHA-256
+(:func:`canonical_sha256`) give every seal and log line, the job
+service's payload digest and its run key.  Circuits are not stored,
+their fingerprints are, and both checkpoint loaders refuse another
+netlist (:func:`check_fingerprint`).  Simulator-level use::
 
-The circuit itself is *not* stored; a fingerprint (structural hash) is,
-and both loaders refuse to restore onto a different netlist.  Typical
-simulator-level usage::
-
-    sim = FaultSimulator(circuit)
-    sim.commit(first_batch)
-    save_checkpoint("run.ckpt.json", sim, test_sequence=first_batch)
-    ...
-    sim, vectors = load_checkpoint("run.ckpt.json", circuit)
+    save_checkpoint("sim.json", sim, test_sequence=first_batch)
+    sim, vectors = load_checkpoint("sim.json", circuit)
     sim.commit(next_batch)   # continues where the first session stopped
+
+docs/ROBUSTNESS.md has the schemas and compatibility rules.
 """
 
 from __future__ import annotations
@@ -53,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -60,11 +52,15 @@ from ..atomicio import atomic_write_text
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault, FaultStatus
 from ..faults.simulator import FaultSimulator, SimSnapshot
-from ..faults.transition import TransitionFaultSimulator
+from ..faults.transition import TransitionFault, TransitionFaultSimulator
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..sim.logic3 import GoodState
+from .config import TestGenConfig
+from .fitness import Phase
+from .results import StageEvent, TestGenResult
 
-FORMAT_VERSION = 1
+#: Schema version of *simulator* checkpoints.
+FORMAT_VERSION = 2
 
 #: Schema version of *run* checkpoints (the generator-level payload).
 RUN_FORMAT_VERSION = 1
@@ -76,6 +72,21 @@ CAMPAIGN_FORMAT_VERSION = 1
 class CheckpointError(Exception):
     """Raised on version, fingerprint, digest or content-hash
     mismatches, and on corrupt checkpoint files."""
+
+
+def canonical_json(value: object) -> str:
+    """The one canonical JSON rendering: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_sha256(value: object) -> str:
+    """SHA-256 hex digest of :func:`canonical_json`."""
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+def _seal(record: dict, field: str) -> str:
+    """The hash over everything in ``record`` except its seal ``field``."""
+    return canonical_sha256({k: v for k, v in record.items() if k != field})
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -92,102 +103,46 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return hasher.hexdigest()
 
 
-def save_checkpoint(
-    path: Union[str, Path],
-    simulator: FaultSimulator,
-    test_sequence: Optional[Sequence[Sequence[int]]] = None,
-) -> None:
-    """Write the simulator's committed state (and the test set) as JSON.
-
-    Only stuck-at simulators: a transition-fault simulator raises
-    :class:`CheckpointError` (run checkpoints cover transition runs).
-    """
-    if isinstance(simulator, TransitionFaultSimulator):
-        raise CheckpointError(
-            "save_checkpoint stores stuck-at fault simulators only, not the "
-            "transition fault model; use a run checkpoint "
-            "(gatest run --checkpoint), which supports transition runs"
-        )
-    payload = {
-        "format": FORMAT_VERSION,
-        "circuit": simulator.circuit.name,
-        "fingerprint": circuit_fingerprint(simulator.circuit),
-        "faults": [
-            [f.node, f.pin, f.stuck_at] for f in simulator.faults
-        ],
-        "status": [
-            s is FaultStatus.DETECTED for s in simulator.status
-        ],
-        "good_state": simulator.good_state.ff_values,
-        "divergence": {
-            str(fault_id): divergence
-            for fault_id, divergence in simulator.divergence.items()
-        },
-        "vectors_applied": simulator.vectors_applied,
-        "detections": [
-            [[f.node, f.pin, f.stuck_at], frame]
-            for f, frame in simulator.detections
-        ],
-        "test_sequence": [list(v) for v in (test_sequence or [])],
-    }
-    atomic_write_text(path, json.dumps(payload))
-
-
-def load_checkpoint(
-    path: Union[str, Path],
-    circuit: Union[Circuit, CompiledCircuit],
-) -> Tuple[FaultSimulator, List[List[int]]]:
-    """Reconstruct a simulator (and the stored test set) from JSON.
-
-    The circuit must match the checkpoint's fingerprint exactly.  The
-    word-width key older builds wrote is ignored.
-    """
-    compiled = compile_circuit(circuit)
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format {payload.get('format')!r}"
-        )
-    found = circuit_fingerprint(compiled.circuit)
+def check_fingerprint(payload: dict, circuit: Circuit) -> None:
+    """Refuse a checkpoint ``payload`` taken on another netlist."""
+    found = circuit_fingerprint(circuit)
     if payload["fingerprint"] != found:
         raise CheckpointError(
             f"checkpoint was taken on circuit {payload['circuit']!r} with a "
-            f"different structure (fingerprint {payload['fingerprint'][:12]}…, "
-            f"this circuit fingerprints to {found[:12]}…); refusing to restore"
+            f"different structure (checkpoint fingerprint "
+            f"{payload['fingerprint'][:12]}…, this circuit fingerprints to "
+            f"{found[:12]}…); refusing to restore"
         )
-    faults = [Fault(n, p, s) for n, p, s in payload["faults"]]
-    simulator = FaultSimulator(compiled, faults=faults)
-    _write_sim_state(simulator, payload, [
-        (Fault(*fault), frame) for fault, frame in payload["detections"]
-    ])
-    return simulator, [list(v) for v in payload["test_sequence"]]
 
 
-def _write_sim_state(simulator: FaultSimulator, payload: dict,
-                     detections: List[tuple]) -> None:
-    """Write the committed state both checkpoint kinds store (status
-    flags, good state, string-keyed divergences, vector count) plus
-    ``detections`` into ``simulator``."""
-    status = [
-        FaultStatus.DETECTED if detected else FaultStatus.UNDETECTED
-        for detected in payload["status"]
-    ]
-    simulator._write_state(SimSnapshot(
-        good_state=GoodState(list(payload["good_state"])),
-        divergence={
-            int(fault_id): {int(k): v for k, v in div.items()}
-            for fault_id, div in payload["divergence"].items()
-        },
-        status=status,
-        active=[i for i, s in enumerate(status) if s is FaultStatus.UNDETECTED],
-        vectors_applied=payload["vectors_applied"],
-        detections=detections,
-    ))
+def _save_document(path: Union[str, Path], kind: str, version: int,
+                   payload: dict) -> None:
+    """Atomically write ``payload`` stamped with its kind, format and seal."""
+    payload = dict(payload, kind=kind, format=version)
+    payload["content_hash"] = _seal(payload, "content_hash")
+    atomic_write_text(path, json.dumps(payload))
 
 
-# ----------------------------------------------------------------------
-# Run checkpoints (full generator state; crash-safe, resumable)
-# ----------------------------------------------------------------------
+def _load_document(path: Union[str, Path], kind: str, version: int,
+                   what: str) -> dict:
+    """Read one sealed document: its kind and format first, then its seal."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
+    found = (payload.get("kind"), payload.get("format")) \
+        if isinstance(payload, dict) else (None, None)
+    if found != (kind, version):
+        raise CheckpointError(
+            f"{path} is not a {what} of format {version} (found kind "
+            f"{found[0]!r}, format {found[1]!r})"
+        )
+    if payload.get("content_hash") != _seal(payload, "content_hash"):
+        raise CheckpointError(
+            f"{what} {path} failed its content-hash check "
+            "(truncated or corrupted file)"
+        )
+    return payload
 
 
 def fault_list_digest(faults: Sequence[object]) -> str:
@@ -208,7 +163,8 @@ def fault_list_digest(faults: Sequence[object]) -> str:
 
 def sim_run_state(simulator: FaultSimulator) -> dict:
     """The simulator's committed state as a JSON-safe dict, keyed by
-    fault *index* (the fault list itself is reproduced at resume)."""
+    fault *index* (the fault list itself is stored or regenerated
+    beside it)."""
     fault_index = {fault: i for i, fault in enumerate(simulator.faults)}
     return {
         "fault_digest": fault_list_digest(simulator.faults),
@@ -234,67 +190,180 @@ def restore_sim_run_state(simulator: FaultSimulator, state: dict) -> None:
             "checkpoint fault list does not match the regenerated fault "
             "list; refusing to restore per-fault state"
         )
-    _write_sim_state(simulator, state, [
-        (simulator.faults[index], frame)
-        for index, frame in state["detections"]
-    ])
+    status = [
+        FaultStatus.DETECTED if detected else FaultStatus.UNDETECTED
+        for detected in state["status"]
+    ]
+    simulator._write_state(SimSnapshot(
+        good_state=GoodState(list(state["good_state"])),
+        divergence={
+            int(fault_id): {int(k): v for k, v in div.items()}
+            for fault_id, div in state["divergence"].items()
+        },
+        status=status,
+        active=[i for i, s in enumerate(status) if s is FaultStatus.UNDETECTED],
+        vectors_applied=state["vectors_applied"],
+        detections=[
+            (simulator.faults[index], frame)
+            for index, frame in state["detections"]
+        ],
+    ))
     simulator._restore_checkpoint_extra(state["extra"])
 
 
-def _content_hash(payload: dict) -> str:
-    """Canonical hash over everything except the hash field itself."""
-    body = {k: v for k, v in payload.items() if k != "content_hash"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def save_checkpoint(
+    path: Union[str, Path],
+    simulator: FaultSimulator,
+    test_sequence: Optional[Sequence[Sequence[int]]] = None,
+) -> None:
+    """Write a simulator's committed state, its fault list and the test
+    set as a sealed ``gatest-sim`` document (either fault model)."""
+    _save_document(path, "gatest-sim", FORMAT_VERSION, {
+        "circuit": simulator.circuit.name,
+        "fingerprint": circuit_fingerprint(simulator.circuit),
+        "faults": [fault_to_json(fault) for fault in simulator.faults],
+        **sim_run_state(simulator),
+        "test_sequence": [list(v) for v in (test_sequence or [])],
+    })
+
+
+def load_checkpoint(
+    path: Union[str, Path],
+    circuit: Union[Circuit, CompiledCircuit],
+) -> Tuple[FaultSimulator, List[List[int]]]:
+    """Rebuild the simulator :func:`save_checkpoint` stored, and its test set.
+
+    Checks the format, then the seal, then that ``circuit`` matches the
+    stored fingerprint; builds a transition or stuck-at simulator as the
+    stored fault list says.
+    """
+    payload = _load_document(path, "gatest-sim", FORMAT_VERSION,
+                             "gatest simulator checkpoint")
+    compiled = compile_circuit(circuit)
+    check_fingerprint(payload, compiled.circuit)
+    faults = [fault_from_json(fault) for fault in payload["faults"]]
+    transition = any(isinstance(fault, TransitionFault) for fault in faults)
+    simulator = (TransitionFaultSimulator if transition else FaultSimulator)(
+        compiled, faults=faults
+    )
+    restore_sim_run_state(simulator, payload)
+    return simulator, [list(v) for v in payload["test_sequence"]]
 
 
 def save_run_checkpoint(path: Union[str, Path], payload: dict) -> None:
-    """Atomically write one run checkpoint (tmp + fsync + rename).
-
-    Stamps the schema version and a content hash over the whole
-    payload; :func:`load_run_checkpoint` verifies both, so a truncated
-    or bit-flipped file is detected instead of silently resuming from
-    garbage.
-    """
-    payload = dict(payload)
-    payload["kind"] = "gatest-run"
-    payload["format"] = RUN_FORMAT_VERSION
-    payload["content_hash"] = _content_hash(payload)
-    atomic_write_text(path, json.dumps(payload))
+    """Atomically write one run checkpoint (tmp + fsync + rename),
+    stamped with its schema version and sealed by a content hash."""
+    _save_document(path, "gatest-run", RUN_FORMAT_VERSION, payload)
 
 
 def load_run_checkpoint(path: Union[str, Path]) -> dict:
     """Read and integrity-check one run checkpoint."""
+    return _load_document(path, "gatest-run", RUN_FORMAT_VERSION,
+                          "gatest run checkpoint")
+
+
+# ----------------------------------------------------------------------
+# Codecs: configs, results, faults, stage events
+# ----------------------------------------------------------------------
+
+
+def config_to_json(config: TestGenConfig) -> dict:
+    """Every config field, execution knobs included.
+
+    Unlike :meth:`TestGenConfig.digest` this keeps ``eval_jobs`` and
+    ``sim_kernel``: a lease or tier task must reproduce the sender's
+    execution environment, not just the result-affecting identity.
+    """
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(config).items()}
+
+
+def config_from_json(data: dict) -> TestGenConfig:
+    """Rebuild a :class:`TestGenConfig` from :func:`config_to_json`."""
+    unknown = sorted(set(data) - {f.name for f in fields(TestGenConfig)})
+    if unknown:
+        raise CheckpointError(
+            f"config carries unknown field(s) {', '.join(unknown)} "
+            "(written by an incompatible build?)"
+        )
+    return TestGenConfig(**data)
+
+
+def fault_to_json(fault: object) -> list:
+    """A stuck-at fault as ``["sa", node, pin, stuck_at]``, a transition
+    fault as ``["tr", node, slow_to]``."""
+    if isinstance(fault, TransitionFault):
+        return ["tr", fault.node, fault.slow_to]
+    return ["sa", fault.node, fault.pin, fault.stuck_at]
+
+
+def fault_from_json(data: Sequence) -> object:
+    """Rebuild a fault :func:`fault_to_json` wrote."""
+    types = {"sa": Fault, "tr": TransitionFault}
+    if data[0] not in types:
+        raise CheckpointError(f"unknown fault tag {data[0]!r}")
+    return types[data[0]](*data[1:])
+
+
+def stage_event_to_json(event: StageEvent) -> list:
+    """``[kind, phase name, frames, detected, committed]``."""
+    return [event.kind, event.phase.name, event.frames, event.detected,
+            event.committed]
+
+
+def stage_event_from_json(data: Sequence) -> StageEvent:
+    """Rebuild a stage event :func:`stage_event_to_json` wrote."""
+    kind, phase, frames, detected, committed = data
+    return StageEvent(kind, Phase[phase], frames, detected, committed)
+
+
+def result_to_json(result: TestGenResult) -> dict:
+    """A completed run's result, with everything the aggregate tables and
+    figures read — the stage trace and per-fault detections included —
+    so a replayed campaign cell is indistinguishable from a fresh one."""
+    return {
+        "circuit_name": result.circuit_name,
+        "test_sequence": [list(v) for v in result.test_sequence],
+        "detected": result.detected,
+        "total_faults": result.total_faults,
+        "elapsed_seconds": result.elapsed_seconds,
+        "ga_evaluations": result.ga_evaluations,
+        "ga_runs": result.ga_runs,
+        "phase_transitions": [[i, p.name] for i, p in result.phase_transitions],
+        "trace": [stage_event_to_json(e) for e in result.trace],
+        "detections": [
+            [fault_to_json(fault), frame] for fault, frame in result.detections
+        ],
+    }
+
+
+def result_from_json(data: dict) -> TestGenResult:
+    """Rebuild a :class:`TestGenResult` from :func:`result_to_json`."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read run checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("kind") != "gatest-run":
-        raise CheckpointError(f"{path} is not a gatest run checkpoint")
-    if payload.get("format") != RUN_FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported run checkpoint format {payload.get('format')!r} "
-            f"(this build reads format {RUN_FORMAT_VERSION})"
+        return TestGenResult(
+            circuit_name=data["circuit_name"],
+            test_sequence=[list(v) for v in data["test_sequence"]],
+            detected=data["detected"],
+            total_faults=data["total_faults"],
+            elapsed_seconds=data["elapsed_seconds"],
+            ga_evaluations=data["ga_evaluations"],
+            ga_runs=data["ga_runs"],
+            phase_transitions=[
+                (i, Phase[name]) for i, name in data["phase_transitions"]
+            ],
+            trace=[stage_event_from_json(e) for e in data["trace"]],
+            detections=[
+                (fault_from_json(fault), frame)
+                for fault, frame in data["detections"]
+            ],
         )
-    stored = payload.get("content_hash")
-    if stored != _content_hash(payload):
-        raise CheckpointError(
-            f"run checkpoint {path} failed its content-hash check "
-            "(truncated or corrupted file)"
-        )
-    return payload
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"result record is malformed: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
 # Sealed logs: campaign journals and the job ledger (append-only JSONL)
 # ----------------------------------------------------------------------
-
-
-def _line_hash(record: dict) -> str:
-    """Canonical hash of one sealed-log record, excluding its seal."""
-    body = {k: v for k, v in record.items() if k != "sha"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def seal_journal_record(record: dict) -> dict:
@@ -305,7 +374,7 @@ def seal_journal_record(record: dict) -> dict:
     which line is bit-flipped instead of a whole-file parse error.
     """
     sealed = dict(record)
-    sealed["sha"] = _line_hash(sealed)
+    sealed["sha"] = _seal(sealed, "sha")
     return sealed
 
 
@@ -328,9 +397,9 @@ def append_journal_record(path: Union[str, Path], record: dict) -> dict:
 
     Returns the sealed record as written.
     """
-    if record.get("sha") != _line_hash(record):
+    if record.get("sha") != _seal(record, "sha"):
         record = seal_journal_record(record)
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    line = canonical_json(record) + "\n"
     try:
         import fcntl
     except ImportError:  # pragma: no cover - non-POSIX
@@ -410,7 +479,7 @@ def parse_sealed_lines(
                 f"{path}:{lineno}: record has no seal (not a sealed log, "
                 "or written by an incompatible build)"
             )
-        if record["sha"] != _line_hash(record):
+        if record["sha"] != _seal(record, "sha"):
             raise CheckpointError(
                 f"{path}:{lineno}: line failed its content-hash check "
                 "(corrupted record)"

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..faults.simulator import FaultSimulator
+from ..faults.transition import SIMULATORS
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..sim.logic3 import Vector
 
@@ -54,7 +54,9 @@ class CompactionResult:
 
 
 class TestSetCompactor:
-    """Coverage-preserving static compaction of a vector sequence."""
+    """Coverage-preserving static compaction of a vector sequence,
+    re-simulated under ``fault_model`` (``"stuck-at"`` or
+    ``"transition"``, as ``TestGenConfig.fault_model`` names them)."""
 
     __test__ = False  # "Test" prefix confuses pytest collection otherwise
 
@@ -62,14 +64,16 @@ class TestSetCompactor:
         self,
         circuit: Union[Circuit, CompiledCircuit],
         faults: Optional[List[Fault]] = None,
+        fault_model: str = "stuck-at",
     ) -> None:
         self.compiled = compile_circuit(circuit)
         self._faults = faults
+        self._simulator = SIMULATORS[fault_model]
         self.trials = 0
 
     def _detected_by(self, vectors: Sequence[Vector]) -> int:
         """Detections of a candidate test set, from power-up."""
-        sim = FaultSimulator(self.compiled, faults=self._faults)
+        sim = self._simulator(self.compiled, faults=self._faults)
         if vectors:
             sim.commit(vectors)
         self.trials += 1
@@ -78,7 +82,7 @@ class TestSetCompactor:
     def _last_detection_frame(self, vectors: Sequence[Vector]) -> int:
         """Index of the last frame that detects a new fault (-1 if none):
         the latest first-detection frame of one commit from power-up."""
-        sim = FaultSimulator(self.compiled, faults=self._faults)
+        sim = self._simulator(self.compiled, faults=self._faults)
         detections = sim.commit(vectors).detections
         self.trials += 1
         return max((frame for _fault, frame in detections), default=-1)
@@ -124,6 +128,7 @@ def compact_test_set(
     circuit: Union[Circuit, CompiledCircuit],
     vectors: Sequence[Vector],
     faults: Optional[List[Fault]] = None,
+    fault_model: str = "stuck-at",
 ) -> CompactionResult:
     """Functional convenience wrapper around :class:`TestSetCompactor`."""
-    return TestSetCompactor(circuit, faults=faults).compact(vectors)
+    return TestSetCompactor(circuit, faults, fault_model).compact(vectors)

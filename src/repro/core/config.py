@@ -85,7 +85,9 @@ class TestGenConfig:
     #: Progress limit for vector generation, as a multiple of sequential
     #: depth ("a small multiple of the sequential depth", §III).
     vector_progress_multiplier: float = 4.0
-    #: Sequence lengths to try, as multiples of sequential depth (§III).
+    #: Sequence lengths to try, as multiples of sequential depth (§III);
+    #: any sequence of numbers is stored as a tuple of floats, so a JSON
+    #: list and its tuple give one config, one digest and one hash.
     seq_length_multipliers: Tuple[float, ...] = (1.0, 2.0, 4.0)
     #: Consecutive failed GA attempts before abandoning a sequence length.
     seq_fail_limit: int = 4
@@ -131,6 +133,8 @@ class TestGenConfig:
     _EXECUTION_ONLY = ("eval_jobs", "sim_kernel")
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seq_length_multipliers", tuple(
+            float(m) for m in self.seq_length_multipliers))
         if self.eval_jobs < 1:
             raise ValueError("eval_jobs must be >= 1")
         if self.n_islands < 1:

@@ -28,17 +28,21 @@ from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..faults.sampling import make_sampler
 from ..faults.simulator import FaultSimulator
+from ..faults.transition import SIMULATORS
 from ..ga.chromosome import make_coding
 from ..ga.engine import GAParams, GeneticAlgorithm
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..telemetry.collector import NullCollector, get_collector
 from .checkpoint import (
     CheckpointError,
+    check_fingerprint,
     circuit_fingerprint,
     load_run_checkpoint,
     restore_sim_run_state,
     save_run_checkpoint,
     sim_run_state,
+    stage_event_from_json,
+    stage_event_to_json,
 )
 from .config import TestGenConfig
 from .fitness import FitnessContext, Phase, fitness_for_phase
@@ -114,13 +118,7 @@ def make_fault_simulator(
     """
     if collector is None:
         collector = get_collector()
-    if config.fault_model == "transition":
-        from ..faults.transition import TransitionFaultSimulator
-
-        sim_class = TransitionFaultSimulator
-    else:
-        sim_class = FaultSimulator
-    return sim_class(
+    return SIMULATORS[config.fault_model](
         compiled, faults=faults,
         collector=collector, eval_jobs=config.eval_jobs,
         kernel=config.sim_kernel,
@@ -424,17 +422,6 @@ class GaTestGenerator:
     # Checkpoint / resume
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _encode_rng_state(state) -> list:
-        """``random.Random.getstate()`` as JSON-safe nested lists."""
-        version, internal, gauss_next = state
-        return [version, list(internal), gauss_next]
-
-    @staticmethod
-    def _decode_rng_state(encoded) -> tuple:
-        version, internal, gauss_next = encoded
-        return (version, tuple(internal), gauss_next)
-
     def _checkpoint_payload(
         self,
         stage: str,
@@ -456,27 +443,17 @@ class GaTestGenerator:
             "sequence_stage": sequence_stage,
             "sim": sim_run_state(self.fsim),
             "test_sequence": [list(v) for v in self.test_sequence],
-            "rng_state": self._encode_rng_state(self.rng.getstate()),
+            "rng_state": self.rng.getstate(),  # its tuples save as lists
             "tracker": tracker.state_dict(),
             "ga_runs": self.ga_runs,
             "ga_evaluations": self.ga_evaluations,
-            "trace": [
-                [e.kind, e.phase.name, e.frames, e.detected, e.committed]
-                for e in self.trace
-            ],
+            "trace": [stage_event_to_json(e) for e in self.trace],
         }
 
     def _restore_run(self, payload: dict) -> Tuple[PhaseTracker, str, Optional[dict]]:
         """Overwrite this (freshly constructed) generator's state from a
         run checkpoint; returns the rebuilt tracker and resume stage."""
-        found = circuit_fingerprint(self.circuit)
-        if payload["fingerprint"] != found:
-            raise CheckpointError(
-                f"checkpoint was taken on circuit {payload['circuit']!r} "
-                f"with a different structure (checkpoint fingerprint "
-                f"{payload['fingerprint'][:12]}…, this circuit fingerprints "
-                f"to {found[:12]}…); refusing to resume"
-            )
+        check_fingerprint(payload, self.circuit)
         digest = self.config.digest()
         if payload["config_digest"] != digest:
             raise CheckpointError(
@@ -489,16 +466,11 @@ class GaTestGenerator:
             )
         restore_sim_run_state(self.fsim, payload["sim"])
         self.test_sequence = [list(v) for v in payload["test_sequence"]]
-        self.rng.setstate(self._decode_rng_state(payload["rng_state"]))
+        version, internal, gauss_next = payload["rng_state"]
+        self.rng.setstate((version, tuple(internal), gauss_next))
         self.ga_runs = payload["ga_runs"]
         self.ga_evaluations = payload["ga_evaluations"]
-        self.trace = [
-            StageEvent(
-                kind=kind, phase=Phase[phase], frames=frames,
-                detected=detected, committed=committed,
-            )
-            for kind, phase, frames, detected, committed in payload["trace"]
-        ]
+        self.trace = [stage_event_from_json(e) for e in payload["trace"]]
         tracker = PhaseTracker.from_state(
             payload["tracker"],
             progress_limit=self.config.progress_limit(

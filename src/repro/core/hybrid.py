@@ -74,8 +74,14 @@ class HybridAtpg:
         backtrack_limit: int = 400,
         max_frames: Optional[int] = None,
     ) -> None:
-        self.compiled = compile_circuit(circuit)
         self.config = config or TestGenConfig()
+        if self.config.fault_model != "stuck-at":
+            raise ValueError(
+                f"HybridAtpg needs fault_model 'stuck-at', not "
+                f"{self.config.fault_model!r}: its PODEM pass takes "
+                "stuck-at faults"
+            )
+        self.compiled = compile_circuit(circuit)
         self.backtrack_limit = backtrack_limit
         self.max_frames = max_frames
 

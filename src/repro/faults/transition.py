@@ -203,3 +203,7 @@ class TransitionFaultSimulator(FaultSimulator):
                 out_force[node] = (f1, f0)
         injection = self._kernel.make_injection(out_force, {})
         return pi_forces, ff_out_rows, injection, (g1, g0)
+
+
+#: The fault simulator of each fault model ``TestGenConfig.fault_model`` names.
+SIMULATORS = {"stuck-at": FaultSimulator, "transition": TransitionFaultSimulator}

@@ -2,12 +2,7 @@
 
 from . import paper_data
 from .campaign import CampaignJournal
-from .distributed import (
-    DistributedCoordinator,
-    campaign_worker_main,
-    config_from_json,
-    config_to_json,
-)
+from .distributed import DistributedCoordinator, campaign_worker_main
 from .runner import (
     AggregateResult,
     ExecutionPlan,
@@ -27,8 +22,6 @@ __all__ = [
     "TextTable",
     "campaign_worker_main",
     "compiled_circuit_for",
-    "config_from_json",
-    "config_to_json",
     "fmt_mean_std",
     "fmt_time",
     "mean_std",

@@ -14,8 +14,9 @@ cell is a journaled unit of work:
   longer matches the code/config that wrote it is refused, never
   silently misread.
 * Completed cells store the full :class:`~repro.core.results.TestGenResult`
-  (round-tripped by :func:`result_to_json` / :func:`result_from_json`),
-  so a resume *replays* them bit-identically — the re-emitted table text
+  (round-tripped by :func:`~repro.core.checkpoint.result_to_json` /
+  :func:`~repro.core.checkpoint.result_from_json`), so a resume
+  *replays* them bit-identically — the re-emitted table text
   is byte-identical to an uninterrupted run's.
 * Failed cells (a seed that crashed/hung past its retry budget) store
   the error instead; they are *not* replayed, so a resume re-attempts
@@ -58,88 +59,7 @@ from ..core.checkpoint import (
     check_campaign_header,
     parse_sealed_lines,
 )
-from ..core.fitness import Phase
-from ..core.results import StageEvent, TestGenResult
-from ..faults.model import Fault
-from ..faults.transition import TransitionFault
 from ..telemetry import get_collector
-
-
-# ----------------------------------------------------------------------
-# TestGenResult <-> JSON
-# ----------------------------------------------------------------------
-
-
-def _fault_to_json(fault: object) -> list:
-    if isinstance(fault, TransitionFault):
-        return ["tr", fault.node, fault.slow_to]
-    if isinstance(fault, Fault):
-        return ["sa", fault.node, fault.pin, fault.stuck_at]
-    raise TypeError(f"cannot journal fault of type {type(fault).__name__}")
-
-
-def _fault_from_json(data: Sequence) -> object:
-    tag = data[0]
-    if tag == "tr":
-        return TransitionFault(node=data[1], slow_to=data[2])
-    if tag == "sa":
-        return Fault(node=data[1], pin=data[2], stuck_at=data[3])
-    raise CheckpointError(f"unknown journaled fault tag {tag!r}")
-
-
-def result_to_json(result: TestGenResult) -> dict:
-    """A JSON-serializable rendering of one completed run's result.
-
-    Everything the aggregate tables and figures read is kept — the
-    stage trace and per-fault detections included — so a replayed cell
-    is indistinguishable from a freshly executed one.
-    """
-    return {
-        "circuit_name": result.circuit_name,
-        "test_sequence": [list(v) for v in result.test_sequence],
-        "detected": result.detected,
-        "total_faults": result.total_faults,
-        "elapsed_seconds": result.elapsed_seconds,
-        "ga_evaluations": result.ga_evaluations,
-        "ga_runs": result.ga_runs,
-        "phase_transitions": [[i, p.name] for i, p in result.phase_transitions],
-        "trace": [
-            [e.kind, e.phase.name, e.frames, e.detected, e.committed]
-            for e in result.trace
-        ],
-        "detections": [
-            [_fault_to_json(fault), frame] for fault, frame in result.detections
-        ],
-    }
-
-
-def result_from_json(data: dict) -> TestGenResult:
-    """Rebuild a :class:`TestGenResult` journaled by :func:`result_to_json`."""
-    try:
-        return TestGenResult(
-            circuit_name=data["circuit_name"],
-            test_sequence=[list(v) for v in data["test_sequence"]],
-            detected=data["detected"],
-            total_faults=data["total_faults"],
-            elapsed_seconds=data["elapsed_seconds"],
-            ga_evaluations=data["ga_evaluations"],
-            ga_runs=data["ga_runs"],
-            phase_transitions=[
-                (i, Phase[name]) for i, name in data["phase_transitions"]
-            ],
-            trace=[
-                StageEvent(kind, Phase[phase], frames, detected, committed)
-                for kind, phase, frames, detected, committed in data["trace"]
-            ],
-            detections=[
-                (_fault_from_json(fault), frame)
-                for fault, frame in data["detections"]
-            ],
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CheckpointError(
-            f"campaign journal cell result is malformed: {exc!r}"
-        ) from exc
 
 
 # ----------------------------------------------------------------------

@@ -47,11 +47,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..core.checkpoint import CheckpointError
+from ..core.checkpoint import (
+    CheckpointError,
+    config_from_json,
+    config_to_json,
+    result_from_json,
+)
 from ..core.config import TestGenConfig
 from ..core.results import TestGenResult
 from ..parallel.resilience import (
@@ -62,7 +66,7 @@ from ..parallel.resilience import (
     RetryPolicy,
 )
 from ..telemetry.collector import NullCollector, TelemetryCollector
-from .campaign import CampaignJournal, result_from_json
+from .campaign import CampaignJournal
 from .runner import (
     SeedFailure,
     _run_one_seed,
@@ -70,40 +74,6 @@ from .runner import (
     _seal_cell,
     compiled_circuit_for,
 )
-
-
-# ----------------------------------------------------------------------
-# TestGenConfig <-> JSON (leases carry the full execution-resolved config)
-# ----------------------------------------------------------------------
-
-
-def config_to_json(config: TestGenConfig) -> dict:
-    """A JSON rendering of *every* config field, execution knobs included.
-
-    Unlike :meth:`TestGenConfig.digest` this keeps ``eval_jobs`` and
-    ``sim_kernel``: a lease must reproduce the coordinator's *execution
-    environment* on the worker host, not just the result-affecting
-    identity.
-    """
-    data = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        data[f.name] = list(value) if isinstance(value, tuple) else value
-    return data
-
-
-def config_from_json(data: dict) -> TestGenConfig:
-    """Rebuild a :class:`TestGenConfig` from :func:`config_to_json`."""
-    known = {f.name for f in fields(TestGenConfig)}
-    kwargs = {}
-    for name, value in data.items():
-        if name not in known:
-            raise CheckpointError(
-                f"lease config carries unknown field {name!r} "
-                "(journal written by an incompatible build?)"
-            )
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return TestGenConfig(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..circuit.netlist import Circuit
 from ..circuit.synth import synthesize_named
+from ..core.checkpoint import result_from_json, result_to_json
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator
 from ..core.results import TestGenResult
@@ -50,7 +51,7 @@ from ..parallel.supervisor import PoolGaveUp, SupervisedPool
 from ..sim.codegen import resolve_kernel_name
 from ..sim.compile import CompiledCircuit, compile_circuit
 from ..telemetry.collector import NullCollector, TelemetryCollector, get_collector
-from .campaign import CampaignJournal, result_from_json, result_to_json
+from .campaign import CampaignJournal
 from .tables import mean_std
 
 if TYPE_CHECKING:  # distributed imports this module

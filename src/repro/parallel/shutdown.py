@@ -32,7 +32,9 @@ def reap_pool(pool, join_timeout: float = JOIN_TIMEOUT) -> None:
     """
     if pool is None:
         return
+    # Read both before shutdown(), which sets them to None.
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive
@@ -47,7 +49,6 @@ def reap_pool(pool, join_timeout: float = JOIN_TIMEOUT) -> None:
             proc.join(timeout=join_timeout)
         except Exception:  # pragma: no cover - defensive
             pass
-    manager = getattr(pool, "_executor_manager_thread", None)
     if manager is not None:
         manager.join(timeout=join_timeout)
 

@@ -58,17 +58,19 @@ See docs/SERVICE.md for the wire formats and operational contract.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.checkpoint import append_journal_record, load_sealed_log
+from ..core.checkpoint import (
+    append_journal_record,
+    canonical_sha256,
+    config_to_json,
+    load_sealed_log,
+)
 from ..core.config import TestGenConfig
-from ..harness.distributed import config_to_json
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp
 from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
@@ -196,11 +198,6 @@ class JobSpec:
     deadline_s: Optional[float] = None   # run only: per-attempt deadline
 
 
-def _canonical_digest(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise JobValidationError(message)
@@ -300,7 +297,7 @@ def parse_job(payload: object) -> JobSpec:
         vectors=vectors,
         checkpoint_every=checkpoint_every,
         payload=canonical,
-        digest=_canonical_digest(canonical),
+        digest=canonical_sha256(canonical),
         priority=priority,
         deadline_s=deadline_s,
     )
@@ -318,11 +315,9 @@ def run_key(spec: JobSpec, config: TestGenConfig) -> str:
     checkpoint and resumes the work a preempted or killed predecessor
     left behind.
     """
-    blob = json.dumps(
-        [spec.circuit, spec.scale, spec.seed, config.digest()],
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return canonical_sha256(
+        [spec.circuit, spec.scale, spec.seed, config.digest()]
+    )[:16]
 
 
 # ----------------------------------------------------------------------

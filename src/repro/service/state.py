@@ -8,13 +8,13 @@ and spinning up ``eval_jobs`` worker pools — happens once and is reused
 by every later job that asks for the same thing.  This module is that
 reuse: a keyed, LRU-evicting registry of
 
-* **compiled circuits**, keyed by ``(spec, scale, seed)`` — the exact
-  inputs :func:`repro.circuit.library.resolve_spec` resolves, so two
-  jobs naming the same circuit share one :class:`CompiledCircuit`
-  object.  Kernels are cached per compiled-circuit *object* inside
-  :mod:`repro.sim.codegen`, so keeping the object resident is what
-  makes repeat requests skip kernel compilation (the
-  ``codegen.kernels.built`` counter stays flat).
+* **compiled circuits**, keyed by :data:`circuit_key`, the canonical
+  ``(spec, scale, seed)`` that :func:`repro.circuit.library.resolve_spec`
+  resolves, so jobs naming one circuit in any spelling share one
+  :class:`CompiledCircuit` object.  Kernels are cached per
+  compiled-circuit *object* inside :mod:`repro.sim.codegen`, so keeping
+  the object resident is what makes repeat requests skip kernel
+  compilation (the ``codegen.kernels.built`` counter stays flat).
 * **fault simulators**, keyed by the circuit key plus every
   config field that shapes the simulator (fault model, kernel, eval
   parallelism — the same fields
@@ -43,7 +43,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..circuit.library import resolve_spec
+from ..circuit.library import canonical_spec, resolve_spec
 from ..core.config import TestGenConfig
 from ..core.generator import make_fault_simulator
 from ..parallel.shutdown import close_quietly
@@ -58,25 +58,13 @@ DEFAULT_CACHE_SIZE = 8
 CircuitKey = Tuple[str, float, int]
 
 
-def circuit_key(spec: str, scale: float, seed: int) -> CircuitKey:
-    """The registry key for one resolvable circuit.
-
-    ``seed`` is the circuit synthesis seed: an ``fsim`` job's ``seed``
-    field, and 0 for every run job, whose GA seed never chooses the
-    circuit.  It (and ``scale``) only influence resolution for
-    synthesized ISCAS89 profile names; a ``.bench`` path or builtin name
-    resolves to the same circuit regardless, so those keys canonicalize
-    seed/scale away — a seed-7 ``fsim`` job on ``s27`` warm-hits the
-    simulator a seed-1 job left behind.
-    """
-    from pathlib import Path
-
-    from ..circuit.library import list_builtin
-
-    path = Path(spec)
-    if (path.suffix == ".bench" and path.exists()) or spec in list_builtin():
-        return (spec, 1.0, 0)
-    return (spec, float(scale), int(seed))
+#: The registry key for one resolvable circuit, one for every spelling
+#: of it (``s298@0.3``, or ``s298`` at scale 0.3).  ``seed`` is the
+#: synthesis seed: an ``fsim`` job's ``seed`` field, and 0 for every run
+#: job, whose GA seed never chooses the circuit.  A ``.bench`` path or
+#: builtin name keys at scale 1.0 and seed 0, so a seed-7 ``fsim`` job
+#: on ``s27`` warm-hits the simulator a seed-1 job left behind.
+circuit_key = canonical_spec
 
 
 def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:

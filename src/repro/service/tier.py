@@ -25,11 +25,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Optional, Tuple
 
-from ..core.checkpoint import CheckpointError
+from ..core.checkpoint import CheckpointError, config_from_json, result_to_json
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator, RunPreempted
-from ..harness.campaign import result_to_json
-from ..harness.distributed import config_from_json
 from ..parallel.supervisor import SupervisedPool
 from ..telemetry import NullCollector, TelemetryCollector
 from .state import CircuitKey, WarmRegistry, circuit_key
@@ -132,7 +130,7 @@ def run_tier_job(task: dict) -> TierOutcome:
     """Execute one run job in this worker process.
 
     ``task`` carries the circuit spec, the *effective* (per-circuit)
-    config as :func:`~repro.harness.distributed.config_to_json` wire
+    config as :func:`~repro.core.checkpoint.config_to_json` wire
     format, the checkpoint path, the stop-file path and the checkpoint
     interval.  Application failures are returned as ``("error", …)``
     outcomes — they are deterministic, retrying cannot help, and the

@@ -19,10 +19,14 @@ import time
 
 import pytest
 
-from repro.core.checkpoint import CheckpointError, seal_journal_record
+from repro.core.checkpoint import (
+    CheckpointError,
+    result_from_json,
+    result_to_json,
+    seal_journal_record,
+)
 from repro.core.config import TestGenConfig
 from repro.harness import CampaignJournal, ExecutionPlan, run_gatest
-from repro.harness.campaign import result_from_json, result_to_json
 from repro.harness.experiments import main as experiments_main
 from repro.parallel.resilience import ChaosConfig, RetryPolicy
 from repro.telemetry import TelemetryCollector, use

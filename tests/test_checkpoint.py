@@ -107,6 +107,25 @@ class TestGuards:
         with pytest.raises(CheckpointError, match="format"):
             load_checkpoint(path, s27_circuit)
 
+    def test_flipped_status_fails_the_content_hash(self, tmp_path,
+                                                   s27_circuit):
+        sim = FaultSimulator(s27_circuit)
+        sim.commit(random_vectors(s27_circuit, 5, seed=5))
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, sim)
+        payload = json.loads(path.read_text())
+        payload["status"] = [not s for s in payload["status"]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="content-hash"):
+            load_checkpoint(path, s27_circuit)
+
+    def test_truncated_file_refused(self, tmp_path, s27_circuit):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, FaultSimulator(s27_circuit))
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(path, s27_circuit)
+
     def test_json_is_plain(self, tmp_path, s27_circuit):
         """The checkpoint must be portable JSON (no pickled objects)."""
         sim = FaultSimulator(s27_circuit)
@@ -121,31 +140,38 @@ class TestGuards:
 
 
 class TestSimulatorCheckpointCompatibility:
-    def test_transition_simulator_refused(self, tmp_path, s27_circuit):
+    def test_transition_simulator_round_trips(self, tmp_path, s27_circuit):
+        """A transition simulator saved mid-stream loads as one, and its
+        next commits are those of one that never stopped."""
+        vectors = random_vectors(s27_circuit, 16, seed=1)
         sim = TransitionFaultSimulator(s27_circuit)
-        sim.commit(random_vectors(s27_circuit, 3, seed=1))
+        sim.commit(vectors[:6])
         path = tmp_path / "ck.json"
-        with pytest.raises(CheckpointError, match=(
-                r"transition fault model.*gatest run --checkpoint")):
-            save_checkpoint(path, sim)
-        assert not path.exists()
-
-    def test_file_naming_word_width_loads(self, tmp_path, s27_circuit):
-        """Files from builds that stored a ``word_width`` still load."""
-        vectors = random_vectors(s27_circuit, 8, seed=4)
-        sim = FaultSimulator(s27_circuit)
-        sim.commit(vectors[:4])
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, sim, test_sequence=vectors[:4])
-        payload = json.loads(path.read_text())
-        assert "word_width" not in payload
-        payload["word_width"] = 16
-        path.write_text(json.dumps(payload))
+        save_checkpoint(path, sim, test_sequence=vectors[:6])
         restored, stored = load_checkpoint(path, s27())
-        assert stored == vectors[:4]
-        assert restored.divergence == sim.divergence
+        assert isinstance(restored, TransitionFaultSimulator)
+        assert stored == vectors[:6]
+        assert restored.prev_good == sim.prev_good
         assert restored.detections == sim.detections
-        assert restored.commit(vectors[4:]) == sim.commit(vectors[4:])
+        for vector in vectors[6:]:
+            assert restored.commit([vector]) == sim.commit([vector])
+
+    def test_format_1_file_refused(self, tmp_path, s27_circuit):
+        """Format-1 files (unsealed, with or without the ``word_width``
+        key older builds wrote) are refused, naming what was found."""
+        sim = FaultSimulator(s27_circuit)
+        sim.commit(random_vectors(s27_circuit, 4, seed=4))
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, sim)
+        payload = json.loads(path.read_text())
+        for key in ("kind", "content_hash"):
+            del payload[key]
+        payload.update(format=1, word_width=16)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=(
+                r"not a gatest simulator checkpoint of format 2 "
+                r"\(found kind None, format 1\)")):
+            load_checkpoint(path, s27())
 
 
 class TestWordWidthEraStateRefused:
@@ -281,13 +307,13 @@ class TestJournalIncrementalRefresh:
             writer.grant_lease("c0", "lbl", seed, 0.1, "a" * 64,
                                host="alpha", ttl=60.0)
         checked = []
-        line_hash = checkpoint._line_hash
+        seal = checkpoint._seal
 
-        def counting(record):
+        def counting(record, field):
             checked.append(record.get("kind"))
-            return line_hash(record)
+            return seal(record, field)
 
-        monkeypatch.setattr(checkpoint, "_line_hash", counting)
+        monkeypatch.setattr(checkpoint, "_seal", counting)
         peer.refresh()
         assert checked == ["campaign-lease"] * k
         assert len(peer.leases()) == k

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.circuit import s27
 from repro.cli import main
+from repro.core import HybridAtpg, TestGenConfig
+from repro.faults import FaultSimulator, TransitionFaultSimulator
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +141,79 @@ class TestRun:
             main(["run", "s27", "--seed", "7", "--eval-cache"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --eval-cache" in capsys.readouterr().err
+
+
+def _vectors(path):
+    return [[int(bit) for bit in line]
+            for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+class TestEngineFlags:
+    """Each engine reads its own flags; the rest are usage errors."""
+
+    def test_hybrid_builds_its_config_from_the_ga_flags(self, capsys,
+                                                        tmp_path):
+        out_file = tmp_path / "tests.txt"
+        flags = ["--selection", "roulette", "--crossover", "2-point",
+                 "--coding", "nonbinary", "--islands", "2"]
+        code, _ = run_cli(capsys, "run", "s27", "--engine", "hybrid",
+                          "--seed", "1", *flags, "-o", str(out_file))
+        assert code == 0
+        config = TestGenConfig(seed=1, selection="roulette",
+                               crossover="2-point", coding="nonbinary",
+                               n_islands=2)
+        want = HybridAtpg(s27(), config).run().test_sequence
+        assert _vectors(out_file) == want
+        assert want != HybridAtpg(s27(), TestGenConfig(seed=1)).run() \
+            .test_sequence
+
+    @pytest.mark.parametrize("engine, flags, unread", [
+        ("hybrid", ["--fault-model", "transition"], "--fault-model"),
+        ("random", ["--selection", "roulette"], "--selection"),
+        ("random", ["--fault-model", "transition"], "--fault-model"),
+        ("random", ["--checkpoint", "ck"], "--checkpoint"),
+        ("deterministic", ["--seed", "3"], "--seed"),
+        ("deterministic", ["--max-vectors", "8"], "--max-vectors"),
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, engine, flags,
+                                          unread):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "s27", "--engine", engine, *flags])
+        assert exc.value.code == 2
+        assert (f"--engine {engine} does not read {unread}"
+                in capsys.readouterr().err)
+
+    def test_hybrid_refuses_a_transition_config(self):
+        with pytest.raises(ValueError, match="fault_model"):
+            HybridAtpg(s27(), TestGenConfig(seed=1, fault_model="transition"))
+
+    def test_transition_compaction_keeps_transition_coverage(self, capsys,
+                                                             tmp_path):
+        """``--compact`` re-simulates under the run's fault model, so the
+        written vectors detect every transition fault the run did."""
+        out_file = tmp_path / "tests.txt"
+        code, out = run_cli(capsys, "run", "s27", "--seed", "1",
+                            "--fault-model", "transition", "--compact",
+                            "-o", str(out_file))
+        assert code == 0
+        detected = int(out.split("det ", 1)[1].split("/")[0])
+        fsim = TransitionFaultSimulator(s27())
+        fsim.commit(_vectors(out_file))
+        assert fsim.detected_count == detected == 33
+
+    @pytest.mark.parametrize("engine", ["random", "deterministic", "hybrid"])
+    def test_every_engine_compacts(self, capsys, tmp_path, engine):
+        out_file = tmp_path / "tests.txt"
+        code, out = run_cli(capsys, "run", "s27", "--engine", engine,
+                            "--compact", "-o", str(out_file))
+        assert code == 0
+        assert "coverage preserved" in out
+        fsim = FaultSimulator(s27())
+        fsim.commit(_vectors(out_file))
+        assert fsim.detected_count == \
+            int(out.split("= " if engine == "hybrid" else "det ", 1)[1]
+                .split("/")[0])
 
 
 class TestFsim:

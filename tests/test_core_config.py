@@ -1,9 +1,17 @@
 """Tests for the GATEST configuration and parameter schedules."""
 
+import json
+
 import pytest
 
-from repro.core import TestGenConfig, ga_params_for_vector_length
+from repro.core import (
+    TestGenConfig,
+    config_from_json,
+    config_to_json,
+    ga_params_for_vector_length,
+)
 from repro.core.config import DEEP_CIRCUITS
+from repro.service.jobs import parse_job
 
 
 class TestTable1Schedule:
@@ -83,6 +91,21 @@ class TestTestGenConfig:
         assert TestGenConfig(eval_jobs=4, sim_kernel="interp").digest() == (
             TestGenConfig().digest()
         )
+
+    def test_sequence_multipliers_become_float_tuples(self):
+        """A JSON list (a service run job's config), its tier-decoded
+        copy and the float tuple are one config: one digest, one hash."""
+        parsed = parse_job({"kind": "run", "circuit": "s27",
+                            "config": {"seq_length_multipliers": [1, 2, 4]}})
+        decoded = config_from_json(json.loads(json.dumps(
+            config_to_json(parsed.config))))
+        tuple_config = TestGenConfig(seq_length_multipliers=(1.0, 2.0, 4.0))
+        for config in (parsed.config, decoded):
+            assert config.seq_length_multipliers == (1.0, 2.0, 4.0)
+            assert config == tuple_config
+            assert config.digest() == tuple_config.digest() == (
+                TestGenConfig().digest())
+            assert hash(config) == hash(tuple_config)
 
     @pytest.mark.parametrize(
         "field", ["eval_cache", "eval_task_timeout", "eval_retries"]

@@ -19,16 +19,19 @@ import time
 
 import pytest
 
-from repro.core.checkpoint import CheckpointError, seal_journal_record
+from repro.core.checkpoint import (
+    CheckpointError,
+    config_from_json,
+    config_to_json,
+    result_to_json,
+    seal_journal_record,
+)
 from repro.core.config import TestGenConfig
 from repro.harness import CampaignJournal, run_gatest
-from repro.harness.campaign import result_to_json
 from repro.harness.distributed import (
     DistributedCoordinator,
     _next_claimable,
     campaign_worker_main,
-    config_from_json,
-    config_to_json,
 )
 from repro.harness.experiments import main as experiments_main
 from repro.parallel.resilience import ChaosConfig, RetryPolicy

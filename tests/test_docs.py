@@ -90,6 +90,25 @@ class TestCliExampleChecking:
         assert result.stdout.count("--kernel turbo") == 2
         assert "value not among --kernel choices" in result.stdout
 
+    def test_flag_the_engine_does_not_read_fails(self, tmp_path):
+        """A ``gatest run`` example may give only the flags its engine
+        reads, by the rule ``gatest run`` itself applies."""
+        result = self._check(tmp_path, (
+            "# x\n\n```bash\n"
+            "gatest run s27 --engine random --seed 2 --max-vectors 64\n"
+            "gatest run s27 --engine random --selection roulette\n"
+            "gatest run s27 --engine=hybrid --fault-model transition\n"
+            "```\n\nOr `gatest run minifsm --engine deterministic --seed 3`.\n"
+        ))
+        assert result.returncode == 1
+        assert "README.md:5: stale CLI example (flag not read by 'gatest " \
+               "run --engine random'): --selection" in result.stdout
+        assert "README.md:6: stale CLI example (flag not read by 'gatest " \
+               "run --engine hybrid'): --fault-model" in result.stdout
+        assert "README.md:9: stale CLI example (flag not read by 'gatest " \
+               "run --engine deterministic'): --seed" in result.stdout
+        assert "3 problem(s)" in result.stdout
+
     def test_unknown_subcommand_fails(self, tmp_path):
         result = self._check(
             tmp_path, "# x\n\n```bash\ngatest launch s27\n```\n"

@@ -75,6 +75,20 @@ class TestCompaction:
         compaction = compactor.compact(random_vectors(s27(), 10, seed=1))
         assert compaction.trials == compactor.trials > 0
 
+    def test_transition_model_keeps_transition_coverage(self):
+        """Compaction re-simulates under the fault model it is given, so
+        a transition test set keeps every transition detection."""
+        circuit = s27()
+        config = TestGenConfig(seed=1, fault_model="transition")
+        result = GaTestGenerator(circuit, config).run()
+        compaction = compact_test_set(circuit, result.test_sequence,
+                                      fault_model="transition")
+        assert compaction.original_detected == result.detected
+        fsim = TransitionFaultSimulator(circuit)
+        fsim.commit(compaction.test_sequence)
+        assert fsim.detected_count == compaction.compacted_detected
+        assert compaction.compacted_detected >= result.detected
+
     def test_custom_fault_list(self):
         circuit = s27()
         from repro.faults import collapsed_fault_list

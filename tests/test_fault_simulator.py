@@ -664,19 +664,32 @@ class TestCommitSlotSpace:
         _same_next_commits(sim, restored, vectors[step:step + 12])
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_simulator_checkpoint_round_trip_with_dead_slots(kernel, tmp_path):
-    """The same through ``save_checkpoint``/``load_checkpoint``, which
-    store stuck-at simulators only."""
-    sim, _ = _slot_sim(kernel, "stuck-at")
+def _checkpoint_round_trip(kernel, model, path):
+    """A simulator checkpoint saved mid-stream, while the slot space
+    holds dead slots, loads as a simulator of the same model whose next
+    commits are the original's."""
+    sim, _ = _slot_sim(kernel, model)
     vectors = random_vectors(sim.circuit, TestCommitSlotSpace.STREAM, seed=31)
     step = 0
     while step < 6 or not _has_dead_slots(sim):
         _checked_commit(sim, vectors[step])
         step += 1
-    save_checkpoint(tmp_path / "sim.json", sim)
-    restored, _ = load_checkpoint(tmp_path / "sim.json", sim.compiled)
+    save_checkpoint(path, sim)
+    restored, _ = load_checkpoint(path, sim.compiled)
+    assert type(restored) is type(sim)
     _same_next_commits(sim, restored, vectors[step:step + 12])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_simulator_checkpoint_round_trip_with_dead_slots(kernel, tmp_path):
+    """The same through ``save_checkpoint``/``load_checkpoint``."""
+    _checkpoint_round_trip(kernel, "stuck-at", tmp_path / "sim.json")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_transition_simulator_checkpoint_round_trip(kernel, tmp_path):
+    """Simulator checkpoints cover the transition model too."""
+    _checkpoint_round_trip(kernel, "transition", tmp_path / "sim.json")
 
 
 def test_one_frame_stream_repacks_within_the_dead_share_bound():

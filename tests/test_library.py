@@ -14,6 +14,7 @@ from repro.circuit import (
     uninitializable_loop,
 )
 from repro.circuit.gates import X
+from repro.circuit.library import canonical_spec
 
 from tests import oracle
 
@@ -122,6 +123,21 @@ class TestResolveSpec:
             assert circuit_fingerprint(resolved) == circuit_fingerprint(scaled)
         assert (circuit_fingerprint(resolve_spec("s298"))
                 != circuit_fingerprint(scaled))
+
+    @pytest.mark.parametrize("spec, scale", [
+        ("s298", 1.0), ("s298", 0.3), ("s298@0.3", 1.0), ("s298@0.3", 0.3),
+        ("s27", 1.0), ("s27", 0.5), ("s27@0.5", 1.0), ("s27@1.0", 1.0),
+    ])
+    def test_canonical_spec_resolves_to_the_same_circuit(self, spec, scale):
+        """The warm-registry key of a spelling resolves to the circuit
+        the spelling names, also where a bundled name (``s27``) is an
+        ISCAS89 profile too and only the suffix names the stand-in."""
+        from repro.core.checkpoint import circuit_fingerprint
+
+        key = canonical_spec(spec, scale)
+        assert canonical_spec(*key) == key
+        assert circuit_fingerprint(resolve_spec(*key)) == \
+            circuit_fingerprint(resolve_spec(spec, scale=scale))
 
     @pytest.mark.parametrize("spec, scale, message", [
         ("s298@x", 1.0, "not a number"),

@@ -163,6 +163,28 @@ class TestWarmRegistry:
         assert circuit_key("s27", 1.0, 3) == circuit_key("s27", 2.0, 8)
         assert circuit_key("s298", 0.3, 3) != circuit_key("s298", 0.3, 8)
 
+    def test_one_entry_per_circuit(self, tmp_path):
+        """Every spelling of one scaled circuit is one registry entry:
+        one compiled object, one kernel build, one fsim batch."""
+        spellings = [("s298@0.3", 1.0), ("s298@0.3", 0.3), ("s298", 0.3)]
+        collector = TelemetryCollector()
+        registry = WarmRegistry(collector=collector, max_sims=4)
+        keys = [circuit_key(spec, scale, 0) for spec, scale in spellings]
+        assert len({id(registry.compiled(key)) for key in keys}) == 1
+        for key in keys:
+            registry.release(key, self.CONFIG, registry.lease(key, self.CONFIG))
+        assert collector.counters["service.cache.misses"] == 1
+        assert collector.counters["codegen.kernels.built"] == 1
+        registry.close()
+        manager = JobManager(tmp_path / "state", workers=1, use_tier=False)
+        try:
+            batch_keys = {manager._batch_key(manager._accept(parse_job(
+                {"kind": "fsim", "circuit": spec, "scale": scale,
+                 "vectors": [[0, 1, 0]]}))) for spec, scale in spellings}
+        finally:
+            manager.close()
+        assert len(batch_keys) == 1
+
     def test_lru_eviction_closes_the_evicted_simulator(self):
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=1)
@@ -439,6 +461,15 @@ class TestJobManager:
             assert manager.wait_idle(timeout=300)
             assert job.status == "failed"
             assert "primary inputs" in job.error
+        finally:
+            manager.close()
+
+    def test_conflicting_scale_spelling_rejected_at_submit(self, tmp_path):
+        manager, _ = self._manager(tmp_path)
+        try:
+            with pytest.raises(JobValidationError, match="names scale 0.3"):
+                manager.submit({"kind": "fsim", "circuit": "s298@0.3",
+                                "scale": 0.5, "vectors": [[0, 1, 0]]})
         finally:
             manager.close()
 

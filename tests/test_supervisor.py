@@ -30,6 +30,7 @@ import pytest
 from repro.circuit import s27
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.parallel.resilience import ChaosConfig, RetryPolicy
+from repro.parallel.shutdown import reap_pool
 from repro.parallel.supervisor import PoolGaveUp, SupervisedPool
 from repro.telemetry import TelemetryCollector
 
@@ -215,6 +216,20 @@ class TestFailureModes:
         # Not a failure of any attempt: nothing was counted.
         assert not collector.counters
         assert (pool.restarts, pool.retries) == (0, 0)
+        assert not multiprocessing.active_children()
+
+
+def test_reap_pool_joins_the_manager_thread():
+    """``shutdown()`` drops the executor's manager thread, so reap_pool
+    must take it first: the thread joins the workers of a broken pool
+    itself, and one still running can leave a live child behind."""
+    for _ in range(5):
+        pool = concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"))
+        assert pool.submit(_square, 3).result() == 9
+        manager = pool._executor_manager_thread
+        reap_pool(pool)
+        assert not manager.is_alive()
         assert not multiprocessing.active_children()
 
 

@@ -23,9 +23,12 @@ block is parsed (``$ `` prompts, ``#`` comments, line continuations,
 env-var prefixes and ``--opt=value`` all handled) and verified
 against the real argparse parsers (``repro.cli.build_parser`` and
 ``repro.harness.experiments.build_parser``): the subcommand must
-exist, every ``--flag`` must be one that subcommand accepts, and the
+exist, every ``--flag`` must be one that subcommand accepts, the
 value of every option that declares argparse ``choices`` (``--opt
-value`` or ``--opt=value``) must be one of them.  A doc that quotes a
+value`` or ``--opt=value``) must be one of them, and a ``gatest run``
+invocation may give only the engine-specific flags its ``--engine``
+reads (``repro.cli.unread_run_flags``, the rule ``gatest run`` itself
+applies).  A doc that quotes a
 renamed or deleted flag or value fails the build instead of
 misleading readers.  Inline code spans that quote an invocation
 (`` `gatest run s27 --seed 1` ``), including spans that wrap onto the
@@ -301,8 +304,12 @@ def _inline_spans(raw_lines: List[str]) -> List[Tuple[int, str]]:
 def check_cli_blocks(
     path: Path, commands: Dict[str, Options], inline_code: bool = False
 ) -> List[Tuple[int, str, str]]:
-    """Phantom subcommands, flags and choice values in one file's shell
-    blocks and, with ``inline_code``, its inline code spans."""
+    """Phantom subcommands, flags and choice values, and ``gatest run``
+    flags the chosen engine does not read, in one file's shell blocks
+    and, with ``inline_code``, its inline code spans."""
+    # Importable once _cli_parsers has put <root>/src on the path.
+    from repro.cli import unread_run_flags
+
     problems: List[Tuple[int, str, str]] = []
     raw_lines = path.read_text(encoding="utf-8").splitlines()
     lines = _shell_blocks(raw_lines)
@@ -336,6 +343,8 @@ def check_cli_blocks(
                 continue
             accepted = commands[subcommand]
             args = argv[1:]
+            given: List[str] = []
+            engine = "ga"
             for i, token in enumerate(args):
                 if token == "--":
                     break
@@ -350,6 +359,7 @@ def check_cli_blocks(
                          f"flag not accepted by 'gatest {subcommand}'")
                     )
                     continue
+                given.append(flag)
                 choices = accepted[flag]
                 if choices is None:
                     continue
@@ -360,6 +370,14 @@ def check_cli_blocks(
                         (lineno, f"{flag} {value}",
                          f"value not among {flag} choices "
                          f"{', '.join(choices)}")
+                    )
+                elif flag == "--engine" and value:
+                    engine = value
+            if subcommand == "run":
+                for flag in unread_run_flags(engine, given):
+                    problems.append(
+                        (lineno, flag,
+                         f"flag not read by 'gatest run --engine {engine}'")
                     )
     return problems
 
