@@ -6,6 +6,13 @@ verified against their published descriptions).  The parametric builders
 construct well-understood sequential structures used throughout the test
 suite: their expected behaviour (sequential depth, initializability,
 detectable-fault sets) can be derived by hand.
+
+This module also owns what a circuit *name* denotes: :func:`resolve_spec`
+turns a spec (a ``.bench`` path, a builtin name, an ISCAS89 profile
+name or ``name@<scale>``) into a circuit, and :func:`canonical_spec`
+spells each circuit one way, so every command, harness cell, campaign
+lease and service job that names one circuit resolves the same netlist
+under the same key.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Tuple
 
-from .bench import parse_bench
+from .bench import load_bench, parse_bench
 from .gates import GateType
 from .netlist import Circuit
 
@@ -164,56 +171,72 @@ def _profile_scale(spec: str, scale: float) -> Tuple[str, float]:
     return name, named
 
 
+def _is_bench_path(spec: str) -> bool:
+    path = Path(spec)
+    return path.suffix == ".bench" and path.exists()
+
+
+def profile_name(circuit_name: str) -> str:
+    """The ISCAS89 profile a circuit's own name stands for: the bare
+    name of a scaled stand-in (``s5378@0.3`` -> ``s5378``), any other
+    name as given."""
+    try:
+        return _profile_scale(circuit_name, 1.0)[0]
+    except ValueError:
+        return circuit_name
+
+
 def canonical_spec(
     spec: str, scale: float = 1.0, seed: int = 0
 ) -> Tuple[str, float, int]:
     """The ``(spec, scale, seed)`` :func:`resolve_spec` resolves, spelled
-    one way for each circuit (the job service's warm-registry key).
+    one way for each circuit: the key every cache, journal cell, lease
+    and job of one circuit shares.
 
     A ``.bench`` path or builtin name ignores ``scale`` and ``seed``, so
     both become 1.0 and 0.  A profile's ``name@<scale>`` (the name a
     scaled stand-in reports, ``s298@0.3``) becomes the bare name and that
     scale, unless the bare name is a builtin too (``s27``), whose
     stand-ins only the suffix tells apart.  Raises :class:`ValueError`
-    on a suffix that is not a number or that conflicts with ``scale``.
+    on an unknown spec, a suffix that is not a number, or a suffix that
+    conflicts with ``scale``.
     """
-    path = Path(spec)
-    if (path.suffix == ".bench" and path.exists()) or spec in list_builtin():
+    from .profiles import ISCAS89_PROFILES
+
+    if _is_bench_path(spec) or spec in list_builtin():
         return (spec, 1.0, 0)
     name, scale = _profile_scale(spec, scale)
+    if name not in ISCAS89_PROFILES:
+        raise ValueError(
+            f"unknown circuit {spec!r} — give a .bench path, one of "
+            f"{list_builtin()}, or an ISCAS89 name like s298 or s298@0.3"
+        )
     return (spec if name in list_builtin() else name, float(scale), int(seed))
 
 
 def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
     """Resolve a circuit spec string to a :class:`Circuit`.
 
-    The one spelling of "name a circuit" shared by the CLI and the job
-    service: a ``.bench`` file path, a :func:`list_builtin` name, or an
-    ISCAS89 profile name synthesized with ``seed``/``scale``.  A profile
-    name may carry its scale as ``name@<scale>`` — the name a scaled
-    stand-in reports (``s298@0.3``) — so a circuit's own name resolves
-    back to it; ``scale`` then stays at its default 1.0 or equals the
-    suffix.  Raises :class:`ValueError` on an unknown spec, a suffix that
-    is not a number, or a ``scale`` that conflicts with the suffix —
-    callers map that to their own error surface (``SystemExit`` for the
-    CLI, HTTP 400 for the service).
+    The one spelling of "name a circuit" shared by every command, the
+    harness and the job service: a ``.bench`` file path, a
+    :func:`list_builtin` name, or an ISCAS89 profile name synthesized
+    with ``seed``/``scale``.  A profile name may carry its scale as
+    ``name@<scale>`` — the name a scaled stand-in reports (``s298@0.3``)
+    — so a circuit's own name resolves back to it; ``scale`` then stays
+    at its default 1.0 or equals the suffix.  Raises :class:`ValueError`
+    as :func:`canonical_spec` does — callers map that to their own
+    error surface (``SystemExit`` for the CLI, a usage error for the
+    harness, HTTP 400 for the service).
     """
-    from .bench import load_bench
-    from .profiles import ISCAS89_PROFILES
     from .synth import synthesize_named
 
-    path = Path(spec)
-    if path.suffix == ".bench" and path.exists():
-        return load_bench(path)
+    spec, scale, seed = canonical_spec(spec, scale, seed)
+    if _is_bench_path(spec):
+        return load_bench(Path(spec))
     if spec in list_builtin():
         return build_builtin(spec)
-    name, scale = _profile_scale(spec, scale)
-    if name in ISCAS89_PROFILES:
-        return synthesize_named(name, seed=seed, scale=scale)
-    raise ValueError(
-        f"unknown circuit {spec!r} — give a .bench path, one of "
-        f"{list_builtin()}, or an ISCAS89 name like s298 or s298@0.3"
-    )
+    return synthesize_named(_profile_scale(spec, scale)[0], seed=seed,
+                            scale=scale)
 
 
 def list_builtin() -> List[str]:

@@ -34,8 +34,10 @@ from .circuit import (
 )
 from .circuit.profiles import ISCAS89_PROFILES
 from .core import CheckpointError, GaTestGenerator, TestGenConfig
+from .core.config import DEFAULT_CHECKPOINT_EVERY
 from .faults import FaultSimulator
 from .sim.codegen import KERNEL_NAMES
+from .sim.compile import compile_circuit
 
 
 def _load_circuit(spec: str, scale: float, seed: int):
@@ -157,7 +159,8 @@ def _cmd_run_body(args: argparse.Namespace, collector) -> int:
     # --seed seeds the test generator, never the circuit: synthesized
     # profiles resolve at circuit seed 0, as the harness and the
     # benchmark do (`gatest synth --seed K -o c.bench` reaches another).
-    circuit = _load_circuit(args.circuit, args.scale, 0)
+    # Compiled once, so the engine and --compact share one kernel build.
+    circuit = compile_circuit(_load_circuit(args.circuit, args.scale, 0))
     if args.resume and not args.checkpoint:
         raise SystemExit("error: --resume requires --checkpoint")
     config = TestGenConfig(
@@ -358,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint", default=None, metavar="CKPT",
                      help="write crash-safe run checkpoints here (GA engine "
                           "only; see docs/ROBUSTNESS.md)")
-    run.add_argument("--checkpoint-every", type=int, default=8, metavar="N",
+    run.add_argument("--checkpoint-every", type=int,
+                     default=DEFAULT_CHECKPOINT_EVERY, metavar="N",
                      help="stage events (vectors committed / sequence "
-                          "attempts) between checkpoint writes (default 8)")
+                          "attempts) between checkpoint writes (default "
+                          f"{DEFAULT_CHECKPOINT_EVERY})")
     run.add_argument("--resume", action="store_true",
                      help="resume from --checkpoint; the finished run is "
                           "bit-identical to an uninterrupted one")

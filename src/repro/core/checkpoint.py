@@ -103,15 +103,16 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     return hasher.hexdigest()
 
 
-def check_fingerprint(payload: dict, circuit: Circuit) -> None:
-    """Refuse a checkpoint ``payload`` taken on another netlist."""
-    found = circuit_fingerprint(circuit)
-    if payload["fingerprint"] != found:
+def check_fingerprint(payload: dict, circuit: Circuit,
+                      what: str = "checkpoint") -> None:
+    """Refuse a ``payload`` — a checkpoint, or a campaign lease — whose
+    ``circuit`` and ``fingerprint`` name another netlist than ``circuit``."""
+    named, found = str(payload.get("fingerprint")), circuit_fingerprint(circuit)
+    if named != found:
         raise CheckpointError(
-            f"checkpoint was taken on circuit {payload['circuit']!r} with a "
-            f"different structure (checkpoint fingerprint "
-            f"{payload['fingerprint'][:12]}…, this circuit fingerprints to "
-            f"{found[:12]}…); refusing to restore"
+            f"{what} names circuit {payload['circuit']!r} with a "
+            f"different structure ({what} fingerprint {named[:12]}…, "
+            f"this circuit fingerprints to {found[:12]}…); refusing to use it"
         )
 
 

@@ -13,6 +13,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
+from ..circuit.library import profile_name
 from ..faults.sampling import make_sampler
 from ..sim.codegen import KERNEL_NAMES
 
@@ -53,6 +54,11 @@ DEFAULT_GENERATIONS = 8
 #: Circuits the paper runs with reduced progress limits and sequence
 #: lengths because of their very large sequential depth (§V).
 DEEP_CIRCUITS = ("s5378", "s35932")
+
+#: Stage events between run-checkpoint writes, unless a run asks for
+#: another interval (``gatest run --checkpoint-every``, a service run
+#: job's ``checkpoint_every``).
+DEFAULT_CHECKPOINT_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -179,9 +185,9 @@ class TestGenConfig:
         return hashlib.sha256(repr(items).encode()).hexdigest()
 
     def for_circuit(self, circuit_name: str) -> "TestGenConfig":
-        """Apply the paper's per-circuit overrides (deep circuits)."""
-        base = circuit_name.split("@", 1)[0]  # scaled profiles keep the name
-        if base in DEEP_CIRCUITS:
+        """Apply the paper's per-circuit overrides (deep circuits); a
+        scaled stand-in (``s5378@0.3``) takes its profile's."""
+        if profile_name(circuit_name) in DEEP_CIRCUITS:
             return replace(
                 self,
                 vector_progress_multiplier=1.0,

@@ -44,7 +44,7 @@ from .checkpoint import (
     stage_event_from_json,
     stage_event_to_json,
 )
-from .config import TestGenConfig
+from .config import DEFAULT_CHECKPOINT_EVERY, TestGenConfig
 from .fitness import FitnessContext, Phase, fitness_for_phase
 from .phases import PhaseTracker
 from .results import StageEvent, TestGenResult
@@ -478,8 +478,6 @@ class GaTestGenerator:
             ),
         )
         return tracker, payload["stage"], payload.get("sequence_stage")
-
-    DEFAULT_CHECKPOINT_EVERY = 8
 
     def close(self) -> None:
         """Release the fault simulator's resources, if this run owns them.

@@ -378,6 +378,7 @@ class CampaignJournal:
         host: str,
         ttl: float,
         config: Optional[dict] = None,
+        fingerprint: Optional[str] = None,
         collect: bool = False,
     ) -> dict:
         """Seal a TTL-stamped lease granting one cell to ``host``.
@@ -386,10 +387,12 @@ class CampaignJournal:
         :class:`~repro.core.config.TestGenConfig` rendering (including
         execution-only knobs like ``eval_jobs`` and the resolved
         ``sim_kernel``) so the worker reproduces the coordinator's
-        execution environment exactly.  Leases are journal-global
-        monotonic (``seq``); a re-lease of the same cell supersedes the
-        previous lease by carrying a higher ``seq``.  Counts
-        ``campaign.lease.granted``.
+        execution environment exactly; ``fingerprint`` is the
+        coordinator's :func:`~repro.core.checkpoint.circuit_fingerprint`
+        of the cell's circuit, which the worker's must equal.  Leases
+        are journal-global monotonic (``seq``); a re-lease of the same
+        cell supersedes the previous lease by carrying a higher
+        ``seq``.  Counts ``campaign.lease.granted``.
         """
         self._lease_seq += 1
         record = {
@@ -404,6 +407,7 @@ class CampaignJournal:
             "ttl": float(ttl),
             "expires_at": time.time() + float(ttl),
             "config": config,
+            "fingerprint": fingerprint,
             "collect": bool(collect),
         }
         sealed = self._append(record)

@@ -50,8 +50,11 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from ..circuit.netlist import CircuitError
 from ..core.checkpoint import (
     CheckpointError,
+    check_fingerprint,
+    circuit_fingerprint,
     config_from_json,
     config_to_json,
     result_from_json,
@@ -151,10 +154,13 @@ class DistributedCoordinator:
         (workers seal theirs, degraded local runs are sealed here).
         ``config`` is leased as given: ``run_gatest`` has already
         resolved its execution knobs (``eval_jobs``, the kernel name),
-        so worker hosts run what this process would.
+        so worker hosts run what this process would.  Each lease also
+        carries ``compiled``'s fingerprint, so a host that resolves
+        ``circuit_name`` to another circuit fails the cell instead.
         """
         collect = self.collector.enabled
         config_json = config_to_json(config)
+        fingerprint = circuit_fingerprint(compiled.circuit)
 
         #: per-seed lease state: expiry count + whether we ran it locally
         expiries: Dict[int, int] = {seed: 0 for seed in seeds}
@@ -175,7 +181,8 @@ class DistributedCoordinator:
                     self.journal.grant_lease(
                         circuit_name, label, seed, scale, digest,
                         host=self._pick_host(), ttl=self.policy.task_timeout,
-                        config=config_json, collect=collect,
+                        config=config_json, fingerprint=fingerprint,
+                        collect=collect,
                     )
 
         while outstanding:
@@ -228,7 +235,7 @@ class DistributedCoordinator:
                 self.journal.grant_lease(
                     circuit_name, label, seed, scale, digest,
                     host=host, ttl=self.policy.task_timeout, config=config_json,
-                    collect=collect,
+                    fingerprint=fingerprint, collect=collect,
                 )
                 progressed = True
             if outstanding and not progressed:
@@ -337,7 +344,14 @@ def _execute_lease(
     chaos: Optional[ChaosConfig],
     host: str,
 ) -> None:
-    """Run one leased cell through the per-seed pool and seal the result."""
+    """Run one leased cell through the per-seed pool and seal the result.
+
+    A lease whose circuit does not resolve here (an unknown name, a
+    missing or malformed ``.bench`` file), or resolves to a netlist
+    other than the coordinator's (another file behind one ``.bench``
+    path), or whose config this build cannot read, is sealed as a
+    failed cell naming this host.
+    """
     circuit = lease["circuit"]
     label = lease["label"]
     seed = int(lease["seed"])
@@ -353,17 +367,25 @@ def _execute_lease(
             # worker's late seal becomes a duplicate for
             # first-sealed-ok-wins arbitration.
             time.sleep(max(0.0, float(lease["expires_at"]) - time.time()) + 0.2)
-    config = config_from_json(lease["config"])
-    compiled = compiled_circuit_for(circuit, scale)
     collect = bool(lease.get("collect"))
     cellcol = (
         TelemetryCollector(source="repro.harness.campaign-worker")
         if collect else NullCollector()
     )
-    results, failures = _run_seed_pool(compiled, config, [seed], 1, cellcol)
+    try:
+        config = config_from_json(lease["config"])
+        compiled = compiled_circuit_for(circuit, scale)
+        check_fingerprint(lease, compiled.circuit, what="lease")
+    except (CheckpointError, CircuitError, ValueError) as exc:
+        outcome: Union[TestGenResult, SeedFailure] = SeedFailure(
+            seed=seed, error=f"host {host}: {type(exc).__name__}: {exc}",
+            attempts=1,
+        )
+    else:
+        results, failures = _run_seed_pool(compiled, config, [seed], 1, cellcol)
+        outcome = results[seed] if seed in results else failures[seed]
     _seal_cell(
-        journal, circuit, seed,
-        results[seed] if seed in results else failures[seed],
+        journal, circuit, seed, outcome,
         scale=scale, label=label, digest=digest,
         host=host, trace=cellcol.records() if collect else None,
     )

@@ -34,6 +34,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..baselines.deterministic import DeterministicAtpg
+from ..circuit.library import canonical_spec
 from ..circuit.profiles import (
     TABLE2_CIRCUITS,
     TABLE3_CIRCUITS,
@@ -45,7 +46,14 @@ from ..circuit.profiles import (
 from ..core.config import TestGenConfig, ga_params_for_vector_length
 from ..core.generator import GaTestGenerator
 from . import paper_data
-from .runner import SERIAL, ExecutionPlan, compiled_circuit_for, run_gatest, run_matrix
+from .runner import (
+    SERIAL,
+    AggregateResult,
+    ExecutionPlan,
+    compiled_circuit_for,
+    run_gatest,
+    run_matrix,
+)
 from .tables import TextTable, fmt_mean_std, fmt_time
 
 #: Circuits small enough for quick default runs, per table.
@@ -87,6 +95,43 @@ OVERLAP_SETTINGS = {
 
 def _progress(line: str) -> None:
     print("  " + line, file=sys.stderr, flush=True)
+
+
+# A cell none of whose seeds survived renders as ``-`` (``None``), never
+# as a measurement of 0, and drops out of every summary and speedup.
+
+def _det(agg: AggregateResult) -> Optional[str]:
+    """A cell's mean detections."""
+    return f"{agg.det_mean:.1f}" if agg.runs else None
+
+
+def _vec(agg: AggregateResult) -> Optional[str]:
+    """A cell's mean test-set length."""
+    return f"{agg.vec_mean:.0f}" if agg.runs else None
+
+
+def _det_vec_speedup(agg: AggregateResult, base: AggregateResult) -> Optional[str]:
+    """``det/vec/speedup`` of a cell, its speedup over ``base``'s mean
+    time (``-`` when ``base`` has no surviving seed)."""
+    if not agg.runs:
+        return None
+    speedup = (f"{base.time_mean / agg.time_mean:.2f}"
+               if base.runs and agg.time_mean > 0 else "-")
+    return f"{agg.det_mean:.1f}/{agg.vec_mean:.0f}/{speedup}"
+
+
+def _normalized_mean(rows: Sequence[Dict[str, AggregateResult]],
+                     labels: Sequence[str]) -> Optional[str]:
+    """Mean detections of the ``labels`` cells of every row, each
+    normalized to its row's best cell."""
+    values: List[float] = []
+    for row in rows:
+        best = max((agg.det_mean for agg in row.values() if agg.runs),
+                   default=0.0)
+        if best > 0:
+            values.extend(row[label].det_mean / best
+                          for label in labels if row[label].runs)
+    return f"{sum(values) / len(values):.4f}" if values else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +176,15 @@ def table_2(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
         # count the same way HITEC's own backtrack limits do.
         det = DeterministicAtpg(compiled, backtrack_limit=100).run()
         _progress(f"{name} deterministic done ({fmt_time(det.elapsed_seconds)})")
-        measured.add_row(
-            name,
+        ga = [
             agg.total_faults,
             fmt_mean_std(agg.det_mean, agg.det_std),
             fmt_mean_std(agg.vec_mean, agg.vec_std, digits=0),
             fmt_time(agg.time_mean),
+        ] if agg.runs else [None] * 4
+        measured.add_row(
+            name,
+            *ga,
             det.detected,
             det.vectors,
             fmt_time(det.elapsed_seconds),
@@ -183,10 +231,8 @@ def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     for name in circuits:
         measured.add_row(
             name,
-            *[
-                f"{results[name][f'{sel}/{xo}'].det_mean:.1f}"
-                for sel in SELECTIONS for xo in CROSSOVERS
-            ],
+            *[_det(results[name][f"{sel}/{xo}"])
+              for sel in SELECTIONS for xo in CROSSOVERS],
         )
     vectors_table = TextTable(
         ["Circuit"] + [f"{s[:4]}/{x[:4]}" for s in SELECTIONS for x in CROSSOVERS],
@@ -197,42 +243,31 @@ def table_3(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     for name in circuits:
         vectors_table.add_row(
             name,
-            *[
-                f"{results[name][f'{sel}/{xo}'].vec_mean:.0f}"
-                for sel in SELECTIONS for xo in CROSSOVERS
-            ],
+            *[_vec(results[name][f"{sel}/{xo}"])
+              for sel in SELECTIONS for xo in CROSSOVERS],
         )
     # Scheme summary (normalized to each circuit's best cell).
     summary = TextTable(
         ["Scheme", "Measured mean (norm.)", "Paper mean (norm.)"],
         title="Selection-scheme summary",
     )
+    rows = [results[name] for name in circuits]
     paper_means = paper_data.table3_scheme_means()
     for sel in SELECTIONS:
-        values = []
-        for name in circuits:
-            best = max(results[name][k].det_mean for k in configs)
-            if best > 0:
-                values.extend(
-                    results[name][f"{sel}/{xo}"].det_mean / best for xo in CROSSOVERS
-                )
-        mean = sum(values) / len(values) if values else 0.0
-        summary.add_row(sel, f"{mean:.4f}", f"{paper_means.get(sel, 0):.4f}")
+        summary.add_row(
+            sel, _normalized_mean(rows, [f"{sel}/{xo}" for xo in CROSSOVERS]),
+            f"{paper_means.get(sel, 0):.4f}",
+        )
     xo_summary = TextTable(
         ["Crossover", "Measured mean (norm.)", "Paper mean (norm.)"],
         title="Crossover summary",
     )
     paper_xo = paper_data.table3_crossover_means()
     for xo in CROSSOVERS:
-        values = []
-        for name in circuits:
-            best = max(results[name][k].det_mean for k in configs)
-            if best > 0:
-                values.extend(
-                    results[name][f"{sel}/{xo}"].det_mean / best for sel in SELECTIONS
-                )
-        mean = sum(values) / len(values) if values else 0.0
-        xo_summary.add_row(xo, f"{mean:.4f}", f"{paper_xo.get(xo, 0):.4f}")
+        xo_summary.add_row(
+            xo, _normalized_mean(rows, [f"{sel}/{xo}" for sel in SELECTIONS]),
+            f"{paper_xo.get(xo, 0):.4f}",
+        )
     return "\n\n".join([
         measured.render(), vectors_table.render(),
         summary.render(), xo_summary.render(),
@@ -259,7 +294,7 @@ def table_4(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     )
     for name in circuits:
         measured.add_row(
-            name, *[f"{results[name][label].det_mean:.1f}" for label in MUTATION_RATES]
+            name, *[_det(results[name][label]) for label in MUTATION_RATES]
         )
     paper = TextTable(
         ["Circuit"] + list(MUTATION_RATES), title="Table 4 (paper)"
@@ -295,7 +330,7 @@ def table_5(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     )
     for name in circuits:
         measured.add_row(
-            name, *[f"{results[name][f'{c}{p}'].det_mean:.1f}" for c, p in cells]
+            name, *[_det(results[name][f"{c}{p}"]) for c, p in cells]
         )
     paper = TextTable(["Circuit"] + [f"{c}{p}" for c, p in cells], title="Table 5 (paper)")
     for name in circuits:
@@ -327,13 +362,10 @@ def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
               f"sample sizes scaled from 100/200/300)",
     )
     for name in circuits:
-        full_time = results[name]["full"].time_mean
-        row = [name]
-        for size in sizes:
-            agg = results[name][f"{size}"]
-            speedup = full_time / agg.time_mean if agg.time_mean > 0 else 0.0
-            row.append(f"{agg.det_mean:.1f}/{agg.vec_mean:.0f}/{speedup:.2f}")
-        measured.add_row(*row)
+        measured.add_row(name, *[
+            _det_vec_speedup(results[name][f"{size}"], results[name]["full"])
+            for size in sizes
+        ])
     paper = TextTable(
         ["Circuit"] + [f"{s}: det/vec/spdup" for s in SAMPLE_SIZES],
         title="Table 6 (paper)",
@@ -373,13 +405,10 @@ def table_7(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
         title=f"Table 7 (measured, scale={scale}, {len(seeds)} seeds)",
     )
     for name in circuits:
-        base_time = results[name]["nonoverlap"].time_mean
-        row = [name]
-        for label in OVERLAP_SETTINGS:
-            agg = results[name][label]
-            speedup = base_time / agg.time_mean if agg.time_mean > 0 else 0.0
-            row.append(f"{agg.det_mean:.1f}/{agg.vec_mean:.0f}/{speedup:.2f}")
-        measured.add_row(*row)
+        measured.add_row(name, *[
+            _det_vec_speedup(results[name][label], results[name]["nonoverlap"])
+            for label in OVERLAP_SETTINGS
+        ])
     paper = TextTable(
         ["Circuit"] + [f"{label}: det/vec/spdup" for label in OVERLAP_SETTINGS],
         title="Table 7 (paper)",
@@ -472,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--full", action="store_true",
                         help="use the paper's full circuit list for the table")
     parser.add_argument("--circuits", nargs="*", default=None,
-                        help="explicit circuit subset")
+                        help="explicit circuit subset, each named as "
+                             "'gatest run' takes it (a builtin name, a "
+                             ".bench path, an ISCAS89 name or name@scale)")
     parser.add_argument("--eval-jobs", type=int, default=None, metavar="N",
                         help="fault-sharded candidate evaluation over N "
                              "worker processes per run (bit-identical "
@@ -530,6 +561,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     _refuse_bad_counts(parser, ("--seeds", args.seeds), ("--jobs", args.jobs),
                        ("--eval-jobs", args.eval_jobs))
     _refuse_bad_scale(parser, args.scale)
+    for spec in args.circuits or ():
+        try:
+            canonical_spec(spec, args.scale)
+        except ValueError as exc:
+            parser.error(str(exc))
     hosts: Optional[List[str]] = None
     if args.workers_from:
         try:

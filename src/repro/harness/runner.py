@@ -40,8 +40,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..circuit.netlist import Circuit
-from ..circuit.synth import synthesize_named
+from ..circuit.library import canonical_spec, resolve_spec
 from ..core.checkpoint import result_from_json, result_to_json
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator
@@ -163,15 +162,19 @@ SERIAL = ExecutionPlan()
 #: What every executor returns: ``(results, failures)`` keyed by seed.
 CellOutcomes = Tuple[Dict[int, TestGenResult], Dict[int, SeedFailure]]
 
-#: Cache of compiled synthetic circuits, keyed by (name, scale).
-_circuit_cache: Dict[tuple, CompiledCircuit] = {}
+#: Compiled circuits by their :func:`~repro.circuit.library.canonical_spec`.
+_circuit_cache: Dict[Tuple[str, float, int], CompiledCircuit] = {}
 
 
-def compiled_circuit_for(name: str, scale: float = 1.0) -> CompiledCircuit:
-    """Synthesize (cached) and compile the stand-in for ``name``."""
-    key = (name, scale)
+def compiled_circuit_for(spec: str, scale: float = 1.0) -> CompiledCircuit:
+    """The compiled circuit ``spec`` names at ``scale``, resolved as
+    ``gatest run`` resolves it (:func:`~repro.circuit.library.resolve_spec`)
+    and cached under its canonical key, so every spelling of one circuit
+    is one object.  Raises :class:`ValueError` for a spec that names no
+    circuit."""
+    key = canonical_spec(spec, scale)
     if key not in _circuit_cache:
-        _circuit_cache[key] = compile_circuit(synthesize_named(name, scale=scale))
+        _circuit_cache[key] = compile_circuit(resolve_spec(*key))
     return _circuit_cache[key]
 
 
@@ -301,19 +304,18 @@ def _run_cells_pooled(
 
 
 def _cell_executor(
-    plan: ExecutionPlan, collector: NullCollector, *, leasable: bool, cells: int
+    plan: ExecutionPlan, collector: NullCollector, *, cells: int
 ) -> Callable[..., CellOutcomes]:
     """Pick the executor for ``cells`` cells: the one place that chooses.
 
     Each candidate has the signature ``run_cells(circuit_name,
     compiled, config, seeds, *, scale, label, digest) -> (results,
     failures)`` and seals every cell it runs.  A coordinator takes the
-    cells unless they are not ``leasable`` (an explicit circuit object,
-    which worker hosts cannot rebuild); the seed pool takes them when
-    the plan allows more than one seed job and more than one cell
-    runs; otherwise they run in this process.
+    cells; the seed pool takes them when the plan allows more than one
+    seed job and more than one cell runs; otherwise they run in this
+    process.
     """
-    if plan.coordinator is not None and leasable:
+    if plan.coordinator is not None:
         return plan.coordinator.run_cells
     if plan.seed_jobs > 1 and cells > 1:
         return partial(_run_cells_pooled, plan, collector)
@@ -325,15 +327,17 @@ def run_gatest(
     config: TestGenConfig,
     seeds: Sequence[int],
     scale: float = 1.0,
-    circuit: Optional[Circuit] = None,
     collector: Optional[NullCollector] = None,
     label: Optional[str] = None,
     plan: ExecutionPlan = SERIAL,
 ) -> AggregateResult:
     """Run GATEST over several seeds on one circuit and aggregate.
 
-    ``circuit`` overrides the synthetic stand-in (used by tests with
-    bundled circuits); it is never leased to worker hosts.  ``plan``
+    ``circuit_name`` is any spec ``gatest run`` takes (a builtin name,
+    a ``.bench`` path, an ISCAS89 profile name or ``name@scale``),
+    resolved at ``scale`` by :func:`compiled_circuit_for`; cells are
+    journaled and leased under its canonical name and scale, so two
+    spellings of one circuit share their cells.  ``plan``
     says how the seeds run (:class:`ExecutionPlan`; default: serially
     in this process).  Seed jobs are the easy level of the parallelism
     the paper's §VI anticipates — GA runs over distinct seeds are fully
@@ -358,10 +362,8 @@ def run_gatest(
     """
     if collector is None:
         collector = get_collector()
-    compiled = (
-        compile_circuit(circuit) if circuit is not None
-        else compiled_circuit_for(circuit_name, scale)
-    )
+    name, scale, _ = canonical_spec(circuit_name, scale)
+    compiled = compiled_circuit_for(name, scale)
     digest = config.digest()
     if label is None:
         label = digest[:12]
@@ -371,7 +373,7 @@ def run_gatest(
     to_run: List[int] = []
     for seed in seeds:
         data = (
-            journal.lookup(circuit_name, label, seed, scale, digest)
+            journal.lookup(name, label, seed, scale, digest)
             if journal is not None else None
         )
         if data is not None:
@@ -384,15 +386,13 @@ def run_gatest(
         eval_jobs=plan.eval_jobs or config.eval_jobs,
         sim_kernel=resolve_kernel_name(config.sim_kernel),
     )
-    run_cells = _cell_executor(
-        plan, collector, leasable=circuit is None, cells=len(to_run)
-    )
+    run_cells = _cell_executor(plan, collector, cells=len(to_run))
     with collector.span(
         "harness.run_gatest", circuit=circuit_name, seeds=len(seeds),
         jobs=plan.seed_jobs,
     ):
         results, failures = run_cells(
-            circuit_name, compiled, config, to_run,
+            name, compiled, config, to_run,
             scale=scale, label=label, digest=digest,
         )
     runs_by_seed.update(results)
@@ -432,15 +432,15 @@ def run_matrix(
     ``harness.cell`` telemetry span; the progress line's elapsed time is
     that span's, so the printed and traced timings are one measurement.
     ``plan`` is passed through to :func:`run_gatest`.  With a journal in
-    the plan the matrix's circuits and config digests are bound into
-    the journal up front, so a resume against changed configs is
-    refused before any work runs.
+    the plan the matrix's circuits (by canonical name) and config
+    digests are bound into the journal up front, so a resume against
+    changed configs is refused before any work runs.
     """
     if collector is None:
         collector = get_collector()
     if plan.journal is not None:
         plan.journal.bind(
-            list(circuit_names),
+            [canonical_spec(name, scale)[0] for name in circuit_names],
             {lbl: cfg.digest() for lbl, cfg in configs.items()},
         )
     results: Dict[str, Dict[str, AggregateResult]] = {}

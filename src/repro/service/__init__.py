@@ -43,7 +43,7 @@ from .jobs import (
     parse_job,
     run_key,
 )
-from .state import WarmRegistry, circuit_key, sim_key
+from .state import WarmRegistry, sim_key
 
 __all__ = [
     "Job",
@@ -58,7 +58,6 @@ __all__ = [
     "ServiceServer",
     "StreamingCollector",
     "WarmRegistry",
-    "circuit_key",
     "parse_job",
     "run_key",
     "serve",

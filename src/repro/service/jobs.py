@@ -9,9 +9,9 @@ and "result JSON ready":
   ``config`` object so every field check (types, ranges, unknown keys)
   is the library's own, not a parallel schema that could drift.
 * **Coalescing** — identical in-flight requests (same canonical payload
-  digest) collapse onto one job: deterministic seeds mean the result is
-  the same, so running it twice is pure waste
-  (``service.jobs.coalesced``).
+  digest, the circuit spelled by its canonical key) collapse onto one
+  job: deterministic seeds mean the result is the same, so running it
+  twice is pure waste (``service.jobs.coalesced``).
 * **Batching** — queued ``fsim`` jobs that share a simulator key and
   frame count are scored in one shared wide-word
   :meth:`~repro.faults.simulator.FaultSimulator.evaluate_batch` pass.
@@ -64,21 +64,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..circuit.library import canonical_spec
 from ..core.checkpoint import (
     append_journal_record,
     canonical_sha256,
     config_to_json,
     load_sealed_log,
 )
-from ..core.config import TestGenConfig
+from ..core.config import DEFAULT_CHECKPOINT_EVERY, TestGenConfig
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp
 from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
-from .state import WarmRegistry, circuit_key, sim_key
+from .state import CircuitKey, WarmRegistry, sim_key
 from .tier import execute_run_job, open_tier, run_tier_job
-
-#: Default stage events between run-job checkpoint writes.
-DEFAULT_CHECKPOINT_EVERY = 8
 
 #: Seconds a rejected client is told to wait before retrying.
 RETRY_AFTER_SECONDS = 1
@@ -186,14 +184,13 @@ class JobSpec:
     """A validated job request (what :func:`parse_job` produces)."""
 
     kind: str                            # "run" | "fsim"
-    circuit: str                         # spec string (resolve_spec grammar)
-    scale: float
-    seed: int                            # circuit synthesis seed (0 for run)
+    circuit: str                         # the request's spec, as spelled
+    key: CircuitKey                      # its canonical key (seed 0 for run)
     config: TestGenConfig                # simulator-shaping config
     vectors: Optional[List[List[int]]]   # fsim only
     checkpoint_every: int                # run only
     payload: dict                        # canonical raw request (for the ledger)
-    digest: str                          # canonical payload digest (coalescing)
+    digest: str                          # coalescing digest (see parse_job)
     priority: int = 0                    # queue ordering (higher first)
     deadline_s: Optional[float] = None   # run only: per-attempt deadline
 
@@ -207,8 +204,12 @@ def parse_job(payload: object) -> JobSpec:
     """Validate a ``POST /jobs`` payload into a :class:`JobSpec`.
 
     Raises :class:`JobValidationError` with a client-actionable message
-    on any malformation; config errors carry ``TestGenConfig``'s own
-    diagnostics.
+    on any malformation, a circuit :func:`canonical_spec` refuses
+    included; config errors carry ``TestGenConfig``'s own diagnostics.
+    The coalescing digest hashes the payload with its circuit spelled by
+    the canonical key (scale 1.0 and seed 0 left out), so every spelling
+    of one circuit digests alike, and a payload spelled that way already
+    keeps the digest, and so the job id, of its own bytes.
     """
     _require(isinstance(payload, dict), "request body must be a JSON object")
     kind = payload.get("kind")
@@ -287,17 +288,27 @@ def parse_job(payload: object) -> JobSpec:
         checkpoint_every = DEFAULT_CHECKPOINT_EVERY
     unknown = sorted(set(payload) - allowed)
     _require(not unknown, f"unknown field(s): {', '.join(unknown)}")
-    canonical = {key: payload[key] for key in sorted(payload)}
+    try:
+        key = canonical_spec(circuit, float(scale), seed)
+    except ValueError as exc:
+        raise JobValidationError(str(exc)) from exc
+    canonical = {name: payload[name] for name in sorted(payload)}
+    spelled = {name: value for name, value in canonical.items()
+               if name not in ("circuit", "scale", "seed")}
+    spelled["circuit"] = key[0]
+    if key[1] != 1.0:
+        spelled["scale"] = key[1]
+    if key[2]:
+        spelled["seed"] = key[2]
     return JobSpec(
         kind=kind,
         circuit=circuit,
-        scale=float(scale),
-        seed=seed,
+        key=key,
         config=config,
         vectors=vectors,
         checkpoint_every=checkpoint_every,
         payload=canonical,
-        digest=canonical_sha256(canonical),
+        digest=canonical_sha256(spelled),
         priority=priority,
         deadline_s=deadline_s,
     )
@@ -307,17 +318,16 @@ def run_key(spec: JobSpec, config: TestGenConfig) -> str:
     """The stable identity of one deterministic run — and therefore of
     its checkpoint file.
 
-    Keyed on the circuit resolution inputs plus the *effective*
-    (per-circuit) config's result-affecting digest; scheduling fields
+    Keyed on the circuit's canonical key (so every spelling of one
+    circuit shares one checkpoint) plus the *effective* (per-circuit)
+    config's result-affecting digest; scheduling fields
     (``priority``, ``deadline_s``, ``checkpoint_every``) and execution
     knobs are excluded, so a resubmission of the same canonical run —
     even at a different priority or deadline — maps to the same
     checkpoint and resumes the work a preempted or killed predecessor
     left behind.
     """
-    return canonical_sha256(
-        [spec.circuit, spec.scale, spec.seed, config.digest()]
-    )[:16]
+    return canonical_sha256([*spec.key, config.digest()])[:16]
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +467,7 @@ class JobManager:
         # Resolve (and warm) the circuit now so an unknown name is a
         # 400 at submit, not a failed job later.
         try:
-            self.registry.compiled(circuit_key(spec.circuit, spec.scale, spec.seed))
+            self.registry.compiled(spec.key)
         except ValueError as exc:
             raise JobValidationError(str(exc)) from exc
         with self._cond:
@@ -730,8 +740,7 @@ class JobManager:
 
     def _batch_key(self, job: Job) -> tuple:
         spec = job.spec
-        ckey = circuit_key(spec.circuit, spec.scale, spec.seed)
-        return (sim_key(ckey, spec.config), len(spec.vectors or ()))
+        return (sim_key(spec.key, spec.config), len(spec.vectors or ()))
 
     def _finish(self, job: Job, result: Optional[dict] = None,
                 error: Optional[str] = None,
@@ -786,8 +795,7 @@ class JobManager:
 
     def _execute_run(self, job: Job) -> None:
         spec = job.spec
-        ckey = circuit_key(spec.circuit, spec.scale, spec.seed)
-        compiled = self.registry.compiled(ckey)
+        compiled = self.registry.compiled(spec.key)
         # The generator applies per-circuit overrides itself; the warm
         # registry must key on the same effective config or a deep
         # circuit's simulator would alias a shallow one's.
@@ -797,9 +805,7 @@ class JobManager:
         outcome = None
         if self.tier is not None and not self._tier_degraded:
             task = {
-                "circuit": spec.circuit,
-                "scale": spec.scale,
-                "seed": spec.seed,
+                "key": spec.key,
                 "config": config_to_json(config),
                 "checkpoint_path": str(checkpoint),
                 "stop_path": str(stop_path),
@@ -822,7 +828,7 @@ class JobManager:
             if self._tier_degraded and self.collector.enabled:
                 self.collector.inc("service.jobs.degraded")
             outcome = execute_run_job(
-                self.registry, job.collector, ckey, config, checkpoint,
+                self.registry, job.collector, spec.key, config, checkpoint,
                 spec.checkpoint_every,
                 stop=lambda: job.cancel_event.is_set() or stop_path.exists(),
             )
@@ -836,8 +842,7 @@ class JobManager:
 
     def _execute_fsim_group(self, group: List[Job]) -> None:
         spec = group[0].spec
-        ckey = circuit_key(spec.circuit, spec.scale, spec.seed)
-        compiled = self.registry.compiled(ckey)
+        compiled = self.registry.compiled(spec.key)
         n_pi = compiled.circuit.num_inputs
         bad = [
             job for job in group
@@ -857,7 +862,7 @@ class JobManager:
         if self.collector.enabled and len(group) > 1:
             self.collector.inc("service.batch.passes")
             self.collector.inc("service.batch.jobs", len(group))
-        sim = self.registry.lease(ckey, spec.config)
+        sim = self.registry.lease(spec.key, spec.config)
         try:
             total_faults = sim.num_faults
             with group[0].collector.span(
@@ -869,7 +874,7 @@ class JobManager:
             for job in group:
                 self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
-        self.registry.release(ckey, spec.config, sim)
+        self.registry.release(spec.key, spec.config, sim)
         for job, ev in zip(group, evals):
             self._finish(
                 job,

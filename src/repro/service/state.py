@@ -8,9 +8,10 @@ and spinning up ``eval_jobs`` worker pools — happens once and is reused
 by every later job that asks for the same thing.  This module is that
 reuse: a keyed, LRU-evicting registry of
 
-* **compiled circuits**, keyed by :data:`circuit_key`, the canonical
-  ``(spec, scale, seed)`` that :func:`repro.circuit.library.resolve_spec`
-  resolves, so jobs naming one circuit in any spelling share one
+* **compiled circuits**, keyed by :data:`CircuitKey`, the canonical
+  ``(spec, scale, seed)`` of :func:`repro.circuit.library.canonical_spec`
+  that :func:`~repro.service.jobs.parse_job` puts on every job, so jobs
+  naming one circuit in any spelling share one
   :class:`CompiledCircuit` object.  Kernels are cached per
   compiled-circuit *object* inside :mod:`repro.sim.codegen`, so keeping
   the object resident is what makes repeat requests skip kernel
@@ -43,7 +44,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..circuit.library import canonical_spec, resolve_spec
+from ..circuit.library import resolve_spec
 from ..core.config import TestGenConfig
 from ..core.generator import make_fault_simulator
 from ..parallel.shutdown import close_quietly
@@ -54,17 +55,14 @@ from ..telemetry import NullCollector, get_collector
 #: follow the same bound).
 DEFAULT_CACHE_SIZE = 8
 
-#: (spec, scale, seed) — everything circuit resolution depends on.
+#: (spec, scale, seed) as :func:`repro.circuit.library.canonical_spec`
+#: spells it: one key for every spelling of one circuit (``s298@0.3``,
+#: or ``s298`` at scale 0.3).  ``seed`` is the synthesis seed: an
+#: ``fsim`` job's ``seed`` field, and 0 for every run job, whose GA seed
+#: never chooses the circuit.  A ``.bench`` path or builtin name keys at
+#: scale 1.0 and seed 0, so a seed-7 ``fsim`` job on ``s27`` warm-hits
+#: the simulator a seed-1 job left behind.
 CircuitKey = Tuple[str, float, int]
-
-
-#: The registry key for one resolvable circuit, one for every spelling
-#: of it (``s298@0.3``, or ``s298`` at scale 0.3).  ``seed`` is the
-#: synthesis seed: an ``fsim`` job's ``seed`` field, and 0 for every run
-#: job, whose GA seed never chooses the circuit.  A ``.bench`` path or
-#: builtin name keys at scale 1.0 and seed 0, so a seed-7 ``fsim`` job
-#: on ``s27`` warm-hits the simulator a seed-1 job left behind.
-circuit_key = canonical_spec
 
 
 def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:
@@ -113,8 +111,7 @@ class WarmRegistry:
                 self._circuits.move_to_end(ckey)
                 return cached
         # Resolve outside the lock: synthesis/compilation can be slow.
-        spec, scale, seed = ckey
-        compiled = compile_circuit(resolve_spec(spec, scale=scale, seed=seed))
+        compiled = compile_circuit(resolve_spec(*ckey))
         with self._lock:
             # A racing thread may have resolved the same key; keep the
             # first object so kernel caches (keyed by object identity)

@@ -30,7 +30,7 @@ from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator, RunPreempted
 from ..parallel.supervisor import SupervisedPool
 from ..telemetry import NullCollector, TelemetryCollector
-from .state import CircuitKey, WarmRegistry, circuit_key
+from .state import CircuitKey, WarmRegistry
 
 #: One tier task outcome: ``("done", result_payload)``, ``("preempted",
 #: None)`` or ``("error", message)``, plus the worker's shipped trace.
@@ -129,7 +129,7 @@ def init_tier_worker(cache_size: Optional[int] = None) -> None:
 def run_tier_job(task: dict) -> TierOutcome:
     """Execute one run job in this worker process.
 
-    ``task`` carries the circuit spec, the *effective* (per-circuit)
+    ``task`` carries the job's circuit key, the *effective* (per-circuit)
     config as :func:`~repro.core.checkpoint.config_to_json` wire
     format, the checkpoint path, the stop-file path and the checkpoint
     interval.  Application failures are returned as ``("error", …)``
@@ -143,7 +143,7 @@ def run_tier_job(task: dict) -> TierOutcome:
     marker = collector.mark()
     try:
         config = config_from_json(task["config"])
-        ckey = circuit_key(task["circuit"], task["scale"], task["seed"])
+        ckey = task["key"]
         compiled = _REGISTRY.compiled(ckey)
         config = config.for_circuit(compiled.circuit.name)  # idempotent
     except Exception as exc:

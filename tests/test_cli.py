@@ -215,6 +215,23 @@ class TestEngineFlags:
             int(out.split("= " if engine == "hybrid" else "det ", 1)[1]
                 .split("/")[0])
 
+    @pytest.mark.parametrize("engine", ["ga", "hybrid"])
+    def test_compaction_shares_the_engine_kernel(self, capsys, tmp_path,
+                                                 monkeypatch, engine):
+        """The engine and ``--compact`` run on one compiled circuit, so
+        the kernel is built once, not once for each."""
+        from repro.telemetry import read_trace
+
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        trace = tmp_path / "trace.jsonl"
+        code, out = run_cli(capsys, "run", "s27", "--engine", engine,
+                            "--seed", "1", "--compact", "--trace", str(trace))
+        assert code == 0 and "coverage preserved" in out
+        built = [record["value"] for record in read_trace(trace)
+                 if record.get("kind") == "counter"
+                 and record["name"] == "codegen.kernels.built"]
+        assert built == [1]
+
 
 class TestFsim:
     def test_round_trip(self, capsys, tmp_path):

@@ -368,6 +368,62 @@ class TestDegradation:
 
 
 # ----------------------------------------------------------------------
+# Lease fingerprints: a worker never seals another circuit's result
+# ----------------------------------------------------------------------
+
+
+class TestLeaseFingerprint:
+    def test_worker_fails_leases_it_cannot_match_and_keeps_serving(
+        self, tmp_path, monkeypatch
+    ):
+        """A leased ``.bench`` path that names another netlist on the
+        worker, or none, comes back as a failed cell naming the worker
+        host, reported like any failed seed; the worker then serves the
+        next lease."""
+        from repro.circuit import mini_fsm, s27, save_bench
+        from repro.harness import ExecutionPlan
+
+        coordinator_dir, worker_dir = tmp_path / "coord", tmp_path / "worker"
+        coordinator_dir.mkdir()
+        worker_dir.mkdir()
+        save_bench(s27(), coordinator_dir / "lease-other.bench")
+        save_bench(mini_fsm(), worker_dir / "lease-other.bench")
+        save_bench(s27(), coordinator_dir / "lease-missing.bench")
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal.create(path, table="t", scale=1.0, seeds=[1])
+        coordinator = DistributedCoordinator(
+            journal, ["alpha"], poll=0.01,
+            policy=RetryPolicy(task_timeout=120.0, max_retries=0),
+        )
+        plan = ExecutionPlan(journal=journal, coordinator=coordinator)
+        worker = _spawn_worker(worker_dir, path, "alpha")
+        monkeypatch.chdir(coordinator_dir)
+        try:
+            other = run_gatest("lease-other.bench", TestGenConfig(), [1],
+                               plan=plan)
+            missing = run_gatest("lease-missing.bench", TestGenConfig(), [1],
+                                 plan=plan)
+            served = run_gatest("s27", TestGenConfig(), [1], plan=plan)
+        finally:
+            coordinator.close()
+        worker.communicate(timeout=120)
+        assert worker.returncode == 0
+        assert not other.runs and not missing.runs
+        [mismatch], [unresolved] = other.failed_seeds, missing.failed_seeds
+        assert mismatch.error.startswith(
+            "host alpha: CheckpointError: lease names circuit "
+            "'lease-other.bench' with a different structure")
+        assert unresolved.error.startswith(
+            "host alpha: ValueError: unknown circuit 'lease-missing.bench'")
+        assert served.total_faults == 26 and not served.failed_seeds
+        hosts = {cell["circuit"]: (cell["status"], cell["host"])
+                 for cell in journal.cells()}
+        assert hosts == {"lease-other.bench": ("failed", "alpha"),
+                         "lease-missing.bench": ("failed", "alpha"),
+                         "s27": ("ok", "alpha")}
+
+
+# ----------------------------------------------------------------------
 # End-to-end: coordinator + worker processes over one journal
 # ----------------------------------------------------------------------
 

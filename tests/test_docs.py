@@ -116,6 +116,22 @@ class TestCliExampleChecking:
         assert result.returncode == 1
         assert "unknown gatest subcommand" in result.stdout
 
+    def test_experiments_module_invocations_checked(self, tmp_path):
+        """``python -m repro.harness.experiments …`` is checked as
+        ``gatest experiments …``, in shell blocks and inline spans."""
+        result = self._check(tmp_path, (
+            "# x\n\n```bash\n"
+            "python -m repro.harness.experiments --table 4 --scale 0.1\n"
+            "python3 -m repro.harness.experiments --table all --turbo\n"
+            "```\n\nThen `python -m repro.harness.experiments --table N`.\n"
+        ))
+        assert result.returncode == 1
+        assert "README.md:5: stale CLI example (flag not accepted by " \
+               "'gatest experiments'): --turbo" in result.stdout
+        assert "README.md:8: stale CLI example (value not among --table " \
+               "choices" in result.stdout
+        assert "2 problem(s)" in result.stdout
+
     def test_inline_code_spans_checked(self, tmp_path):
         """Inline `gatest …` spans in prose are checked too, also when
         they wrap onto the next line; valid spans pass."""
@@ -273,6 +289,5 @@ class TestServiceJobExamples:
             if job["kind"] != "fsim":
                 continue
             spec = parse_job(job)
-            circuit = resolve_spec(spec.circuit, scale=spec.scale,
-                                   seed=spec.seed)
+            circuit = resolve_spec(*spec.key)
             assert {len(v) for v in spec.vectors} == {circuit.num_inputs}

@@ -2,10 +2,10 @@
 
 ``run_gatest`` takes how it runs as one ``ExecutionPlan`` argument and
 hands the cells it has to run to one executor, picked from the plan in
-one place.  These tests pin the plan's two rules (a coordinator's
-journal is the plan's; an explicit circuit object is never leased) and
-the selection between the lease coordinator, the seed pool and the
-in-process executor.
+one place.  These tests pin the plan's rule (a coordinator's journal is
+the plan's), that a coordinator leases every cell under the circuit
+its name resolves to, and the selection between the lease coordinator,
+the seed pool and the in-process executor.
 """
 
 import functools
@@ -13,7 +13,7 @@ import functools
 import pytest
 
 from repro.circuit import s27
-from repro.core import TestGenConfig
+from repro.core import TestGenConfig, circuit_fingerprint
 from repro.harness import (
     CampaignJournal,
     DistributedCoordinator,
@@ -69,9 +69,8 @@ class TestPlanRules:
 
 
 class TestExecutorSelection:
-    def _pick(self, plan, leasable=True, cells=2):
-        return _cell_executor(plan, NullCollector(), leasable=leasable,
-                              cells=cells)
+    def _pick(self, plan, cells=2):
+        return _cell_executor(plan, NullCollector(), cells=cells)
 
     def test_coordinator_takes_leasable_cells(self, tmp_path):
         journal = _journal(tmp_path)
@@ -86,28 +85,30 @@ class TestExecutorSelection:
     def test_seed_pool_needs_two_jobs_and_two_cells(
         self, tmp_path, seed_jobs, cells, pooled
     ):
-        journal = _journal(tmp_path)
-        plan = ExecutionPlan(journal=journal, seed_jobs=seed_jobs,
-                             coordinator=_coordinator(journal))
-        executor = self._pick(plan, leasable=False, cells=cells)
+        plan = ExecutionPlan(journal=_journal(tmp_path), seed_jobs=seed_jobs)
+        executor = self._pick(plan, cells=cells)
         assert isinstance(executor, functools.partial)
         expected = _run_cells_pooled if pooled else _run_cells_in_process
         assert executor.func is expected
 
 
-class TestCircuitObjectsAreNeverLeased:
-    def test_explicit_circuit_runs_here_and_is_sealed(self, tmp_path):
+class TestEveryCellIsLeased:
+    def test_s27_cells_are_leased_as_the_bundled_netlist(self, tmp_path):
+        """A builtin name is leased like any other, under its canonical
+        key and the fingerprint of the netlist it resolves to; no host
+        answers here, so the coordinator runs the cells itself."""
         journal = _journal(tmp_path)
         plan = ExecutionPlan(journal=journal, coordinator=_coordinator(journal))
-        agg = run_gatest("s27", TestGenConfig(), [1, 2], circuit=s27(),
-                         label="lbl", plan=plan)
+        agg = run_gatest("s27", TestGenConfig(), [1, 2], label="lbl", plan=plan)
         assert agg.n_runs == 2 and not agg.failed_seeds
-        assert journal.leases() == []
+        assert agg.total_faults == 26
+        leases = journal.leases()
+        assert sorted(lease["seed"] for lease in leases) == [1, 2]
+        assert {(lease["circuit"], lease["scale"], lease["fingerprint"])
+                for lease in leases} == {("s27", 1.0, circuit_fingerprint(s27()))}
         cells = journal.cells(status="ok")
-        assert sorted(c["seed"] for c in cells) == [1, 2]
-        assert all("host" not in c for c in cells)
+        assert {cell["host"] for cell in cells} == {"coordinator"}
         assert [r.test_sequence for r in agg.runs] == [
             r.test_sequence
-            for r in run_gatest("s27", TestGenConfig(), [1, 2],
-                                circuit=s27()).runs
+            for r in run_gatest("s27", TestGenConfig(), [1, 2]).runs
         ]

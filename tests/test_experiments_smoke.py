@@ -9,7 +9,6 @@ import json
 
 import pytest
 
-from repro.circuit import s27
 from repro.core import TestGenConfig
 from repro.harness import CampaignJournal, ExecutionPlan, experiments, run_gatest, runner
 from repro.telemetry import TelemetryCollector
@@ -116,8 +115,7 @@ def test_main_leaves_no_execution_state_behind(capsys, monkeypatch):
 
     monkeypatch.setattr(runner, "_run_one_seed", spy)
     collector = TelemetryCollector(source="test")
-    agg = run_gatest("s27", TestGenConfig(), [1, 2], circuit=s27(),
-                     collector=collector)
+    agg = run_gatest("s27", TestGenConfig(), [1, 2], collector=collector)
     assert agg.n_runs == 2
     spans = [s for s in collector.events("span")
              if s["name"] == "harness.run_gatest"]
@@ -148,3 +146,59 @@ def test_scale_outside_profiles_is_a_usage_error(capsys, value):
     captured = capsys.readouterr()
     assert f"--scale must be in (0, 1], got {value}" in captured.err
     assert not captured.out
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("nosuch", "unknown circuit 'nosuch'"),
+    ("s298@0.5", "names scale 0.5 but scale 0.1 was also given"),
+])
+def test_unresolvable_circuit_is_a_usage_error(tmp_path, capsys, spec, message):
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        experiments.main(["--table", "4", "--scale", "0.1", "--seeds", "1",
+                          "--circuits", "s298", spec, "--journal", str(journal)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert not captured.out
+    assert not journal.exists()  # refused before any journal is written
+
+
+def test_builtin_and_bench_circuits_run(tmp_path, capsys):
+    """``--circuits`` takes every spelling ``gatest run`` takes."""
+    from repro.circuit import mini_fsm, save_bench
+
+    bench = tmp_path / "fsm.bench"
+    save_bench(mini_fsm(), bench)
+    assert experiments.main(["--table", "4", "--scale", "0.1", "--seeds", "1",
+                             "--circuits", "minifsm", str(bench)]) == 0
+    measured = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in measured[4:]}
+    assert set(rows) == {"minifsm", str(bench)}
+    assert rows["minifsm"] == rows[str(bench)]  # one netlist, two names
+
+
+def test_cells_without_a_surviving_seed_print_dashes(capsys, monkeypatch):
+    """Every seed of every cell crashes: the measured table shows ``-``
+    in each cell, not a measurement of zero detections."""
+    monkeypatch.setenv("REPRO_CHAOS", "crash:1.0,seed:1")
+    monkeypatch.setenv("REPRO_SEED_RETRIES", "0")
+    assert experiments.main(["--table", "4", "--scale", "0.1", "--seeds", "2",
+                             "--circuits", "s298", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    measured = captured.out.split("\n\n")[0].splitlines()
+    assert measured[-1].split() == ["s298"] + ["-"] * len(experiments.MUTATION_RATES)
+    assert captured.err.count("FAILED seeds [1, 2]") == len(experiments.MUTATION_RATES)
+
+
+def test_summaries_and_speedups_leave_failed_cells_out():
+    from repro.harness.experiments import _det_vec_speedup, _normalized_mean
+    from repro.harness.runner import AggregateResult, SeedFailure
+
+    ok = run_gatest("s27", TestGenConfig(), [1])
+    failed = AggregateResult(circuit="s27", total_faults=0,
+                             failed_seeds=[SeedFailure(1, "boom", 1)])
+    assert _det_vec_speedup(failed, ok) is None
+    assert _det_vec_speedup(ok, failed).endswith("/-")
+    assert _normalized_mean([{"a": ok, "b": failed}], ["a", "b"]) == "1.0000"
+    assert _normalized_mean([{"a": failed}], ["a"]) is None

@@ -1,32 +1,11 @@
-"""Unit and property tests for three-valued gate primitives."""
+"""Unit and property tests for the scalar three-valued gate evaluator."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit.gates import (
-    BENCH_NAMES,
-    GateType,
-    Val3,
-    X,
-    eval_gate_scalar,
-    scalar_to_v3,
-    v3_and,
-    v3_const0,
-    v3_const1,
-    v3_constx,
-    v3_fold,
-    v3_not,
-    v3_or,
-    v3_to_scalar,
-    v3_valid,
-    v3_xor,
-)
+from repro.circuit.gates import BENCH_NAMES, GateType, X, eval_gate_scalar
 
 SCALARS = [0, 1, X]
-
-
-def to_pair(v):
-    return scalar_to_v3(v)
 
 
 class TestScalarTruthTables:
@@ -74,63 +53,29 @@ class TestScalarTruthTables:
                 assert eval_gate_scalar(gate, [a, b]) == expect
 
 
-class TestWordOps:
-    def test_constants(self):
-        mask = 0b1111
-        assert v3_const0(mask) == (0, mask)
-        assert v3_const1(mask) == (mask, 0)
-        assert v3_constx() == (0, 0)
-
-    def test_not_swaps_planes(self):
-        assert v3_not((0b0101, 0b1010)) == (0b1010, 0b0101)
-
-    @given(st.lists(st.sampled_from(SCALARS), min_size=2, max_size=4),
+class TestMultiInputGates:
+    @given(st.lists(st.sampled_from(SCALARS), min_size=2, max_size=6),
            st.sampled_from([GateType.AND, GateType.OR, GateType.NAND,
                             GateType.NOR, GateType.XOR, GateType.XNOR]))
-    def test_fold_matches_scalar(self, inputs, gate_type):
-        mask = 1
-        word_result = v3_fold(gate_type, [to_pair(v) for v in inputs], mask)
-        assert v3_to_scalar(word_result) == eval_gate_scalar(gate_type, inputs)
+    def test_n_input_gate_is_pairwise_fold(self, inputs, gate_type):
+        """An n-input gate equals the left fold of its 2-input truth
+        table (the non-inverting one, inverted once at the end)."""
+        base = {GateType.NAND: GateType.AND, GateType.NOR: GateType.OR,
+                GateType.XNOR: GateType.XOR}.get(gate_type, gate_type)
+        expect = inputs[0]
+        for value in inputs[1:]:
+            expect = eval_gate_scalar(base, [expect, value])
+        if base is not gate_type:
+            expect = eval_gate_scalar(GateType.NOT, [expect])
+        assert eval_gate_scalar(gate_type, inputs) == expect
 
-    @given(st.lists(st.sampled_from(SCALARS), min_size=2, max_size=8))
-    def test_packed_slots_independent(self, slots):
-        """Packing N scalars into N slots and ANDing against constant 1
-        must return each scalar unchanged (identity of AND)."""
-        mask = (1 << len(slots)) - 1
-        v1 = sum(1 << i for i, v in enumerate(slots) if v == 1)
-        v0 = sum(1 << i for i, v in enumerate(slots) if v == 0)
-        out = v3_and((v1, v0), v3_const1(mask))
-        for i, v in enumerate(slots):
-            assert v3_to_scalar(out, slot=i) == v
-
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    def test_word_ops_preserve_validity(self, a1, a0, b1, b0):
-        mask = 0xFF
-        a = (a1 & ~a0 & mask, a0 & mask)
-        b = (b1 & ~b0 & mask, b0 & mask)
-        for op in (v3_and, v3_or, v3_xor):
-            assert v3_valid(op(a, b), mask)
-
-    def test_fold_rejects_empty(self):
-        with pytest.raises(ValueError):
-            v3_fold(GateType.AND, [], 1)
-
-    def test_fold_not_requires_single(self):
-        assert v3_fold(GateType.NOT, [v3_const0(1)], 1) == v3_const1(1)
-
-
-class TestScalarRoundTrip:
-    @pytest.mark.parametrize("v", SCALARS)
-    def test_round_trip(self, v):
-        assert v3_to_scalar(scalar_to_v3(v)) == v
-
-    def test_illegal_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            v3_to_scalar((1, 1))
+    def test_gate_without_inputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            eval_gate_scalar(GateType.AND, [])
 
     def test_bad_scalar_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_to_v3(7)
+        with pytest.raises(ValueError, match="not a three-valued scalar"):
+            eval_gate_scalar(GateType.OR, [0, 7])
 
 
 def test_bench_name_table_covers_all_types():

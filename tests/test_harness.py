@@ -1,12 +1,19 @@
 """Tests for the experiment harness: tables, runner, paper data."""
 
+import json
+
 import pytest
 
+from repro.circuit import s27
 from repro.circuit.profiles import TABLE2_CIRCUITS
-from repro.core import TestGenConfig
+from repro.cli import main as cli_main
+from repro.core import TestGenConfig, circuit_fingerprint
 from repro.harness import (
+    CampaignJournal,
     ExecutionPlan,
     TextTable,
+    compiled_circuit_for,
+    experiments,
     fmt_mean_std,
     fmt_time,
     mean_std,
@@ -15,6 +22,8 @@ from repro.harness import (
     run_matrix,
 )
 from repro.harness.experiments import TABLES, table_1
+from repro.service import JobManager
+from repro.telemetry import TelemetryCollector
 
 
 class TestFormatting:
@@ -90,19 +99,18 @@ class TestPaperData:
 
 
 class TestRunner:
-    def test_run_gatest_aggregates(self, s27_circuit):
-        agg = run_gatest("s27", TestGenConfig(), seeds=[1, 2], circuit=s27_circuit)
+    def test_run_gatest_aggregates(self):
+        agg = run_gatest("s27", TestGenConfig(), seeds=[1, 2])
         assert agg.n_runs == 2
         assert agg.total_faults == 26
         assert agg.det_mean > 0
         assert agg.vec_mean > 0
         assert agg.coverage_mean <= 1.0
 
-    def test_parallel_jobs_match_serial(self, s27_circuit):
-        serial = run_gatest("s27", TestGenConfig(), [1, 2], circuit=s27_circuit)
+    def test_parallel_jobs_match_serial(self):
+        serial = run_gatest("s27", TestGenConfig(), [1, 2])
         parallel = run_gatest(
-            "s27", TestGenConfig(), [1, 2], circuit=s27_circuit,
-            plan=ExecutionPlan(seed_jobs=2),
+            "s27", TestGenConfig(), [1, 2], plan=ExecutionPlan(seed_jobs=2),
         )
         assert [r.detected for r in serial.runs] == [
             r.detected for r in parallel.runs
@@ -119,6 +127,57 @@ class TestRunner:
         )
         assert set(results["s298"]) == {"a", "b"}
         assert len(lines) == 2
+
+
+class TestOneCircuitIdentity:
+    """Every surface that names a circuit resolves the name through
+    ``repro.circuit.library``: one spelling, one circuit."""
+
+    def test_s27_is_the_bundled_netlist_everywhere(self, tmp_path, capsys):
+        bundled = circuit_fingerprint(s27())
+        checkpoint = tmp_path / "run.ckpt"
+        assert cli_main(["run", "s27", "--seed", "1",
+                         "--checkpoint", str(checkpoint)]) == 0
+        assert "det 26/26" in capsys.readouterr().out
+        assert json.loads(checkpoint.read_text())["fingerprint"] == bundled
+
+        assert circuit_fingerprint(compiled_circuit_for("s27").circuit) == bundled
+        assert run_gatest("s27", TestGenConfig(), [1]).total_faults == 26
+        assert experiments.main(["--table", "4", "--scale", "0.1",
+                                 "--seeds", "1", "--circuits", "s27"]) == 0
+        progress = capsys.readouterr().err
+        assert progress.count("/26 vec=") == len(experiments.MUTATION_RATES)
+
+        manager = JobManager(tmp_path / "state", workers=1, use_tier=False)
+        try:
+            job, _ = manager.submit({"kind": "run", "circuit": "s27",
+                                     "config": {"seed": 1}})
+            assert manager.wait_idle(timeout=120)
+            assert job.result["total_faults"] == 26
+            compiled = manager.registry.compiled(job.spec.key)
+            assert circuit_fingerprint(compiled.circuit) == bundled
+        finally:
+            manager.close()
+
+    def test_two_spellings_are_one_circuit_and_one_cell(self, tmp_path):
+        assert compiled_circuit_for("s298@0.3") is compiled_circuit_for("s298", 0.3)
+        collector = TelemetryCollector(source="test")
+        journal = CampaignJournal.create(tmp_path / "j.jsonl", table="t",
+                                         scale=0.1, seeds=[1],
+                                         collector=collector)
+        plan = ExecutionPlan(journal=journal)
+        first = run_gatest("s298@0.1", TestGenConfig(), [1], label="lbl",
+                           plan=plan)
+        again = run_gatest("s298", TestGenConfig(), [1], scale=0.1,
+                           label="lbl", plan=plan)
+        assert [(c["circuit"], c["scale"]) for c in journal.cells()] == \
+            [("s298", 0.1)]
+        assert collector.counters["campaign.cells.skipped"] == 1
+        assert again.runs[0].test_sequence == first.runs[0].test_sequence
+
+    def test_unknown_circuit_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown circuit 'nosuch'"):
+            run_gatest("nosuch", TestGenConfig(), [1])
 
 
 class TestExperimentDrivers:

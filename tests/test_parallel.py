@@ -218,12 +218,10 @@ class TestGeneratorDeterminism:
             assert parallel.trace == baseline.trace
 
     def test_harness_aggregate_identical(self, jobs):
-        circuit = s27()
         config = TestGenConfig(max_vectors=12)
-        baseline = run_gatest("s27", config, seeds=[1, 2], circuit=circuit)
+        baseline = run_gatest("s27", config, seeds=[1, 2])
         parallel = run_gatest(
-            "s27", config, seeds=[1, 2], circuit=circuit,
-            plan=ExecutionPlan(eval_jobs=jobs),
+            "s27", config, seeds=[1, 2], plan=ExecutionPlan(eval_jobs=jobs),
         )
         for a, b in zip(baseline.runs, parallel.runs):
             assert a.test_sequence == b.test_sequence

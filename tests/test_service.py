@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuit import s27
+from repro.circuit.library import canonical_spec
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.core.checkpoint import CheckpointError, seal_journal_record
 from repro.faults import FaultSimulator
@@ -43,7 +44,6 @@ from repro.service import (
     ServiceError,
     ServiceServer,
     WarmRegistry,
-    circuit_key,
     parse_job,
     sim_key,
 )
@@ -130,7 +130,7 @@ class TestWarmRegistry:
     def test_lease_miss_then_hit(self):
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=4)
-        key = circuit_key("s27", 1.0, 0)
+        key = canonical_spec("s27", 1.0, 0)
         sim = registry.lease(key, self.CONFIG)
         assert collector.counters["service.cache.misses"] == 1
         registry.release(key, self.CONFIG, sim)
@@ -141,7 +141,7 @@ class TestWarmRegistry:
 
     def test_released_simulator_is_back_at_powerup(self):
         registry = WarmRegistry(max_sims=4)
-        key = circuit_key("s27", 1.0, 0)
+        key = canonical_spec("s27", 1.0, 0)
         sim = registry.lease(key, self.CONFIG)
         sim.commit(random_vectors(s27(), 4))
         assert sim.vectors_applied == 4
@@ -152,7 +152,7 @@ class TestWarmRegistry:
         registry.close()
 
     def test_config_change_is_a_different_key(self):
-        key = circuit_key("s27", 1.0, 0)
+        key = canonical_spec("s27", 1.0, 0)
         assert sim_key(key, self.CONFIG) != sim_key(
             key, TestGenConfig(seed=1, sim_kernel="interp")
         )
@@ -160,8 +160,8 @@ class TestWarmRegistry:
         assert sim_key(key, self.CONFIG) == sim_key(key, TestGenConfig(seed=9))
 
     def test_builtin_circuit_key_ignores_seed(self):
-        assert circuit_key("s27", 1.0, 3) == circuit_key("s27", 2.0, 8)
-        assert circuit_key("s298", 0.3, 3) != circuit_key("s298", 0.3, 8)
+        assert canonical_spec("s27", 1.0, 3) == canonical_spec("s27", 2.0, 8)
+        assert canonical_spec("s298", 0.3, 3) != canonical_spec("s298", 0.3, 8)
 
     def test_one_entry_per_circuit(self, tmp_path):
         """Every spelling of one scaled circuit is one registry entry:
@@ -169,7 +169,7 @@ class TestWarmRegistry:
         spellings = [("s298@0.3", 1.0), ("s298@0.3", 0.3), ("s298", 0.3)]
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=4)
-        keys = [circuit_key(spec, scale, 0) for spec, scale in spellings]
+        keys = [canonical_spec(spec, scale, 0) for spec, scale in spellings]
         assert len({id(registry.compiled(key)) for key in keys}) == 1
         for key in keys:
             registry.release(key, self.CONFIG, registry.lease(key, self.CONFIG))
@@ -188,7 +188,7 @@ class TestWarmRegistry:
     def test_lru_eviction_closes_the_evicted_simulator(self):
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=1)
-        key = circuit_key("s27", 1.0, 0)
+        key = canonical_spec("s27", 1.0, 0)
         other = TestGenConfig(seed=1, sim_kernel="interp")
         sim_a = registry.lease(key, self.CONFIG)
         sim_b = registry.lease(key, other)
@@ -411,7 +411,7 @@ class TestJobManager:
             assert manager.wait_idle(timeout=300)
             assert [job.status for job in jobs] == ["done", "done"]
             assert manager.registry.stats()["circuits"] == 1
-            assert {job.spec.seed for job in jobs} == {0}
+            assert {job.spec.key for job in jobs} == {("s298", 0.1, 0)}
         finally:
             manager.close()
 
@@ -421,6 +421,21 @@ class TestJobManager:
             payload = {"kind": "run", "circuit": "s27", "config": {"seed": 1}}
             a, first = manager.submit(payload)
             b, second = manager.submit(payload)
+            assert not first and second
+            assert a is b
+            assert collector.counters["service.jobs.coalesced"] == 1
+            assert manager.wait_idle(timeout=300)
+        finally:
+            manager.close()
+
+    def test_two_spellings_coalesce(self, tmp_path):
+        manager, collector = self._manager(tmp_path)
+        try:
+            config = {"seed": 1, "max_vectors": 8}
+            a, first = manager.submit({"kind": "run", "circuit": "s298@0.1",
+                                       "config": config})
+            b, second = manager.submit({"kind": "run", "circuit": "s298",
+                                        "scale": 0.1, "config": config})
             assert not first and second
             assert a is b
             assert collector.counters["service.jobs.coalesced"] == 1

@@ -43,6 +43,7 @@ import pytest
 
 from repro.circuit import s27
 from repro.core import GaTestGenerator, TestGenConfig
+from repro.core.checkpoint import canonical_sha256
 from repro.parallel.resilience import RetryPolicy
 from repro.service import (
     Job,
@@ -143,6 +144,30 @@ class TestControlPlaneFields:
         # ...but the same canonical run, so the same checkpoint.
         assert run_key(a, a.config) == run_key(b, b.config)
         assert run_key(a, a.config) != run_key(c, c.config)
+
+    def test_two_spellings_share_run_key_and_digest(self):
+        a = parse_job({"kind": "run", "circuit": "s298@0.3",
+                       "config": {"seed": 1}})
+        b = parse_job({"kind": "run", "circuit": "s298", "scale": 0.3,
+                       "config": {"seed": 1}})
+        assert a.key == b.key == ("s298", 0.3, 0)
+        assert run_key(a, a.config) == run_key(b, b.config)
+        assert a.digest == b.digest
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "run", "circuit": "s27", "config": {"seed": 1}},
+        {"kind": "run", "circuit": "s298", "scale": 0.3, "config": {"seed": 1}},
+        {"kind": "fsim", "circuit": "s298", "scale": 0.1, "seed": 3,
+         "vectors": [[0, 1, 0]]},
+    ])
+    def test_canonical_spelling_keeps_its_keys(self, payload):
+        """A payload that already spells its circuit's canonical key
+        digests its own bytes, and its run key hashes those fields."""
+        spec = parse_job(payload)
+        assert spec.digest == canonical_sha256(payload)
+        fields = [payload["circuit"], float(payload.get("scale", 1.0)),
+                  payload.get("seed", 0), spec.config.digest()]
+        assert run_key(spec, spec.config) == canonical_sha256(fields)[:16]
 
     def test_deadline_policy_resolution(self, tmp_path, monkeypatch):
         manager, _ = _manager(tmp_path, use_tier=False)

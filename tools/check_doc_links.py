@@ -19,7 +19,8 @@ ignored, so example snippets cannot produce false positives.
 
 **CLI quickstarts** — every ``gatest`` / ``python -m repro.cli``
 invocation inside a fenced ``bash``/``sh``/``shell``/``console``
-block is parsed (``$ `` prompts, ``#`` comments, line continuations,
+block, and every ``python -m repro.harness.experiments`` one (read as
+``gatest experiments``), is parsed (``$ `` prompts, ``#`` comments, line continuations,
 env-var prefixes and ``--opt=value`` all handled) and verified
 against the real argparse parsers (``repro.cli.build_parser`` and
 ``repro.harness.experiments.build_parser``): the subcommand must
@@ -253,18 +254,21 @@ def _shell_blocks(raw_lines: List[str]) -> List[Tuple[int, str]]:
 
 
 def _gatest_invocations(tokens: List[str]) -> List[List[str]]:
-    """Argument vectors of every gatest invocation in one command line."""
+    """Argument vectors of every gatest invocation in one command line;
+    ``python -m repro.harness.experiments ARGS`` is ``gatest experiments
+    ARGS``."""
     invocations: List[List[str]] = []
     i = 0
     while i < len(tokens):
         token = tokens[i]
         argv: List[str] = []
+        module = tokens[i + 1 : i + 3] if token.startswith("python") else []
         if token == "gatest":
             i += 1
-        elif (
-            token.startswith("python")
-            and tokens[i + 1 : i + 3] == ["-m", "repro.cli"]
-        ):
+        elif module == ["-m", "repro.cli"]:
+            i += 3
+        elif module == ["-m", "repro.harness.experiments"]:
+            argv.append("experiments")
             i += 3
         else:
             i += 1
