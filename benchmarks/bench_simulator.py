@@ -18,7 +18,7 @@ import pytest
 
 from repro.baselines import Podem, unroll
 from repro.faults import FaultSimulator, collapsed_fault_list
-from repro.harness.runner import compiled_circuit_for
+from repro.sim import compiled_circuit_for
 
 from conftest import SCALE, circuit, record_bench
 

@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.atomicio import atomic_write_json
-from repro.harness.runner import compiled_circuit_for
+from repro.sim import compiled_circuit_for
 from repro.telemetry import TelemetryCollector, install
 
 #: Circuit scale used by the benchmark suite.

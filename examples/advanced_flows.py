@@ -28,7 +28,7 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.faults import FaultSimulator
-from repro.harness.runner import compiled_circuit_for
+from repro.sim import compiled_circuit_for
 
 
 def main() -> None:

@@ -23,8 +23,7 @@ from pathlib import Path
 from repro.circuit import analyze_testability
 from repro.core import GaTestGenerator, TestGenConfig
 from repro.faults import FaultSimulator, coverage_report
-from repro.harness.runner import compiled_circuit_for
-from repro.sim import dump_vcd
+from repro.sim import compiled_circuit_for, dump_vcd
 
 
 def main() -> None:

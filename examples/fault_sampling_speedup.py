@@ -13,7 +13,7 @@ import sys
 
 from repro.core import TestGenConfig
 from repro.harness import TextTable, run_gatest
-from repro.harness.runner import compiled_circuit_for
+from repro.sim import compiled_circuit_for
 
 
 def main() -> None:

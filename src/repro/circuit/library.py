@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 from .bench import load_bench, parse_bench
 from .gates import GateType
-from .netlist import Circuit
+from .netlist import Circuit, CircuitError
 
 
 def _load_data(filename: str, name: str) -> Circuit:
@@ -171,7 +171,8 @@ def _profile_scale(spec: str, scale: float) -> Tuple[str, float]:
     return name, named
 
 
-def _is_bench_path(spec: str) -> bool:
+def is_bench_path(spec: str) -> bool:
+    """Whether ``spec`` names a ``.bench`` file that exists now."""
     path = Path(spec)
     return path.suffix == ".bench" and path.exists()
 
@@ -203,7 +204,7 @@ def canonical_spec(
     """
     from .profiles import ISCAS89_PROFILES
 
-    if _is_bench_path(spec) or spec in list_builtin():
+    if is_bench_path(spec) or spec in list_builtin():
         return (spec, 1.0, 0)
     name, scale = _profile_scale(spec, scale)
     if name not in ISCAS89_PROFILES:
@@ -224,15 +225,19 @@ def resolve_spec(spec: str, scale: float = 1.0, seed: int = 0) -> Circuit:
     ``name@<scale>`` — the name a scaled stand-in reports (``s298@0.3``)
     — so a circuit's own name resolves back to it; ``scale`` then stays
     at its default 1.0 or equals the suffix.  Raises :class:`ValueError`
-    as :func:`canonical_spec` does — callers map that to their own
+    as :func:`canonical_spec` does, and naming the file for a ``.bench``
+    file that cannot be read or parsed — callers map that to their own
     error surface (``SystemExit`` for the CLI, a usage error for the
     harness, HTTP 400 for the service).
     """
     from .synth import synthesize_named
 
     spec, scale, seed = canonical_spec(spec, scale, seed)
-    if _is_bench_path(spec):
-        return load_bench(Path(spec))
+    if is_bench_path(spec):
+        try:
+            return load_bench(Path(spec))
+        except (CircuitError, OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot load circuit file {spec!r}: {exc}") from exc
     if spec in list_builtin():
         return build_builtin(spec)
     return synthesize_named(_profile_scale(spec, scale)[0], seed=seed,

@@ -35,7 +35,7 @@ from .circuit import (
 from .circuit.profiles import ISCAS89_PROFILES
 from .core import CheckpointError, GaTestGenerator, TestGenConfig
 from .core.config import DEFAULT_CHECKPOINT_EVERY
-from .faults import FaultSimulator
+from .faults import FaultSimulator, collapsed_fault_list
 from .sim.codegen import KERNEL_NAMES
 from .sim.compile import compile_circuit
 
@@ -284,8 +284,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     stats = circuit.stats()
     for key, value in stats.items():
         print(f"{key:10s} {value}")
-    fsim = FaultSimulator(circuit)
-    print(f"{'faults':10s} {fsim.num_faults} (collapsed)")
+    print(f"{'faults':10s} {len(collapsed_fault_list(circuit))} (collapsed)")
     return 0
 
 
@@ -316,7 +315,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         queue_max=args.queue_max,
-        use_tier=not args.no_tier,
     )
 
 
@@ -463,10 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-max", type=int, default=None, metavar="N",
                        help="max queued jobs before submissions are "
                             "rejected with 429 (default: unbounded)")
-    serve.add_argument("--no-tier", action="store_true",
-                       help="execute run jobs in-thread instead of the "
-                            "fault-isolated process tier (bit-identical "
-                            "results; loses crash/hang isolation)")
     serve.set_defaults(func=cmd_serve)
 
     sub.add_parser(

@@ -7,7 +7,6 @@ from .runner import (
     AggregateResult,
     ExecutionPlan,
     SeedFailure,
-    compiled_circuit_for,
     run_gatest,
     run_matrix,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "SeedFailure",
     "TextTable",
     "campaign_worker_main",
-    "compiled_circuit_for",
     "fmt_mean_std",
     "fmt_time",
     "mean_std",

@@ -50,7 +50,6 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..circuit.netlist import CircuitError
 from ..core.checkpoint import (
     CheckpointError,
     check_fingerprint,
@@ -68,15 +67,10 @@ from ..parallel.resilience import (
     ChaosConfig,
     RetryPolicy,
 )
+from ..sim.compile import compiled_circuit_for
 from ..telemetry.collector import NullCollector, TelemetryCollector
 from .campaign import CampaignJournal
-from .runner import (
-    SeedFailure,
-    _run_one_seed,
-    _run_seed_pool,
-    _seal_cell,
-    compiled_circuit_for,
-)
+from .runner import SeedFailure, _run_one_seed, _run_seed_pool, _seal_cell
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +370,7 @@ def _execute_lease(
         config = config_from_json(lease["config"])
         compiled = compiled_circuit_for(circuit, scale)
         check_fingerprint(lease, compiled.circuit, what="lease")
-    except (CheckpointError, CircuitError, ValueError) as exc:
+    except (CheckpointError, ValueError) as exc:
         outcome: Union[TestGenResult, SeedFailure] = SeedFailure(
             seed=seed, error=f"host {host}: {type(exc).__name__}: {exc}",
             attempts=1,

@@ -34,7 +34,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..baselines.deterministic import DeterministicAtpg
-from ..circuit.library import canonical_spec
 from ..circuit.profiles import (
     TABLE2_CIRCUITS,
     TABLE3_CIRCUITS,
@@ -45,15 +44,9 @@ from ..circuit.profiles import (
 )
 from ..core.config import TestGenConfig, ga_params_for_vector_length
 from ..core.generator import GaTestGenerator
+from ..sim.compile import compiled_circuit_for
 from . import paper_data
-from .runner import (
-    SERIAL,
-    AggregateResult,
-    ExecutionPlan,
-    compiled_circuit_for,
-    run_gatest,
-    run_matrix,
-)
+from .runner import SERIAL, AggregateResult, ExecutionPlan, run_gatest, run_matrix
 from .tables import TextTable, fmt_mean_std, fmt_time
 
 #: Circuits small enough for quick default runs, per table.
@@ -349,8 +342,9 @@ def table_6(scale: float, seeds: Sequence[int], circuits: Optional[List[str]] = 
     """Fault-sample sizes: coverage and speedup (paper Table 6)."""
     circuits = circuits or QUICK_CIRCUITS[6]
     # Scale the paper's absolute sample sizes with the circuit scale so
-    # scaled runs sample a comparable *fraction* of the fault list.
-    sizes = [max(10, round(s * scale)) for s in SAMPLE_SIZES]
+    # scaled runs sample a comparable *fraction* of the fault list; below
+    # scale 0.1 sizes collide at the floor of 10, and each runs once.
+    sizes = list(dict.fromkeys(max(10, round(s * scale)) for s in SAMPLE_SIZES))
     configs: Dict[str, TestGenConfig] = {"full": TestGenConfig()}
     for size in sizes:
         configs[f"{size}"] = TestGenConfig(fault_sample=size)
@@ -563,7 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _refuse_bad_scale(parser, args.scale)
     for spec in args.circuits or ():
         try:
-            canonical_spec(spec, args.scale)
+            compiled_circuit_for(spec, args.scale)
         except ValueError as exc:
             parser.error(str(exc))
     hosts: Optional[List[str]] = None

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..circuit.library import canonical_spec, resolve_spec
+from ..circuit.library import canonical_spec
 from ..core.checkpoint import result_from_json, result_to_json
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator
@@ -48,7 +48,7 @@ from ..core.results import TestGenResult
 from ..parallel.resilience import SEED_RETRIES_ENV, SEED_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp, SupervisedPool
 from ..sim.codegen import resolve_kernel_name
-from ..sim.compile import CompiledCircuit, compile_circuit
+from ..sim.compile import CompiledCircuit, compiled_circuit_for
 from ..telemetry.collector import NullCollector, TelemetryCollector, get_collector
 from .campaign import CampaignJournal
 from .tables import mean_std
@@ -161,21 +161,6 @@ SERIAL = ExecutionPlan()
 
 #: What every executor returns: ``(results, failures)`` keyed by seed.
 CellOutcomes = Tuple[Dict[int, TestGenResult], Dict[int, SeedFailure]]
-
-#: Compiled circuits by their :func:`~repro.circuit.library.canonical_spec`.
-_circuit_cache: Dict[Tuple[str, float, int], CompiledCircuit] = {}
-
-
-def compiled_circuit_for(spec: str, scale: float = 1.0) -> CompiledCircuit:
-    """The compiled circuit ``spec`` names at ``scale``, resolved as
-    ``gatest run`` resolves it (:func:`~repro.circuit.library.resolve_spec`)
-    and cached under its canonical key, so every spelling of one circuit
-    is one object.  Raises :class:`ValueError` for a spec that names no
-    circuit."""
-    key = canonical_spec(spec, scale)
-    if key not in _circuit_cache:
-        _circuit_cache[key] = compile_circuit(resolve_spec(*key))
-    return _circuit_cache[key]
 
 
 def _run_one_seed(
@@ -335,12 +320,13 @@ def run_gatest(
 
     ``circuit_name`` is any spec ``gatest run`` takes (a builtin name,
     a ``.bench`` path, an ISCAS89 profile name or ``name@scale``),
-    resolved at ``scale`` by :func:`compiled_circuit_for`; cells are
-    journaled and leased under its canonical name and scale, so two
-    spellings of one circuit share their cells.  ``plan``
-    says how the seeds run (:class:`ExecutionPlan`; default: serially
-    in this process).  Seed jobs are the easy level of the parallelism
-    the paper's §VI anticipates — GA runs over distinct seeds are fully
+    resolved at ``scale`` by
+    :func:`~repro.sim.compile.compiled_circuit_for`; cells are journaled
+    and leased under its canonical name and scale, so two spellings of
+    one circuit share their cells.  ``plan`` says how the seeds run
+    (:class:`ExecutionPlan`; default: serially in this process).  Seed
+    jobs are the easy level of the parallelism the paper's §VI
+    anticipates — GA runs over distinct seeds are fully
     independent; eval jobs shard each run's candidate evaluation
     instead (bit-identical results).  The plan's ``eval_jobs`` and the
     simulation kernel are resolved into the config once, before it is

@@ -36,7 +36,6 @@ def serve(
     workers: int = 2,
     cache_size: Optional[int] = None,
     queue_max: Optional[int] = None,
-    use_tier: bool = True,
 ) -> int:
     """Run the service until shutdown; returns a process exit status.
 
@@ -46,8 +45,7 @@ def serve(
     docs/SERVICE.md; a corrupt ledger there stops the start with the
     line it names.  ``cache_size`` bounds the resident simulators
     (``None``: 8) and ``queue_max`` the queued-job count (``None``:
-    unbounded); ``use_tier=False`` keeps run jobs in-thread (no process isolation —
-    a debugging escape hatch, results are bit-identical either way).
+    unbounded).
     """
     collector = TelemetryCollector(source="repro.service")
     if state_dir is None:
@@ -64,7 +62,6 @@ def serve(
             workers=workers,
             cache_size=cache_size,
             queue_max=queue_max,
-            use_tier=use_tier,
         )
     except (CheckpointError, ValueError) as exc:
         # A corrupt ledger line, or a malformed REPRO_CHAOS spec.

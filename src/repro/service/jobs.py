@@ -12,13 +12,7 @@ and "result JSON ready":
   digest, the circuit spelled by its canonical key) collapse onto one
   job: deterministic seeds mean the result is the same, so running it
   twice is pure waste (``service.jobs.coalesced``).
-* **Batching** — queued ``fsim`` jobs that share a simulator key and
-  frame count are scored in one shared wide-word
-  :meth:`~repro.faults.simulator.FaultSimulator.evaluate_batch` pass.
-  From power-up state, ``evaluate``'s ``detected`` equals ``commit``'s
-  total detections for the same vectors, so batched results are
-  bit-identical to one-at-a-time runs (``service.batch.{passes,jobs}``).
-* **Warm execution** — run jobs lease a resident simulator from the
+* **Warm execution** — fsim and run jobs lease a resident simulator from the
   :class:`~repro.service.state.WarmRegistry` and lend it to
   :class:`~repro.core.generator.GaTestGenerator` via its ``fsim``
   parameter, so repeat requests skip parse/levelize/kernel-compile and
@@ -28,7 +22,7 @@ and "result JSON ready":
   hard teardown + respawn, chaos hooks), with *sticky degradation*
   back to bit-identical in-thread execution when the pool gives up
   (``service.jobs.degraded``).  Worker threads keep scheduling and
-  fsim batching; they just stop hosting the GA runs themselves.
+  fsim jobs; they just stop hosting the GA runs themselves.
 * **Control plane** — an integer ``priority`` orders the queue
   (highest first, FIFO within a priority); :meth:`JobManager.cancel`
   (``DELETE /jobs/<id>``) cancels queued jobs immediately and preempts
@@ -74,8 +68,9 @@ from ..core.checkpoint import (
 from ..core.config import DEFAULT_CHECKPOINT_EVERY, TestGenConfig
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp
+from ..sim.compile import compiled_circuit_for
 from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
-from .state import CircuitKey, WarmRegistry, sim_key
+from .state import CircuitKey, WarmRegistry
 from .tier import execute_run_job, open_tier, run_tier_job
 
 #: Seconds a rejected client is told to wait before retrying.
@@ -435,7 +430,6 @@ class JobManager:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.ledger = JobLedger(self.state_dir / "ledger.jsonl")
         self.queue_max = queue_max
-        self.use_tier = use_tier
         self._tier_degraded = False
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
@@ -464,10 +458,10 @@ class JobManager:
         bound: it adds no queue entry).
         """
         spec = parse_job(payload)
-        # Resolve (and warm) the circuit now so an unknown name is a
-        # 400 at submit, not a failed job later.
+        # Resolve (and warm) the circuit now so an unknown name or a
+        # malformed file is a 400 at submit, not a failed job later.
         try:
-            self.registry.compiled(spec.key)
+            compiled_circuit_for(*spec.key)
         except ValueError as exc:
             raise JobValidationError(str(exc)) from exc
         with self._cond:
@@ -719,28 +713,15 @@ class JobManager:
                 )
                 if self._stop:
                     return
-                queued = self.queue_order(self._jobs.values())
-                job = queued[0]
+                job = self.queue_order(self._jobs.values())[0]
                 job.status = "running"
-                group = [job]
-                if job.spec.kind == "fsim":
-                    key = self._batch_key(job)
-                    for other in queued[1:]:
-                        if other.spec.kind == "fsim" and self._batch_key(other) == key:
-                            other.status = "running"
-                            group.append(other)
             try:
                 if job.spec.kind == "run":
                     self._execute_run(job)
                 else:
-                    self._execute_fsim_group(group)
+                    self._execute_fsim(job)
             except Exception as exc:  # pragma: no cover - last-resort guard
-                for j in group:
-                    self._finish(j, error=f"{type(exc).__name__}: {exc}")
-
-    def _batch_key(self, job: Job) -> tuple:
-        spec = job.spec
-        return (sim_key(spec.key, spec.config), len(spec.vectors or ()))
+                self._finish(job, error=f"{type(exc).__name__}: {exc}")
 
     def _finish(self, job: Job, result: Optional[dict] = None,
                 error: Optional[str] = None,
@@ -795,7 +776,7 @@ class JobManager:
 
     def _execute_run(self, job: Job) -> None:
         spec = job.spec
-        compiled = self.registry.compiled(spec.key)
+        compiled = compiled_circuit_for(*spec.key)
         # The generator applies per-circuit overrides itself; the warm
         # registry must key on the same effective config or a deep
         # circuit's simulator would alias a shallow one's.
@@ -840,54 +821,41 @@ class JobManager:
         else:
             self._finish(job, error=payload)
 
-    def _execute_fsim_group(self, group: List[Job]) -> None:
-        spec = group[0].spec
-        compiled = self.registry.compiled(spec.key)
-        n_pi = compiled.circuit.num_inputs
-        bad = [
-            job for job in group
-            if job.spec.vectors and len(job.spec.vectors[0]) != n_pi
-        ]
-        for job in bad:
+    def _execute_fsim(self, job: Job) -> None:
+        """Score one fsim job's vectors in one one-candidate pass from
+        power-up (``evaluate``'s ``detected`` equals ``commit``'s total
+        detections for the same vectors)."""
+        spec = job.spec
+        circuit = compiled_circuit_for(*spec.key).circuit
+        if len(spec.vectors[0]) != circuit.num_inputs:
             self._finish(
                 job,
                 error=(
-                    f"vectors are {len(job.spec.vectors[0])} bits wide, "
-                    f"circuit {compiled.circuit.name} has {n_pi} primary inputs"
+                    f"vectors are {len(spec.vectors[0])} bits wide, circuit "
+                    f"{circuit.name} has {circuit.num_inputs} primary inputs"
                 ),
             )
-        group = [job for job in group if job not in bad]
-        if not group:
             return
-        if self.collector.enabled and len(group) > 1:
-            self.collector.inc("service.batch.passes")
-            self.collector.inc("service.batch.jobs", len(group))
         sim = self.registry.lease(spec.key, spec.config)
         try:
             total_faults = sim.num_faults
-            with group[0].collector.span(
-                "service.fsim", circuit=compiled.circuit.name, jobs=len(group)
-            ):
-                evals = sim.evaluate_batch([job.spec.vectors for job in group])
+            with job.collector.span("service.fsim", circuit=circuit.name):
+                detected = sim.evaluate(spec.vectors).detected
         except Exception as exc:
             self.registry.discard(sim)
-            for job in group:
-                self._finish(job, error=f"{type(exc).__name__}: {exc}")
+            self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
         self.registry.release(spec.key, spec.config, sim)
-        for job, ev in zip(group, evals):
-            self._finish(
-                job,
-                result={
-                    "circuit_name": compiled.circuit.name,
-                    "detected": ev.detected,
-                    "total_faults": total_faults,
-                    "fault_coverage": (
-                        ev.detected / total_faults if total_faults else 0.0
-                    ),
-                    "vectors": len(job.spec.vectors),
-                },
-            )
+        self._finish(
+            job,
+            result={
+                "circuit_name": circuit.name,
+                "detected": detected,
+                "total_faults": total_faults,
+                "fault_coverage": detected / total_faults if total_faults else 0.0,
+                "vectors": len(spec.vectors),
+            },
+        )
 
     # -- teardown ------------------------------------------------------
 

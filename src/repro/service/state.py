@@ -1,27 +1,23 @@
-"""Warm-state registry: compiled circuits and resident fault simulators.
+"""Warm-state registry: resident fault simulators.
 
 The whole point of running ATPG as a resident service instead of a
 fresh ``gatest`` process per request is that the expensive, run-invariant
 work — parsing/synthesizing the circuit, levelizing and compiling it,
 building the simulation kernel (:func:`repro.sim.codegen.kernel_for`),
 and spinning up ``eval_jobs`` worker pools — happens once and is reused
-by every later job that asks for the same thing.  This module is that
-reuse: a keyed, LRU-evicting registry of
-
-* **compiled circuits**, keyed by :data:`CircuitKey`, the canonical
-  ``(spec, scale, seed)`` of :func:`repro.circuit.library.canonical_spec`
-  that :func:`~repro.service.jobs.parse_job` puts on every job, so jobs
-  naming one circuit in any spelling share one
-  :class:`CompiledCircuit` object.  Kernels are cached per
-  compiled-circuit *object* inside :mod:`repro.sim.codegen`, so keeping
-  the object resident is what makes repeat requests skip kernel
-  compilation (the ``codegen.kernels.built`` counter stays flat).
-* **fault simulators**, keyed by the circuit key plus every
-  config field that shapes the simulator (fault model, kernel, eval
-  parallelism — the same fields
-  :func:`repro.core.generator.make_fault_simulator` consumes).  A
-  resident simulator keeps its parallel evaluator's worker pool warm
-  across jobs.
+by every later job that asks for the same thing.  Circuits come from
+the process's one compiled-circuit cache,
+:func:`repro.sim.compile.compiled_circuit_for`, keyed by the
+:data:`CircuitKey` that :func:`~repro.service.jobs.parse_job` puts on
+every job; kernels are cached per compiled-circuit *object*, so a
+resident object is what lets repeat requests skip kernel compilation
+(the ``codegen.kernels.built`` counter stays flat).  This module keeps
+the rest: a keyed, LRU-evicting registry of **fault simulators**, keyed
+by the circuit key plus every config field that shapes the simulator
+(fault model, kernel, eval parallelism — the same fields
+:func:`repro.core.generator.make_fault_simulator` consumes).  A
+resident simulator keeps its parallel evaluator's worker pool warm
+across jobs.
 
 Simulators are handed out under a **lease**: :meth:`WarmRegistry.lease`
 removes the entry from the registry (exclusive use — two jobs never
@@ -30,8 +26,10 @@ it to power-up state and puts it back.  A concurrent job that misses
 because the entry is out on lease simply builds its own; whichever
 returns last wins the registry slot, the other is closed.  Stale-cache
 bugs are prevented structurally: any config change that would alter the
-simulator lands in the key, so it can only miss, never alias (see
-docs/ROBUSTNESS.md §5).
+simulator lands in the key, so it can only miss, never alias, and a
+simulator is leased only while it simulates the compiled object its
+name reaches now — after a ``.bench`` file changes, the old one is
+closed instead (see docs/ROBUSTNESS.md §5).
 
 Counters (on the registry's collector, surfaced via ``GET /healthz``):
 ``service.cache.hits``, ``service.cache.misses``,
@@ -44,15 +42,13 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from ..circuit.library import resolve_spec
 from ..core.config import TestGenConfig
 from ..core.generator import make_fault_simulator
 from ..parallel.shutdown import close_quietly
-from ..sim.compile import CompiledCircuit, compile_circuit
+from ..sim.compile import cached_circuit_count, compiled_circuit_for
 from ..telemetry import NullCollector, get_collector
 
-#: Default maximum number of resident simulators (compiled circuits
-#: follow the same bound).
+#: Default maximum number of resident simulators.
 DEFAULT_CACHE_SIZE = 8
 
 #: (spec, scale, seed) as :func:`repro.circuit.library.canonical_spec`
@@ -82,7 +78,7 @@ def sim_key(ckey: CircuitKey, config: TestGenConfig) -> tuple:
 
 
 class WarmRegistry:
-    """Thread-safe LRU cache of compiled circuits and leased simulators."""
+    """Thread-safe LRU cache of leased simulators."""
 
     def __init__(
         self,
@@ -92,62 +88,33 @@ class WarmRegistry:
         self.collector = collector if collector is not None else get_collector()
         self.max_sims = max_sims if max_sims is not None else DEFAULT_CACHE_SIZE
         self._lock = threading.Lock()
-        self._circuits: "OrderedDict[CircuitKey, CompiledCircuit]" = OrderedDict()
         self._sims: "OrderedDict[tuple, object]" = OrderedDict()
-
-    # ------------------------------------------------------------------
-    # Compiled circuits
-    # ------------------------------------------------------------------
-
-    def compiled(self, ckey: CircuitKey) -> CompiledCircuit:
-        """The compiled circuit for ``ckey``, parsing/compiling on miss.
-
-        Raises :class:`ValueError` for an unresolvable spec (the HTTP
-        layer maps that to a 400).
-        """
-        with self._lock:
-            cached = self._circuits.get(ckey)
-            if cached is not None:
-                self._circuits.move_to_end(ckey)
-                return cached
-        # Resolve outside the lock: synthesis/compilation can be slow.
-        compiled = compile_circuit(resolve_spec(*ckey))
-        with self._lock:
-            # A racing thread may have resolved the same key; keep the
-            # first object so kernel caches (keyed by object identity)
-            # converge on one CompiledCircuit per key.
-            existing = self._circuits.get(ckey)
-            if existing is not None:
-                return existing
-            self._circuits[ckey] = compiled
-            while len(self._circuits) > self.max_sims:
-                self._circuits.popitem(last=False)
-            return compiled
-
-    # ------------------------------------------------------------------
-    # Resident simulators
-    # ------------------------------------------------------------------
 
     def lease(self, ckey: CircuitKey, config: TestGenConfig):
         """Lease a simulator for ``(ckey, config)``, building on miss.
 
-        The returned simulator is at power-up state and exclusively
-        owned by the caller until :meth:`release` (or :meth:`discard`).
+        The returned simulator is at power-up state, simulates the
+        circuit ``ckey`` reaches now, and is exclusively owned by the
+        caller until :meth:`release` (or :meth:`discard`).  Raises
+        :class:`ValueError` for a circuit that does not resolve.
         Simulator-side telemetry (kernel builds, simulated frames,
         cache traffic) lands on the registry's collector, which owns
         the simulator's lifetime; per-job collectors only see
         generator-side records.
         """
+        compiled = compiled_circuit_for(*ckey)
         skey = sim_key(ckey, config)
         with self._lock:
             sim = self._sims.pop(skey, None)
-        if sim is not None:
+        if sim is not None and sim.compiled is compiled:
             if self.collector.enabled:
                 self.collector.inc("service.cache.hits")
             return sim
+        if sim is not None:
+            # Built on a netlist the name no longer reaches.
+            close_quietly(sim)
         if self.collector.enabled:
             self.collector.inc("service.cache.misses")
-        compiled = self.compiled(ckey)
         return make_fault_simulator(compiled, config, collector=self.collector)
 
     def release(self, ckey: CircuitKey, config: TestGenConfig, sim) -> None:
@@ -182,24 +149,21 @@ class WarmRegistry:
         """Close a leased simulator instead of returning it (failed job)."""
         close_quietly(sim)
 
-    # ------------------------------------------------------------------
-    # Introspection / teardown
-    # ------------------------------------------------------------------
-
     def stats(self) -> dict:
-        """Resident-entry counts for ``GET /healthz``."""
+        """Resident-entry counts for ``GET /healthz``: the process's
+        compiled circuits, and this registry's simulators and capacity."""
         with self._lock:
-            return {
-                "circuits": len(self._circuits),
-                "sims": len(self._sims),
-                "capacity": self.max_sims,
-            }
+            sims = len(self._sims)
+        return {
+            "circuits": cached_circuit_count(),
+            "sims": sims,
+            "capacity": self.max_sims,
+        }
 
     def close(self) -> None:
         """Close every resident simulator (service shutdown)."""
         with self._lock:
             sims = list(self._sims.values())
             self._sims.clear()
-            self._circuits.clear()
         for sim in sims:
             close_quietly(sim)

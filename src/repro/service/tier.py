@@ -12,8 +12,8 @@ the manager degrades, stickily, to bit-identical in-thread execution
 that resumes from the same checkpoint (docs/ROBUSTNESS.md §7).
 
 Each worker keeps its own :class:`~repro.service.state.WarmRegistry`
-for its whole life, so repeat jobs skip recompilation, and ships its
-telemetry back per task as a *delta* trace
+and compiled-circuit cache for its whole life, so repeat jobs skip
+recompilation, and ships its telemetry back per task as a *delta* trace
 (:meth:`~repro.telemetry.TelemetryCollector.records_since`).
 
 Everything here must stay module-level and import-safe: it is resolved
@@ -29,6 +29,7 @@ from ..core.checkpoint import CheckpointError, config_from_json, result_to_json
 from ..core.config import TestGenConfig
 from ..core.generator import GaTestGenerator, RunPreempted
 from ..parallel.supervisor import SupervisedPool
+from ..sim.compile import compiled_circuit_for
 from ..telemetry import NullCollector, TelemetryCollector
 from .state import CircuitKey, WarmRegistry
 
@@ -64,9 +65,9 @@ def execute_run_job(
     ``("preempted", None)`` or ``("error", message)``; the simulator
     goes back to the registry unless the run failed.
     """
-    compiled = registry.compiled(ckey)
     resume = checkpoint.exists()
     sim = registry.lease(ckey, config)
+    compiled = sim.compiled
     try:
         try:
             result = _run_generator(compiled, config, sim, collector,
@@ -144,7 +145,7 @@ def run_tier_job(task: dict) -> TierOutcome:
     try:
         config = config_from_json(task["config"])
         ckey = task["key"]
-        compiled = _REGISTRY.compiled(ckey)
+        compiled = compiled_circuit_for(*ckey)
         config = config.for_circuit(compiled.circuit.name)  # idempotent
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}",

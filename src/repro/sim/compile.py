@@ -9,13 +9,24 @@ per frame of the population pass in :mod:`repro.faults.simulator`,
 over two bit-plane lists ``v1``/``v0`` (see :mod:`repro.circuit.gates`
 for the encoding); :func:`eval_program_injected` is the reference
 interpreter they must match.
+
+:func:`compiled_circuit_for` is the one cache of compiled circuits by
+name.  Kernels are cached per compiled-circuit *object*, so the object a
+name maps to decides both which netlist runs and how often a kernel is
+built: the harness, campaign workers, the job service and its tier
+workers all take their circuits from it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Tuple, Union
 
+from ..circuit import library
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
 
@@ -89,6 +100,70 @@ def compile_circuit(circuit: Union[Circuit, CompiledCircuit]) -> CompiledCircuit
         ff_d_ids=tuple(circuit.fanins[ff][0] for ff in circuit.dffs),
         num_nodes=circuit.num_nodes,
     )
+
+
+#: Compiled circuits one process keeps resident; the least recently
+#: used is dropped first.
+CIRCUIT_CACHE_SIZE = 8
+
+_circuits: "OrderedDict[tuple, CompiledCircuit]" = OrderedDict()
+_circuits_lock = threading.Lock()
+
+
+def _circuit_key(spec: str, scale: float, seed: int) -> tuple:
+    """:func:`~repro.circuit.library.canonical_spec`, plus the SHA-256 of
+    the file a ``.bench`` path reaches now, so a changed directory or an
+    in-place edit is another key."""
+    key = library.canonical_spec(spec, scale, seed)
+    if not library.is_bench_path(key[0]):
+        return key
+    try:
+        data = Path(key[0]).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot load circuit file {key[0]!r}: {exc}") from exc
+    return key + (hashlib.sha256(data).hexdigest(),)
+
+
+def compiled_circuit_for(
+    spec: str, scale: float = 1.0, seed: int = 0
+) -> CompiledCircuit:
+    """The compiled circuit ``spec`` names now, resolved by
+    :func:`~repro.circuit.library.resolve_spec`.
+
+    Every spelling of one circuit is one object while it stays among the
+    :data:`CIRCUIT_CACHE_SIZE` most recently used, so its kernel is built
+    once; a ``.bench`` path whose file changed resolves afresh.  Safe to
+    call from several threads.  Raises :class:`ValueError` for a spec
+    that names no circuit, or a file that cannot be loaded.
+    """
+    key = _circuit_key(spec, scale, seed)
+    with _circuits_lock:
+        compiled = _circuits.get(key)
+        if compiled is not None:
+            _circuits.move_to_end(key)
+            return compiled
+    # Resolve outside the lock: synthesis and compilation can be slow.
+    compiled = compile_circuit(library.resolve_spec(*key[:3]))
+    with _circuits_lock:
+        # Keep the object a racing thread cached first, so kernels
+        # (cached per object) converge on one build.
+        compiled = _circuits.setdefault(key, compiled)
+        _circuits.move_to_end(key)
+        while len(_circuits) > CIRCUIT_CACHE_SIZE:
+            _circuits.popitem(last=False)
+        return compiled
+
+
+def cached_circuit_count() -> int:
+    """How many compiled circuits :func:`compiled_circuit_for` holds."""
+    with _circuits_lock:
+        return len(_circuits)
+
+
+def clear_circuit_cache() -> None:
+    """Forget every compiled circuit :func:`compiled_circuit_for` holds."""
+    with _circuits_lock:
+        _circuits.clear()
 
 
 def _force(b1: int, b0: int, f1: int, f0: int) -> Tuple[int, int]:

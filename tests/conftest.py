@@ -16,6 +16,14 @@ from repro.circuit import (
     synthesize_named,
     uninitializable_loop,
 )
+from repro.sim.compile import clear_circuit_cache
+
+
+@pytest.fixture(autouse=True)
+def fresh_circuit_cache():
+    """Each test starts with an empty compiled-circuit cache, as a new
+    process does, so kernel-build counts do not depend on test order."""
+    clear_circuit_cache()
 
 
 @pytest.fixture

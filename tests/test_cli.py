@@ -30,6 +30,18 @@ class TestInfo:
         with pytest.raises(SystemExit, match="unknown circuit"):
             main(["info", "nosuch"])
 
+    def test_counts_faults_without_building_a_kernel(self, capsys,
+                                                     monkeypatch):
+        faults = FaultSimulator(s27()).num_faults
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("gatest info built a simulation kernel")
+
+        monkeypatch.setattr("repro.faults.simulator.kernel_for", no_kernel)
+        code, out = run_cli(capsys, "info", "s27")
+        assert code == 0
+        assert f"faults     {faults} (collapsed)" in out
+
 
 class TestRun:
     def test_ga_engine_writes_tests(self, capsys, tmp_path):
@@ -66,6 +78,15 @@ class TestRun:
         code, replay = run_cli(capsys, "fsim", "s298@0.3", str(out_file))
         assert code == 0
         assert replay.startswith(f"s298@0.3: {detected} faults detected")
+
+    def test_malformed_bench_is_one_error_line(self, tmp_path):
+        bad = tmp_path / "bad.bench"
+        bad.write_text("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(bad)])
+        message = exc.value.code
+        assert message.startswith("error: ") and "\n" not in message
+        assert "bad.bench" in message and "unknown gate type 'FROB'" in message
 
     def test_random_engine(self, capsys):
         code, out = run_cli(

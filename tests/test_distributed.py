@@ -301,7 +301,7 @@ class TestDegradation:
             journal, ["ghost"], poll=0.01, policy=policy,
             collector=collector,
         )
-        from repro.harness import compiled_circuit_for
+        from repro.sim import compiled_circuit_for
         config = TestGenConfig()
         compiled = compiled_circuit_for(CIRCUIT, 0.1)
         results, failures = coordinator.run_cells(
@@ -333,7 +333,7 @@ class TestDegradation:
         coordinator = DistributedCoordinator(
             journal, ["ghost"], poll=0.01, policy=policy,
         )
-        from repro.harness import compiled_circuit_for
+        from repro.sim import compiled_circuit_for
         config = TestGenConfig()
         compiled = compiled_circuit_for(CIRCUIT, 0.1)
         results, _ = coordinator.run_cells(

@@ -51,6 +51,23 @@ def test_table_6_driver():
     assert "spdup" in out
 
 
+def test_table_6_runs_each_scaled_size_once(monkeypatch):
+    """Below scale 0.1 the scaled sample sizes collide at the floor of
+    10; each distinct size is one config and one column."""
+    labels = []
+    run_matrix = experiments.run_matrix
+
+    def recording_run_matrix(circuits, configs, *args, **kwargs):
+        labels.append(list(configs))
+        return run_matrix(circuits, configs, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_matrix", recording_run_matrix)
+    out = experiments.table_6(0.05, [1], ["s298"])
+    assert labels == [["full", "10", "15"]]
+    header = out.splitlines()[2]
+    assert header.split("  ")[1:] == ["10: det/vec/spdup", "15: det/vec/spdup"]
+
+
 def test_table_7_driver():
     out = experiments.table_7(**SMALL)
     assert "3/4" in out
@@ -161,6 +178,20 @@ def test_unresolvable_circuit_is_a_usage_error(tmp_path, capsys, spec, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert not captured.out
+    assert not journal.exists()  # refused before any journal is written
+
+
+def test_malformed_bench_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bench"
+    bad.write_text("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n")
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        experiments.main(["--table", "4", "--scale", "0.1", "--seeds", "1",
+                          "--circuits", str(bad), "--journal", str(journal)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown gate type 'FROB'" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
     assert not journal.exists()  # refused before any journal is written
 
 

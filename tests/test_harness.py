@@ -12,7 +12,6 @@ from repro.harness import (
     CampaignJournal,
     ExecutionPlan,
     TextTable,
-    compiled_circuit_for,
     experiments,
     fmt_mean_std,
     fmt_time,
@@ -23,6 +22,7 @@ from repro.harness import (
 )
 from repro.harness.experiments import TABLES, table_1
 from repro.service import JobManager
+from repro.sim import compiled_circuit_for
 from repro.telemetry import TelemetryCollector
 
 
@@ -154,7 +154,7 @@ class TestOneCircuitIdentity:
                                      "config": {"seed": 1}})
             assert manager.wait_idle(timeout=120)
             assert job.result["total_faults"] == 26
-            compiled = manager.registry.compiled(job.spec.key)
+            compiled = compiled_circuit_for(*job.spec.key)
             assert circuit_fingerprint(compiled.circuit) == bundled
         finally:
             manager.close()

@@ -6,7 +6,7 @@ Four layers under test (docs/SERVICE.md):
   validation, :class:`~repro.service.state.WarmRegistry` lease/release
   and eviction, the sealed :class:`~repro.service.jobs.JobLedger`;
 * the :class:`~repro.service.jobs.JobManager` — lifecycle, coalescing,
-  fsim batching, and bit-identity against direct library runs;
+  and bit-identity against direct library runs;
 * the HTTP front over a real localhost socket — endpoints, error
   codes, the live event stream (validated against the telemetry
   schema), and warm-cache counters via ``GET /healthz``;
@@ -47,6 +47,7 @@ from repro.service import (
     parse_job,
     sim_key,
 )
+from repro.sim import compiled_circuit_for
 from repro.sim.codegen import resolve_kernel_name
 from repro.telemetry import TelemetryCollector, validate_trace
 
@@ -163,27 +164,20 @@ class TestWarmRegistry:
         assert canonical_spec("s27", 1.0, 3) == canonical_spec("s27", 2.0, 8)
         assert canonical_spec("s298", 0.3, 3) != canonical_spec("s298", 0.3, 8)
 
-    def test_one_entry_per_circuit(self, tmp_path):
+    def test_one_entry_per_circuit(self):
         """Every spelling of one scaled circuit is one registry entry:
-        one compiled object, one kernel build, one fsim batch."""
+        one compiled object, one kernel build."""
         spellings = [("s298@0.3", 1.0), ("s298@0.3", 0.3), ("s298", 0.3)]
+        config = TestGenConfig(seed=1, sim_kernel="codegen")
         collector = TelemetryCollector()
         registry = WarmRegistry(collector=collector, max_sims=4)
         keys = [canonical_spec(spec, scale, 0) for spec, scale in spellings]
-        assert len({id(registry.compiled(key)) for key in keys}) == 1
+        assert len({id(compiled_circuit_for(*key)) for key in keys}) == 1
         for key in keys:
-            registry.release(key, self.CONFIG, registry.lease(key, self.CONFIG))
+            registry.release(key, config, registry.lease(key, config))
         assert collector.counters["service.cache.misses"] == 1
         assert collector.counters["codegen.kernels.built"] == 1
         registry.close()
-        manager = JobManager(tmp_path / "state", workers=1, use_tier=False)
-        try:
-            batch_keys = {manager._batch_key(manager._accept(parse_job(
-                {"kind": "fsim", "circuit": spec, "scale": scale,
-                 "vectors": [[0, 1, 0]]}))) for spec, scale in spellings}
-        finally:
-            manager.close()
-        assert len(batch_keys) == 1
 
     def test_lru_eviction_closes_the_evicted_simulator(self):
         collector = TelemetryCollector()
@@ -718,6 +712,18 @@ class TestHttpApi:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/healthz")
         assert err.value.status == 405
+
+    def test_malformed_bench_is_a_400(self, live_service, tmp_path):
+        bad = tmp_path / "bad.bench"
+        bad.write_text("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n")
+        client, _ = live_service
+        for payload in ({"kind": "run", "circuit": str(bad)},
+                        {"kind": "fsim", "circuit": str(bad), "vectors": [[0]]}):
+            with pytest.raises(ServiceError) as err:
+                client.submit(payload)
+            assert err.value.status == 400
+            assert "unknown gate type 'FROB'" in str(err.value)
+        assert client.jobs() == []
 
     def test_removed_numpy_kernel_is_rejected(self, live_service):
         """The deleted numpy and c backends are unknown names everywhere:
