@@ -160,7 +160,9 @@ class _BatchLayout:
         #: The gate forces :attr:`injection` digests, kept for trimming.
         self.out_force = out_force
         self.pin_force = pin_force
-        self.injection = sim._kernel.make_injection(out_force, pin_force)
+        self.injection = sim._kernel.make_injection(
+            out_force, pin_force, self.mask
+        )
         #: The model's per-frame table (:meth:`FaultSimulator._launch_table`).
         #: It reads only the sample, so trimming keeps it.
         self.launch = launch

@@ -95,8 +95,9 @@ class TransitionFaultSimulator(FaultSimulator):
         #: Fault-free node values at the last committed frame (scalars);
         #: the excitation condition for the first frame of any new test.
         self.prev_good: List[int] = [X] * compiled.num_nodes
-        #: The kernel's empty injection: the per-frame good pass.
-        self._no_forces = self._kernel.make_injection({}, {})
+        #: The kernel's empty injection: the per-frame good pass.  It
+        #: carries no force words, so it serves a pass over any mask.
+        self._no_forces = self._kernel.make_injection({}, {}, 0)
 
     # ------------------------------------------------------------------
     # State management additions
@@ -201,7 +202,7 @@ class TransitionFaultSimulator(FaultSimulator):
                 pi_forces.append((node, f1, f0))
             else:
                 out_force[node] = (f1, f0)
-        injection = self._kernel.make_injection(out_force, {})
+        injection = self._kernel.make_injection(out_force, {}, layout.mask)
         return pi_forces, ff_out_rows, injection, (g1, g0)
 
 

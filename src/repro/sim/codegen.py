@@ -15,17 +15,25 @@ assignment per plane.
 The function is *parameterized*: it reads per-run ``out_force`` /
 ``pin_force`` words from one dense per-node table, so it serves every
 injection signature — fault samples never trigger a recompile, and an
-empty table is the good-machine pass.  Unforced gates (the common
-case) pay one table load and one branch on top of the straight-line
-expressions; forced gates take a generated branch that applies the
-output and per-pin force words inline, replicating the interpreter's
-forced branch bit for bit.
+empty table is the good-machine pass.  Each gate's expressions are
+written twice.  An unforced gate pays one table load and one branch on
+top of its straight-line expressions.  A forced gate copies its fanins
+into operand temporaries, applies its pin forces to them and its
+output force to the result, replicating the interpreter's forced
+branch bit for bit.  In a wide pass nearly every gate is forced (at
+commit width, all but 34 of s1423's 758 gates), so the forced path
+applies each force with positive complement words that
+:func:`make_force_tables` computes once per injection against the
+injection's mask: ``(e | f1) & n0`` and ``(e & n1) | f0``, never a
+``~f``, which CPython would rebuild as a negative bigint on every use.
 
 The generated kernel is **bit-identical** to the interpreter under the
-bit-plane contract (``v1[i] & v0[i] == 0`` and both planes subsets of
-``mask`` — what every caller in this repo maintains): the only algebraic
-liberty taken is dropping ``mask &`` where the operands are already
-subsets of ``mask``.
+bit-plane contract (``v1[i] & v0[i] == 0``, both planes and every force
+word subsets of ``mask``, and each injection used only for passes over
+the mask it was built for — what every caller in this repo maintains):
+the algebraic liberties taken are dropping ``mask &`` where the
+operands are already subsets of ``mask``, and ``mask ^ f`` for ``~f``,
+which agree inside ``mask``.
 
 The kernel is built once per circuit per process and held in a small
 keyed cache (every population pass shares the one generated function);
@@ -96,11 +104,14 @@ def resolve_kernel_name(name: Optional[str] = None) -> str:
 class SimKernel:
     """One circuit's evaluation backend: two bound callables.
 
-    * ``make_injection(out_force, pin_force)`` — prepare one
+    * ``make_injection(out_force, pin_force, mask)`` — prepare one
       injection's force tables in whatever form ``eval_injection``
-      wants.  The population pass builds it once per pass (once per
-      frame for the transition model), outside the kernel call; the
-      transition model builds an empty one once, for its good pass.
+      wants.  ``mask`` is the word of the passes the injection serves,
+      and every force word must lie inside it (the codegen tables hold
+      complements against it; the interpreter ignores it).  The
+      population pass builds one per layout (once per frame for the
+      transition model), outside the kernel call; the transition model
+      builds an empty one once, for its good pass over any mask.
     * ``eval_injection(v1, v0, mask, injection)`` — the pass; same
       contract as :func:`~repro.sim.compile.eval_program_injected` with
       the program bound and the force dicts pre-digested, non-contiguous
@@ -118,7 +129,7 @@ class SimKernel:
         self,
         name: str,
         requested: str,
-        make_injection: Callable[[Dict, Dict], object],
+        make_injection: Callable[[Dict, Dict, int], object],
         eval_injection: Callable[[List[int], List[int], int, object], None],
     ) -> None:
         self.name = name
@@ -171,11 +182,15 @@ def generate_source(compiled: CompiledCircuit) -> str:
     """Generate the straight-line kernel source for one circuit.
 
     The function is ``_kernel_injected(v1, v0, M, _FX)`` where ``_FX``
-    is one dense per-node table (``None`` for unforced gates — the
-    overwhelmingly common case, costing one load and one branch — or
-    the combined ``(pins, f1, f0)`` entry built by
-    :func:`make_force_tables`).  Forced gates apply the output and
-    per-pin force words inline.
+    is one dense per-node table: ``None`` for an unforced gate, else the
+    ``(pins, f1, n0, f0, n1)`` row built by :func:`make_force_tables`.
+    Each gate's expressions are written twice.  The unforced pair reads
+    the fanin locals directly, behind the one ``_FX`` probe.  The forced
+    pair reads operand temporaries ``_i{k}``/``_j{k}`` copied from the
+    fanins: each forced pin overwrites its own pair, and then the output
+    force step runs.  Every force is applied with the row's positive
+    complement words, ``(e | f1) & n0`` and ``(e & n1) | f0``, so no
+    generated expression takes a ``~``.
     """
     n = compiled.num_nodes
     written = {instr[0] for instr in compiled.program}
@@ -187,49 +202,35 @@ def generate_source(compiled: CompiledCircuit) -> str:
         if i not in written:
             lines.append(f"    a{i} = v1[{i}]; b{i} = v0[{i}]")
     for out, opcode, invert, fanins in compiled.program:
-        ones = [f"a{f}" for f in fanins]
-        zeros = [f"b{f}" for f in fanins]
-        setup, e1, e0 = _gate_exprs(opcode, ones, zeros)
+        pins = range(len(fanins))
+        setup, e1, e0 = _gate_exprs(
+            opcode, [f"a{f}" for f in fanins], [f"b{f}" for f in fanins]
+        )
+        fsetup, fe1, fe0 = _gate_exprs(
+            opcode, [f"_i{k}" for k in pins], [f"_j{k}" for k in pins]
+        )
         if invert:
             e1, e0 = e0, e1
-        lines.append(f"    _e = _FX[{out}]")
-        lines.append("    if _e is None:")
-        for stmt in setup:
-            lines.append(f"        {stmt}")
+            fe1, fe0 = fe0, fe1
+        lines.append(f"    if (_e := _FX[{out}]) is None:")
+        lines.extend(f"        {stmt}" for stmt in setup)
         lines.append(f"        a{out} = {e1}")
         lines.append(f"        b{out} = {e0}")
         lines.append("    else:")
-        lines.append("        _p, _f1, _f0 = _e")
-        lines.append("        if _p is None:")
-        for stmt in setup:
-            lines.append(f"            {stmt}")
-        lines.append(f"            a{out} = (({e1}) | _f1) & ~_f0")
-        lines.append(f"            b{out} = (({e0}) & ~_f1) | _f0")
-        lines.append("        else:")
-        # Pin-forced gate, fully inline: per-fanin force application
-        # (the exact combined form of the interpreter's ``_force``)
-        # into fresh locals, then the same gate expressions over them.
-        forced_ones = []
-        forced_zeros = []
-        for pin, (one, zero) in enumerate(zip(ones, zeros)):
-            lines.append(f"            _q = _p[{pin}]")
-            lines.append("            if _q is None:")
-            lines.append(f"                _i{pin} = {one}; _j{pin} = {zero}")
-            lines.append("            else:")
-            lines.append("                _q1, _q0 = _q")
+        lines.append("        _p, _f1, _n0, _f0, _n1 = _e")
+        lines.append("        " + "; ".join(
+            f"_i{k} = a{f}; _j{k} = b{f}" for k, f in enumerate(fanins)
+        ))
+        lines.append("        if _p is not None:")
+        for k in pins:
+            lines.append(f"            if (_q := _p[{k}]) is not None:")
             lines.append(
-                f"                _i{pin} = ({one} | _q1) & ~_q0; "
-                f"_j{pin} = ({zero} & ~_q1) | _q0"
+                f"                _q1, _m0, _q0, _m1 = _q; "
+                f"_i{k} = (_i{k} | _q1) & _m0; _j{k} = (_j{k} & _m1) | _q0"
             )
-            forced_ones.append(f"_i{pin}")
-            forced_zeros.append(f"_j{pin}")
-        fsetup, fe1, fe0 = _gate_exprs(opcode, forced_ones, forced_zeros)
-        if invert:
-            fe1, fe0 = fe0, fe1
-        for stmt in fsetup:
-            lines.append(f"            {stmt}")
-        lines.append(f"            a{out} = (({fe1}) | _f1) & ~_f0")
-        lines.append(f"            b{out} = (({fe0}) & ~_f1) | _f0")
+        lines.extend(f"        {stmt}" for stmt in fsetup)
+        lines.append(f"        a{out} = (({fe1}) | _f1) & _n0")
+        lines.append(f"        b{out} = (({fe0}) & _n1) | _f0")
     spill1 = ", ".join(f"a{i}" for i in range(n))
     spill0 = ", ".join(f"b{i}" for i in range(n))
     lines.append(f"    v1[:] = [{spill1}]")
@@ -239,33 +240,42 @@ def generate_source(compiled: CompiledCircuit) -> str:
 
 
 def make_force_tables(
-    num_nodes: int, out_force: Dict, pin_force: Dict, arity: Optional[Dict[int, int]] = None
+    num_nodes: int,
+    out_force: Dict,
+    pin_force: Dict,
+    mask: int,
+    arity: Optional[Dict[int, int]] = None,
 ) -> List:
     """Digest the interpreter's force dicts into one dense per-node table.
 
-    Each forced node's row is ``(pins, f1, f0)``: ``pins`` is a
-    per-fanin list of ``None`` / ``(f1, f0)`` force pairs (``None`` in
-    the row when only the output is forced — the generated kernel then
-    skips the per-pin probes), and ``f1``/``f0`` are the output-force
-    words (0 when only pins are forced).  Unforced nodes hold ``None``.
-    ``arity`` maps gate node id to fanin count (sizes the pin lists so
-    the kernel can index them directly).
+    Each force pair ``(f1, f0)`` is stored with its positive complements
+    against ``mask``, computed here once per injection.  A forced node's
+    row is ``(pins, f1, mask ^ f0, f0, mask ^ f1)``: ``pins`` is a
+    per-fanin list of ``None`` / ``(q1, mask ^ q0, q0, mask ^ q1)``
+    entries (``None`` in the row when only the output is forced, so the
+    generated kernel skips the per-pin probes), and a row with pin forces
+    only carries the identity output words ``(0, mask, 0, mask)``.
+    Unforced nodes hold ``None``.  ``arity`` maps gate node id to fanin
+    count (sizes the pin lists so the kernel can index them directly).
+
+    The complements equal ``~f`` only inside ``mask``: force words must
+    lie inside it, and the table serves passes over that mask alone.
     """
     fx: List = [None] * num_nodes
     for node, (f1, f0) in out_force.items():
-        fx[node] = (None, f1, f0)
+        fx[node] = (None, f1, mask ^ f0, f0, mask ^ f1)
     for node, entries in pin_force.items():
         width = arity.get(node) if arity is not None else None
         if width is None:
-            width = max(pin for pin, _f1, _f0 in entries) + 1
+            width = max(pin for pin, _q1, _q0 in entries) + 1
         pins: List = [None] * width
-        for pin, f1, f0 in entries:
-            pins[pin] = (f1, f0)
+        for pin, q1, q0 in entries:
+            pins[pin] = (q1, mask ^ q0, q0, mask ^ q1)
         prev = fx[node]
         if prev is None:
-            fx[node] = (pins, 0, 0)
+            fx[node] = (pins, 0, mask, 0, mask)
         else:
-            fx[node] = (pins, prev[1], prev[2])
+            fx[node] = (pins,) + prev[1:]
     return fx
 
 
@@ -314,7 +324,7 @@ def _interp_kernel(compiled: CompiledCircuit, requested: str) -> SimKernel:
     """The reference interpreter wrapped in the kernel interface."""
     program = compiled.program
 
-    def make_injection(out_force: Dict, pin_force: Dict):
+    def make_injection(out_force: Dict, pin_force: Dict, mask: int):
         return (out_force, pin_force)
 
     def eval_injection(v1, v0, mask, injection):
@@ -373,8 +383,8 @@ def kernel_for(
     num_nodes = compiled.num_nodes
     arity = {instr[0]: len(instr[3]) for instr in compiled.program}
 
-    def make_injection(out_force: Dict, pin_force: Dict):
-        return make_force_tables(num_nodes, out_force, pin_force, arity)
+    def make_injection(out_force: Dict, pin_force: Dict, mask: int):
+        return make_force_tables(num_nodes, out_force, pin_force, mask, arity)
 
     return SimKernel(
         name="codegen",

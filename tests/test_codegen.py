@@ -58,19 +58,32 @@ def _random_planes(rng, n, width):
     return v1, v0
 
 
-def _random_forces(rng, compiled, width):
+def _random_masks(rng, width):
+    """A contiguous mask, a block-top mask (one bit per block, as the
+    transition model's good pass uses) and a random sparse mask."""
+    block = rng.choice([1, 2, 5, 33])
+    tops = ((1 << width) - 1) // ((1 << block) - 1) << (block - 1)
+    sparse = rng.getrandbits(width) & rng.getrandbits(width)
+    return [(1 << width) - 1, tops & ((1 << width) - 1), sparse]
+
+
+def _random_forces(rng, compiled, width, mask):
+    """Random disjoint force pairs, every word inside ``mask``."""
+
+    def pair():
+        f1 = rng.getrandbits(width) & mask
+        return f1, rng.getrandbits(width) & mask & ~f1
+
     out_force, pin_force = {}, {}
     for out, _opcode, _invert, fanins in compiled.program:
         if rng.random() < 0.2:
-            f1 = rng.getrandbits(width)
-            out_force[out] = (f1, rng.getrandbits(width) & ~f1)
+            out_force[out] = pair()
         if fanins and rng.random() < 0.15:
-            entries = []
-            for pin in rng.sample(range(len(fanins)),
-                                  rng.randint(1, len(fanins))):
-                f1 = rng.getrandbits(width)
-                entries.append((pin, f1, rng.getrandbits(width) & ~f1))
-            pin_force[out] = entries
+            pin_force[out] = [
+                (pin, *pair())
+                for pin in rng.sample(range(len(fanins)),
+                                      rng.randint(1, len(fanins)))
+            ]
     return out_force, pin_force
 
 
@@ -82,6 +95,18 @@ class TestGeneratedSource:
         assert src.count("def ") == 1  # one generated function per circuit
         assert "for " not in src  # branches on table rows, never loops
         assert "_FX[" in src
+
+    def test_template_stays_small(self):
+        """Forces apply as positive complement words and each gate's
+        expressions are written twice: no generated source takes a
+        ``~``, and s1423's stays within 16 lines per gate."""
+        for circuit in _sweep_circuits():
+            assert "~" not in generate_source(compile_circuit(circuit)), (
+                circuit.name
+            )
+        compiled = compile_circuit(synthesize_named("s1423"))
+        lines = kernel_source(compiled).count("\n")
+        assert lines <= 16 * len(compiled.program)
 
     def test_generate_source_compiles_for_every_circuit(self):
         for circuit in _sweep_circuits():
@@ -103,7 +128,12 @@ class TestGeneratedSource:
         )
         compiled = compile_circuit(s27_circuit)
         for name in ("interp", "codegen"):
-            assert not hasattr(kernel_for(compiled, name), "eval")
+            kernel = kernel_for(compiled, name)
+            assert not hasattr(kernel, "eval")
+            # The mask has no default: a forgotten one would silently
+            # clear every forced gate's complement words.
+            with pytest.raises(TypeError):
+                kernel.make_injection({}, {})
 
 
 class TestPlaneEquivalence:
@@ -118,47 +148,67 @@ class TestPlaneEquivalence:
             compiled = compile_circuit(circuit)
             kernel = kernel_for(compiled, "codegen")
             assert kernel.name == "codegen"
-            no_forces = kernel.make_injection({}, {})
-            for _ in range(12):
+            # An empty injection carries no force words, so one serves
+            # a pass over any mask.
+            no_forces = kernel.make_injection({}, {}, 0)
+            for _ in range(4):
                 width = rng.choice([1, 8, 64, 200])
-                block = rng.choice([1, 2, 5, 33])
-                mask = ((1 << width) - 1) // ((1 << block) - 1) << (block - 1)
-                v1, v0 = _random_planes(rng, compiled.num_nodes, width)
-                v1 = [w & mask for w in v1]
-                v0 = [w & mask for w in v0]
-                r1, r0 = list(v1), list(v0)
-                eval_program_injected(compiled.program, r1, r0, mask, {}, {})
-                kernel.eval_injection(v1, v0, mask, no_forces)
-                assert (v1, v0) == (r1, r0), circuit.name
+                for mask in _random_masks(rng, width):
+                    v1, v0 = _random_planes(rng, compiled.num_nodes, width)
+                    v1 = [w & mask for w in v1]
+                    v0 = [w & mask for w in v0]
+                    r1, r0 = list(v1), list(v0)
+                    eval_program_injected(
+                        compiled.program, r1, r0, mask, {}, {}
+                    )
+                    kernel.eval_injection(v1, v0, mask, no_forces)
+                    assert (v1, v0) == (r1, r0), circuit.name
 
     def test_injected_pass_matches_interpreter(self):
+        """Random injections over contiguous, block-top and sparse
+        masks, with every force word inside its injection's mask."""
         rng = random.Random(202)
         for circuit in _sweep_circuits():
             compiled = compile_circuit(circuit)
             kernel = kernel_for(compiled, "codegen")
-            for _ in range(12):
+            for _ in range(6):
                 width = rng.choice([1, 8, 64, 200])
-                mask = (1 << width) - 1
-                out_force, pin_force = _random_forces(rng, compiled, width)
-                v1, v0 = _random_planes(rng, compiled.num_nodes, width)
-                r1, r0 = list(v1), list(v0)
-                eval_program_injected(
-                    compiled.program, r1, r0, mask, out_force, pin_force
-                )
-                kernel.eval_injection(
-                    v1, v0, mask, kernel.make_injection(out_force, pin_force)
-                )
-                assert (v1, v0) == (r1, r0), circuit.name
+                for mask in _random_masks(rng, width):
+                    out_force, pin_force = _random_forces(
+                        rng, compiled, width, mask
+                    )
+                    v1, v0 = _random_planes(rng, compiled.num_nodes, width)
+                    v1 = [w & mask for w in v1]
+                    v0 = [w & mask for w in v0]
+                    r1, r0 = list(v1), list(v0)
+                    eval_program_injected(
+                        compiled.program, r1, r0, mask, out_force, pin_force
+                    )
+                    injection = kernel.make_injection(
+                        out_force, pin_force, mask
+                    )
+                    kernel.eval_injection(v1, v0, mask, injection)
+                    assert (v1, v0) == (r1, r0), (circuit.name, bin(mask))
 
     def test_force_tables_shape(self):
+        """Rows carry each force pair with its complements against the
+        mask; a pin-only row carries the identity output words."""
+        mask = 0b1111
         fx = make_force_tables(
-            4, {1: (0b10, 0b01)}, {2: [(1, 0b1, 0b0)]}, {2: 3}
+            5,
+            {1: (0b10, 0b01), 3: (0b100, 0)},
+            {2: [(1, 0b1, 0b0)], 3: [(0, 0, 0b1000)]},
+            mask,
+            {2: 3, 3: 2},
         )
-        assert fx[0] is None and fx[3] is None
-        assert fx[1] == (None, 0b10, 0b01)
-        pins, f1, f0 = fx[2]
-        assert (f1, f0) == (0, 0)
-        assert pins == [None, (0b1, 0b0), None]  # sized to the gate arity
+        assert fx[0] is None and fx[4] is None
+        assert fx[1] == (None, 0b10, 0b1110, 0b01, 0b1101)
+        pins, f1, n0, f0, n1 = fx[2]  # pin forces only
+        assert (f1, n0, f0, n1) == (0, mask, 0, mask)
+        assert pins == [None, (0b1, 0b1111, 0b0, 0b1110), None]  # sized to arity
+        pins, f1, n0, f0, n1 = fx[3]  # output and pin forces
+        assert (f1, n0, f0, n1) == (0b100, 0b1111, 0, 0b1011)
+        assert pins == [(0, 0b0111, 0b1000, 0b1111), None]
 
 
 class TestSimulatorEquivalence:
