@@ -44,6 +44,7 @@ and docs/PERFORMANCE.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.gates import X
@@ -386,6 +387,73 @@ def _open_planes(good_values: Sequence[int], moved: List[int],
     return ff1, ff0
 
 
+#: Fewest input values per candidate (frames times inputs) for which
+#: :meth:`FaultSimulator._batch_pi_planes` builds in bulk: one strided
+#: write per candidate costs about as much as eight per-value steps.
+#: Top slots that share a byte (``S + 1 < 8``) need twice as many, to
+#: pay for their separate buffers.
+BULK_MIN_VALUES = 8
+
+#: ``_ONES[b]`` translates a value byte of 1 to bit ``b`` and every other
+#: byte to 0; ``_ZEROS[b]`` does the same for a value byte of 0.
+_ONES = [bytes(1 << b if v == 1 else 0 for v in range(256)) for b in range(8)]
+_ZEROS = [bytes(1 << b if v == 0 else 0 for v in range(256)) for b in range(8)]
+
+
+def _top_rows(data: bytes, n_cand: int, S: int, rows: int, tables) -> List[int]:
+    """Per (frame, input) row, the word of top slots whose value byte
+    ``tables`` maps to a set bit; ``data`` holds ``rows`` value bytes
+    per candidate, candidate by candidate.
+
+    Candidate ``c``'s top slot is bit ``p = c * (S + 1) + S`` of a row,
+    so its byte sits at ``p >> 3`` of every row: one strided write per
+    candidate fills all its rows.  Candidates whose top slots share a
+    byte (``S + 1 < 8``) go to ``ceil(8 / (S + 1))`` separate buffers,
+    ORed together before the rows are read.
+    """
+    B = S + 1
+    width = (n_cand * B + 7) >> 3
+    size = rows * width
+    ways = 1 if B >= 8 else -(-8 // B)
+    step = ways * rows
+    word = 0
+    for way in range(ways):
+        buf = bytearray(size)
+        p = way * B + S
+        for lo in range(way * rows, n_cand * rows, step):
+            buf[p >> 3::width] = data[lo:lo + rows].translate(tables[p & 7])
+            p += ways * B
+        if ways > 1:
+            word |= int.from_bytes(buf, "little")
+    if ways > 1:
+        buf = word.to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i:i + width], "little") for i in range(0, size, width)]
+
+
+def _pi_planes_per_value(candidates, S: int, tops: List[int]):
+    """:meth:`FaultSimulator._batch_pi_planes` one value at a time:
+    each value sets its candidate's top slot (``tops``) in the ones or
+    the zeros word of its input, and each word is spread over its
+    blocks."""
+    planes = []
+    for frame in range(len(candidates[0])):
+        ones = []
+        zeros = []
+        for column in zip(*[c[frame] for c in candidates]):
+            t1 = 0
+            t0 = 0
+            for bit, value in zip(tops, column):
+                if value == 1:
+                    t1 |= bit
+                elif value == 0:
+                    t0 |= bit
+            ones.append((t1 << 1) - (t1 >> S))
+            zeros.append((t0 << 1) - (t0 >> S))
+        planes.append((ones, zeros))
+    return planes
+
+
 class FaultSimulator:
     """Sequential fault simulator over a collapsed stuck-at fault list.
 
@@ -577,10 +645,8 @@ class FaultSimulator:
         """
         compiled = self.compiled
         is_ff = {ff: k for k, ff in enumerate(compiled.ff_ids)}
-        is_pi = set(compiled.pi_ids)
         out_force: Dict[int, Tuple[int, int]] = {}
         pin_force: Dict[int, List[Tuple[int, int, int]]] = {}
-        pi_forces: List[Tuple[int, int, int]] = []
         ff_out_forces: Dict[int, Tuple[int, int]] = {}
         ff_pin_forces: Dict[int, Tuple[int, int]] = {}
 
@@ -599,7 +665,7 @@ class FaultSimulator:
                 if fault.node in is_ff:
                     add_pair(ff_out_forces, is_ff[fault.node], bit, fault.stuck_at)
                 else:
-                    # PI stems land in out_force too; they are split out
+                    # PI stems land in out_force too; they are moved out
                     # into pi_forces below (the program never writes PIs).
                     add_pair(out_force, fault.node, bit, fault.stuck_at)
             else:
@@ -621,7 +687,8 @@ class FaultSimulator:
                              bit if fault.stuck_at == 0 else 0)
                         )
         pi_forces = [
-            (node, f1, f0) for node, (f1, f0) in out_force.items() if node in is_pi
+            (node,) + out_force.pop(node)
+            for node in compiled.pi_ids if node in out_force
         ]
         return out_force, pin_force, pi_forces, ff_out_forces, ff_pin_forces
 
@@ -676,36 +743,60 @@ class FaultSimulator:
     def _batch_pi_planes(candidates, layout: _BatchLayout):
         """Per frame, ``(ones, zeros)``: one word per primary input.
 
-        Each candidate's input value is set on its top slot, then spread
-        over its whole block with ``(t << 1) - (t >> S)``, which turns
-        every top bit into the ``S + 1`` bits below and including it.
+        Every value of the population becomes one byte with one
+        ``bytes()`` call, and each candidate's bytes land on its top
+        slot with one strided write per plane, covering all its frames
+        and inputs at once (:func:`_top_rows`).  Each (frame, input)
+        word is read with one ``int.from_bytes`` and spread over its
+        block with ``(t << 1) - (t >> S)``, which turns every top bit
+        into the ``S + 1`` bits below and including it.  When no value
+        is X, the zeros word is ``mask ^ ones``.
+
+        Candidates of too few values (:data:`BULK_MIN_VALUES`), and
+        values that ``bytes()`` refuses (``1.0``, ``-1``, ``300``,
+        ``None``), take the per-value loop instead.  Both follow one
+        rule: a value ``== 1`` is 1, ``== 0`` is 0, anything else X.
         """
+        frames = len(candidates[0])
+        if not frames:
+            return []
+        n_pis = len(candidates[0][0])
         S = layout.S
-        tops = layout.tops
-        planes = []
-        for frame in range(len(candidates[0])):
-            ones = []
-            zeros = []
-            for column in zip(*[c[frame] for c in candidates]):
-                t1 = 0
-                t0 = 0
-                for bit, value in zip(tops, column):
-                    if value == 1:
-                        t1 |= bit
-                    elif value == 0:
-                        t0 |= bit
-                ones.append((t1 << 1) - (t1 >> S))
-                zeros.append((t0 << 1) - (t0 >> S))
-            planes.append((ones, zeros))
-        return planes
+        rows = frames * n_pis
+        data = None
+        if rows >= (BULK_MIN_VALUES if S >= 7 else 2 * BULK_MIN_VALUES):
+            try:
+                data = bytes(chain.from_iterable(chain.from_iterable(candidates)))
+            except (TypeError, ValueError):
+                pass
+        if data is None:
+            return _pi_planes_per_value(candidates, S, layout.tops)
+        n_cand = len(candidates)
+        ones = [(t << 1) - (t >> S)
+                for t in _top_rows(data, n_cand, S, rows, _ONES)]
+        if data.translate(None, b"\0\1"):
+            zeros = [(t << 1) - (t >> S)
+                     for t in _top_rows(data, n_cand, S, rows, _ZEROS)]
+        else:
+            mask = layout.mask
+            zeros = [mask ^ w for w in ones]
+        return [(ones[i:i + n_pis], zeros[i:i + n_pis])
+                for i in range(0, rows, n_pis)]
 
     def _check_candidates(self, candidates) -> None:
         """Raise ``ValueError`` unless every candidate has the same
-        number of frames and every vector one value per primary input."""
+        number of frames and every vector one value per primary input.
+
+        One C-level length set over every vector of the population; the
+        vectors are walked only on failure, to name the first bad
+        candidate and frame.
+        """
         frames = len(candidates[0])
-        if any(len(c) != frames for c in candidates):
+        if set(map(len, candidates)) != {frames}:
             raise ValueError("all candidates must have the same frame count")
         n_pis = len(self.compiled.pi_ids)
+        if set(map(len, chain.from_iterable(candidates))) <= {n_pis}:
+            return
         for c, candidate in enumerate(candidates):
             for frame, vector in enumerate(candidate):
                 if len(vector) != n_pis:
@@ -1071,9 +1162,8 @@ class FaultSimulator:
                 (self.faults[fault_id], self.vectors_applied + first_frames[slot])
             )
         if detections:
-            self.active = [
-                f for f in self.active if self.status[f] is FaultStatus.UNDETECTED
-            ]
+            dropped = {slots.ids[slot] for slot in first_frames}
+            self.active = [f for f in self.active if f not in dropped]
         if vectors:
             self.good_state = GoodState(good_next)
             self._after_commit(run.v1, run.v0, top)

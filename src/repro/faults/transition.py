@@ -98,6 +98,9 @@ class TransitionFaultSimulator(FaultSimulator):
         #: The kernel's empty injection: the per-frame good pass.  It
         #: carries no force words, so it serves a pass over any mask.
         self._no_forces = self._kernel.make_injection({}, {}, 0)
+        #: Primary-input and flip-flop nodes: what the good pass reads
+        #: before the program writes it (other unwritten nodes stay 0).
+        self._loaded = compiled.pi_ids + compiled.ff_ids
 
     # ------------------------------------------------------------------
     # State management additions
@@ -166,15 +169,22 @@ class TransitionFaultSimulator(FaultSimulator):
         The loaded top slots hold each candidate's primary inputs and
         good present state, so one kernel pass over them with no forces
         (mask = the top slots) gives every candidate's good values for
-        the frame.  A fault launches where its node moves to ``slow_to``
-        from the previous frame's good value (the committed
-        ``prev_good`` at frame 0); the faulty machine then holds the
-        node at the old value in that block.  The frame's good planes
-        are the next frame's ``carry``.
+        the frame.  The good pass is fed only its primary-input and
+        flip-flop words: the kernel reads only the nodes the program
+        does not write, and every gate entry is written by the pass
+        before the launch loop reads it.  A fault launches where its
+        node moves to ``slow_to`` from the previous frame's good value
+        (the committed ``prev_good`` at frame 0); the faulty machine
+        then holds the node at the old value in that block.  The
+        frame's good planes are the next frame's ``carry``.
         """
         top = layout.top
-        g1 = [w & top for w in v1]
-        g0 = [w & top for w in v0]
+        n = len(v1)
+        g1 = [0] * n
+        g0 = [0] * n
+        for node in self._loaded:
+            g1[node] = v1[node] & top
+            g0[node] = v0[node] & top
         self._kernel.eval_injection(g1, g0, top, self._no_forces)
         if carry is None:
             carry = ([top if value == 1 else 0 for value in self.prev_good],

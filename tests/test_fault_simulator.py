@@ -35,7 +35,7 @@ from repro.faults import (
     TransitionFaultSimulator,
     collapsed_fault_list,
 )
-from repro.faults.simulator import REPACK_DEAD_SHARE
+from repro.faults.simulator import BULK_MIN_VALUES, REPACK_DEAD_SHARE
 from repro.parallel import worker as pool_worker
 from repro.sim import compile_circuit
 from repro.telemetry import TelemetryCollector
@@ -413,6 +413,112 @@ class TestEvaluateBatch:
         assert collector.counters["sim.batch.slot_frames"] == 5 * 30 * 3
 
 
+# ---------------------------------------------------------------------------
+# The input stage: PI planes and the layout's injection tables
+# ---------------------------------------------------------------------------
+
+#: Input values the PI-plane builder must read by today's rule: ``== 1``
+#: is 1, ``== 0`` is 0, anything else is X.  ``bytes()`` refuses the
+#: last four.
+PI_VALUES = (0, 1, X, True, 1.0, -1, 300, None)
+
+
+def _reference_pi_planes(candidates, S):
+    """Per frame, ``(ones, zeros)``, one value at a time: a value ``== 1``
+    sets its candidate's whole block of ``S + 1`` slots in its input's
+    ones word, a value ``== 0`` in the zeros word."""
+    B = S + 1
+    planes = []
+    for frame in range(len(candidates[0])):
+        ones = []
+        zeros = []
+        for i in range(len(candidates[0][frame])):
+            w1 = w0 = 0
+            for c, candidate in enumerate(candidates):
+                block = ((1 << B) - 1) << (c * B)
+                value = candidate[frame][i]
+                if value == 1:
+                    w1 |= block
+                elif value == 0:
+                    w0 |= block
+            ones.append(w1)
+            zeros.append(w0)
+        planes.append((ones, zeros))
+    return planes
+
+
+@functools.lru_cache(maxsize=1)
+def _layout_sim():
+    compiled, faults = _batch_circuit()
+    return FaultSimulator(compiled, faults=faults)
+
+
+class TestInputStage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_cand=st.integers(1, 40),
+        frames=st.integers(0, 6),
+        width=st.integers(1, 5),
+        size=st.one_of(st.integers(0, 12), st.integers(64, 80)),
+        values=st.sampled_from([(0, 1), (0, 1, X), PI_VALUES]),
+    )
+    def test_pi_planes_match_per_value_reference(
+        self, seed, n_cand, frames, width, size, values
+    ):
+        """The bulk builder gives the per-value planes for populations on
+        both sides of eight slots per byte (``S + 1 < 8`` and not), on
+        both sides of :data:`BULK_MIN_VALUES`, and for every value kind."""
+        sim = _layout_sim()
+        layout = sim._batch_layout(list(sim.active)[:size], n_cand)
+        rng = random.Random(seed)
+        candidates = [
+            [[rng.choice(values) for _ in range(width)] for _ in range(frames)]
+            for _ in range(n_cand)
+        ]
+        assert FaultSimulator._batch_pi_planes(candidates, layout) == (
+            _reference_pi_planes(candidates, layout.S))
+
+    @pytest.mark.parametrize("odd", [1.0, -1, 300, None])
+    def test_refused_value_in_a_bulk_population(self, odd):
+        """One value ``bytes()`` refuses anywhere in a population large
+        enough for the bulk path still reads by the per-value rule."""
+        sim = _layout_sim()
+        layout = sim._batch_layout(list(sim.active)[:5], 6)
+        rng = random.Random(3)
+        candidates = [[[rng.randint(0, 1) for _ in range(3)]
+                       for _ in range(BULK_MIN_VALUES)] for _ in range(6)]
+        candidates[4][2][1] = odd
+        assert FaultSimulator._batch_pi_planes(candidates, layout) == (
+            _reference_pi_planes(candidates, layout.S))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_pi_stem_forces_live_only_in_pi_forces(self, kernel):
+        """Primary-input stem forces are applied at load, so no layout's
+        gate injection holds a row for a primary input: replicated,
+        trimmed and commit-slot layouts alike."""
+        compiled, faults = _batch_circuit()
+        sim = FaultSimulator(compiled, faults=faults, kernel=kernel)
+        inputs = set(compiled.pi_ids)
+        sample = [f for f in sim.active if faults[f].pin == STEM
+                  and faults[f].node in inputs]
+        sample += [f for f in sim.active if f not in sample][:30]
+        replicated = sim._batch_layout(sample, 8)
+        trimmed = sim._batch_layout(sample, 3)
+        sim.commit(random_vectors(compiled.circuit, 1, seed=2))
+        committed = sim._slots.layout
+        for layout in (replicated, trimmed, committed):
+            assert layout.pi_forces
+            assert {node for node, _f1, _f0 in layout.pi_forces} == inputs & {
+                faults[f].node for f in sample if faults[f].pin == STEM}
+            assert not inputs & set(layout.out_force)
+            if kernel == "codegen":
+                assert all(layout.injection[pi] is None for pi in inputs)
+            else:
+                assert not inputs & set(layout.injection[0])
+        assert trimmed is not replicated and trimmed.n_cand == 3
+
+
 class TestStateManagement:
     def test_snapshot_restore_round_trip(self, minifsm_circuit):
         sim = FaultSimulator(minifsm_circuit)
@@ -533,6 +639,43 @@ class TestVectorWidth:
         assert after.active == before.active
         assert sim.vectors_applied == before.vectors_applied
         assert sim.detections == detections
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_cand=st.integers(1, 5),
+        frames=st.integers(1, 5),
+        seed=st.integers(0, 1000),
+        delta=st.sampled_from([-1, 1]),
+    )
+    def test_any_bad_vector_is_named_before_any_state_changes(
+        self, n_cand, frames, seed, delta
+    ):
+        """A short or long vector at any (candidate, frame) is named by
+        ``evaluate_batch`` and, as a one-candidate test, by ``commit``,
+        and neither changes any state."""
+        circuit = s27()
+        rng = random.Random(seed)
+        sim = FaultSimulator(circuit)
+        sim.commit(random_vectors(circuit, 3, seed=seed))
+        before = sim.snapshot()
+        candidates = [random_vectors(circuit, frames, seed=rng.randrange(10**6))
+                      for _ in range(n_cand)]
+        c = rng.randrange(n_cand)
+        frame = rng.randrange(frames)
+        candidates[c][frame] = [0] * (4 + delta)
+        with pytest.raises(ValueError, match=(
+                rf"candidate {c}, frame {frame}: {4 + delta} values .* "
+                r"4 primary inputs")):
+            sim.evaluate_batch(candidates)
+        with pytest.raises(ValueError, match=(
+                rf"candidate 0, frame {frame}: {4 + delta} values")):
+            sim.commit(candidates[c])
+        after = sim.snapshot()
+        assert after.good_state.ff_values == before.good_state.ff_values
+        assert after.divergence == before.divergence
+        assert after.active == before.active
+        assert after.detections == before.detections
+        assert sim.vectors_applied == before.vectors_applied
 
 
 # ---------------------------------------------------------------------------
