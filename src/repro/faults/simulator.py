@@ -390,8 +390,6 @@ def _open_planes(good_values: Sequence[int], moved: List[int],
 #: Fewest input values per candidate (frames times inputs) for which
 #: :meth:`FaultSimulator._batch_pi_planes` builds in bulk: one strided
 #: write per candidate costs about as much as eight per-value steps.
-#: Top slots that share a byte (``S + 1 < 8``) need twice as many, to
-#: pay for their separate buffers.
 BULK_MIN_VALUES = 8
 
 #: ``_ONES[b]`` translates a value byte of 1 to bit ``b`` and every other
@@ -407,28 +405,19 @@ def _top_rows(data: bytes, n_cand: int, S: int, rows: int, tables) -> List[int]:
 
     Candidate ``c``'s top slot is bit ``p = c * (S + 1) + S`` of a row,
     so its byte sits at ``p >> 3`` of every row: one strided write per
-    candidate fills all its rows.  Candidates whose top slots share a
-    byte (``S + 1 < 8``) go to ``ceil(8 / (S + 1))`` separate buffers,
-    ORed together before the rows are read.
+    candidate fills all its rows.  Needs ``S + 1 >= 8``, so that no two
+    top slots share a byte.
     """
     B = S + 1
     width = (n_cand * B + 7) >> 3
-    size = rows * width
-    ways = 1 if B >= 8 else -(-8 // B)
-    step = ways * rows
-    word = 0
-    for way in range(ways):
-        buf = bytearray(size)
-        p = way * B + S
-        for lo in range(way * rows, n_cand * rows, step):
-            buf[p >> 3::width] = data[lo:lo + rows].translate(tables[p & 7])
-            p += ways * B
-        if ways > 1:
-            word |= int.from_bytes(buf, "little")
-    if ways > 1:
-        buf = word.to_bytes(size, "little")
+    buf = bytearray(rows * width)
+    p = S
+    for lo in range(0, n_cand * rows, rows):
+        buf[p >> 3::width] = data[lo:lo + rows].translate(tables[p & 7])
+        p += B
     from_bytes = int.from_bytes
-    return [from_bytes(buf[i:i + width], "little") for i in range(0, size, width)]
+    return [from_bytes(buf[i:i + width], "little")
+            for i in range(0, len(buf), width)]
 
 
 def _pi_planes_per_value(candidates, S: int, tops: List[int]):
@@ -752,9 +741,10 @@ class FaultSimulator:
         into the ``S + 1`` bits below and including it.  When no value
         is X, the zeros word is ``mask ^ ones``.
 
-        Candidates of too few values (:data:`BULK_MIN_VALUES`), and
-        values that ``bytes()`` refuses (``1.0``, ``-1``, ``300``,
-        ``None``), take the per-value loop instead.  Both follow one
+        Samples of fewer than seven faults (whose top slots would share
+        a byte), candidates of too few values (:data:`BULK_MIN_VALUES`),
+        and values that ``bytes()`` refuses (``1.0``, ``-1``, ``300``,
+        ``None``) take the per-value loop instead.  Both follow one
         rule: a value ``== 1`` is 1, ``== 0`` is 0, anything else X.
         """
         frames = len(candidates[0])
@@ -764,7 +754,7 @@ class FaultSimulator:
         S = layout.S
         rows = frames * n_pis
         data = None
-        if rows >= (BULK_MIN_VALUES if S >= 7 else 2 * BULK_MIN_VALUES):
+        if S >= 7 and rows >= BULK_MIN_VALUES:
             try:
                 data = bytes(chain.from_iterable(chain.from_iterable(candidates)))
             except (TypeError, ValueError):

@@ -466,9 +466,9 @@ class TestInputStage:
     def test_pi_planes_match_per_value_reference(
         self, seed, n_cand, frames, width, size, values
     ):
-        """The bulk builder gives the per-value planes for populations on
-        both sides of eight slots per byte (``S + 1 < 8`` and not), on
-        both sides of :data:`BULK_MIN_VALUES`, and for every value kind."""
+        """The input builder gives the per-value planes for samples on
+        both sides of seven faults (``S + 1 < 8`` and not), populations
+        on both sides of :data:`BULK_MIN_VALUES`, and every value kind."""
         sim = _layout_sim()
         layout = sim._batch_layout(list(sim.active)[:size], n_cand)
         rng = random.Random(seed)
@@ -484,7 +484,7 @@ class TestInputStage:
         """One value ``bytes()`` refuses anywhere in a population large
         enough for the bulk path still reads by the per-value rule."""
         sim = _layout_sim()
-        layout = sim._batch_layout(list(sim.active)[:5], 6)
+        layout = sim._batch_layout(list(sim.active)[:7], 6)
         rng = random.Random(3)
         candidates = [[[rng.randint(0, 1) for _ in range(3)]
                        for _ in range(BULK_MIN_VALUES)] for _ in range(6)]
