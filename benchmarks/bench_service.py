@@ -13,7 +13,6 @@ record stream.
 Acceptance: the warm request is at least 2x faster than the cold one.
 """
 
-import asyncio
 import json
 import os
 import random
@@ -48,19 +47,8 @@ def bench_service_warm_vs_cold(benchmark, tmp_path):
     collector = TelemetryCollector(source="repro.service")
     manager = JobManager(tmp_path / "state", collector=collector, workers=1)
     server = ServiceServer(manager, port=0)
-    ready = threading.Event()
-
-    def run_server():
-        async def go():
-            await server.start()
-            ready.set()
-            await server.serve_until_shutdown()
-
-        asyncio.run(go())
-
-    thread = threading.Thread(target=run_server, daemon=True)
+    thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
-    assert ready.wait(10), "server failed to bind"
     client = ServiceClient(port=server.port)
 
     from repro.circuit.profiles import ISCAS89_PROFILES

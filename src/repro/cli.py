@@ -36,6 +36,8 @@ from .circuit.profiles import ISCAS89_PROFILES
 from .core import CheckpointError, GaTestGenerator, TestGenConfig
 from .core.config import DEFAULT_CHECKPOINT_EVERY
 from .faults import FaultSimulator, collapsed_fault_list
+from .ga import CROSSOVER_OPERATORS, SELECTION_SCHEMES
+from .ga.chromosome import CODINGS
 from .sim.codegen import KERNEL_NAMES
 from .sim.compile import compile_circuit
 
@@ -48,12 +50,14 @@ def _load_circuit(spec: str, scale: float, seed: int):
         raise SystemExit(f"error: {exc}")
 
 
-def _refuse_bad_counts(parser: argparse.ArgumentParser, *flags) -> None:
-    """Usage error for a ``(flag, value)`` count below 1 (``None`` is
-    unset), naming the flag rather than failing later in a traceback."""
+def _refuse_bad_counts(parser: argparse.ArgumentParser, *flags,
+                       minimum: int = 1) -> None:
+    """Usage error for a ``(flag, value)`` count below ``minimum``
+    (``None`` is unset), naming the flag rather than failing later in a
+    traceback."""
     for flag, value in flags:
-        if value is not None and value < 1:
-            parser.error(f"{flag} must be at least 1, got {value}")
+        if value is not None and value < minimum:
+            parser.error(f"{flag} must be at least {minimum}, got {value}")
 
 
 #: The engine-specific ``gatest run`` flags each engine reads (all read
@@ -338,9 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="test-generation seed; synthesized profiles "
                           "always resolve at circuit seed 0")
     run.add_argument("--scale", type=float, default=1.0)
-    run.add_argument("--selection", default="tournament")
-    run.add_argument("--crossover", default="uniform")
-    run.add_argument("--coding", default="binary")
+    run.add_argument("--selection", default="tournament",
+                     choices=sorted(SELECTION_SCHEMES))
+    run.add_argument("--crossover", default="uniform",
+                     choices=sorted(CROSSOVER_OPERATORS))
+    run.add_argument("--coding", default="binary", choices=sorted(CODINGS))
     run.add_argument("--sample", type=int, default=None,
                      help="fault sample size for fitness evaluation")
     run.add_argument("--fault-model", choices=["stuck-at", "transition"],
@@ -494,6 +500,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             ("--checkpoint-every", args.checkpoint_every),
         )
         _refuse_unread_flags(parser, args)
+    if args.command == "serve":
+        if not 0 <= args.port <= 65535:
+            parser.error(f"--port must be in 0-65535, got {args.port}")
+        _refuse_bad_counts(parser, ("--workers", args.workers))
+        _refuse_bad_counts(parser, ("--cache-size", args.cache_size),
+                           ("--queue-max", args.queue_max), minimum=0)
     if getattr(args, "scale", None) is not None:
         _refuse_bad_scale(parser, args.scale)
     return args.func(args)

@@ -10,11 +10,15 @@ s35932, whose sequential depths are very large, use smaller multiples).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
 from ..circuit.library import profile_name
 from ..faults.sampling import make_sampler
+from ..ga.chromosome import CODINGS
+from ..ga.crossover import CROSSOVER_OPERATORS
+from ..ga.selection import SELECTION_SCHEMES
 from ..sim.codegen import KERNEL_NAMES
 
 
@@ -163,8 +167,22 @@ class TestGenConfig:
             raise ValueError("seq_fail_limit must be >= 1")
         if not 0.0 < self.generation_gap <= 1.0:
             raise ValueError("generation gap must be in (0, 1]")
-        if self.population_scale <= 0:
-            raise ValueError("population_scale must be positive")
+        if not 0 < self.population_scale < math.inf:
+            raise ValueError("population_scale must be positive and finite")
+        if not all(map(math.isfinite, self.seq_length_multipliers)):
+            raise ValueError("seq_length_multipliers must be finite")
+        if self.seq_population_size < 2:
+            raise ValueError("seq_population_size must be >= 2")
+        if not 0.0 <= self.seq_mutation_rate <= 1.0:
+            raise ValueError("seq_mutation_rate must be in [0, 1]")
+        for name, registry in (("selection", SELECTION_SCHEMES),
+                               ("crossover", CROSSOVER_OPERATORS),
+                               ("coding", CODINGS)):
+            if getattr(self, name) not in registry:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"choose from {sorted(registry)}"
+                )
         try:
             make_sampler(self.fault_sample)
         except (TypeError, ValueError) as exc:

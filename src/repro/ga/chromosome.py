@@ -113,10 +113,12 @@ class NonbinaryCoding:
 Coding = object  # structural typing: BinaryCoding | NonbinaryCoding
 
 
+#: Registry used by configuration code: coding kind -> class.
+CODINGS = {"binary": BinaryCoding, "nonbinary": NonbinaryCoding}
+
+
 def make_coding(kind: str, n_pi: int, seq_len: int = 1) -> Coding:
-    """Factory used by configuration code: ``kind`` in {binary, nonbinary}."""
-    if kind == "binary":
-        return BinaryCoding(n_pi, seq_len)
-    if kind == "nonbinary":
-        return NonbinaryCoding(n_pi, seq_len)
-    raise ValueError(f"unknown coding kind {kind!r}")
+    """Factory used by configuration code: ``kind`` in :data:`CODINGS`."""
+    if kind not in CODINGS:
+        raise ValueError(f"unknown coding kind {kind!r}")
+    return CODINGS[kind](n_pi, seq_len)

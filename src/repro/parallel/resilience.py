@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,8 +90,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
+        # A wait refuses more than TIMEOUT_MAX; nan bounds nothing.
+        if self.task_timeout is not None and not (
+                0 < self.task_timeout <= threading.TIMEOUT_MAX):
+            raise ValueError(
+                "timeout must be a positive number of seconds, at most "
+                f"{threading.TIMEOUT_MAX:g}; got {self.task_timeout!r}"
+            )
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (0-based)."""
@@ -115,12 +121,19 @@ class RetryPolicy:
         :data:`SEED_RETRIES_ENV` instead), which beat the defaults.  A
         timeout <= 0 (argument or environment) disables the bound, as
         does a ``None`` ``default_timeout`` when nothing else sets one.
-        A malformed variable raises ``ValueError`` naming it.
+        A malformed or out-of-range variable raises ``ValueError``
+        naming it.
         """
         if task_timeout is None:
             task_timeout = _env_number(timeout_env, float, "a number")
             if task_timeout is None:
                 task_timeout = default_timeout
+            elif not task_timeout <= 0:
+                try:
+                    cls(task_timeout=task_timeout)
+                except ValueError as exc:
+                    raw = os.environ[timeout_env]
+                    raise ValueError(f"{timeout_env}={raw!r}: {exc}") from None
         if task_timeout is not None and task_timeout <= 0:
             task_timeout = None
         if max_retries is None:

@@ -15,7 +15,7 @@ state **warm** in a long-lived process behind a small HTTP API
 * :mod:`~repro.service.tier` — the fault-isolated process execution
   tier for run jobs (deadlines, checkpoint-resuming retries, chaos
   hooks, sticky in-thread degradation);
-* :mod:`~repro.service.http` — the asyncio HTTP front
+* :mod:`~repro.service.http` — the threaded stdlib HTTP front
   (``POST /jobs``, ``GET /jobs/<id>``, ``DELETE /jobs/<id>``,
   ``GET /jobs/<id>/events``, ``GET /healthz``, ``POST /shutdown``);
 * :mod:`~repro.service.client` — :class:`ServiceClient`, a thin

@@ -16,7 +16,6 @@ tests/scripts parse the line to find it.
 
 from __future__ import annotations
 
-import asyncio
 import signal
 import sys
 import tempfile
@@ -66,29 +65,18 @@ def serve(
     except (CheckpointError, ValueError) as exc:
         # A corrupt ledger line, or a malformed REPRO_CHAOS spec.
         raise SystemExit(f"error: {exc}")
-    try:
-        asyncio.run(_serve_async(manager, host, port))
-    except KeyboardInterrupt:
-        manager.close()
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-    return 0
-
-
-async def _serve_async(manager: JobManager, host: str, port: int) -> None:
     server = ServiceServer(manager, host=host, port=port)
-    await server.start()
-    loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.shutdown_requested.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # non-main thread or platform without signal support
+        signal.signal(signum, lambda *_: server.request_shutdown())
     print(
         f"gatest-service listening on http://{server.host}:{server.port} "
         f"(state: {manager.state_dir})",
         flush=True,
     )
-    await server.serve_until_shutdown()
+    try:
+        server.serve()
+    finally:
+        if scratch is not None:
+            scratch.cleanup()
     print("gatest-service: shut down cleanly", file=sys.stderr, flush=True)
+    return 0

@@ -1,19 +1,15 @@
-"""A minimal asyncio HTTP/1.1 front for the job manager.
+"""A minimal threaded HTTP/1.1 front for the job manager.
 
-Standard library only (``asyncio.start_server`` plus hand-rolled
-request parsing) — the service adds **no dependencies** to the package.
-The protocol subset is deliberately small and documented in
-docs/SERVICE.md:
+Standard library only (``http.server.ThreadingHTTPServer``): each
+connection's daemon thread calls the :class:`JobManager` directly, so a
+blocking call holds up only its own client.  The protocol subset is
+deliberately small and documented in docs/SERVICE.md:
 
 * one request per connection, ``Connection: close`` on every response;
 * JSON request and response bodies (``Content-Length`` framed);
 * the event stream (``GET /jobs/<id>/events``) is close-delimited
   ``application/x-ndjson``: one telemetry record per line, written as
   the job produces them, connection closed when the trace is complete.
-
-Blocking manager calls (job submission compiles circuits; event reads
-wait on a condition) run in worker threads via ``asyncio.to_thread`` so
-one slow request never stalls the accept loop.
 
 Routes::
 
@@ -25,38 +21,30 @@ Routes::
     GET    /jobs/<id>/events   live telemetry stream (ndjson)
     POST   /shutdown           graceful stop (drains in-flight jobs)
 
-Error codes: 400 (bad JSON / bad spec / unknown circuit), 404 (unknown
-job or path), 405 (bad method), 413 (oversized body), 429 (queue full
-— carries a ``Retry-After`` header, and nothing was ledgered), 500
-(handler bug).  Every error body is ``{"error": "<message>"}``.
+Error codes: 400 (malformed request line or ``Content-Length``, bad
+JSON / bad spec / unknown circuit), 404 (unknown job or path), 405 (bad
+method), 413 (oversized body), 429 (queue full — carries a
+``Retry-After`` header, and nothing was ledgered), 500 (handler bug).
+Every error body is ``{"error": "<message>"}``, the errors the stdlib
+parser raises itself included.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Dict, Optional, Tuple
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Dict, Optional
 
 from .jobs import JobManager, JobValidationError, QueueFullError
 
 #: Largest accepted request body (a big fsim vector file is ~MBs).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: Reason phrases for the status codes this server emits.
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-}
-
 
 class HttpError(Exception):
-    """Terminate a request with ``status`` and a JSON error body.
-
-    ``headers`` are extra response headers (the 429 path carries
-    ``Retry-After`` so well-behaved clients back off instead of
-    hammering a saturated queue).
-    """
+    """Terminate a request with ``status`` and a JSON error body, plus
+    extra response ``headers`` (429 carries ``Retry-After``)."""
 
     def __init__(self, status: int, message: str,
                  headers: Optional[Dict[str, str]] = None) -> None:
@@ -66,185 +54,37 @@ class HttpError(Exception):
         self.headers = headers or {}
 
 
-def _response_bytes(status: int, body: dict,
-                    headers: Optional[Dict[str, str]] = None) -> bytes:
-    payload = json.dumps(body).encode()
-    extra = "".join(
-        f"{name}: {value}\r\n" for name, value in (headers or {}).items()
-    )
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        f"{extra}"
-        f"Connection: close\r\n"
-        f"\r\n"
-    ).encode()
-    return head + payload
+class ServiceServer(ThreadingHTTPServer):
+    """The HTTP front over one JobManager: binds on construction (the
+    real port is :attr:`port`), then :meth:`serve` runs it."""
 
-
-class ServiceServer:
-    """Bind, serve, and tear down the HTTP front over one JobManager."""
+    #: Closing must not wait for handler threads: a client holding an
+    #: event stream open would hold up shutdown.
+    block_on_close = False
 
     def __init__(self, manager: JobManager, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.manager = manager
+        super().__init__((host, port), _Handler)
         self.host = host
-        self.port = port          # 0 = ephemeral; real port set by start()
-        self.shutdown_requested = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
+        self.port = self.server_address[1]
 
-    async def start(self) -> None:
-        """Bind the listening socket and record the actual port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_until_shutdown(self) -> None:
-        """Run until :attr:`shutdown_requested` is set, then drain."""
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self.shutdown_requested.wait()
-        # In-flight jobs finish; queued jobs stay ledgered for the next
-        # start (the recovery path picks them up).
-        await asyncio.to_thread(self.manager.close)
-
-    # -- request plumbing ----------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def serve(self) -> None:
+        """Serve until :meth:`request_shutdown`, then drain: in-flight
+        jobs finish, queued jobs stay ledgered for the next start."""
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-                await self._route(method, path, body, writer)
-            except HttpError as exc:
-                writer.write(
-                    _response_bytes(
-                        exc.status, {"error": exc.message}, exc.headers
-                    )
-                )
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as exc:  # pragma: no cover - handler bug guard
-                writer.write(
-                    _response_bytes(500, {"error": f"{type(exc).__name__}: {exc}"})
-                )
-            await writer.drain()
+            self.serve_forever()
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            self.server_close()
+            self.manager.close()
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Optional[dict]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            raise HttpError(400, "empty request")
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise HttpError(400, "bad Content-Length")
-        if content_length > MAX_BODY_BYTES:
-            raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        body: Optional[dict] = None
-        if content_length:
-            raw = await reader.readexactly(content_length)
-            try:
-                body = json.loads(raw)
-            except ValueError as exc:
-                raise HttpError(400, f"request body is not valid JSON: {exc}")
-        return method, target.split("?", 1)[0], body
+    def request_shutdown(self) -> None:
+        """Make :meth:`serve` return, from any thread or signal handler:
+        ``shutdown()`` waits for the serving loop, so it needs a thread
+        of its own (on the serving thread it would deadlock)."""
+        threading.Thread(target=self.shutdown, daemon=True).start()
 
-    # -- routing -------------------------------------------------------
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict],
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if path == "/healthz":
-            self._require_method(method, "GET")
-            writer.write(_response_bytes(200, self._healthz()))
-            return
-        if path == "/shutdown":
-            self._require_method(method, "POST")
-            writer.write(_response_bytes(200, {"status": "shutting-down"}))
-            await writer.drain()
-            self.shutdown_requested.set()
-            return
-        if path == "/jobs":
-            if method == "POST":
-                job, coalesced = await asyncio.to_thread(self._submit, body)
-                response = job.to_json()
-                response["coalesced_onto"] = coalesced
-                writer.write(_response_bytes(200, response))
-                return
-            self._require_method(method, "GET")
-            writer.write(
-                _response_bytes(
-                    200, {"jobs": [j.to_json() for j in self.manager.jobs()]}
-                )
-            )
-            return
-        if path.startswith("/jobs/"):
-            rest = path[len("/jobs/"):]
-            if rest.endswith("/events"):
-                self._require_method(method, "GET")
-                await self._stream_events(rest[: -len("/events")].rstrip("/"), writer)
-                return
-            if method == "DELETE":
-                status = await asyncio.to_thread(self.manager.cancel, rest)
-                if status is None:
-                    raise HttpError(404, f"no such job: {rest!r}")
-                writer.write(
-                    _response_bytes(200, {"id": rest, "status": status})
-                )
-                return
-            self._require_method(method, "GET")
-            job = self.manager.get(rest)
-            if job is None:
-                raise HttpError(404, f"no such job: {rest!r}")
-            writer.write(_response_bytes(200, job.to_json()))
-            return
-        raise HttpError(404, f"no such endpoint: {path!r}")
-
-    @staticmethod
-    def _require_method(method: str, expected: str) -> None:
-        if method != expected:
-            raise HttpError(405, f"use {expected}")
-
-    def _submit(self, body: Optional[dict]):
-        if body is None:
-            raise HttpError(400, "POST /jobs requires a JSON body")
-        try:
-            return self.manager.submit(body)
-        except JobValidationError as exc:
-            raise HttpError(400, str(exc))
-        except QueueFullError as exc:
-            raise HttpError(
-                429, str(exc),
-                headers={"Retry-After": str(exc.retry_after)},
-            )
-
-    def _healthz(self) -> dict:
+    def healthz(self) -> dict:
         counters = {}
         if self.manager.collector.enabled:
             counters = self.manager.collector.counters
@@ -257,29 +97,149 @@ class ServiceServer:
             "counters": counters,
         }
 
-    async def _stream_events(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
-        job = self.manager.get(job_id)
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: parse (the stdlib's), route, answer in JSON."""
+
+    server: ServiceServer
+    protocol_version = "HTTP/1.1"
+    # A request line without a version still gets a full error response.
+    default_request_version = "HTTP/1.1"
+    # Headers and body are two writes: no Nagle delay between them.
+    disable_nagle_algorithm = True
+
+    def __getattr__(self, name: str):
+        # Every method reaches the router, which answers 405 for a
+        # wrong one (the stdlib would answer 501 for a missing do_X).
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up; there is nobody to answer
+
+    def log_message(self, format: str, *args) -> None:
+        pass  # no per-request lines on stderr
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib parser's own errors, as JSON like every other."""
+        self._reply(code, {"error": message or self.responses[code][0]})
+
+    def _reply(self, status: int, body: dict,
+               headers: Optional[Dict[str, str]] = None) -> None:
+        payload = json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _dispatch(self) -> None:
+        try:
+            self._route(self.command, self.path.split("?", 1)[0],
+                        self._read_body())
+        except HttpError as exc:
+            self._reply(exc.status, {"error": exc.message}, exc.headers)
+        except Exception as exc:  # pragma: no cover - handler bug guard
+            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _read_body(self) -> Optional[dict]:
+        raw_length = self.headers.get("Content-Length", "0")
+        length = int(raw_length) if raw_length.strip().isdecimal() else -1
+        if length < 0:
+            raise HttpError(400, f"bad Content-Length: {raw_length!r}")
+        if length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        if not length:
+            return None
+        try:
+            return json.loads(self.rfile.read(length))
+        except ValueError as exc:
+            raise HttpError(400, f"request body is not valid JSON: {exc}")
+
+    # -- routing -------------------------------------------------------
+
+    def _route(self, method: str, path: str, body: Optional[dict]) -> None:
+        manager = self.server.manager
+        if path == "/healthz":
+            _require_method(method, "GET")
+            self._reply(200, self.server.healthz())
+            return
+        if path == "/shutdown":
+            _require_method(method, "POST")
+            self._reply(200, {"status": "shutting-down"})
+            self.server.request_shutdown()
+            return
+        if path == "/jobs":
+            if method == "POST":
+                job, coalesced = _submit(manager, body)
+                response = job.to_json()
+                response["coalesced_onto"] = coalesced
+                self._reply(200, response)
+                return
+            _require_method(method, "GET")
+            self._reply(200, {"jobs": [j.to_json() for j in manager.jobs()]})
+            return
+        if path.startswith("/jobs/"):
+            rest = path[len("/jobs/"):]
+            if rest.endswith("/events"):
+                _require_method(method, "GET")
+                self._stream_events(rest[: -len("/events")].rstrip("/"))
+                return
+            if method == "DELETE":
+                status = manager.cancel(rest)
+                if status is None:
+                    raise HttpError(404, f"no such job: {rest!r}")
+                self._reply(200, {"id": rest, "status": status})
+                return
+            _require_method(method, "GET")
+            job = manager.get(rest)
+            if job is None:
+                raise HttpError(404, f"no such job: {rest!r}")
+            self._reply(200, job.to_json())
+            return
+        raise HttpError(404, f"no such endpoint: {path!r}")
+
+    def _stream_events(self, job_id: str) -> None:
+        job = self.server.manager.get(job_id)
         if job is None:
             raise HttpError(404, f"no such job: {job_id!r}")
-        writer.write(
-            (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode()
-        )
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
+        self.end_headers()
         position = 0
-        while True:
-            records, done = await asyncio.to_thread(
-                job.collector.stream_read, position, 0.5
-            )
-            for record in records:
-                writer.write((json.dumps(record) + "\n").encode())
-            position += len(records)
+        done = False
+        while not done:
+            records, done = job.collector.stream_read(position, 0.5)
             if records:
-                await writer.drain()
-            if done:
-                return
+                self.wfile.write(
+                    "".join(json.dumps(r) + "\n" for r in records).encode()
+                )
+            position += len(records)
+
+
+def _require_method(method: str, expected: str) -> None:
+    if method != expected:
+        raise HttpError(405, f"use {expected}")
+
+
+def _submit(manager: JobManager, body: Optional[dict]):
+    if body is None:
+        raise HttpError(400, "POST /jobs requires a JSON body")
+    try:
+        return manager.submit(body)
+    except JobValidationError as exc:
+        raise HttpError(400, str(exc))
+    except QueueFullError as exc:
+        raise HttpError(
+            429, str(exc),
+            headers={"Retry-After": str(exc.retry_after)},
+        )

@@ -229,9 +229,13 @@ def parse_job(payload: object) -> JobSpec:
         _require(kind == "run", "field 'deadline_s' only applies to run jobs")
         _require(
             isinstance(deadline_s, (int, float))
-            and not isinstance(deadline_s, bool) and deadline_s > 0,
+            and not isinstance(deadline_s, bool),
             "field 'deadline_s' must be a positive number",
         )
+        try:
+            RetryPolicy(task_timeout=deadline_s)
+        except ValueError as exc:
+            raise JobValidationError(f"field 'deadline_s': {exc}") from None
         deadline_s = float(deadline_s)
     if kind == "run":
         allowed = {"kind", "circuit", "scale", "config", "checkpoint_every",

@@ -154,6 +154,18 @@ class TestRun:
         assert exc.value.code == 2
         assert f"--scale must be in (0, 1], got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--selection", "nope"), ("--crossover", "3-point"),
+        ("--coding", "ternary"),
+    ])
+    def test_unknown_operator_name_is_a_usage_error(self, capsys, flag,
+                                                    value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "s27", flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid choice: {value!r}"
+                in capsys.readouterr().err)
+
     def test_eval_cache_flag(self, capsys):
         """The GA memoizes fitness on every run, so the flag that once
         switched a cache on is gone, and a script passing it fails
@@ -274,6 +286,24 @@ class TestFsim:
         tests.write_text("01\n")
         with pytest.raises(SystemExit, match="expected 4 bits"):
             main(["fsim", "s27", str(tests)])
+
+
+class TestServe:
+    """Bad ``gatest serve`` flag values are usage errors, refused before
+    the job manager starts."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--port", "70000"], "--port must be in 0-65535, got 70000"),
+        (["--port", "-1"], "--port must be in 0-65535, got -1"),
+        (["--workers", "0"], "--workers must be at least 1, got 0"),
+        (["--cache-size", "-1"], "--cache-size must be at least 0, got -1"),
+        (["--queue-max", "-1"], "--queue-max must be at least 0, got -1"),
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSynth:

@@ -134,3 +134,19 @@ class TestTestGenConfig:
         for fault_sample in (0, -2, 1.5, "x", True):
             with pytest.raises(ValueError, match="fault_sample"):
                 TestGenConfig(fault_sample=fault_sample)
+        # Refused here, as the GA or the sequence stage would refuse them.
+        for name in ("selection", "crossover", "coding"):
+            with pytest.raises(ValueError, match=f"unknown {name} 'nope'"):
+                TestGenConfig(**{name: "nope"})
+        for rate in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="seq_mutation_rate"):
+                TestGenConfig(seq_mutation_rate=rate)
+        for size in (1, 0):
+            with pytest.raises(ValueError, match="seq_population_size"):
+                TestGenConfig(seq_population_size=size)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="population_scale"):
+                TestGenConfig(population_scale=scale)
+        for multipliers in ((1.0, float("inf")), (float("nan"),)):
+            with pytest.raises(ValueError, match="seq_length_multipliers"):
+                TestGenConfig(seq_length_multipliers=multipliers)

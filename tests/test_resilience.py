@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -120,6 +121,24 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match=message):
             RetryPolicy.from_env(timeout_env="REPRO_SEED_TIMEOUT",
                                  retries_env="REPRO_SEED_RETRIES")
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 1e300,
+                                         threading.TIMEOUT_MAX * 2])
+    def test_timeout_a_wait_cannot_take_is_refused(self, timeout):
+        with pytest.raises(ValueError, match="at most"):
+            RetryPolicy(task_timeout=timeout)
+        assert RetryPolicy(
+            task_timeout=threading.TIMEOUT_MAX).task_timeout == threading.TIMEOUT_MAX
+
+    @pytest.mark.parametrize("name", ["REPRO_EVAL_TIMEOUT",
+                                      "REPRO_SEED_TIMEOUT",
+                                      "REPRO_JOB_TIMEOUT"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e300"])
+    def test_env_timeout_a_wait_cannot_take_names_the_variable(
+            self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name}={value!r}: timeout"):
+            RetryPolicy.from_env(timeout_env=name)
 
 
 class TestSelfHealingPool:

@@ -17,12 +17,13 @@ Four layers under test (docs/SERVICE.md):
 
 from __future__ import annotations
 
-import asyncio
+import http.client
 import json
 import multiprocessing
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -107,6 +108,22 @@ class TestParseJob:
             *(({"kind": "run", "circuit": "s27",
                 "config": {"fault_sample": bad}}, "invalid config: fault_sample")
               for bad in (0, -2, 1.5, "x", True)),
+            *(({"kind": "run", "circuit": "s27", "config": config},
+               f"invalid config: {message}")
+              for config, message in (
+                  ({"selection": "nope"}, "unknown selection 'nope'"),
+                  ({"crossover": "nope"}, "unknown crossover 'nope'"),
+                  ({"coding": "nope"}, "unknown coding 'nope'"),
+                  ({"seq_mutation_rate": 2}, "seq_mutation_rate"),
+                  ({"seq_population_size": 1}, "seq_population_size"),
+                  ({"population_scale": float("nan")}, "population_scale"),
+                  ({"seq_length_multipliers": [1, float("inf")]},
+                   "seq_length_multipliers"),
+              )),
+            # A wait cannot take these; every tier attempt would fail.
+            *(({"kind": "run", "circuit": "s27", "deadline_s": bad},
+               "field 'deadline_s': timeout must be")
+              for bad in (1e300, float("inf"), float("nan"), 10 ** 400)),
         ],
     )
     def test_rejections(self, payload, message):
@@ -593,19 +610,8 @@ def live_service(tmp_path):
     collector = TelemetryCollector(source="repro.service")
     manager = JobManager(tmp_path / "state", collector=collector, workers=1)
     server = ServiceServer(manager, port=0)
-    ready = threading.Event()
-
-    def run():
-        async def go():
-            await server.start()
-            ready.set()
-            await server.serve_until_shutdown()
-
-        asyncio.run(go())
-
-    thread = threading.Thread(target=run, daemon=True)
+    thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
-    assert ready.wait(10), "server failed to bind"
     client = ServiceClient(port=server.port)
     yield client, collector
     try:
@@ -746,6 +752,122 @@ class TestHttpApi:
                 assert err.value.status == 400
 
 
+def _raw_request(port, data):
+    """Send ``data`` on a fresh socket and read to EOF; returns
+    ``(status, headers, body)`` with header names lower-cased."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+class TestWire:
+    """What a client sees on the socket, below ServiceClient."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+             % (32 * 1024 * 1024 + 1), 413),
+            (b"GET /nowhere HTTP/1.1\r\n\r\n", 404),
+            (b"PUT /healthz HTTP/1.1\r\n\r\n", 405),
+            (b"BREW /jobs HTTP/1.1\r\n\r\n", 405),
+        ],
+        ids=["request-line-one-word", "request-line-bad-version",
+             "content-length-text", "content-length-negative",
+             "body-over-32MiB", "unknown-path", "wrong-method",
+             "unknown-method"],
+    )
+    def test_errors_are_json(self, live_service, request_bytes, status):
+        client, _ = live_service
+        got, headers, body = _raw_request(client.port, request_bytes)
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert int(headers["content-length"]) == len(body)
+        assert set(json.loads(body)) == {"error"}
+
+    def test_event_stream_is_close_delimited_ndjson(self, live_service):
+        client, _ = live_service
+        job = client.submit(
+            {"kind": "run", "circuit": "s27", "config": {"seed": 1}}
+        )
+        status, headers, body = _raw_request(
+            client.port,
+            b"GET /jobs/%s/events HTTP/1.1\r\n\r\n" % job["id"].encode(),
+        )
+        assert status == 200
+        assert headers["content-type"] == "application/x-ndjson"
+        assert "content-length" not in headers
+        assert "transfer-encoding" not in headers
+        assert body.endswith(b"\n")
+        validate_trace([json.loads(line) for line in body.splitlines()])
+
+    def test_submits_do_not_wait_behind_event_streams(self, tmp_path):
+        """Each open event stream holds a thread while it waits for
+        records; a submit must not wait for one of them.  The streams
+        outnumber a default executor's threads (min(32, CPUs + 4)) by
+        one, so a front that ran blocking calls on such a pool would
+        keep each submit waiting up to a stream's 0.5 s read."""
+        release = threading.Event()
+        manager = JobManager(tmp_path / "state", workers=1, use_tier=False)
+        execute = manager._execute_fsim
+
+        def blocked(job):
+            release.wait(60)
+            execute(job)
+
+        manager._execute_fsim = blocked
+        server = ServiceServer(manager, port=0)
+        thread = threading.Thread(target=server.serve, daemon=True)
+        thread.start()
+        client = ServiceClient(port=server.port)
+        streams = []
+
+        def fsim(n):
+            return {"kind": "fsim", "circuit": "s27",
+                    "vectors": [[(n >> k) & 1 for k in range(4)]]}
+
+        try:
+            client.submit(fsim(0))            # the worker blocks on it
+            queued = client.submit(fsim(1))   # and this one waits behind
+            for _ in range((os.cpu_count() or 1) + 5):
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=30
+                )
+                conn.request("GET", f"/jobs/{queued['id']}/events")
+                assert conn.getresponse().status == 200
+                streams.append(conn)
+            seconds = []
+            for n in range(2, 7):
+                start = time.perf_counter()
+                client.submit(fsim(n))
+                seconds.append(time.perf_counter() - start)
+            assert max(seconds) < 0.25, seconds
+        finally:
+            release.set()
+            for conn in streams:
+                conn.close()
+            client.shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive(), "server thread failed to shut down"
+
+
 # ----------------------------------------------------------------------
 # SIGKILL the whole service, restart, resume bit-identically
 # ----------------------------------------------------------------------
@@ -804,3 +926,60 @@ class TestKillServiceEndToEnd:
             if survivor.poll() is None:  # pragma: no cover - cleanup
                 survivor.kill()
                 survivor.wait(timeout=30)
+
+
+# ----------------------------------------------------------------------
+# SIGTERM / SIGINT: drain, exit 0, leave nothing behind
+# ----------------------------------------------------------------------
+
+
+class TestSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_drains_the_job_in_flight(self, tmp_path, signum):
+        state = tmp_path / "state"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        env.pop("REPRO_CHAOS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--state-dir", str(state), "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://[^:]+:(\d+)", line)
+            assert match, f"no listening line: {line!r}"
+            client = ServiceClient(port=int(match.group(1)))
+            job = client.submit(
+                {"kind": "run", "circuit": "s27", "config": {"seed": 3}}
+            )
+            deadline = time.monotonic() + 60
+            while client.job(job["id"])["status"] == "queued":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.005)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert "shut down cleanly" in err
+            assert "Traceback" not in err
+            ledger = JobLedger(state / "ledger.jsonl").load()
+            assert any(r["event"] == "completed" and r["id"] == job["id"]
+                       for r in ledger)
+            deadline = time.monotonic() + 30
+            while True:  # tier workers and forkserver: all gone
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "processes left behind"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup
+                proc.kill()
+                proc.wait(timeout=30)
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -26,7 +26,6 @@ under test here (docs/SERVICE.md, docs/ROBUSTNESS.md §7):
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import os
 import re
@@ -72,19 +71,8 @@ def _manager(tmp_path, **kw):
 def _served(manager):
     """A ServiceServer for ``manager`` on an ephemeral localhost port."""
     server = ServiceServer(manager, port=0)
-    ready = threading.Event()
-
-    def run():
-        async def go():
-            await server.start()
-            ready.set()
-            await server.serve_until_shutdown()
-
-        asyncio.run(go())
-
-    thread = threading.Thread(target=run, daemon=True)
+    thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
-    assert ready.wait(10), "server failed to bind"
     client = ServiceClient(port=server.port)
     try:
         yield client
