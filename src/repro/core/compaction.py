@@ -56,7 +56,11 @@ class CompactionResult:
 class TestSetCompactor:
     """Coverage-preserving static compaction of a vector sequence,
     re-simulated under ``fault_model`` (``"stuck-at"`` or
-    ``"transition"``, as ``TestGenConfig.fault_model`` names them)."""
+    ``"transition"``, as ``TestGenConfig.fault_model`` names them).
+
+    Every trial runs on one simulator, reset to power-up first, so the
+    fault list is collapsed and the kernel looked up once per compactor.
+    """
 
     __test__ = False  # "Test" prefix confuses pytest collection otherwise
 
@@ -68,12 +72,13 @@ class TestSetCompactor:
     ) -> None:
         self.compiled = compile_circuit(circuit)
         self._faults = faults
-        self._simulator = SIMULATORS[fault_model]
+        self._sim = SIMULATORS[fault_model](self.compiled, faults=faults)
         self.trials = 0
 
     def _detected_by(self, vectors: Sequence[Vector]) -> int:
         """Detections of a candidate test set, from power-up."""
-        sim = self._simulator(self.compiled, faults=self._faults)
+        sim = self._sim
+        sim.reset()
         if vectors:
             sim.commit(vectors)
         self.trials += 1
@@ -82,7 +87,8 @@ class TestSetCompactor:
     def _last_detection_frame(self, vectors: Sequence[Vector]) -> int:
         """Index of the last frame that detects a new fault (-1 if none):
         the latest first-detection frame of one commit from power-up."""
-        sim = self._simulator(self.compiled, faults=self._faults)
+        sim = self._sim
+        sim.reset()
         detections = sim.commit(vectors).detections
         self.trials += 1
         return max((frame for _fault, frame in detections), default=-1)

@@ -244,9 +244,8 @@ class GeneticAlgorithm:
         replaces the worst of the next island on the ring.
 
         ``on_generation(gen_index, population)`` is called after each
-        generation (and for the initial population with index 0) — used
-        by the experiment traces for Figures 1 and 2.  With several
-        islands, ``population`` holds every island's members.
+        generation (and for the initial population with index 0).  With
+        several islands, ``population`` holds every island's members.
         """
         params = self.params
         collector = self.collector

@@ -9,9 +9,12 @@ SIGINT.  On shutdown, in-flight jobs drain, resident simulators close
 (no orphaned worker processes), and queued jobs stay in the ledger for
 the next start to recover.
 
-The "listening on" line is printed only after the socket is bound, with
-the *actual* port — ``--port 0`` asks the OS for an ephemeral port, and
-tests/scripts parse the line to find it.
+The socket is bound first, before any state is touched: an address
+already in use ends the start with one ``error:`` line while the ledger
+is still unread and no job has run.  The "listening on" line is printed
+only once the manager is up, with the *actual* port — ``--port 0`` asks
+the OS for an ephemeral port, and tests/scripts parse the line to find
+it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ def serve(
     (``None``: 8) and ``queue_max`` the queued-job count (``None``:
     unbounded).
     """
+    try:
+        server = ServiceServer(None, host=host, port=port)
+    except OSError as exc:
+        raise SystemExit(
+            f"error: cannot listen on {host}:{port}: {exc.strerror or exc}"
+        )
     collector = TelemetryCollector(source="repro.service")
     if state_dir is None:
         scratch = tempfile.TemporaryDirectory(prefix="gatest-service-")
@@ -64,8 +73,9 @@ def serve(
         )
     except (CheckpointError, ValueError) as exc:
         # A corrupt ledger line, or a malformed REPRO_CHAOS spec.
+        server.server_close()
         raise SystemExit(f"error: {exc}")
-    server = ServiceServer(manager, host=host, port=port)
+    server.manager = manager
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: server.request_shutdown())
     print(

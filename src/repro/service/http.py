@@ -56,13 +56,15 @@ class HttpError(Exception):
 
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP front over one JobManager: binds on construction (the
-    real port is :attr:`port`), then :meth:`serve` runs it."""
+    real port is :attr:`port`), then :meth:`serve` runs it.  ``manager``
+    may be ``None`` at construction and set before :meth:`serve`, so a
+    caller can bind before it builds the manager."""
 
     #: Closing must not wait for handler threads: a client holding an
     #: event stream open would hold up shutdown.
     block_on_close = False
 
-    def __init__(self, manager: JobManager, host: str = "127.0.0.1",
+    def __init__(self, manager: Optional[JobManager], host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.manager = manager
         super().__init__((host, port), _Handler)

@@ -42,10 +42,11 @@ and "result JSON ready":
   the restart with a :class:`~repro.core.checkpoint.CheckpointError`
   naming it.
 * **Telemetry** — each job records into its own
-  :class:`StreamingCollector` (live ``GET /jobs/<id>/events`` stream,
-  schema-valid JSONL trace); at completion the job trace is folded into
-  the service collector under the ``job.<id>`` scope via
-  ``merge_worker_trace``, so one service trace stays attributable.
+  :class:`StreamingCollector`, the only copy of its trace (live
+  ``GET /jobs/<id>/events`` stream, schema-valid JSONL trace); a
+  tier-run job folds its worker's trace in unscoped, so it reads like
+  an in-thread one.  At completion the service collector takes the
+  job's counters, which ``GET /healthz`` serves, and none of its events.
 
 See docs/SERVICE.md for the wire formats and operational contract.
 """
@@ -69,7 +70,7 @@ from ..core.config import DEFAULT_CHECKPOINT_EVERY, TestGenConfig
 from ..parallel.resilience import JOB_RETRIES_ENV, JOB_TIMEOUT_ENV, RetryPolicy
 from ..parallel.supervisor import PoolGaveUp
 from ..sim.compile import compiled_circuit_for
-from ..telemetry import NullCollector, TelemetryCollector, get_collector, make_record
+from ..telemetry import NullCollector, TelemetryCollector, get_collector
 from .state import CircuitKey, WarmRegistry
 from .tier import execute_run_job, open_tier, run_tier_job
 
@@ -102,35 +103,28 @@ class StreamingCollector(TelemetryCollector):
     """A recording collector whose records can also be *streamed* live.
 
     The base collector only exposes the finished trace (:meth:`records`);
-    the event-stream endpoint needs records as they happen.  Every
-    emitted record is mirrored into a condition-guarded buffer that
-    starts with the ``meta`` record and — once :meth:`finish_stream`
-    runs — ends with the final ``counter`` records, so the streamed
-    sequence is exactly a valid trace per docs/TELEMETRY.md
-    (``validate_trace`` passes on what a client collects).
+    the event-stream endpoint needs records as they happen.  While the
+    job runs, the stream is the ``meta`` record followed by the events
+    recorded so far; once :meth:`finish_stream` runs it is
+    :meth:`records`, which appends the final ``counter`` records, so
+    what a client collects is exactly a valid trace per
+    docs/TELEMETRY.md (``validate_trace`` passes on it).  The events
+    list is the only copy: a read slices it.
     """
 
     def __init__(self, source: str) -> None:
         super().__init__(source=source)
         self._stream_cond = threading.Condition()
-        self._stream: List[dict] = [dict(self._meta)]
         self._stream_done = False
 
     def _emit(self, record: dict) -> None:
-        super()._emit(record)
         with self._stream_cond:
-            self._stream.append(record)
+            super()._emit(record)
             self._stream_cond.notify_all()
 
     def finish_stream(self) -> None:
-        """Append final counter records and mark the stream complete."""
+        """Mark the stream complete: readers get the final counters."""
         with self._stream_cond:
-            if self._stream_done:
-                return
-            for name in sorted(self._counters):
-                self._stream.append(
-                    make_record("counter", name=name, value=self._counters[name])
-                )
             self._stream_done = True
             self._stream_cond.notify_all()
 
@@ -141,32 +135,13 @@ class StreamingCollector(TelemetryCollector):
         once the stream is complete *and* the caller has everything.
         """
         with self._stream_cond:
-            if len(self._stream) <= start and not self._stream_done:
+            if not self._stream_done and start > len(self._events):
                 self._stream_cond.wait(timeout)
-            fresh = self._stream[start:]
-            done = self._stream_done and start + len(fresh) == len(self._stream)
-            return fresh, done
-
-    def absorb_worker_records(self, records: List[dict]) -> None:
-        """Replay a tier worker's shipped trace into this collector.
-
-        Events pass through :meth:`_emit` (so the live stream sees
-        them in order), counter deltas fold into this collector's
-        aggregates (so they appear once, as finals, when
-        :meth:`finish_stream` runs), and the worker's ``meta`` record
-        is dropped — the stream already opened with this job's own.
-        The result is indistinguishable from the job having recorded
-        in-process, which is what keeps tier execution transparent to
-        ``GET /jobs/<id>/events`` clients.
-        """
-        for record in records:
-            kind = record.get("kind")
-            if kind == "meta":
-                continue
-            if kind == "counter":
-                self.inc(record["name"], record["value"])
-                continue
-            self._emit(dict(record))
+            if self._stream_done:
+                return self.records()[start:], True
+            if start == 0:
+                return [dict(self._meta), *self._events], False
+            return self._events[start - 1:], False
 
 
 # ----------------------------------------------------------------------
@@ -516,9 +491,10 @@ class JobManager:
             if job is None:
                 return None
             if job.status == "queued":
+                # Off the queue before a worker can take it; _finish
+                # records the terminal transition outside the lock
+                # (ledger appends fsync).
                 job.status = "cancelled"
-                job.error = "cancelled before execution"
-                self._cond.notify_all()
             elif job.status == "running":
                 job.cancel_event.set()
                 if job.spec.kind == "run":
@@ -526,19 +502,8 @@ class JobManager:
                 return job.status
             else:
                 return job.status
-        # Queued -> cancelled: record the terminal transition outside
-        # the lock (ledger appends fsync).
-        self.ledger.append(
-            {"event": "cancelled", "id": job.id,
-             "error": "cancelled before execution"}
-        )
-        if self.collector.enabled:
-            self.collector.inc("service.jobs.cancelled")
-        job.collector.finish_stream()
-        if self.collector.enabled:
-            self.collector.merge_worker_trace(
-                f"job.{job.id}", job.collector.records()
-            )
+        self._finish(job, error="cancelled before execution",
+                     status="cancelled")
         return "cancelled"
 
     def _accept(
@@ -730,13 +695,16 @@ class JobManager:
     def _finish(self, job: Job, result: Optional[dict] = None,
                 error: Optional[str] = None,
                 status: Optional[str] = None) -> None:
-        """Record a terminal state: ledger, counters, trace merge, wake.
+        """Record a terminal state: ledger, counters, wake.
 
         ``status`` defaults to ``done``/``failed`` from ``error``;
-        pass ``"preempted"`` for a cooperative stop.  The event stream
-        is completed *after* the status flip so a client that drains
-        the stream to its end is guaranteed to see a terminal status on
-        its next poll.
+        pass ``"preempted"`` for a cooperative stop and ``"cancelled"``
+        for a queued job's cancel.  The event stream is completed
+        *after* the status flip so a client that drains the stream to
+        its end is guaranteed to see a terminal status on its next
+        poll.  The service collector then takes the job's counters
+        (``GET /healthz`` serves them); the job's trace stays on the
+        job's own collector only.
         """
         if status is None:
             status = "done" if error is None else "failed"
@@ -763,9 +731,8 @@ class JobManager:
             self._cond.notify_all()
         job.collector.finish_stream()
         if self.collector.enabled:
-            self.collector.merge_worker_trace(
-                f"job.{job.id}", job.collector.records()
-            )
+            for name, value in job.collector.counters.items():
+                self.collector.inc(name, value)
 
     def _job_policy(self, spec: JobSpec) -> RetryPolicy:
         """Deadline/retry policy for one run job: the request's
@@ -781,9 +748,10 @@ class JobManager:
     def _execute_run(self, job: Job) -> None:
         spec = job.spec
         compiled = compiled_circuit_for(*spec.key)
-        # The generator applies per-circuit overrides itself; the warm
-        # registry must key on the same effective config or a deep
-        # circuit's simulator would alias a shallow one's.
+        # The per-circuit overrides the generator applies itself:
+        # run_key hashes the effective config, so two requests that
+        # differ only in a field a deep circuit overrides are one run
+        # with one checkpoint.  (sim_key reads none of those fields.)
         config = spec.config.for_circuit(compiled.circuit.name)
         checkpoint = self._checkpoint_path(job, config)
         stop_path = self._stop_path(job)
@@ -807,7 +775,7 @@ class JobManager:
                 # the failed attempts' work is not lost.
                 self._tier_degraded = True
             else:
-                job.collector.absorb_worker_records(records)
+                job.collector.merge_worker_trace(None, records)
                 outcome = (status, payload)
         if outcome is None:
             if self._tier_degraded and self.collector.enabled:

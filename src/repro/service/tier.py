@@ -13,8 +13,10 @@ that resumes from the same checkpoint (docs/ROBUSTNESS.md §7).
 
 Each worker keeps its own :class:`~repro.service.state.WarmRegistry`
 and compiled-circuit cache for its whole life, so repeat jobs skip
-recompilation, and ships its telemetry back per task as a *delta* trace
-(:meth:`~repro.telemetry.TelemetryCollector.records_since`).
+recompilation.  Its collector lives as long, but holds one task's trace
+at a time: each task hands its trace back with the result through
+:meth:`~repro.telemetry.TelemetryCollector.drain`, which leaves the
+collector empty, and the job's own collector folds it in.
 
 Everything here must stay module-level and import-safe: it is resolved
 by name inside pool worker processes.
@@ -115,7 +117,7 @@ def _run_generator(compiled, config, sim, collector, checkpoint,
 #: The worker-resident warm registry (one per pool process).
 _REGISTRY: Optional[WarmRegistry] = None
 
-#: The worker's life-long collector; tasks ship per-task deltas.
+#: The worker's life-long collector; each task drains it.
 _COLLECTOR: Optional[TelemetryCollector] = None
 
 
@@ -140,21 +142,20 @@ def run_tier_job(task: dict) -> TierOutcome:
     """
     if _REGISTRY is None or _COLLECTOR is None:  # pragma: no cover - defensive
         raise RuntimeError("tier worker used before init_tier_worker")
-    collector = _COLLECTOR
-    marker = collector.mark()
     try:
         config = config_from_json(task["config"])
         ckey = task["key"]
         compiled = compiled_circuit_for(*ckey)
         config = config.for_circuit(compiled.circuit.name)  # idempotent
     except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}",
-                collector.records_since(marker))
+        return ("error", f"{type(exc).__name__}: {exc}", _COLLECTOR.drain())
     status, payload = execute_run_job(
-        _REGISTRY, collector, ckey, config, Path(task["checkpoint_path"]),
+        _REGISTRY, _COLLECTOR, ckey, config, Path(task["checkpoint_path"]),
         task["checkpoint_every"], stop=Path(task["stop_path"]).exists,
     )
-    return (status, payload, collector.records_since(marker))
+    # A task that raises fails its attempt, and the supervisor reaps the
+    # whole pool, so no trace outlives its task.
+    return (status, payload, _COLLECTOR.drain())
 
 
 # ----------------------------------------------------------------------

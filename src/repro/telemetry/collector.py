@@ -26,6 +26,7 @@ drifting apart.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
@@ -124,7 +125,7 @@ class NullCollector:
     def stage(self, **fields) -> None:
         """No-op stage record."""
 
-    def merge_worker_trace(self, scope: str, records: List[dict]) -> None:
+    def merge_worker_trace(self, scope: Optional[str], records: List[dict]) -> None:
         """No-op merge of a worker process's shipped-back trace."""
 
     def records(self) -> List[dict]:
@@ -173,6 +174,8 @@ class TelemetryCollector(NullCollector):
     appended to the trace as final ``counter`` / last-value records only
     at :meth:`records` / :meth:`dump` time; everything else is emitted
     live in chronological order after the leading ``meta`` record.
+    Counter increments are atomic, so threads may share a collector's
+    counters (the job service's collector is shared by its job threads).
     """
 
     enabled = True
@@ -181,6 +184,7 @@ class TelemetryCollector(NullCollector):
         self._origin = time.perf_counter()
         self._events: List[dict] = []
         self._counters: Dict[str, float] = {}
+        self._counters_lock = threading.Lock()
         self._gauges: Dict[str, float] = {}
         self._stack: List[str] = []
         self._ctx: Dict[str, object] = {}
@@ -213,9 +217,10 @@ class TelemetryCollector(NullCollector):
             self._ctx = saved
 
     def inc(self, name: str, value: float = 1) -> None:
-        """Add ``value`` to the named monotonic counter."""
-        counters = self._counters
-        counters[name] = counters.get(name, 0) + value
+        """Add ``value`` to the named monotonic counter (atomically)."""
+        with self._counters_lock:
+            counters = self._counters
+            counters[name] = counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Sample an instantaneous value (also emitted live with ``t``)."""
@@ -276,7 +281,7 @@ class TelemetryCollector(NullCollector):
             )
         )
 
-    def merge_worker_trace(self, scope: str, records: List[dict]) -> None:
+    def merge_worker_trace(self, scope: Optional[str], records: List[dict]) -> None:
         """Fold a worker process's trace into this (parent) collector.
 
         ``records`` is what the worker's own ``TelemetryCollector``
@@ -291,6 +296,8 @@ class TelemetryCollector(NullCollector):
         meaningful across the pool boundary.  Worker timestamps are
         kept worker-relative (each worker's clock starts at its own
         collector construction); the ``scope`` attribute marks them.
+        ``scope=None`` re-emits events as they are, as if recorded
+        here: a service job folds in its tier worker's trace this way.
 
         Scopes *compose*: a record that already carries a ``scope``
         (it was merged once on another host — e.g. ``worker.3`` from a
@@ -308,13 +315,14 @@ class TelemetryCollector(NullCollector):
             if kind == "counter":
                 self.inc(record["name"], record["value"])
                 continue
-            merged = dict(record)
-            existing = merged.get("scope")
-            merged["scope"] = f"{scope}.{existing}" if existing else scope
-            if kind == "span":
-                merged["path"] = f"{scope}/{merged['path']}"
-                merged["depth"] = merged["depth"] + 1
-            self._emit(merged)
+            if scope is not None:
+                record = dict(record)
+                existing = record.get("scope")
+                record["scope"] = f"{scope}.{existing}" if existing else scope
+                if kind == "span":
+                    record["path"] = f"{scope}/{record['path']}"
+                    record["depth"] = record["depth"] + 1
+            self._emit(record)
         self.inc("worker.trace.merged")
 
     # ------------------------------------------------------------------
@@ -347,33 +355,18 @@ class TelemetryCollector(NullCollector):
             )
         return trace
 
-    def mark(self) -> tuple:
-        """An opaque position marker for :meth:`records_since`.
+    def drain(self) -> List[dict]:
+        """:meth:`records`, then forget every event, counter and gauge.
 
-        Lets a long-lived collector (e.g. the one a service tier worker
-        process keeps for its whole life) ship per-task *deltas*: mark
-        before the task, collect :meth:`records_since` after.  The
-        marker captures the event count and a counter snapshot.
+        A long-lived collector (the one a service tier worker keeps for
+        its whole life) hands each task's trace over this way and holds
+        nothing between tasks; the next drain starts from zero.
         """
-        return (len(self._events), dict(self._counters))
-
-    def records_since(self, marker: tuple) -> List[dict]:
-        """A valid partial trace of everything recorded after ``marker``.
-
-        Same shape as :meth:`records` — leading ``meta``, chronological
-        events, trailing ``counter`` records — but events are only those
-        emitted since the mark and counter values are *deltas* against
-        the snapshot, so folding the result into another collector via
-        :meth:`merge_worker_trace` (or replaying it record by record)
-        adds exactly this window's activity and nothing twice.
-        """
-        n_events, counters = marker
-        trace = [dict(self._meta)]
-        trace.extend(self._events[n_events:])
-        for name in sorted(self._counters):
-            delta = self._counters[name] - counters.get(name, 0)
-            if delta:
-                trace.append(make_record("counter", name=name, value=delta))
+        with self._counters_lock:
+            trace = self.records()
+            self._counters = {}
+        self._events = []
+        self._gauges = {}
         return trace
 
     def dump(self, path) -> int:

@@ -75,6 +75,24 @@ class TestCompaction:
         compaction = compactor.compact(random_vectors(s27(), 10, seed=1))
         assert compaction.trials == compactor.trials > 0
 
+    def test_one_compaction_collapses_the_fault_list_once(self, monkeypatch):
+        """Every trial resets one simulator to power-up instead of
+        building a fresh one, which would collapse the fault list again."""
+        import repro.faults.simulator as simulator_module
+
+        collapse = simulator_module.collapsed_fault_list
+        calls = []
+
+        def counting_collapse(circuit):
+            calls.append(circuit.name)
+            return collapse(circuit)
+
+        monkeypatch.setattr(simulator_module, "collapsed_fault_list",
+                            counting_collapse)
+        compaction = compact_test_set(s27(), random_vectors(s27(), 20, seed=3))
+        assert compaction.trials > 2
+        assert calls == ["s27"]
+
     def test_transition_model_keeps_transition_coverage(self):
         """Compaction re-simulates under the fault model it is given, so
         a transition test set keeps every transition detection."""

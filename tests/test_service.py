@@ -44,6 +44,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
+    StreamingCollector,
     WarmRegistry,
     parse_job,
     sim_key,
@@ -358,6 +359,46 @@ class TestLedgerRecovery:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no tier worker or forkserver left
 
+    def test_serve_on_a_busy_port_exits_1_before_touching_state(self, tmp_path):
+        """The socket is bound before the ledger is read, so a busy port
+        ends the start with one line and the queued job stays queued."""
+        state = tmp_path / "state"
+        state.mkdir()
+        ledger = state / "ledger.jsonl"
+        JobLedger(ledger).append(
+            {"event": "accepted", "id": "j0001-0000cafe", "seq": 1,
+             "payload": {"kind": "run", "circuit": "s27",
+                         "config": {"seed": 1}}}
+        )
+        before = ledger.read_bytes()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC
+        env.pop("REPRO_CHAOS", None)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port",
+                 str(port), "--state-dir", str(state)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True,
+            )
+            try:
+                out, err = proc.communicate(timeout=120)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 1
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert out == ""
+        assert ledger.read_bytes() == before
+        assert [path.name for path in state.iterdir()] == ["ledger.jsonl"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no tier worker or forkserver left
+
 
 # ----------------------------------------------------------------------
 # Manager lifecycle (no HTTP)
@@ -597,6 +638,103 @@ class TestJobManager:
             assert message in err
         finally:
             revived.close()
+
+
+# ----------------------------------------------------------------------
+# One copy of each job's trace
+# ----------------------------------------------------------------------
+
+
+class TestJobTrace:
+    """A job's own collector is the only copy of its trace: the event
+    stream reads it, and the service collector takes its counters."""
+
+    @staticmethod
+    def _task(stream, step):
+        """What a job records for one step: a span and a counter."""
+        with stream.span("step", step=step):
+            stream.inc("steps")
+
+    def test_stream_splits_concatenate_to_records(self):
+        stream = StreamingCollector(source="repro.service.job.split")
+        pieces = []
+
+        def read(start):
+            records, done = stream.stream_read(start, timeout=0)
+            pieces.extend(records)
+            return len(records), done
+
+        assert read(0) == (1, False)          # the meta record alone
+        for step in range(3):
+            self._task(stream, step)
+        assert read(1) == (3, False)          # 1 .. k
+        worker = TelemetryCollector(source="repro.service.tier")
+        self._task(worker, 3)
+        stream.merge_worker_trace(None, worker.drain())
+        assert read(4) == (1, False)          # k .. the running end
+        assert read(5) == (0, False)
+        stream.finish_stream()
+        records = stream.records()
+        assert read(5) == (len(records) - 5, True)   # the counters
+        assert pieces == records
+        validate_trace(pieces)
+        for start in (0, 1, 4, len(records)):
+            assert stream.stream_read(start) == (records[start:], True)
+        assert stream.stream_read(0) == stream.stream_read(0)
+
+    def test_waiting_reader_wakes_on_a_new_record(self):
+        stream = StreamingCollector(source="repro.service.job.wake")
+        reads = []
+
+        def reader(start):
+            began = time.monotonic()
+            records, done = stream.stream_read(start, timeout=30)
+            reads.append(([r["kind"] for r in records], done,
+                          time.monotonic() - began))
+
+        for start, wake in ((1, lambda: stream.gauge("coverage", 0.5)),
+                            (2, stream.finish_stream)):
+            thread = threading.Thread(target=reader, args=(start,))
+            thread.start()
+            time.sleep(0.1)
+            wake()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert [(kinds, done) for kinds, done, _ in reads] == [
+            (["gauge"], False), ([], True),
+        ]
+        assert max(waited for _, _, waited in reads) < 10
+
+    def test_service_collector_takes_job_counters_only(self, tmp_path):
+        collector = TelemetryCollector(source="repro.service")
+        manager = JobManager(tmp_path / "state", collector=collector,
+                             workers=1)
+        try:
+            jobs = [
+                manager.submit({"kind": "run", "circuit": "s27",
+                                "config": {"seed": seed}})[0]
+                for seed in (1, 2)
+            ]
+            jobs.append(manager.submit({"kind": "fsim", "circuit": "s27",
+                                        "vectors": [[0, 1, 0, 1]]})[0])
+            assert manager.wait_idle(timeout=300)
+        finally:
+            manager.close()
+        assert [job.status for job in jobs] == ["done"] * 3
+        assert collector.events() == []
+        streams = [job.collector.stream_read(0)[0] for job in jobs]
+        for records in streams:
+            validate_trace(records)
+        evaluations = sum(
+            r["value"] for records in streams for r in records
+            if r["kind"] == "counter" and r["name"] == "ga.evaluations"
+        )
+        assert evaluations > 0
+        assert collector.counters["ga.evaluations"] == evaluations
+        # Each tier-run job folded in its worker's trace once.
+        assert [job.collector.counters.get("worker.trace.merged")
+                for job in jobs] == [1, 1, None]
+        assert collector.counters["worker.trace.merged"] == 2
 
 
 # ----------------------------------------------------------------------

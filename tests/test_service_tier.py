@@ -42,7 +42,7 @@ import pytest
 
 from repro.circuit import s27
 from repro.core import GaTestGenerator, TestGenConfig
-from repro.core.checkpoint import canonical_sha256
+from repro.core.checkpoint import canonical_sha256, config_to_json
 from repro.parallel.resilience import RetryPolicy
 from repro.service import (
     Job,
@@ -55,8 +55,9 @@ from repro.service import (
     ServiceServer,
     parse_job,
     run_key,
+    tier,
 )
-from repro.telemetry import TelemetryCollector
+from repro.telemetry import TelemetryCollector, validate_trace
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -455,6 +456,31 @@ class TestProcessTier:
             assert collector.counters["service.cache.evictions"] >= 1
         finally:
             manager.close()
+
+    def test_worker_keeps_no_trace_between_tasks(self, tmp_path, monkeypatch):
+        """A tier worker hands each task's trace back with its result and
+        holds none of it afterwards, however many jobs it serves."""
+        monkeypatch.setattr(tier, "_REGISTRY", None)
+        monkeypatch.setattr(tier, "_COLLECTOR", None)
+        tier.init_tier_worker()
+        try:
+            for seed in (1, 2, 3):
+                status, payload, records = tier.run_tier_job({
+                    "key": ("s27", 1.0, 0),
+                    "config": config_to_json(TestGenConfig(seed=seed)),
+                    "checkpoint_path": str(tmp_path / f"run-{seed}.ckpt"),
+                    "stop_path": str(tmp_path / "never.stop"),
+                    "checkpoint_every": 10,
+                })
+                assert status == "done", payload
+                validate_trace(records)
+                runs = [r for r in records if r["kind"] == "counter"
+                        and r["name"] == "ga.runs"]
+                assert runs and runs[0]["value"] > 0  # this task's own
+                assert tier._COLLECTOR.events() == []
+                assert tier._COLLECTOR.counters == {}
+        finally:
+            tier._REGISTRY.close()
 
     @pytest.mark.parametrize("use_tier", [True, False])
     def test_truncated_checkpoint_falls_back_to_fresh_run(

@@ -11,7 +11,10 @@ within 5%.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -140,6 +143,55 @@ class TestCountersAndGauges:
         assert (gens[0]["phase"], gens[0]["ga_run"]) == ("P1", 3)
         assert (gens[1]["phase"], gens[1]["ga_run"]) == ("P2", 3)
         assert "phase" not in gens[2] and "ga_run" not in gens[2]
+
+    def test_concurrent_increments_are_not_lost(self):
+        """Threads share one collector's counters (the job service's
+        job threads do): a lost read-modify-write would show as a total
+        short of every increment made."""
+        collector = TelemetryCollector()
+        n_threads = max(4, (os.cpu_count() or 1) + 1)
+        per_thread = 400_000 // n_threads
+        barrier = threading.Barrier(n_threads)
+
+        def work():
+            barrier.wait()
+            for _ in range(per_thread):
+                collector.inc("shared")
+
+        workers = [threading.Thread(target=work) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert collector.counters == {"shared": n_threads * per_thread}
+
+    def test_drain_hands_over_the_trace_and_forgets_it(self):
+        """A long-lived collector hands each task's trace over once;
+        folded in unscoped, the task reads as if recorded in place."""
+        worker = TelemetryCollector(source="worker")
+        job = TelemetryCollector(source="job")
+        for task in range(2):
+            with worker.span("task", task=task):
+                worker.gauge("coverage", 0.5 * task)
+            worker.inc("frames", 3)
+            expected = worker.records()
+            shipped = worker.drain()
+            assert shipped == expected
+            assert worker.events() == [] and worker.counters == {}
+            assert worker.gauges == {}
+            job.merge_worker_trace(None, shipped)
+        validate_trace(job.records())
+        assert [(r["kind"], r.get("path"), "scope" in r)
+                for r in job.events()] == [
+            ("gauge", None, False), ("span", "task", False),
+        ] * 2
+        assert job.counters == {"frames": 6, "worker.trace.merged": 2}
 
     def test_install_and_use_swap_default(self):
         assert get_collector() is NULL
